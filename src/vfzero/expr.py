@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .intervals import Box, Interval, pi_power, sin_2pi_range, cos_2pi_range
+from .intervals import Box, Interval, dyadic_form, pi_power, sin_2pi_range, cos_2pi_range
 
 PLANE = "plane"
 TORUS = "torus"
@@ -101,7 +101,9 @@ def _normalize(terms: dict[Key, Fraction]) -> dict[Key, Fraction]:
 class Expr:
     """Immutable normal-form expression tied to a domain."""
 
-    __slots__ = ("domain", "_terms", "_hash")
+    # _kernel is set on the first range_on call only (see _DyadicKernel),
+    # so construction and ring operations never pay for it
+    __slots__ = ("domain", "_terms", "_hash", "_kernel")
 
     def __init__(self, domain: str, terms: dict[Key, Fraction]):
         if domain not in (PLANE, TORUS):
@@ -320,7 +322,23 @@ class Expr:
 
         Term-wise interval arithmetic with tight integer powers; containment
         of the true range is unconditional since all endpoints are exact.
+        When all four box corners are dyadic (power-of-two denominators, as
+        every quadtree cell and boundary piece of a dyadic region is) the
+        enclosure is computed in pure ``int`` arithmetic by a kernel compiled
+        on the first call; otherwise, e.g. for a corner 1/3, the Fraction
+        loop ``_range_on_fractions`` runs.  Both compute the same exact
+        interval operations, so they return identical endpoints.
         """
+        try:
+            kernel = self._kernel
+        except AttributeError:
+            kernel = _DyadicKernel(self._terms)
+            object.__setattr__(self, "_kernel", kernel)
+        out = kernel.range_on(box)
+        return self._range_on_fractions(box) if out is None else out
+
+    def _range_on_fractions(self, box: Box) -> Interval:
+        """Reference enclosure in Fraction interval arithmetic."""
         sx = cx = sy = cy = None
         total = Interval.point(0)
         for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._terms.items():
@@ -383,6 +401,131 @@ def _gens_string(key: Key) -> str:
         elif e > 1:
             factors.append(f"{name}^{e}")
     return "*".join(factors)
+
+
+# ---------------------------------------------------------------------------
+# dyadic-integer enclosure kernel
+
+
+def _imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[a, b] * [c, d] over the integers: the min and max of the four
+    corner products, chosen by the signs of the factors."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def _ipow(a: int, b: int, n: int) -> tuple[int, int]:
+    """Tight {t**n : t in [a, b]} over the integers (Interval.int_pow)."""
+    if n % 2 == 1 or a >= 0:
+        return a**n, b**n
+    if b <= 0:
+        return b**n, a**n
+    return 0, max(a**n, b**n)
+
+
+# generator indices of a compiled factor: x, y, then the four trig
+# functions in the order the Fraction loop tests them within a term
+_SX, _CX, _SY, _CY = 2, 3, 4, 5
+
+
+class _DyadicKernel:
+    """An Expr compiled for exact integer evaluation on dyadic boxes.
+
+    Every coefficient becomes an integer numerator over the common
+    denominator Q (the lcm of the term denominators), folded together with
+    its pi power into a constant integer interval over 2^shift.  A box with
+    dyadic corners is then evaluated term by term with the same interval
+    products and tight powers as the Fraction loop, on integers scaled by
+    Q * 2^s; terms are added after aligning their shifts, and only the
+    result is turned back into Fractions.
+    """
+
+    __slots__ = ("den", "terms", "factors", "trig_order")
+
+    def __init__(self, terms: dict[Key, Fraction]):
+        self.den = math.lcm(*(c.denominator for c in terms.values()))
+        factors: dict[tuple[int, int], int] = {}
+        compiled = []
+        trig_order: list[int] = []
+        for (kpi, ex, ey, s1, c1, s2, c2), coeff in terms.items():
+            n = coeff.numerator * (self.den // coeff.denominator)
+            if kpi:
+                a, b, shift = pi_power(kpi).dyadic
+                lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
+            else:
+                lo = hi = n
+                shift = 0
+            slots = []
+            for gen, e in enumerate((ex, ey, s1, c1, s2, c2)):
+                if e:
+                    slots.append(factors.setdefault((gen, e), len(factors)))
+                    if gen >= _SX and gen not in trig_order:
+                        trig_order.append(gen)
+            compiled.append((lo, hi, shift, tuple(slots)))
+        self.terms = tuple(compiled)
+        self.factors = tuple(factors)
+        self.trig_order = tuple(trig_order)
+
+    def range_on(self, box: Box) -> Optional[Interval]:
+        """The exact enclosure of the Fraction loop, or None when a box
+        corner is not dyadic."""
+        x, y = box.x, box.y
+        # x and y keep their own power-of-two denominators; the shifts of
+        # the factors add up per term, and terms are aligned when summed
+        bases = [dyadic_form(x.lo, x.hi), dyadic_form(y.lo, y.hi), None, None, None, None]
+        if bases[0] is None or bases[1] is None:
+            return None
+        for gen in self.trig_order:
+            # same lookups in the same order as the Fraction loop, so the
+            # lru_cache statistics do not depend on the path taken
+            if gen == _SX:
+                iv = sin_2pi_range(x.lo, x.hi)
+            elif gen == _CX:
+                iv = cos_2pi_range(x.lo, x.hi)
+            elif gen == _SY:
+                iv = sin_2pi_range(y.lo, y.hi)
+            else:
+                iv = cos_2pi_range(y.lo, y.hi)
+            if iv.dyadic is None:  # mpmath endpoints are always dyadic
+                return None
+            bases[gen] = iv.dyadic
+        powers = []
+        for gen, n in self.factors:
+            a, b, shift = bases[gen]
+            powers.append(_ipow(a, b, n) + (shift * n,))
+        lo_sum = hi_sum = 0
+        top = 0
+        for lo, hi, shift, slots in self.terms:
+            for k in slots:
+                a, b, s = powers[k]
+                lo, hi = _imul(lo, hi, a, b)
+                shift += s
+            if shift > top:
+                lo_sum <<= shift - top
+                hi_sum <<= shift - top
+                top = shift
+            elif shift < top:
+                lo <<= top - shift
+                hi <<= top - shift
+            lo_sum += lo
+            hi_sum += hi
+        den = self.den << top
+        return Interval(Fraction(lo_sum, den), Fraction(hi_sum, den))
 
 
 # ---------------------------------------------------------------------------

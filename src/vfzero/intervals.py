@@ -7,6 +7,17 @@ delegated to mpmath's interval context at 128-bit working precision; the
 dyadic endpoints mpmath returns are lifted back into exact rationals, so
 the only approximation is an outward widening of at most one ulp at that
 precision.
+
+Every enclosure here is also *dyadic* unless an input is not: box corners
+produced by bisecting a region with dyadic corners, mpmath's pi/sin/cos
+endpoints (mantissa * 2^exp) and the exact values -1, 0, 1 all have
+power-of-two denominators.  ``Interval.dyadic`` exposes that integer form
+(numerators over one shared 2^e), so ``Expr.range_on`` can evaluate a box
+in pure ``int`` arithmetic; the form is cached on the interval object, so
+the pi powers and the trig enclosures held by ``sin_2pi_range`` and
+``cos_2pi_range``'s ``lru_cache`` convert once per cache entry, and the
+caches see the same hits and misses as before.  Boxes with a non-dyadic
+corner take the Fraction path; both paths give identical endpoints.
 """
 
 from __future__ import annotations
@@ -14,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Union
 
 from mpmath import iv as _iv
 from mpmath.libmp import from_rational, round_ceiling, round_floor
@@ -42,10 +53,25 @@ class _RawMpf:
 
 def _raw_to_fraction(raw) -> Fraction:
     # raw is an mpf value tuple (sign, mantissa, exponent, bitcount);
-    # mantissa may arrive as gmpy2.mpz, so coerce to plain int
-    sign, man, exp, _ = raw
+    # mantissa may arrive as gmpy2.mpz, so coerce to plain int.  libmp
+    # encodes +-inf and nan with a zero mantissa and a nonzero exponent or
+    # bit count (zero itself is all zeros); those have no rational value.
+    sign, man, exp, bc = raw
+    if not man and (exp or bc):
+        raise EnclosureError(f"non-finite mpmath endpoint {raw!r}")
     f = Fraction(int(man)) * (Fraction(2) ** int(exp))
     return -f if sign else f
+
+
+def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int, int]]:
+    """(a, b, e) with lo = a / 2**e and hi = b / 2**e, or None when an
+    endpoint's denominator is not a power of two."""
+    d_lo, d_hi = lo.denominator, hi.denominator
+    if d_lo & (d_lo - 1) or d_hi & (d_hi - 1):
+        return None
+    # powers of two: the larger denominator is a multiple of the other
+    den = max(d_lo, d_hi)
+    return lo.numerator * (den // d_lo), hi.numerator * (den // d_hi), den.bit_length() - 1
 
 
 def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
@@ -152,6 +178,11 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
+
+    @cached_property
+    def dyadic(self) -> Optional[tuple[int, int, int]]:
+        """``dyadic_form(lo, hi)``, computed once per interval object."""
+        return dyadic_form(self.lo, self.hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfzero import (
     Box,
@@ -15,7 +16,63 @@ from vfzero import (
     parse_expr,
 )
 
+from vfzero.intervals import cos_2pi_range, sin_2pi_range
+
 from conftest import boxes, plane_polys, torus_polys
+
+
+def _epsilons():
+    # the m / (2 s) scales that stability_test multiplies perturbations by
+    return st.builds(lambda m, s: Fraction(m, 2 * s), st.integers(1, 99), st.integers(1, 99))
+
+
+def _times_pi(polys):
+    return st.tuples(polys, st.integers(1, 3)).map(
+        lambda t: t[0] * Expr.gen("pi", t[0].domain) ** t[1]
+    )
+
+
+def kernel_exprs():
+    plane, torus = plane_polys(), torus_polys()
+    base = st.one_of(
+        plane,
+        torus,
+        _times_pi(plane),
+        torus.map(lambda e: e.derive("x") + e.derive("y")),  # pi from the chain rule
+    )
+    return st.one_of(
+        base,
+        st.tuples(base, _epsilons()).map(lambda t: t[0] * t[1]),
+        # X + eps * P: a perturbed field component
+        st.tuples(plane, plane, _epsilons()).map(lambda t: t[0] + t[1] * t[2]),
+    )
+
+
+def _dyadics(bound: int = 4, max_exp: int = 12):
+    return st.integers(0, max_exp).flatmap(
+        lambda k: st.integers(-bound << k, bound << k).map(lambda n: Fraction(n, 1 << k))
+    )
+
+
+@st.composite
+def dyadic_boxes(draw):
+    """Dyadic boxes, including point and segment boxes."""
+    shape = draw(st.sampled_from(["box", "x-segment", "y-segment", "point"]))
+    x0, x1 = sorted((draw(_dyadics()), draw(_dyadics())))
+    y0, y1 = sorted((draw(_dyadics()), draw(_dyadics())))
+    if shape in ("y-segment", "point"):
+        x1 = x0
+    if shape in ("x-segment", "point"):
+        y1 = y0
+    return Box(Interval(x0, x1), Interval(y0, y1))
+
+
+@st.composite
+def depth10_cells(draw):
+    x0, y0, side = draw(st.sampled_from([(-2, -2, 4), (0, 0, 1)]))
+    i, j = draw(st.integers(0, 1023)), draw(st.integers(0, 1023))
+    w = Fraction(side, 1024)
+    return Box(Interval(x0 + i * w, x0 + (i + 1) * w), Interval(y0 + j * w, y0 + (j + 1) * w))
 
 
 class TestParse:
@@ -129,6 +186,42 @@ class TestIntervalEval:
                 for px in (x0, x0 + Fraction(1, 4)):
                     for py in (y0, y0 + Fraction(1, 4)):
                         assert enc.contains(e.eval_at((px % 1, py % 1)))
+
+
+class TestDyadicKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kernel_exprs(), st.one_of(dyadic_boxes(), depth10_cells()))
+    def test_equals_fraction_path(self, e, box):
+        ref = e._range_on_fractions(box)
+        assert e.range_on(box) == ref
+        # the integer kernel itself answered, not the fallback
+        assert e._kernel.range_on(box) == ref
+
+    def test_non_dyadic_corner_falls_back(self):
+        e = parse_expr("x^3 - 3*x*y^2 - 1/3*x")
+        box = Box.from_corners(Fraction(1, 3), 0, 1, Fraction(1, 2))
+        assert e.range_on(box) == e._range_on_fractions(box)
+        assert e._kernel.range_on(box) is None
+
+    def test_compiled_on_first_enclosure_only(self):
+        e = parse_expr("x^2 - y") * parse_expr("x + 1")
+        assert not hasattr(e, "_kernel")
+        e.range_on(Box.from_corners(0, 0, 1, 1))
+        assert hasattr(e, "_kernel")
+
+    def test_same_trig_cache_traffic(self):
+        e = parse_expr("sin2px*cos2py - cos2px + pi*sin2py^2", "torus")
+        w = Fraction(1, 64)
+        cells = [Box(Interval(i * w, (i + 1) * w), Interval(j * w, (j + 2) * w))
+                 for i in range(0, 64, 5) for j in range(0, 62, 7)]
+        traffic = []
+        for evaluate in (e._range_on_fractions, e.range_on):
+            sin_2pi_range.cache_clear()
+            cos_2pi_range.cache_clear()
+            for box in cells + cells[::3]:
+                evaluate(box)
+            traffic.append((sin_2pi_range.cache_info(), cos_2pi_range.cache_info()))
+        assert traffic[0] == traffic[1]
 
 
 class TestDerive:
