@@ -1,13 +1,18 @@
 """Certified isolation of zero sets by quadtree subdivision.
 
-A region is subdivided until every cell either carries an interval
-certificate that the target set (zeros of a field, of a scalar, or common
-zeros of several fields) misses it, or the maximum depth is reached.
-Cells that survive at full depth are grouped into connected blocks; the
-oriented boundary of each block's cell union is extracted and certified
-nonvanishing segment by segment.  Everything is exact: cells are dyadic
-subdivisions of the rational region, so adjacency and boundary extraction
-are integer computations.
+Every set isolated here is one kind of zero problem: the common zeros of
+a tuple of labelled scalar components (a field's two components, one
+scalar, or the components of several fields).  A box is certified empty
+when some component's enclosure excludes zero.
+
+Every certificate is reached by one bisection primitive, ``bisect``: a box
+or a boundary segment is split until each piece carries a certificate or a
+level limit is hit.  A region is bisected until every cell is certified
+empty or the maximum depth is reached.  Cells that survive at full depth
+are grouped into connected blocks; the oriented boundary of each block's
+cell union is extracted and certified nonvanishing segment by segment.
+Everything is exact: cells are dyadic subdivisions of the rational region,
+so adjacency and boundary extraction are integer computations.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -35,57 +40,24 @@ EmptyCert = tuple[str, Interval]
 # zero-set descriptions
 
 
-class FieldZeros:
-    """Zero set of a vector field: a box is empty when one component's
-    enclosure excludes zero."""
+class ZeroProblem:
+    """Common zeros of labelled scalar components: a box is empty when the
+    first component, in order, whose enclosure excludes zero says so."""
 
-    def __init__(self, field: VectorField):
-        self.field = field
-        self.domain = field.domain
+    def __init__(self, components: Sequence[tuple[str, Expr]]):
+        self.components = tuple(components)
+        self.domain = self.components[0][1].domain
 
     def empty_certificate(self, box: Box) -> Optional[EmptyCert]:
-        rx = self.field.cx.range_on(box)
-        if rx.excludes_zero():
-            return ("cx", rx)
-        ry = self.field.cy.range_on(box)
-        if ry.excludes_zero():
-            return ("cy", ry)
+        for label, expr in self.components:
+            r = expr.range_on(box)
+            if r.excludes_zero():
+                return (label, r)
         return None
 
 
-class ScalarZeros:
-    """Zero set of a single scalar expression."""
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-        self.domain = expr.domain
-
-    def empty_certificate(self, box: Box) -> Optional[EmptyCert]:
-        r = self.expr.range_on(box)
-        if r.excludes_zero():
-            return ("value", r)
-        return None
-
-
-class CommonZeros:
-    """Simultaneous zeros of several fields: empty when any generator is
-    certified nonvanishing on the box."""
-
-    def __init__(self, fields: Sequence[VectorField]):
-        if not fields:
-            raise ValueError("no generators")
-        self.fields = tuple(fields)
-        self.domain = self.fields[0].domain
-
-    def empty_certificate(self, box: Box) -> Optional[EmptyCert]:
-        for k, f in enumerate(self.fields):
-            rx = f.cx.range_on(box)
-            if rx.excludes_zero():
-                return (f"gen{k}.cx", rx)
-            ry = f.cy.range_on(box)
-            if ry.excludes_zero():
-                return (f"gen{k}.cy", ry)
-        return None
+def _field_parts(field: VectorField, prefix: str = "") -> tuple[tuple[str, Expr], ...]:
+    return ((prefix + "cx", field.cx), (prefix + "cy", field.cy))
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +207,42 @@ class CertifyResult:
 # subdivision
 
 
+# Refinement limit for boundary segments in the winding, index-transfer and
+# stability passes; boundary certificates default to 30 levels.
+MAX_SEG_REFINE = 42
+
+
+def bisect(piece, certify, max_level: int):
+    """Bisect a Segment (into its halves) or a Box (into its quarters) until
+    ``certify`` returns a certificate, depth first, first child first.
+
+    Yields (piece, certificate) for every certified piece and (piece, None)
+    for every piece still uncertified ``max_level`` levels down; a caller
+    that needs every piece certified can stop at the first None.
+    """
+    split = Segment.halves if isinstance(piece, Segment) else Box.split4
+    stack = [(piece, 0)]
+    while stack:
+        piece, level = stack.pop()
+        cert = certify(piece)
+        if cert is None and level < max_level:
+            stack.extend((child, level + 1) for child in reversed(split(piece)))
+        else:
+            yield piece, cert
+
+
 def _subdivide(problem, region: Box, max_depth: int):
     """Quadtree subdivision; returns (retained finest-depth cells, list of
     certified-empty (box, label, enclosure)).  Deterministic traversal."""
     retained: list[Cell] = []
     empties: list[tuple[Box, str, Interval]] = []
-
-    def recurse(cell: Cell, level: int):
-        box = Grid(region, level, False).cell_box(cell)
-        cert = problem.empty_certificate(box)
-        if cert is not None:
-            empties.append((box, cert[0], cert[1]))
-            return
-        if level == max_depth:
-            retained.append(cell)
-            return
-        i, j = cell
-        for child in ((2 * i, 2 * j), (2 * i + 1, 2 * j), (2 * i, 2 * j + 1), (2 * i + 1, 2 * j + 1)):
-            recurse(child, level + 1)
-
-    recurse((0, 0), 0)
+    n = 1 << max_depth
+    wx, wy = region.x.width() / n, region.y.width() / n
+    for box, cert in bisect(region, problem.empty_certificate, max_depth):
+        if cert is None:
+            retained.append((int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy)))
+        else:
+            empties.append((box, *cert))
     return retained, empties
 
 
@@ -350,43 +338,32 @@ def _edge_segment(grid: Grid, i0: int, j0: int, i1: int, j1: int) -> Segment:
 # boundary certification
 
 
-def _certify_segment(problem, seg: Segment, max_refine: int):
-    """Refine a segment until every piece carries an emptiness certificate.
-    Returns (list of certified pieces, offending segment or None)."""
-    pieces: list[tuple[Segment, str]] = []
-    stack: list[tuple[Segment, int]] = [(seg, 0)]
-    while stack:
-        s, level = stack.pop()
-        cert = problem.empty_certificate(s.box())
-        if cert is not None:
-            pieces.append((s, cert[0]))
-            continue
-        if level >= max_refine:
-            return pieces, s
-        a, b = s.halves()
-        stack.append((b, level + 1))
-        stack.append((a, level + 1))
-    return pieces, None
-
-
 def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = 30) -> CertifyResult:
+    def certify(seg: Segment) -> Optional[EmptyCert]:
+        return problem.empty_certificate(seg.box())
+
     per_segment = []
     total = 0
     for loop in boundary:
         for seg in loop.segments:
-            pieces, offending = _certify_segment(problem, seg, max_refine)
-            if offending is not None:
-                return CertifyResult(False, total, offending, tuple(per_segment))
-            per_segment.append((seg, len(pieces)))
-            total += len(pieces)
+            pieces = 0
+            for piece, cert in bisect(seg, certify, max_refine):
+                if cert is None:
+                    return CertifyResult(False, total, piece, tuple(per_segment))
+                pieces += 1
+            per_segment.append((seg, pieces))
+            total += pieces
     return CertifyResult(True, total, None, tuple(per_segment))
 
 
 def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = 30) -> CertifyResult:
     """Certify that the field is nonvanishing on every boundary segment of
     the block, refining segments as needed.  True means the open cell-union
-    interior is an isolating neighborhood for (field, its zeros inside)."""
-    return certify_boundary(FieldZeros(field), block.boundary, max_refine)
+    interior is an isolating neighborhood for (field, its zeros inside).
+
+    A public check: ``winding.block_index`` does not call it, because its
+    winding refinement proves the same on every boundary piece."""
+    return certify_boundary(ZeroProblem(_field_parts(field)), block.boundary, max_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +408,22 @@ def isolate_zeros(field: VectorField, region: Box, max_depth: int, max_refine: i
     """
     if field.is_zero:
         raise ValueError("the zero field vanishes everywhere; nothing to isolate")
-    return _build_blocks(FieldZeros(field), region, max_depth, max_refine)
+    return _build_blocks(ZeroProblem(_field_parts(field)), region, max_depth, max_refine)
 
 
 def scalar_zero_blocks(expr: Expr, region: Box, max_depth: int, max_refine: int = 30) -> list[ZeroBlock]:
     """Certified blocks of the scalar zero set {expr = 0} in the region."""
     if expr.is_zero:
         raise ValueError("the zero expression vanishes everywhere")
-    return list(_build_blocks(ScalarZeros(expr), region, max_depth, max_refine).blocks)
+    return list(_build_blocks(ZeroProblem([("value", expr)]), region, max_depth, max_refine).blocks)
 
 
 def common_zero_blocks(fields: Sequence[VectorField], region: Box, max_depth: int, max_refine: int = 30) -> IsolationResult:
     """Blocks of the simultaneous zero set of all given fields."""
-    return _build_blocks(CommonZeros(fields), region, max_depth, max_refine)
+    if not fields:
+        raise ValueError("no generators")
+    problem = ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
+    return _build_blocks(problem, region, max_depth, max_refine)
 
 
 def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) -> ZeroBlock:
@@ -467,9 +447,9 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
                     )
                 if nb not in members:
                     layer.add(nb)
-    problem = FieldZeros(field)
+    problem = ZeroProblem(_field_parts(field))
     for c in sorted(layer):
-        if not _box_certified_empty(problem, grid.cell_box(c), extra_refine):
+        if any(cert is None for _, cert in bisect(grid.cell_box(c), problem.empty_certificate, extra_refine)):
             raise CertificationError(
                 f"dilation layer cell {c} could not be certified nonvanishing"
             )
@@ -489,14 +469,6 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
         coarse=False,
         certificate=cert.per_segment,
     )
-
-
-def _box_certified_empty(problem, box: Box, max_depth: int) -> bool:
-    if problem.empty_certificate(box) is not None:
-        return True
-    if max_depth == 0:
-        return False
-    return all(_box_certified_empty(problem, sub, max_depth - 1) for sub in box.split4())
 
 
 def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> ZeroBlock:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
-from .blocks import ZeroBlock, isolate_zeros
+from .blocks import MAX_SEG_REFINE, ZeroBlock, bisect, isolate_zeros
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
 from .fields import VectorField, jacobian, parse_field
@@ -279,26 +279,18 @@ class StabilityReport:
 def _boundary_pieces(field: VectorField, block: ZeroBlock):
     """Refine the block boundary until the field enclosure on every piece
     excludes the origin; returns the pieces with their enclosures."""
-    from .blocks import Segment
 
-    pieces: list[tuple[Segment, Interval, Interval]] = []
-    stack: list[tuple[Segment, int]] = []
+    def certify(seg):
+        rx, ry = field.range_on(seg.box())
+        return (rx, ry) if rx.excludes_zero() or ry.excludes_zero() else None
+
+    pieces = []
     for loop in block.boundary:
         for seg in loop.segments:
-            stack.append((seg, 0))
-    while stack:
-        seg, level = stack.pop()
-        if level > 42:
-            raise CertificationError("field magnitude bound not certifiable on boundary")
-        box = seg.box()
-        rx = field.cx.range_on(box)
-        ry = field.cy.range_on(box)
-        if rx.excludes_zero() or ry.excludes_zero():
-            pieces.append((seg, rx, ry))
-            continue
-        a, b = seg.halves()
-        stack.append((a, level + 1))
-        stack.append((b, level + 1))
+            for piece, cert in bisect(seg, certify, MAX_SEG_REFINE):
+                if cert is None:
+                    raise CertificationError("field magnitude bound not certifiable on boundary")
+                pieces.append((piece, *cert))
     return pieces
 
 

@@ -21,10 +21,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .blocks import (
+    MAX_SEG_REFINE,
     BoundaryLoop,
-    ScalarZeros,
     Segment,
     ZeroBlock,
+    ZeroProblem,
+    bisect,
     certify_boundary,
     certify_isolating,
     isolate_zeros,
@@ -58,7 +60,6 @@ class IndexReport:
         )
 
 
-_MAX_SEG_REFINE = 42
 _MAX_INC_WIDTH = Fraction(4, 5)  # radians; keeps atan2 away from the branch cut
 _GATE_RETRIES = 3
 
@@ -72,24 +73,12 @@ def _value_enclosure(field: VectorField, p) -> tuple[Interval, Interval]:
         return field.range_on(box)
 
 
-def _segment_increments(
-    field: VectorField,
-    seg: Segment,
-    level: int,
-    out: list[Interval],
-    max_width: Fraction,
-):
-    """Append certified angle increments covering the directed segment."""
-    if level > _MAX_SEG_REFINE:
-        raise CertificationError(
-            f"zero too close to boundary: segment near ({float(seg.x0):.6g}, {float(seg.y0):.6g})"
-        )
+def _increment(field: VectorField, seg: Segment, max_width: Fraction) -> Optional[Interval]:
+    """Certified angle increment over the piece, or None while the field
+    enclosure may meet the origin or the increment is wider than max_width."""
     rx, ry = field.range_on(seg.box())
     if not (rx.excludes_zero() or ry.excludes_zero()):
-        a, b = seg.halves()
-        _segment_increments(field, a, level + 1, out, max_width)
-        _segment_increments(field, b, level + 1, out, max_width)
-        return
+        return None
     ux, uy = _value_enclosure(field, seg.start)
     vx, vy = _value_enclosure(field, seg.end)
     cross = ux * vy - uy * vx
@@ -97,13 +86,10 @@ def _segment_increments(
     try:
         inc = atan2_range(cross, dotv)
     except EnclosureError:
-        inc = None
+        return None
     if inc is None or inc.width() > max_width:
-        a, b = seg.halves()
-        _segment_increments(field, a, level + 1, out, max_width)
-        _segment_increments(field, b, level + 1, out, max_width)
-        return
-    out.append(inc)
+        return None
+    return inc
 
 
 def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
@@ -116,7 +102,14 @@ def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
     for _ in range(_GATE_RETRIES + 1):
         increments: list[Interval] = []
         for seg in loop.segments:
-            _segment_increments(field, seg, 0, increments, max_width)
+            pieces = bisect(seg, lambda s: _increment(field, s, max_width), MAX_SEG_REFINE)
+            for piece, inc in pieces:
+                if inc is None:
+                    raise CertificationError(
+                        "zero too close to boundary: segment near "
+                        f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
+                    )
+                increments.append(inc)
         total = Interval(
             sum((i.lo for i in increments), Fraction(0)),
             sum((i.hi for i in increments), Fraction(0)),
@@ -143,17 +136,13 @@ def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
 def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
     """Certified Poincare-Hopf index of the field on the block.
 
-    Requires the block boundary to be certifiable for this field; the
-    index is then the sum over boundary loops (interior-left orientation).
+    The index is the sum over boundary loops (interior-left orientation).
+    The winding refinement certifies on every boundary piece that the
+    field enclosure misses the origin, which is the isolating certificate;
+    a block whose boundary runs through a zero of the field fails there.
     """
     if block.coarse:
         raise CertificationError(f"block {block.label} is coarse; refine the isolation")
-    cert = certify_isolating(field, block)
-    if not cert.ok:
-        raise CertificationError(
-            f"block {block.label} is not isolating for this field (segment at "
-            f"({float(cert.offending.x0):.6g}, {float(cert.offending.y0):.6g}))"
-        )
     loops = tuple(_loop_winding(field, lp) for lp in block.boundary)
     return IndexReport(
         block=block.label,
@@ -218,24 +207,6 @@ class TransferReport:
         return self.certified and self.index_x == self.index_y
 
 
-def _never_ratio_cert(wedge_expr: Expr, dot_expr: Expr, seg: Segment, sign: int, level: int) -> int:
-    """Count certified pieces proving X != lambda*Y on the segment for
-    lambda of the given sign (sign=-1 forbids antiparallel points)."""
-    if level > _MAX_SEG_REFINE:
-        raise CertificationError("inconclusive transfer segment at refinement limit")
-    box = seg.box()
-    w = wedge_expr.range_on(box)
-    if w.excludes_zero():
-        return 1
-    d = dot_expr.range_on(box)
-    if (sign < 0 and d.lo > 0) or (sign > 0 and d.hi < 0):
-        return 1
-    a, b = seg.halves()
-    return _never_ratio_cert(wedge_expr, dot_expr, a, sign, level + 1) + _never_ratio_cert(
-        wedge_expr, dot_expr, b, sign, level + 1
-    )
-
-
 def index_transfer_check(
     x_field: VectorField,
     y_field: VectorField,
@@ -258,13 +229,26 @@ def index_transfer_check(
             raise CertificationError("block is not isolating for both fields")
     w = wedge(x_field, y_field)
     d = dot(x_field, y_field)
+
+    def never_ratio(seg: Segment) -> Optional[bool]:
+        # X != lambda*Y on the piece for every lambda of the given sign
+        box = seg.box()
+        if w.range_on(box).excludes_zero():
+            return True
+        r = d.range_on(box)
+        if (sign < 0 and r.lo > 0) or (sign > 0 and r.hi < 0):
+            return True
+        return None
+
     pieces = 0
-    try:
-        for loop in block.boundary:
-            for seg in loop.segments:
-                pieces += _never_ratio_cert(w, d, seg, sign, 0)
-    except CertificationError:
-        return TransferReport(mode, False, pieces, None, None)
+    for loop in block.boundary:
+        for seg in loop.segments:
+            certs = 0
+            for _, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
+                if cert is None:
+                    return TransferReport(mode, False, pieces, None, None)
+                certs += 1
+            pieces += certs
     ix = block_index(x_field, block).index
     iy = block_index(y_field, block).index
     if ix != iy:
@@ -292,7 +276,7 @@ def scalar_factor_index_check(y_field: VectorField, factor: Expr, block: ZeroBlo
     boundary, a zero index for Y forces a zero index for X; both indices
     are computed and the implication asserted.
     """
-    cert = certify_boundary(ScalarZeros(factor), block.boundary)
+    cert = certify_boundary(ZeroProblem([("value", factor)]), block.boundary)
     if not cert.ok:
         raise CertificationError("factor sign could not be certified on the boundary")
     scaled = y_field.scale(factor)

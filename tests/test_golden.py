@@ -11,7 +11,20 @@ import hashlib
 
 import pytest
 
+from vfzero import (
+    Box,
+    block_from_boxes,
+    builtin_catalog,
+    certify_isolating,
+    dilate_block,
+    isolate_zeros,
+    parse_expr,
+    parse_field,
+    scalar_zero_blocks,
+)
+from vfzero.blocks import common_zero_blocks
 from vfzero.cli import run_command
+from vfzero.harness import _boundary_pieces
 
 GOLDEN = [
     ("zeros", ["zeros", "--field", "(x, y)", "--region", "-1,-1,1,1", "--depth", "8"],
@@ -52,3 +65,57 @@ def test_report_bytes_unchanged(argv, sha256, tmp_path):
     out = tmp_path / "report.json"
     assert run_command(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# Object-level goldens: the reports above only count empty boxes, so these
+# pin the repr of the objects the isolation layer returns, including every
+# empty box's label and enclosure, each block's per-segment certificate and
+# the offending segment of a failed boundary certificate.  The hashes were
+# recorded before the bisection loops were merged into ``blocks.bisect``.
+
+_R1 = Box.from_corners(-1, -1, 1, 1)
+_R2 = Box.from_corners(-2, -2, 2, 2)
+_TORUS = Box.from_corners(0, 0, 1, 1)
+
+
+def _catalog_block(name):
+    entry = next(e for e in builtin_catalog() if e.name == name)
+    return entry.field, isolate_zeros(entry.field, entry.region, 6).blocks[0]
+
+
+def _dilated():
+    field = parse_field("(x, y)")
+    return dilate_block(field, isolate_zeros(field, _R1, 6).blocks[0])
+
+
+OBJECTS = [
+    ("isolate-plane",
+     lambda: isolate_zeros(parse_field("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)"), _R2, 6),
+     "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
+    ("isolate-empty",
+     lambda: isolate_zeros(parse_field("(x^2 + y^2 - 1/4, x^2 + y^2 - 1)"), _R1, 6),
+     "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
+    ("isolate-torus",
+     lambda: isolate_zeros(parse_field("(sin2px, sin2py)", "torus"), _TORUS, 5),
+     "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
+    ("scalar-blocks",
+     lambda: scalar_zero_blocks(parse_expr("x^2 + y^2 - 1"), _R2, 5),
+     "e2923080177a4c251dfcf1ca1663566f86569c01f59c907694d139843f1abd2d"),
+    ("common-blocks",
+     lambda: common_zero_blocks([parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")], _R1, 5),
+     "f9206888905c65e130a94980c823333e8af081cd28823a121f4d90e07e1d8f93"),
+    ("dilate", _dilated, "91d46e12e7d4240f185d0a4a1a2c95fdd44f08ad1aee05e734abe3c90aebe14e"),
+    ("isolating-fails",
+     lambda: certify_isolating(parse_field("(x, y)"),
+                               block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)]),
+                               max_refine=12),
+     "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
+    ("boundary-pieces",
+     lambda: sorted(repr(p) for p in _boundary_pieces(*_catalog_block("complex-squaring"))),
+     "5934068d43cac4ee1fafaf7493689074a1fba3e5f845cc36e5bf81e1ef81805f"),
+]
+
+
+@pytest.mark.parametrize("build, sha256", [o[1:] for o in OBJECTS], ids=[o[0] for o in OBJECTS])
+def test_object_repr_unchanged(build, sha256):
+    assert hashlib.sha256(repr(build()).encode()).hexdigest() == sha256

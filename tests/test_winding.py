@@ -119,6 +119,14 @@ class TestBlockIndex:
         grown = dilate_block(field, blk)
         assert block_index(field, grown).index == block_index(field, blk).index
 
+    def test_boundary_through_zero_rejected(self):
+        # the only zero sits on the block's corner, so no refinement of the
+        # boundary can exclude it
+        field = parse_field("(x, y)")
+        blk = block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)])
+        with pytest.raises(CertificationError):
+            block_index(field, blk)
+
     def test_torus_circle_blocks_have_index_zero(self):
         # zero set of (sin(2*pi*x), 0) is two non-contractible circles; the
         # boundary loops wrap around the torus and carry winding 0
