@@ -11,8 +11,10 @@ level limit is hit.  A region is bisected until every cell is certified
 empty or the maximum depth is reached.  Cells that survive at full depth
 are grouped into connected blocks; the oriented boundary of each block's
 cell union is extracted and certified nonvanishing segment by segment.
-Everything is exact: cells are dyadic subdivisions of the rational region,
-so adjacency and boundary extraction are integer computations.
+Everything is exact.  The geometry comes from the quadtree: a block keeps
+the boxes its cells had as bisection leaves, and every boundary edge is
+read off the corners of its own cell's box.  ``Grid`` keeps only the
+integer side: cell indices, adjacency and the chaining of boundary edges.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -142,12 +144,6 @@ class Grid:
                 elif 0 <= c[0] < self.n and 0 <= c[1] < self.n:
                     yield c
 
-    def vertex_point(self, i: int, j: int) -> tuple[Fraction, Fraction]:
-        return (
-            self.region.x.lo + Fraction(i, self.n) * self.region.x.width(),
-            self.region.y.lo + Fraction(j, self.n) * self.region.y.width(),
-        )
-
 
 @dataclass(frozen=True)
 class ZeroBlock:
@@ -176,8 +172,20 @@ class ZeroBlock:
         return any(b.contains_point(p) for b in self.boxes)
 
     def intersects_block(self, other: "ZeroBlock") -> bool:
-        """Closed box-unions intersect (used for zero-set witnesses)."""
-        return any(a.intersects(b) for a in self.boxes for b in other.boxes)
+        """Closed box-unions intersect."""
+        return self.overlap_box(other) is not None
+
+    def overlap_box(self, other: "ZeroBlock") -> Optional[Box]:
+        """Overlap of the first meeting pair of boxes (own boxes outer), or
+        None when the closed box-unions are disjoint."""
+        for a in self.boxes:
+            for b in other.boxes:
+                if a.intersects(b):
+                    return Box(
+                        Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
+                        Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
+                    )
+        return None
 
 
 @dataclass(frozen=True)
@@ -232,15 +240,17 @@ def bisect(piece, certify, max_level: int):
 
 
 def _subdivide(problem, region: Box, max_depth: int):
-    """Quadtree subdivision; returns (retained finest-depth cells, list of
-    certified-empty (box, label, enclosure)).  Deterministic traversal."""
-    retained: list[Cell] = []
+    """Quadtree subdivision; returns ({retained finest-depth cell: its
+    leaf box}, list of certified-empty (box, label, enclosure)), both in
+    the deterministic traversal order.  The leaf boxes are the block
+    geometry; the integer cell indices only serve adjacency."""
+    retained: dict[Cell, Box] = {}
     empties: list[tuple[Box, str, Interval]] = []
     n = 1 << max_depth
     wx, wy = region.x.width() / n, region.y.width() / n
     for box, cert in bisect(region, problem.empty_certificate, max_depth):
         if cert is None:
-            retained.append((int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy)))
+            retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
         else:
             empties.append((box, *cert))
     return retained, empties
@@ -272,27 +282,29 @@ _LEFT = {"E": "N", "N": "W", "W": "S", "S": "E"}
 _RIGHT = {"E": "S", "S": "W", "W": "N", "N": "E"}
 
 
-def _boundary_loops(grid: Grid, comp: list[Cell]) -> tuple[BoundaryLoop, ...]:
-    """Oriented boundary of the cell union, interior on the left."""
-    members = set(comp)
+def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ...]:
+    """Oriented boundary of the cell union, interior on the left; ``comp``
+    maps each cell to its box, whose corners give the edge endpoints."""
 
     def is_member(cell: Cell) -> bool:
         c = grid.wrap(cell)
         if not grid.torus and not (0 <= c[0] < grid.n and 0 <= c[1] < grid.n):
             return False
-        return c in members
+        return c in comp
 
     # directed edges: (wrapped from-vertex, wrapped to-vertex, direction, segment)
     edges = []
     for (i, j) in sorted(comp):
+        b = comp[(i, j)]
+        x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
         if not is_member((i, j - 1)):  # south side, heading east
-            edges.append(((i, j), (i + 1, j), "E", _edge_segment(grid, i, j, i + 1, j)))
+            edges.append(((i, j), (i + 1, j), "E", Segment(x0, y0, x1, y0)))
         if not is_member((i + 1, j)):  # east side, heading north
-            edges.append(((i + 1, j), (i + 1, j + 1), "N", _edge_segment(grid, i + 1, j, i + 1, j + 1)))
+            edges.append(((i + 1, j), (i + 1, j + 1), "N", Segment(x1, y0, x1, y1)))
         if not is_member((i, j + 1)):  # north side, heading west
-            edges.append(((i + 1, j + 1), (i, j + 1), "W", _edge_segment(grid, i + 1, j + 1, i, j + 1)))
+            edges.append(((i + 1, j + 1), (i, j + 1), "W", Segment(x1, y1, x0, y1)))
         if not is_member((i - 1, j)):  # west side, heading south
-            edges.append(((i, j + 1), (i, j), "S", _edge_segment(grid, i, j + 1, i, j)))
+            edges.append(((i, j + 1), (i, j), "S", Segment(x0, y1, x0, y0)))
 
     def wrap_vertex(v):
         if grid.torus:
@@ -328,12 +340,6 @@ def _boundary_loops(grid: Grid, comp: list[Cell]) -> tuple[BoundaryLoop, ...]:
     return tuple(loops)
 
 
-def _edge_segment(grid: Grid, i0: int, j0: int, i1: int, j1: int) -> Segment:
-    p0 = grid.vertex_point(i0, j0)
-    p1 = grid.vertex_point(i1, j1)
-    return Segment(p0[0], p0[1], p1[0], p1[1])
-
-
 # ---------------------------------------------------------------------------
 # boundary certification
 
@@ -361,8 +367,10 @@ def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = 30
     the block, refining segments as needed.  True means the open cell-union
     interior is an isolating neighborhood for (field, its zeros inside).
 
-    A public check: ``winding.block_index`` does not call it, because its
-    winding refinement proves the same on every boundary piece."""
+    A public check with no caller inside the package: ``winding.block_index``
+    and ``winding.index_transfer_check`` take the isolating certificate
+    from the winding refinement, which proves the same on every boundary
+    piece."""
     return certify_boundary(ZeroProblem(_field_parts(field)), block.boundary, max_refine)
 
 
@@ -379,7 +387,8 @@ def _build_blocks(problem, region: Box, max_depth: int, max_refine: int) -> Isol
     retained, empties = _subdivide(problem, region, max_depth)
     grid = Grid(region, max_depth, torus)
     blocks = []
-    for k, comp in enumerate(_components(grid, retained)):
+    for k, cells in enumerate(_components(grid, list(retained))):
+        comp = {c: retained[c] for c in cells}
         boundary = _boundary_loops(grid, comp)
         cert = certify_boundary(problem, boundary, max_refine)
         blocks.append(
@@ -389,7 +398,7 @@ def _build_blocks(problem, region: Box, max_depth: int, max_refine: int) -> Isol
                 region=region,
                 resolution=max_depth,
                 cells=tuple(comp),
-                boxes=tuple(grid.cell_box(c) for c in comp),
+                boxes=tuple(comp.values()),
                 boundary=boundary,
                 coarse=not cert.ok,
                 certificate=cert.per_segment if cert.ok else None,
@@ -433,7 +442,7 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
     the same zeros, which is what index independence tests exercise.
     """
     grid = block.grid()
-    members = set(block.cells)
+    members = dict(zip(block.cells, block.boxes))
     layer: set[Cell] = set()
     for (i, j) in block.cells:
         for di in (-1, 0, 1):
@@ -449,11 +458,13 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
                     layer.add(nb)
     problem = ZeroProblem(_field_parts(field))
     for c in sorted(layer):
-        if any(cert is None for _, cert in bisect(grid.cell_box(c), problem.empty_certificate, extra_refine)):
+        box = grid.cell_box(c)
+        if any(cert is None for _, cert in bisect(box, problem.empty_certificate, extra_refine)):
             raise CertificationError(
                 f"dilation layer cell {c} could not be certified nonvanishing"
             )
-    comp = sorted(members | layer)
+        members[c] = box
+    comp = dict(sorted(members.items()))
     boundary = _boundary_loops(grid, comp)
     cert = certify_boundary(problem, boundary)
     if not cert.ok:
@@ -464,7 +475,7 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
         region=block.region,
         resolution=block.resolution,
         cells=tuple(comp),
-        boxes=tuple(grid.cell_box(c) for c in comp),
+        boxes=tuple(comp.values()),
         boundary=boundary,
         coarse=False,
         certificate=cert.per_segment,
@@ -486,7 +497,7 @@ def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> 
     wx, wy = boxes[0].widths()
     x0 = min(b.x.lo for b in boxes)
     y0 = min(b.y.lo for b in boxes)
-    cells = []
+    cells: dict[Cell, Box] = {}
     for b in boxes:
         bx, by = b.widths()
         if (bx, by) != (wx, wy):
@@ -495,13 +506,13 @@ def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> 
         cj = (b.y.lo - y0) / wy
         if ci.denominator != 1 or cj.denominator != 1:
             raise ValueError("boxes must be grid aligned")
-        cells.append((int(ci), int(cj)))
+        cells[(int(ci), int(cj))] = b
     span = max(max(i for i, _ in cells), max(j for _, j in cells)) + 1
     depth = max(1, (span - 1).bit_length())
     n = 1 << depth
     region = Box(Interval(x0, x0 + n * wx), Interval(y0, y0 + n * wy))
     grid = Grid(region, depth, torus=False)
-    comp = sorted(set(cells))
+    comp = dict(sorted(cells.items()))
     boundary = _boundary_loops(grid, comp)
     return ZeroBlock(
         label=label,
@@ -509,7 +520,7 @@ def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> 
         region=region,
         resolution=depth,
         cells=tuple(comp),
-        boxes=tuple(grid.cell_box(c) for c in comp),
+        boxes=tuple(comp.values()),
         boundary=boundary,
         coarse=False,
         certificate=None,

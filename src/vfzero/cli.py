@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re as _re
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -20,6 +19,7 @@ from .errors import CertificationError, FalsificationError, FlowEscapeError, See
 from .expr import DomainError, ParseError
 from .fields import lie_bracket, parse_field
 from .harness import (
+    _parse_region,
     builtin_catalog,
     invariance_test,
     load_catalog,
@@ -27,7 +27,7 @@ from .harness import (
     poincare_hopf_check,
     stability_test,
 )
-from .intervals import Box, Interval
+from .intervals import Box
 from .report import emit_report
 from .svg import phase_portrait_svg
 from .tracking import LieAlgebraSpec, bracket_closure_track, common_zeros, dep_set, track_check
@@ -57,10 +57,7 @@ def _region(args) -> Box:
     text = args.region
     if text is None:
         text = "0, 0, 1, 1" if args.domain == "torus" else "-2, -2, 2, 2"
-    parts = [Fraction(p.strip()) for p in text.split(",")]
-    if len(parts) != 4:
-        raise UsageError("--region needs x0,y0,x1,y1")
-    return Box(Interval(parts[0], parts[2]), Interval(parts[1], parts[3]))
+    return _parse_region(text)
 
 
 def _block_summary(blk) -> dict:

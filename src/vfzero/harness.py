@@ -172,12 +172,11 @@ def refine_seed(
 
 
 def _block_seeds(field: VectorField, block: ZeroBlock, per_block: int) -> list[tuple[float, float]]:
-    cells = block.cells
-    take = [cells[(len(cells) * k) // per_block] for k in range(min(per_block, len(cells)))]
-    grid = block.grid()
+    n = len(block.boxes)
+    take = [(n * k) // per_block for k in range(min(per_block, n))]
     seeds = []
-    for cell in dict.fromkeys(take):
-        cx, cy = grid.cell_box(cell).midpoint()
+    for k in dict.fromkeys(take):
+        cx, cy = block.boxes[k].midpoint()
         seeds.append(refine_seed(field, (float(cx), float(cy))))
     return seeds
 
@@ -425,22 +424,6 @@ class MainTheoremReport:
         return self.hypotheses_ok and not self.conclusion_holds
 
 
-def _overlap_box(a: Box, b: Box) -> Box:
-    return Box(
-        Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
-        Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
-    )
-
-
-def _cover_witness(blk: ZeroBlock, others: Sequence[ZeroBlock]) -> Optional[Box]:
-    for other in others:
-        for a in blk.boxes:
-            for b in other.boxes:
-                if a.intersects(b):
-                    return _overlap_box(a, b)
-    return None
-
-
 def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremReport:
     """Check the common-zero conclusion on one catalog entry.
 
@@ -468,7 +451,7 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
 
     def check_cover(tag: str, zero_blocks: Sequence[ZeroBlock]):
         for blk in essential_blocks:
-            w = _cover_witness(blk, zero_blocks)
+            w = next((w for w in map(blk.overlap_box, zero_blocks) if w is not None), None)
             if w is None:
                 missed.append((tag, blk.label))
             else:

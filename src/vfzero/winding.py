@@ -7,7 +7,9 @@ open half-plane and bounds the angle variation on the piece below pi.  The
 signed principal angle between consecutive endpoint values is then
 enclosed with 128-bit interval atan2, and the loop total must land within
 a quarter period of an integer multiple of 2*pi for the degree to be
-accepted.
+accepted.  Endpoint values are enclosures too: ``range_on`` of the
+degenerate box at the vertex, which is the exact value for polynomials
+and a 128-bit-wide enclosure where trigonometric terms enter.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -28,11 +30,10 @@ from .blocks import (
     ZeroProblem,
     bisect,
     certify_boundary,
-    certify_isolating,
     isolate_zeros,
 )
 from .errors import CertificationError, FalsificationError
-from .expr import Expr, ExactEvalError
+from .expr import Expr
 from .fields import VectorField, dot, wedge
 from .intervals import Box, EnclosureError, HALF_PI, Interval, TWO_PI, atan2_range
 
@@ -65,12 +66,7 @@ _GATE_RETRIES = 3
 
 
 def _value_enclosure(field: VectorField, p) -> tuple[Interval, Interval]:
-    try:
-        vx, vy = field.eval_at(p)
-        return (Interval.point(vx), Interval.point(vy))
-    except ExactEvalError:
-        box = Box(Interval.point(p[0]), Interval.point(p[1]))
-        return field.range_on(box)
+    return field.range_on(Box(Interval.point(p[0]), Interval.point(p[1])))
 
 
 def _increment(field: VectorField, seg: Segment, max_width: Fraction) -> Optional[Interval]:
@@ -215,18 +211,20 @@ def index_transfer_check(
 ) -> TransferReport:
     """Certify on the block boundary that X is never a negative (mode
     no-negative-ratio) or positive (mode no-positive-ratio) multiple of Y;
-    on success both indices are computed and asserted equal.
+    on success the two indices are asserted equal.
 
     The straight-line deformation between X and Y (or -Y) then has no zero
     on the boundary, which is exactly what makes the two indices agree.
+    Both indices are computed first: ``block_index`` raises
+    ``CertificationError`` when the block is coarse or not isolating for
+    either field, so ``certify_isolating`` is not called.  A failed
+    certificate reports the first uncertified boundary piece.
     """
     if mode not in (MODE_NO_NEGATIVE_RATIO, MODE_NO_POSITIVE_RATIO):
         raise ValueError(f"unknown mode {mode!r}")
     sign = -1 if mode == MODE_NO_NEGATIVE_RATIO else +1
-    for f in (x_field, y_field):
-        cert = certify_isolating(f, block)
-        if not cert.ok:
-            raise CertificationError("block is not isolating for both fields")
+    ix = block_index(x_field, block).index
+    iy = block_index(y_field, block).index
     w = wedge(x_field, y_field)
     d = dot(x_field, y_field)
 
@@ -244,13 +242,11 @@ def index_transfer_check(
     for loop in block.boundary:
         for seg in loop.segments:
             certs = 0
-            for _, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
+            for piece, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
                 if cert is None:
-                    return TransferReport(mode, False, pieces, None, None)
+                    return TransferReport(mode, False, pieces, None, None, piece)
                 certs += 1
             pieces += certs
-    ix = block_index(x_field, block).index
-    iy = block_index(y_field, block).index
     if ix != iy:
         raise FalsificationError(
             f"transfer certified but indices differ: {ix} != {iy} (mode {mode})"

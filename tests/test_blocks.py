@@ -165,7 +165,7 @@ class TestBoundaryStructure:
 
         grid = Grid(Box.from_corners(0, 0, 1, 1), 3, torus)
         for comp in _components(grid, sorted(cells)):
-            loops = _boundary_loops(grid, comp)
+            loops = _boundary_loops(grid, {c: grid.cell_box(c) for c in comp})
             edge_count = 0
             for (i, j) in comp:
                 for nb in ((i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vfzero.cli import run_command
 
 
@@ -143,6 +145,11 @@ class TestArtifacts:
 class TestExitCodes:
     def test_usage_error_bad_expression(self, capsys):
         assert run_command(["index", "--field", "(x, ++)"]) == 3
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("region", ["1,2,3", "1,1,0,0"])
+    def test_usage_error_bad_region(self, region, capsys):
+        assert run_command(["index", "--field", "(x, y)", "--region", region]) == 3
         assert "usage error" in capsys.readouterr().err
 
     def test_usage_error_unknown_option(self, capsys):

@@ -172,6 +172,10 @@ class TestIntervalEval:
             ty = Fraction(rng.randint(0, 64), 64)
             p = box.sample(tx, ty)
             assert enc.contains(e.eval_at(p))
+            # a point box encloses a polynomial exactly: winding vertex
+            # values rely on this
+            point = Box(Interval.point(p[0]), Interval.point(p[1]))
+            assert e.range_on(point) == Interval.point(e.eval_at(p))
 
     @settings(max_examples=30, deadline=None)
     @given(torus_polys())
@@ -186,6 +190,10 @@ class TestIntervalEval:
                 for px in (x0, x0 + Fraction(1, 4)):
                     for py in (y0, y0 + Fraction(1, 4)):
                         assert enc.contains(e.eval_at((px % 1, py % 1)))
+                # the point-box enclosure goes through the 128-bit trig
+                # enclosures even where the exact value exists
+                point = Box(Interval.point(x0), Interval.point(y0))
+                assert e.range_on(point).contains(e.eval_at((x0, y0)))
 
 
 class TestDyadicKernel:

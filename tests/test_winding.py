@@ -7,6 +7,7 @@ from vfzero import (
     Box,
     CertificationError,
     FalsificationError,
+    Segment,
     block_from_boxes,
     block_index,
     dilate_block,
@@ -138,6 +139,18 @@ class TestBlockIndex:
             assert len(blk.boundary) == 2
             assert block_index(field, blk).index == 0
 
+    @pytest.mark.parametrize("depth, expected", [(3, [-1, 1, 1, -1]), (2, [0])])
+    def test_torus_shifted_sine_indices(self, depth, expected):
+        # zeros of (sin(2*pi*x) + 1/2, sin(2*pi*y)) at x in {7/12, 11/12},
+        # y in {0, 1/2}; at depth 2 the cell union wraps the torus in y
+        # and its two loops carry no winding
+        field = parse_field("(sin2px + 1/2, sin2py)", "torus")
+        blocks = isolate_zeros(field, Box.from_corners(0, 0, 1, 1), depth).blocks
+        reports = [block_index(field, blk) for blk in blocks]
+        assert [r.index for r in reports] == expected
+        pieces = [[lw.pieces for lw in r.loops] for r in reports]
+        assert pieces == ([[6]] * 4 if depth == 3 else [[4, 4]])
+
 
 def _complex_power_field(k: int, conjugate: bool = False):
     # real and imaginary parts of z^k (or conj(z)^k) via binomial expansion
@@ -185,6 +198,20 @@ class TestIndexTransfer:
         rot = parse_field("(-y, x)")
         rep = index_transfer_check(field, rot, blk, "no-negative-ratio")
         assert rep.certified and rep.index_x == rep.index_y == 1
+
+    def test_failed_transfer_reports_segment(self):
+        # X = 1*Y everywhere, so no boundary piece can exclude a positive ratio
+        field, blk = origin_block("(x, y)")
+        rep = index_transfer_check(field, field, blk, "no-positive-ratio")
+        assert not rep.certified
+        assert rep.index_x is None and rep.index_y is None
+        piece = rep.failed_segment
+        assert isinstance(piece, Segment)
+        assert any(
+            seg.box().contains_point(piece.start) and seg.box().contains_point(piece.end)
+            for loop in blk.boundary
+            for seg in loop.segments
+        )
 
     def test_transfer_soundness_sample(self):
         cases = [
