@@ -236,7 +236,8 @@ def _cmd_verify_stability(args):
 def _cmd_verify_invariance(args):
     x = parse_field(args.x, args.domain)
     y = parse_field(args.y, args.domain)
-    rep = invariance_test(x, y, _region(args), target=args.target, tol=args.tol, h=args.step)
+    rep = invariance_test(x, y, _region(args), target=args.target, tol=args.tol, h=args.step,
+                          max_depth=args.depth)
     return {"report": rep, "ok": rep.ok}, {}, (EXIT_OK if rep.ok else EXIT_FALSIFIED)
 
 

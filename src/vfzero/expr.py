@@ -12,6 +12,15 @@ so every stored term has cosine exponents 0 or 1; with that convention two
 expressions are equal as functions on their domain iff their normal forms
 are identical.
 
+The coefficients are stored as integer numerators over one shared
+positive denominator (``_num`` and ``_den``), reduced so that
+``gcd(_den, *_num.values()) == 1``; the zero expression has ``_den == 1``.
+Addition, multiplication, negation, powers and derivatives therefore run
+on ``int`` numerators only, with one gcd reduction per result.
+``Fraction`` values are built only where coefficients are read:
+``terms()``, ``coefficient()``, ``eval_at``, the Fraction enclosure loop,
+``divide_exact``, printing and hashing.
+
 The unit ``pi`` enters through derivatives of the trig generators
 (d/dx sin(2*pi*x) = 2*pi*cos(2*pi*x)) and is carried symbolically, never
 as a float.
@@ -70,47 +79,74 @@ class ExactEvalError(ArithmeticError):
     """The requested point has no exact rational value for this expression."""
 
 
-def _normalize(terms: dict[Key, Fraction]) -> dict[Key, Fraction]:
+def _normalize(terms: dict[Key, int]) -> dict[Key, int]:
     """Combine like terms and rewrite cos^2 -> 1 - sin^2 until cosine
-    exponents are at most 1."""
-    out: dict[Key, Fraction] = {}
-    stack = [(k, c) for k, c in terms.items() if c != 0]
+    exponents are at most 1.
+
+    The coefficients are numerators over a denominator the caller keeps.
+    Terms leave in stack order (the input order reversed when nothing is
+    rewritten), which is the order ``eval_float`` sums in.
+    """
+    out: dict[Key, int] = {}
+    get = out.get
+    stack = [(k, c) for k, c in terms.items() if c]
     while stack:
         key, coeff = stack.pop()
-        kpi, ex, ey, s1, c1, s2, c2 = key
-        if c1 >= 2:
-            m, r = divmod(c1, 2)
-            for j in range(m + 1):
-                cj = coeff * math.comb(m, j) * (-1) ** j
-                stack.append(((kpi, ex, ey, s1 + 2 * j, r, s2, c2), cj))
+        if key[4] >= 2 or key[6] >= 2:
+            kpi, ex, ey, s1, c1, s2, c2 = key
+            if c1 >= 2:
+                m, r = divmod(c1, 2)
+                for j in range(m + 1):
+                    cj = coeff * math.comb(m, j) * (-1) ** j
+                    stack.append(((kpi, ex, ey, s1 + 2 * j, r, s2, c2), cj))
+            else:
+                m, r = divmod(c2, 2)
+                for j in range(m + 1):
+                    cj = coeff * math.comb(m, j) * (-1) ** j
+                    stack.append(((kpi, ex, ey, s1, c1, s2 + 2 * j, r), cj))
             continue
-        if c2 >= 2:
-            m, r = divmod(c2, 2)
-            for j in range(m + 1):
-                cj = coeff * math.comb(m, j) * (-1) ** j
-                stack.append(((kpi, ex, ey, s1, c1, s2 + 2 * j, r), cj))
-            continue
-        acc = out.get(key, Fraction(0)) + coeff
-        if acc == 0:
-            out.pop(key, None)
-        else:
+        acc = get(key, 0) + coeff
+        if acc:
             out[key] = acc
+        else:
+            out.pop(key, None)
     return out
 
 
-class Expr:
-    """Immutable normal-form expression tied to a domain."""
+def _reduce(num: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+    """Divide the common factor out of numerators ``num`` over ``den`` > 0
+    (no numerators leave ``den == 1``)."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {k: c // g for k, c in num.items()}, den // g
+    return num, den
 
-    # _kernel is set on the first range_on call only (see _DyadicKernel),
-    # so construction and ring operations never pay for it
-    __slots__ = ("domain", "_terms", "_hash", "_kernel")
+
+class Expr:
+    """Immutable normal-form expression tied to a domain.
+
+    The coefficient of the term with key ``k`` is ``_num[k] / _den``: the
+    numerators are nonzero ints over one positive denominator, and
+    ``gcd(_den, *_num.values()) == 1``, so equal expressions have equal
+    ``_num`` and ``_den``.
+    """
+
+    # _hash and _kernel are set on first use only (see _DyadicKernel), so
+    # construction and ring operations never pay for them
+    __slots__ = ("domain", "_num", "_den", "_hash", "_kernel")
 
     def __init__(self, domain: str, terms: dict[Key, Fraction]):
+        """``terms`` maps keys to rationals (``Fraction`` or ``int``)."""
         if domain not in (PLANE, TORUS):
             raise DomainError(f"unknown domain {domain!r}")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_terms", _normalize(terms))
-        object.__setattr__(self, "_hash", None)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        num, den = _reduce(
+            _normalize({k: c.numerator * (den // c.denominator) for k, c in terms.items()}), den
+        )
+        _set_domain(self, domain)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -123,23 +159,25 @@ class Expr:
 
     @staticmethod
     def const(value, domain: str) -> "Expr":
-        return Expr(domain, {_ONE_KEY: Fraction(value)})
+        return Expr(domain, {_ONE_KEY: value if isinstance(value, int) else Fraction(value)})
 
     @staticmethod
     def gen(name: str, domain: str) -> "Expr":
         if name == "pi":
-            return Expr(domain, {_PI_KEY: Fraction(1)})
+            return Expr(domain, {_PI_KEY: 1})
         if name in _PLANE_GEN_KEYS:
             if domain != PLANE:
                 raise DomainError(f"generator {name!r} is not a function on the torus")
-            return Expr(domain, {_PLANE_GEN_KEYS[name]: Fraction(1)})
+            return Expr(domain, {_PLANE_GEN_KEYS[name]: 1})
         if name in _TORUS_GEN_KEYS:
             if domain != TORUS:
                 raise DomainError(f"torus generator {name!r} used under plane domain")
-            return Expr(domain, {_TORUS_GEN_KEYS[name]: Fraction(1)})
+            return Expr(domain, {_TORUS_GEN_KEYS[name]: 1})
         raise DomainError(f"unknown generator {name!r}")
 
     # -- ring operations ----------------------------------------------
+    # integer numerators only: operands are brought to a common
+    # denominator, and _reduce divides out one gcd at the end
 
     def _coerce(self, other) -> "Expr":
         if isinstance(other, Expr):
@@ -150,15 +188,25 @@ class Expr:
 
     def __add__(self, other) -> "Expr":
         other = self._coerce(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Expr(self.domain, out)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = dict(self._num)
+            items = other._num.items()
+        else:
+            g = math.gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            out = {k: c * m1 for k, c in self._num.items()}
+            items = [(k, c * m2) for k, c in other._num.items()]
+            d1 *= m1
+        for k, c in items:
+            out[k] = out.get(k, 0) + c
+        return _make(self.domain, *_reduce(_normalize(out), d1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.domain, {k: -c for k, c in self._terms.items()})
+        # reversed, as _normalize orders a copy; the gcd is unchanged
+        return _make(self.domain, {k: -c for k, c in reversed(self._num.items())}, self._den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-self._coerce(other))
@@ -168,12 +216,14 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = self._coerce(other)
-        out: dict[Key, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Expr(self.domain, out)
+        out: dict[Key, int] = {}
+        get = out.get
+        items2 = other._num.items()
+        for (a0, a1, a2, a3, a4, a5, a6), c1 in self._num.items():
+            for (b0, b1, b2, b3, b4, b5, b6), c2 in items2:
+                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
+                out[key] = get(key, 0) + c1 * c2
+        return _make(self.domain, *_reduce(_normalize(out), self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -193,43 +243,47 @@ class Expr:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_polynomial(self) -> bool:
         """No trig generators and no pi unit (plain rational polynomial)."""
-        return all(k[0] == 0 and k[3] == k[4] == k[5] == k[6] == 0 for k in self._terms)
+        return all(k[0] == 0 and k[3] == k[4] == k[5] == k[6] == 0 for k in self._num)
 
     def has_trig(self) -> bool:
-        return any(k[3] or k[4] or k[5] or k[6] for k in self._terms)
+        return any(k[3] or k[4] or k[5] or k[6] for k in self._num)
 
     def terms(self) -> Iterator[tuple[Key, Fraction]]:
-        return iter(sorted(self._terms.items(), reverse=True))
+        den = self._den
+        return ((k, Fraction(self._num[k], den)) for k in sorted(self._num, reverse=True))
 
     def coefficient(self, key: Key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return Fraction(self._num.get(key, 0), self._den)
 
     def total_degree(self) -> int:
         """Highest generator degree (pi excluded)."""
-        if not self._terms:
+        if not self._num:
             return 0
-        return max(sum(k[1:]) for k in self._terms)
+        return max(sum(k[1:]) for k in self._num)
 
     def pi_degree(self) -> int:
-        if not self._terms:
+        if not self._num:
             return 0
-        return max(k[0] for k in self._terms)
+        return max(k[0] for k in self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.domain == other.domain and self._terms == other._terms
+        return (self.domain == other.domain and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.domain, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            den = self._den
+            h = hash((self.domain, frozenset((k, Fraction(c, den)) for k, c in self._num.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- calculus ------------------------------------------------------
 
@@ -237,12 +291,12 @@ class Expr:
         """Exact partial derivative with respect to 'x' or 'y'."""
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, int] = {}
 
-        def acc(key: Key, c: Fraction):
-            out[key] = out.get(key, Fraction(0)) + c
+        def acc(key: Key, c: int):
+            out[key] = out.get(key, 0) + c
 
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._terms.items():
+        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
             if var == "x":
                 if ex:
                     acc((kpi, ex - 1, ey, s1, c1, s2, c2), coeff * ex)
@@ -257,7 +311,7 @@ class Expr:
                     acc((kpi + 1, ex, ey, s1, c1, s2 - 1, c2 + 1), coeff * s2 * 2)
                 if c2:
                     acc((kpi + 1, ex, ey, s1, c1, s2 + 1, c2 - 1), -coeff * c2 * 2)
-        return Expr(self.domain, out)
+        return _make(self.domain, *_reduce(_normalize(out), self._den))
 
     # -- evaluation ----------------------------------------------------
 
@@ -269,8 +323,8 @@ class Expr:
         values in {-1, 0, 1}; elsewhere use range_on with a degenerate box.
         """
         px, py = Fraction(p[0]), Fraction(p[1])
-        total = Fraction(0)
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._terms.items():
+        total = 0  # the numerator over _den
+        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
             if kpi:
                 raise ExactEvalError("pi power has no exact rational value")
             v = coeff
@@ -293,13 +347,15 @@ class Expr:
                 if c2:
                     v *= _COS_QUARTER[ry] ** c2
             total += v
-        return total
+        return Fraction(total, self._den)
 
     def eval_float(self, x: float, y: float) -> float:
         """Fast float evaluation (flow integration, plotting, oracles)."""
+        # n / den is the correctly rounded float(Fraction(n, den))
+        den = self._den
         total = 0.0
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._terms.items():
-            v = float(coeff)
+        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
+            v = coeff / den
             if kpi:
                 v *= math.pi**kpi
             if ex:
@@ -332,7 +388,7 @@ class Expr:
         try:
             kernel = self._kernel
         except AttributeError:
-            kernel = _DyadicKernel(self._terms)
+            kernel = _DyadicKernel(self._num, self._den)
             object.__setattr__(self, "_kernel", kernel)
         out = kernel.range_on(box)
         return self._range_on_fractions(box) if out is None else out
@@ -340,9 +396,10 @@ class Expr:
     def _range_on_fractions(self, box: Box) -> Interval:
         """Reference enclosure in Fraction interval arithmetic."""
         sx = cx = sy = cy = None
+        den = self._den
         total = Interval.point(0)
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._terms.items():
-            v = Interval.point(coeff)
+        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
+            v = Interval.point(Fraction(coeff, den))
             if kpi:
                 v = v * pi_power(kpi)
             if ex:
@@ -371,7 +428,7 @@ class Expr:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for key, coeff in self.terms():
@@ -389,6 +446,19 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self.domain!r}, {self})"
+
+
+# the slot setters themselves, which Expr.__setattr__ would refuse
+_set_domain, _set_num, _set_den = Expr.domain.__set__, Expr._num.__set__, Expr._den.__set__
+
+
+def _make(domain: str, num: dict[Key, int], den: int) -> Expr:
+    """An Expr of canonical numerators over ``den``, built without checks."""
+    e = object.__new__(Expr)
+    _set_domain(e, domain)
+    _set_num(e, num)
+    _set_den(e, den)
+    return e
 
 
 def _gens_string(key: Key) -> str:
@@ -446,24 +516,22 @@ _SX, _CX, _SY, _CY = 2, 3, 4, 5
 class _DyadicKernel:
     """An Expr compiled for exact integer evaluation on dyadic boxes.
 
-    Every coefficient becomes an integer numerator over the common
-    denominator Q (the lcm of the term denominators), folded together with
-    its pi power into a constant integer interval over 2^shift.  A box with
-    dyadic corners is then evaluated term by term with the same interval
-    products and tight powers as the Fraction loop, on integers scaled by
-    Q * 2^s; terms are added after aligning their shifts, and only the
-    result is turned back into Fractions.
+    Every integer numerator of the Expr, over its denominator Q, is folded
+    together with its pi power into a constant integer interval over
+    2^shift.  A box with dyadic corners is then evaluated term by term
+    with the same interval products and tight powers as the Fraction loop,
+    on integers scaled by Q * 2^s; terms are added after aligning their
+    shifts, and only the result is turned back into Fractions.
     """
 
     __slots__ = ("den", "terms", "factors", "trig_order")
 
-    def __init__(self, terms: dict[Key, Fraction]):
-        self.den = math.lcm(*(c.denominator for c in terms.values()))
+    def __init__(self, num: dict[Key, int], den: int):
+        self.den = den
         factors: dict[tuple[int, int], int] = {}
         compiled = []
         trig_order: list[int] = []
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in terms.items():
-            n = coeff.numerator * (self.den // coeff.denominator)
+        for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
             if kpi:
                 a, b, shift = pi_power(kpi).dyadic
                 lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
@@ -673,8 +741,8 @@ def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
         raise ValueError("divide_exact requires trig-free expressions")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero expression")
-    rem = dict(a._terms)
-    bterms = sorted(b._terms.items(), reverse=True)
+    rem = {k: Fraction(c, a._den) for k, c in a._num.items()}
+    bterms = list(b.terms())
     blead_key, blead_coeff = bterms[0]
     quo: dict[Key, Fraction] = {}
     while rem:

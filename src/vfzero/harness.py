@@ -429,9 +429,10 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
 
     Pipeline: classify every tracker symbolically; isolate Z(X) and find
     the essential (nonzero-index) blocks; isolate every tracker's zero set
-    and the common zero set of all trackers; demand that each of those
-    covers intersects every essential block's cover, emitting witness
-    boxes.  When a tracker fails the tracking hypothesis the conclusion is
+    (once per distinct field: a tracker equal to X or to an earlier tracker
+    reuses that isolation) and the common zero set of all trackers; demand
+    that each of those covers intersects every essential block's cover,
+    emitting witness boxes.  When a tracker fails the tracking hypothesis the conclusion is
     still evaluated and reported (negative controls).
     """
     reports: list[TrackReport] = [track_check(y, entry.field) for y in entry.trackers]
@@ -457,11 +458,14 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
             else:
                 witnesses.append(Witness(tag, blk.label, w))
 
+    # a tracker equal to X or to an earlier tracker has the same zero set
+    isolated = {entry.field: isolation}
     for k, y in enumerate(entry.trackers):
         if y.is_zero:
             raise ValueError(f"tracker {k} of {entry.name} is the zero field")
-        y_iso = isolate_zeros(y, entry.region, max_depth)
-        check_cover(f"Y{k}", y_iso.blocks)
+        if y not in isolated:
+            isolated[y] = isolate_zeros(y, entry.region, max_depth)
+        check_cover(f"Y{k}", isolated[y].blocks)
     if entry.trackers:
         algebra = LieAlgebraSpec(entry.name, entry.trackers)
         check_cover("common", common_zeros(algebra, entry.region, max_depth))

@@ -8,7 +8,8 @@ from vfzero import Box, Expr, Interval, VectorField, builtin_catalog
 # shared hypothesis strategies
 
 
-def plane_polys(max_deg: int = 3, coeff: int = 4):
+def plane_terms(max_deg: int = 3, coeff: int = 4):
+    """The term dicts that ``plane_polys`` builds its expressions from."""
     keys = [
         (0, ex, ey, 0, 0, 0, 0)
         for ex in range(max_deg + 1)
@@ -17,10 +18,15 @@ def plane_polys(max_deg: int = 3, coeff: int = 4):
     return st.lists(
         st.tuples(st.sampled_from(keys), st.integers(-coeff, coeff)),
         max_size=6,
-    ).map(lambda items: Expr("plane", {k: Fraction(c) for k, c in items}))
+    ).map(lambda items: {k: Fraction(c) for k, c in items})
 
 
-def torus_polys(max_deg: int = 2, coeff: int = 3):
+def plane_polys(max_deg: int = 3, coeff: int = 4):
+    return plane_terms(max_deg, coeff).map(lambda terms: Expr("plane", terms))
+
+
+def torus_terms(max_deg: int = 2, coeff: int = 3):
+    """The term dicts that ``torus_polys`` builds its expressions from."""
     keys = [
         (0, 0, 0, s1, c1, s2, c2)
         for s1 in range(max_deg + 1)
@@ -32,7 +38,11 @@ def torus_polys(max_deg: int = 2, coeff: int = 3):
     return st.lists(
         st.tuples(st.sampled_from(keys), st.integers(-coeff, coeff)),
         max_size=5,
-    ).map(lambda items: Expr("torus", {k: Fraction(c) for k, c in items}))
+    ).map(lambda items: {k: Fraction(c) for k, c in items})
+
+
+def torus_polys(max_deg: int = 2, coeff: int = 3):
+    return torus_terms(max_deg, coeff).map(lambda terms: Expr("torus", terms))
 
 
 def plane_fields(max_deg: int = 3, coeff: int = 4):

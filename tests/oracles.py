@@ -4,7 +4,9 @@ These deliberately avoid the library's certified code paths: winding
 numbers come from dense float sampling of the direction angle, and Lie
 brackets are recomputed symbolically with sympy from the coordinate
 formula.  Expression evaluation for the dense oracle is compiled to a
-plain lambda straight from the term data.
+plain lambda straight from the term data.  The reference ring at the end
+is the original ``Fraction`` implementation of the ``Expr`` ring
+operations, kept to check the integer-numerator ones term by term.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 import sympy
 
 from vfzero import BoundaryLoop, Expr, VectorField
+from vfzero.expr import Key, _gens_string
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +157,139 @@ def brackets_agree(y_field: VectorField, x_field: VectorField, bracket: VectorFi
 def eval_fraction_grid(e: Expr, x: Fraction, y: Fraction) -> float:
     """Float reference value at a rational point (oracle-local path)."""
     return compile_float(e)(float(x), float(y))
+
+
+# ---------------------------------------------------------------------------
+# reference Fraction ring: the term dicts an Expr held before its
+# coefficients became integer numerators, with the same insertion order
+
+
+def ref_normalize(terms: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    """Combine like terms and rewrite cos^2 -> 1 - sin^2 until cosine
+    exponents are at most 1."""
+    out: dict[Key, Fraction] = {}
+    stack = [(k, c) for k, c in terms.items() if c != 0]
+    while stack:
+        key, coeff = stack.pop()
+        kpi, ex, ey, s1, c1, s2, c2 = key
+        if c1 >= 2:
+            m, r = divmod(c1, 2)
+            for j in range(m + 1):
+                cj = coeff * math.comb(m, j) * (-1) ** j
+                stack.append(((kpi, ex, ey, s1 + 2 * j, r, s2, c2), cj))
+            continue
+        if c2 >= 2:
+            m, r = divmod(c2, 2)
+            for j in range(m + 1):
+                cj = coeff * math.comb(m, j) * (-1) ** j
+                stack.append(((kpi, ex, ey, s1, c1, s2 + 2 * j, r), cj))
+            continue
+        acc = out.get(key, Fraction(0)) + coeff
+        if acc == 0:
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return out
+
+
+def ref_add(a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return ref_normalize(out)
+
+
+def ref_neg(a: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    return ref_normalize({k: -c for k, c in a.items()})
+
+
+def ref_sub(a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    return ref_add(a, ref_neg(b))
+
+
+def ref_mul(a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    out: dict[Key, Fraction] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_normalize(out)
+
+
+def ref_derive(a: dict[Key, Fraction], var: str) -> dict[Key, Fraction]:
+    out: dict[Key, Fraction] = {}
+
+    def acc(key: Key, c: Fraction):
+        out[key] = out.get(key, Fraction(0)) + c
+
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in a.items():
+        if var == "x":
+            if ex:
+                acc((kpi, ex - 1, ey, s1, c1, s2, c2), coeff * ex)
+            if s1:
+                acc((kpi + 1, ex, ey, s1 - 1, c1 + 1, s2, c2), coeff * s1 * 2)
+            if c1:
+                acc((kpi + 1, ex, ey, s1 + 1, c1 - 1, s2, c2), -coeff * c1 * 2)
+        else:
+            if ey:
+                acc((kpi, ex, ey - 1, s1, c1, s2, c2), coeff * ey)
+            if s2:
+                acc((kpi + 1, ex, ey, s1, c1, s2 - 1, c2 + 1), coeff * s2 * 2)
+            if c2:
+                acc((kpi + 1, ex, ey, s1, c1, s2 + 1, c2 - 1), -coeff * c2 * 2)
+    return ref_normalize(out)
+
+
+def ref_pow(a: dict[Key, Fraction], n: int) -> dict[Key, Fraction]:
+    result = ref_normalize({(0, 0, 0, 0, 0, 0, 0): Fraction(1)})
+    base = a
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base)
+        n >>= 1
+    return result
+
+
+def ref_str(terms: dict[Key, Fraction]) -> str:
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for key, coeff in sorted(terms.items(), reverse=True):
+        gens = _gens_string(key)
+        mag = abs(coeff)
+        if gens:
+            body = gens if mag == 1 else f"{mag}*{gens}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def ref_eval_float(terms: dict[Key, Fraction], x: float, y: float) -> float:
+    total = 0.0
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in terms.items():
+        v = float(coeff)
+        if kpi:
+            v *= math.pi**kpi
+        if ex:
+            v *= x**ex
+        if ey:
+            v *= y**ey
+        if s1:
+            v *= math.sin(2 * math.pi * x) ** s1
+        if c1:
+            v *= math.cos(2 * math.pi * x) ** c1
+        if s2:
+            v *= math.sin(2 * math.pi * y) ** s2
+        if c2:
+            v *= math.cos(2 * math.pi * y) ** c2
+        total += v
+    return total
+
+
+def ref_hash(domain: str, terms: dict[Key, Fraction]) -> int:
+    return hash((domain, frozenset(terms.items())))

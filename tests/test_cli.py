@@ -109,6 +109,24 @@ class TestBasicCommands:
         assert code == 0
         assert doc["results"]["ok"] is True
 
+    def test_verify_invariance_depth_reaches_isolation(self, tmp_path, monkeypatch):
+        import vfzero.cli
+
+        depths = []
+
+        def spy(*args, **kwargs):
+            depths.append(kwargs.get("max_depth"))
+            return invariance_test(*args, **kwargs)
+
+        invariance_test = vfzero.cli.invariance_test
+        monkeypatch.setattr(vfzero.cli, "invariance_test", spy)
+        code, doc, _ = run_json(
+            ["verify", "invariance", "--x", "(x^2 - y^2, 2*x*y)", "--y", "(x, y)",
+             "--region", "-1,-1,1,1", "--depth", "5"], tmp_path
+        )
+        assert code == 0
+        assert depths == [5] and doc["config"]["depth"] == 5
+
 
 class TestArtifacts:
     def test_plot_writes_svg(self, tmp_path):

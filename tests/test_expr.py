@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,19 @@ from vfzero import (
 
 from vfzero.intervals import cos_2pi_range, sin_2pi_range
 
-from conftest import boxes, plane_polys, torus_polys
+from conftest import boxes, plane_polys, plane_terms, torus_polys, torus_terms
+from oracles import (
+    ref_add,
+    ref_derive,
+    ref_eval_float,
+    ref_hash,
+    ref_mul,
+    ref_neg,
+    ref_normalize,
+    ref_pow,
+    ref_str,
+    ref_sub,
+)
 
 
 def _epsilons():
@@ -230,6 +243,106 @@ class TestDyadicKernel:
                 evaluate(box)
             traffic.append((sin_2pi_range.cache_info(), cos_2pi_range.cache_info()))
         assert traffic[0] == traffic[1]
+
+
+_ONE = (0, 0, 0, 0, 0, 0, 0)
+_PI = (1, 0, 0, 0, 0, 0, 0)
+
+
+def _cos_power_terms():
+    # raw torus terms with cos^2 and cos^3 factors: the constructor rewrites them
+    keys = [(0, 0, 0, s1, c1, 0, c2) for s1 in range(2) for c1 in range(4) for c2 in range(3)]
+    return st.lists(st.tuples(st.sampled_from(keys), st.integers(-3, 3)), max_size=4).map(
+        lambda items: {k: Fraction(c) for k, c in items})
+
+
+def _scaled(terms):
+    return st.tuples(terms, _epsilons()).map(lambda t: {k: c * t[1] for k, c in t[0].items()})
+
+
+_RING_OPS = ("add", "sub", "neg", "mul", "dx", "dy", "pow", "pi", "scale")
+
+
+@st.composite
+def ring_programs(draw):
+    """Leaf term dicts of one domain and a list of ring operations on them."""
+    domain = draw(st.sampled_from(["plane", "torus"]))
+    base = plane_terms() if domain == "plane" else st.one_of(torus_terms(), _cos_power_terms())
+    leaves = draw(st.lists(st.one_of(base, _scaled(base)), min_size=1, max_size=4))
+    ops = draw(st.lists(st.tuples(st.sampled_from(_RING_OPS), st.integers(0, 99),
+                                  st.integers(0, 99), _epsilons()), min_size=1, max_size=8))
+    return domain, leaves, ops
+
+
+class TestIntegerRing:
+    """The integer-numerator ring against the reference Fraction ring of
+    ``oracles``: the same terms in the same order, the same string, and
+    equality and hashing that agree with the Fraction coefficients."""
+
+    @staticmethod
+    def _check(e, ref, domain):
+        assert [(k, Fraction(c, e._den)) for k, c in e._num.items()] == list(ref.items())
+        assert e._den > 0 and math.gcd(e._den, *e._num.values()) == 1
+        assert str(e) == ref_str(ref)
+        twin = Expr(domain, ref)
+        assert e == twin and twin == e
+        assert hash(e) == hash(twin) == ref_hash(domain, ref)
+        for x, y in ((0.3, -1.7), (1.25, 0.6)):
+            assert e.eval_float(x, y) == ref_eval_float(ref, x, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ring_programs())
+    def test_matches_fraction_ring(self, program):
+        domain, leaves, ops = program
+        vals = [(Expr(domain, t), ref_normalize(t)) for t in leaves]
+        for e, ref in vals:
+            self._check(e, ref, domain)
+        for op, i, j, eps in ops:
+            (a, ra), (b, rb) = vals[i % len(vals)], vals[j % len(vals)]
+            if op in ("mul", "pow") and len(ra) * max(len(ra), len(rb)) > 150:
+                op = "add"
+            if op == "add":
+                out = a + b, ref_add(ra, rb)
+            elif op == "sub":
+                out = a - b, ref_sub(ra, rb)
+            elif op == "neg":
+                out = -a, ref_neg(ra)
+            elif op == "mul":
+                out = a * b, ref_mul(ra, rb)
+            elif op in ("dx", "dy"):
+                out = a.derive(op[1]), ref_derive(ra, op[1])
+            elif op == "pow":
+                out = a ** (j % 3), ref_pow(ra, j % 3)
+            elif op == "pi":
+                out = a * Expr.gen("pi", domain), ref_mul(ra, ref_normalize({_PI: Fraction(1)}))
+            else:
+                out = a * eps, ref_mul(ra, ref_normalize({_ONE: eps}))
+            self._check(*out, domain)
+            vals.append(out)
+
+    def test_cancellation_to_zero(self):
+        a = parse_expr("1/3*x + 5/6*y^2")
+        z = a - a
+        assert z.is_zero and z._num == {} and z._den == 1
+        assert z == Expr.zero("plane") and hash(z) == hash(Expr.zero("plane"))
+        t = parse_expr("1/2*sin2px^2 + 1/2*cos2px^2 - 1/2", "torus")
+        assert t._num == {} and t._den == 1
+
+    def test_half_times_two_is_integral(self):
+        x = parse_expr("x")
+        e = (x * Fraction(1, 2)) * 2
+        assert e == x and e._den == 1 and e._num == {(0, 1, 0, 0, 0, 0, 0): 1}
+
+    def test_int_coefficient(self):
+        k = (0, 1, 0, 0, 0, 0, 0)
+        e = Expr("plane", {k: 3})
+        assert e == Expr("plane", {k: Fraction(3)}) and e._num == {k: 3} and e._den == 1
+        assert str(e) == "3*x" and e.coefficient(k) == 3
+
+    def test_common_denominator(self):
+        e = Expr("plane", {_ONE: Fraction(1, 3), (0, 1, 0, 0, 0, 0, 0): Fraction(1, 6)})
+        assert e._den == 6 and list(e._num.values()) == [1, 2]
+        assert e.derive("x") == Expr.const(Fraction(1, 6), "plane")
 
 
 class TestDerive:
