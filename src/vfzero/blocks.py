@@ -215,8 +215,9 @@ class CertifyResult:
 # subdivision
 
 
-# Refinement limit for boundary segments in the winding, index-transfer and
-# stability passes; boundary certificates default to 30 levels.
+# Refinement limit for every boundary certificate: isolation, winding,
+# index transfer and stability refine a boundary segment at most this many
+# levels.
 MAX_SEG_REFINE = 42
 
 
@@ -287,10 +288,7 @@ def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ..
     maps each cell to its box, whose corners give the edge endpoints."""
 
     def is_member(cell: Cell) -> bool:
-        c = grid.wrap(cell)
-        if not grid.torus and not (0 <= c[0] < grid.n and 0 <= c[1] < grid.n):
-            return False
-        return c in comp
+        return grid.wrap(cell) in comp
 
     # directed edges: (wrapped from-vertex, wrapped to-vertex, direction, segment)
     edges = []
@@ -306,14 +304,9 @@ def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ..
         if not is_member((i - 1, j)):  # west side, heading south
             edges.append(((i, j + 1), (i, j), "S", Segment(x0, y1, x0, y0)))
 
-    def wrap_vertex(v):
-        if grid.torus:
-            return (v[0] % grid.n, v[1] % grid.n)
-        return v
-
     by_from: dict[tuple[int, int], list[int]] = {}
     for idx, e in enumerate(edges):
-        by_from.setdefault(wrap_vertex(e[0]), []).append(idx)
+        by_from.setdefault(grid.wrap(e[0]), []).append(idx)
 
     used = [False] * len(edges)
     loops: list[BoundaryLoop] = []
@@ -322,10 +315,10 @@ def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ..
             continue
         chain = [start_idx]
         used[start_idx] = True
-        start_v = wrap_vertex(edges[start_idx][0])
+        start_v = grid.wrap(edges[start_idx][0])
         cur = edges[start_idx]
-        while wrap_vertex(cur[1]) != start_v:
-            v = wrap_vertex(cur[1])
+        while grid.wrap(cur[1]) != start_v:
+            v = grid.wrap(cur[1])
             candidates = [k for k in by_from.get(v, ()) if not used[k]]
             if not candidates:
                 raise AssertionError("open boundary chain: inconsistent cell union")
@@ -344,7 +337,7 @@ def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ..
 # boundary certification
 
 
-def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = 30) -> CertifyResult:
+def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
     def certify(seg: Segment) -> Optional[EmptyCert]:
         return problem.empty_certificate(seg.box())
 
@@ -362,7 +355,7 @@ def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int 
     return CertifyResult(True, total, None, tuple(per_segment))
 
 
-def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = 30) -> CertifyResult:
+def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
     """Certify that the field is nonvanishing on every boundary segment of
     the block, refining segments as needed.  True means the open cell-union
     interior is an isolating neighborhood for (field, its zeros inside).
@@ -378,19 +371,21 @@ def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = 30
 # block construction
 
 
-def _build_blocks(problem, region: Box, max_depth: int, max_refine: int) -> IsolationResult:
+def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     torus = problem.domain == "torus"
     if torus and (region.x.lo != 0 or region.x.hi != 1 or region.y.lo != 0 or region.y.hi != 1):
         raise ValueError("torus isolation runs on the fundamental square [0,1]^2")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if region.x.width() <= 0 or region.y.width() <= 0:
+        raise ValueError("region must have positive width and height")
     retained, empties = _subdivide(problem, region, max_depth)
     grid = Grid(region, max_depth, torus)
     blocks = []
     for k, cells in enumerate(_components(grid, list(retained))):
         comp = {c: retained[c] for c in cells}
         boundary = _boundary_loops(grid, comp)
-        cert = certify_boundary(problem, boundary, max_refine)
+        cert = certify_boundary(problem, boundary)
         blocks.append(
             ZeroBlock(
                 label=f"K{k}",
@@ -407,7 +402,7 @@ def _build_blocks(problem, region: Box, max_depth: int, max_refine: int) -> Isol
     return IsolationResult(tuple(blocks), tuple(empties), region, max_depth)
 
 
-def isolate_zeros(field: VectorField, region: Box, max_depth: int, max_refine: int = 30) -> IsolationResult:
+def isolate_zeros(field: VectorField, region: Box, max_depth: int) -> IsolationResult:
     """Locate Z(field) inside the region as certified blocks.
 
     Every zero in the region lies in some block's box union; every
@@ -417,22 +412,22 @@ def isolate_zeros(field: VectorField, region: Box, max_depth: int, max_refine: i
     """
     if field.is_zero:
         raise ValueError("the zero field vanishes everywhere; nothing to isolate")
-    return _build_blocks(ZeroProblem(_field_parts(field)), region, max_depth, max_refine)
+    return _build_blocks(ZeroProblem(_field_parts(field)), region, max_depth)
 
 
-def scalar_zero_blocks(expr: Expr, region: Box, max_depth: int, max_refine: int = 30) -> list[ZeroBlock]:
+def scalar_zero_blocks(expr: Expr, region: Box, max_depth: int) -> list[ZeroBlock]:
     """Certified blocks of the scalar zero set {expr = 0} in the region."""
     if expr.is_zero:
         raise ValueError("the zero expression vanishes everywhere")
-    return list(_build_blocks(ZeroProblem([("value", expr)]), region, max_depth, max_refine).blocks)
+    return list(_build_blocks(ZeroProblem([("value", expr)]), region, max_depth).blocks)
 
 
-def common_zero_blocks(fields: Sequence[VectorField], region: Box, max_depth: int, max_refine: int = 30) -> IsolationResult:
+def common_zero_blocks(fields: Sequence[VectorField], region: Box, max_depth: int) -> IsolationResult:
     """Blocks of the simultaneous zero set of all given fields."""
     if not fields:
         raise ValueError("no generators")
     problem = ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
-    return _build_blocks(problem, region, max_depth, max_refine)
+    return _build_blocks(problem, region, max_depth)
 
 
 def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) -> ZeroBlock:
@@ -444,18 +439,13 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
     grid = block.grid()
     members = dict(zip(block.cells, block.boxes))
     layer: set[Cell] = set()
-    for (i, j) in block.cells:
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                nb = grid.wrap((i + di, j + dj))
-                if not grid.torus and not (0 <= nb[0] < grid.n and 0 <= nb[1] < grid.n):
-                    raise CertificationError(
-                        "dilation layer would leave the region; enlarge the region first"
-                    )
-                if nb not in members:
-                    layer.add(nb)
+    for cell in block.cells:
+        nbs = list(grid.neighbors8(cell))
+        if len(nbs) < 8:
+            raise CertificationError(
+                "dilation layer would leave the region; enlarge the region first"
+            )
+        layer.update(nb for nb in nbs if nb not in members)
     problem = ZeroProblem(_field_parts(field))
     for c in sorted(layer):
         box = grid.cell_box(c)
@@ -482,8 +472,9 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
     )
 
 
-def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> ZeroBlock:
-    """Assemble a ZeroBlock from congruent grid-aligned boxes.
+def block_from_boxes(domain: str, boxes: Sequence[Box]) -> ZeroBlock:
+    """Assemble a ZeroBlock, labelled "user", from congruent grid-aligned
+    boxes.
 
     Supports hand-built isolating neighborhoods in tests and the CLI; the
     boxes must all share the same widths and sit on the lattice generated
@@ -515,7 +506,7 @@ def block_from_boxes(domain: str, boxes: Sequence[Box], label: str = "user") -> 
     comp = dict(sorted(cells.items()))
     boundary = _boundary_loops(grid, comp)
     return ZeroBlock(
-        label=label,
+        label="user",
         domain=domain,
         region=region,
         resolution=depth,

@@ -245,10 +245,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_polynomial(self) -> bool:
-        """No trig generators and no pi unit (plain rational polynomial)."""
-        return all(k[0] == 0 and k[3] == k[4] == k[5] == k[6] == 0 for k in self._num)
-
     def has_trig(self) -> bool:
         return any(k[3] or k[4] or k[5] or k[6] for k in self._num)
 
@@ -258,17 +254,6 @@ class Expr:
 
     def coefficient(self, key: Key) -> Fraction:
         return Fraction(self._num.get(key, 0), self._den)
-
-    def total_degree(self) -> int:
-        """Highest generator degree (pi excluded)."""
-        if not self._num:
-            return 0
-        return max(sum(k[1:]) for k in self._num)
-
-    def pi_degree(self) -> int:
-        if not self._num:
-            return 0
-        return max(k[0] for k in self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):

@@ -205,13 +205,11 @@ def invariance_test(
     target: str = "zeros",
     tol: float = 1e-6,
     h: float = 1e-3,
-    t_span: float = 1.0,
     max_depth: int = 8,
-    seeds_per_block: int = 4,
 ) -> InvarianceReport:
-    """Flow seeds on Z(X) (or on the dependency set) along the Y-flow for
-    t in [-t_span, t_span] and measure how far the flowed points drift off
-    the invariant set.
+    """Flow up to four seeds per block on Z(X) (or on the dependency set)
+    along the Y-flow for t in [-1, 1] and measure how far the flowed points
+    drift off the invariant set.
 
     The residual scales with integrator error and seed polish, not with
     the invariance statement itself, which is exact.
@@ -240,11 +238,11 @@ def invariance_test(
     seed_source = x_field if residual_expr is None else _scalar_gradient_field(residual_expr)
     seeds: list[tuple[float, float]] = []
     for blk in blocks:
-        seeds.extend(_block_seeds(seed_source, blk, seeds_per_block))
+        seeds.extend(_block_seeds(seed_source, blk, 4))
     worst = 0.0
     for seed in seeds:
         for f in (y_field, -y_field):
-            traj = flow_integrate(f, seed, t_span, h)
+            traj = flow_integrate(f, seed, 1.0, h)
             for px, py in traj.points:
                 worst = max(worst, residual(px, py))
     return InvarianceReport(target, rep.status, tuple(seeds), worst, tol)
@@ -331,6 +329,8 @@ def stability_test(
     s an upper bound for |P| on the block boundary (sup norm, piecewise),
     which keeps the straight-line deformation nonsingular there.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     base = block_index(x_field, block).index
     pieces = _boundary_pieces(x_field, block)
     m = min(max(rx.mig(), ry.mig()) for _, rx, ry in pieces)
@@ -360,8 +360,8 @@ def stability_test(
         base_index=base,
         trials=trials,
         indices_unchanged=not failures,
-        epsilon_min=min(eps_seen) if eps_seen else Fraction(0),
-        epsilon_max=max(eps_seen) if eps_seen else Fraction(0),
+        epsilon_min=min(eps_seen),
+        epsilon_max=max(eps_seen),
         failures=tuple(failures),
     )
 
@@ -389,11 +389,7 @@ def poincare_hopf_check(field: VectorField, max_depth: int = 6) -> PoincareHopfR
     if field.domain != "torus":
         raise ValueError("poincare_hopf_check runs on torus fields")
     result = isolate_zeros(field, TORUS_SQUARE, max_depth)
-    indices = []
-    for blk in result.blocks:
-        if blk.coarse:
-            raise CertificationError(f"coarse block {blk.label}; increase max_depth")
-        indices.append((blk.label, block_index(field, blk).index))
+    indices = [(blk.label, block_index(field, blk).index) for blk in result.blocks]
     return PoincareHopfReport(tuple(indices), sum(ix for _, ix in indices))
 
 

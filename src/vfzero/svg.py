@@ -13,6 +13,7 @@ from .intervals import Box
 
 _SIZE = 640
 _MARGIN = 20
+_GLYPH_GRID = 24  # direction glyphs per axis
 
 
 def _fmt(v: float) -> str:
@@ -37,7 +38,6 @@ def phase_portrait_svg(
     field: VectorField,
     region: Box,
     blocks: Sequence[ZeroBlock] = (),
-    glyph_grid: int = 24,
 ) -> str:
     m = _Mapper(region)
     parts = [
@@ -58,11 +58,11 @@ def phase_portrait_svg(
             )
 
     # direction glyphs
-    wx = float(region.x.width()) / glyph_grid
-    wy = float(region.y.width()) / glyph_grid
+    wx = float(region.x.width()) / _GLYPH_GRID
+    wy = float(region.y.width()) / _GLYPH_GRID
     glyph = 0.38 * min(wx * m.sx, wy * m.sy)
-    for i in range(glyph_grid):
-        for j in range(glyph_grid):
+    for i in range(_GLYPH_GRID):
+        for j in range(_GLYPH_GRID):
             cx = float(region.x.lo) + (i + 0.5) * wx
             cy = float(region.y.lo) + (j + 0.5) * wy
             fx, fy = field.eval_float(cx, cy)

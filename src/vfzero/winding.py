@@ -169,11 +169,7 @@ def region_index(field: VectorField, region: Box, max_depth: int) -> int:
     loop = region_boundary_loop(region)
     boundary_winding = winding_number(field, loop)
     result = isolate_zeros(field, region, max_depth)
-    total = 0
-    for blk in result.blocks:
-        if blk.coarse:
-            raise CertificationError(f"coarse block {blk.label} at depth {max_depth}")
-        total += block_index(field, blk).index
+    total = sum(block_index(field, blk).index for blk in result.blocks)
     if total != boundary_winding:
         raise FalsificationError(
             f"block index sum {total} != region boundary winding {boundary_winding}"
@@ -197,10 +193,6 @@ class TransferReport:
     index_x: Optional[int]
     index_y: Optional[int]
     failed_segment: Optional[Segment] = None
-
-    @property
-    def indices_equal(self) -> bool:
-        return self.certified and self.index_x == self.index_y
 
 
 def index_transfer_check(

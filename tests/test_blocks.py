@@ -59,6 +59,11 @@ class TestIsolateZeros:
         with pytest.raises(ValueError):
             isolate_zeros(VectorField.zero("plane"), REGION, 4)
 
+    @pytest.mark.parametrize("corners", [(0, 0, 0, 1), (0, 0, 1, 0)])
+    def test_degenerate_region_rejected(self, corners):
+        with pytest.raises(ValueError, match="positive width and height"):
+            isolate_zeros(parse_field("(x, y)"), Box.from_corners(*corners), 4)
+
     def test_discarded_boxes_are_sound(self):
         field = parse_field("(x^2 - y^2 - x, 2*x*y - y)")
         res = isolate_zeros(field, REGION2, 5)

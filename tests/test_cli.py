@@ -182,6 +182,33 @@ class TestExitCodes:
         assert code == 2
         assert doc["results"]["coarse"] is True
 
+    @pytest.mark.parametrize("suite", [
+        ["stability", "--field", "(x, y)"],
+        ["transfer", "--x", "(x, y)", "--y", "(x, y)"],
+    ])
+    def test_coarse_block_refused(self, suite, capsys):
+        argv = ["verify", *suite, "--region", "0,0,1,1", "--depth", "4"]
+        assert run_command(argv) == 2
+        assert "coarse" in capsys.readouterr().err
+
+    def test_boundary_certified_between_levels_31_and_42(self, tmp_path):
+        code, doc, _ = run_json(
+            ["index", "--field", "(x - y + 1/3, x + y - 1/3)", "--region",
+             "1/34359738368,-1,34359738369/34359738368,1", "--depth", "3"], tmp_path
+        )
+        assert code == 0
+        assert doc["results"]["total_index"] == 0
+
+    def test_usage_error_degenerate_region(self, capsys):
+        assert run_command(["zeros", "--field", "(x, y)", "--region", "0,0,0,1"]) == 3
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_usage_error_no_trials(self, trials, capsys):
+        argv = ["verify", "stability", "--field", "(x, -y)", "--trials", trials]
+        assert run_command(argv) == 3
+        assert "usage error" in capsys.readouterr().err
+
     def test_falsification_exit(self, monkeypatch, tmp_path):
         import vfzero.cli as cli
         from vfzero.harness import PoincareHopfReport

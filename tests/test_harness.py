@@ -103,6 +103,13 @@ class TestStability:
         rep = stability_test(e.field, blk, trials=10, seed=5)
         assert rep.ok and rep.base_index == 1
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, catalog, trials):
+        e = catalog["linear-node"]
+        blk = isolate_zeros(e.field, e.region, 6).blocks[0]
+        with pytest.raises(ValueError, match="trials"):
+            stability_test(e.field, blk, trials=trials)
+
 
 class TestPoincareHopf:
     def test_all_torus_entries_sum_zero(self, catalog):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,3 +214,16 @@ class TestBackpropProperty:
                 continue
             rep = bracket_closure_track(y, z, SQUARING)
             assert rep.status != NOT_TRACKING
+
+
+def test_import_loads_no_sympy():
+    # sympy is imported lazily by the cofactor reduction; importing the
+    # package alone must not pay for it
+    import vfzero
+
+    src = os.path.dirname(os.path.dirname(vfzero.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, vfzero; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from vfzero import (
     region_boundary_loop,
     region_index,
     scalar_factor_index_check,
+    stability_test,
     winding_number,
 )
 
@@ -127,6 +128,30 @@ class TestBlockIndex:
         blk = block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)])
         with pytest.raises(CertificationError):
             block_index(field, blk)
+
+    def test_boundary_certified_between_levels_31_and_42(self):
+        # the west edge passes 2^-35 from the zero at (0, 1/3), so isolation
+        # needs more than 30 refinement levels to certify the block boundary
+        field = parse_field("(x - y + 1/3, x + y - 1/3)")
+        shift = Fraction(1, 2**35)
+        region = Box.from_corners(shift, -1, 1 + shift, 1)
+        res = isolate_zeros(field, region, 3)
+        assert len(res.blocks) == 1
+        assert not res.blocks[0].coarse
+        assert block_index(field, res.blocks[0]).index == 0
+
+    def test_coarse_block_refused(self):
+        # the zero sits on the region's corner, so the block is coarse
+        field = parse_field("(x, y)")
+        region = Box.from_corners(0, 0, 1, 1)
+        blk = isolate_zeros(field, region, 4).blocks[0]
+        assert blk.coarse
+        with pytest.raises(CertificationError):
+            region_index(field, region, 4)
+        with pytest.raises(CertificationError):
+            stability_test(field, blk, trials=1)
+        with pytest.raises(CertificationError):
+            index_transfer_check(field, field, blk)
 
     def test_torus_circle_blocks_have_index_zero(self):
         # zero set of (sin(2*pi*x), 0) is two non-contractible circles; the
