@@ -16,6 +16,19 @@ the boxes its cells had as bisection leaves, and every boundary edge is
 read off the corners of its own cell's box.  ``Grid`` keeps only the
 integer side: cell indices, adjacency and the chaining of boundary edges.
 
+Over a region with dyadic corners the bisection itself runs on integers.
+A quadtree cell is a ``DyadicCell`` (i, j, level) over the region's
+dyadic form, and a boundary piece is a ``DyadicSegment``, its endpoint
+numerators over 2^e.  Their enclosures come from the integer entry of the
+expression kernel (``Expr.range_dyadic``), and emptiness is read off the
+integer numerators.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
+objects are built only for what is returned or stored: the leaf boxes
+(one shared ``Interval`` per distinct cell side within a subdivision),
+the enclosures of empty leaves, and an offending boundary piece.  A
+region or segment with a non-dyadic coordinate is bisected as Fraction
+boxes and segments on the Fraction enclosure loop; both give the same
+certificates.
+
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
 """
@@ -24,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import CertificationError
 from .expr import Expr
 from .fields import VectorField
-from .intervals import Box, Interval
+from .intervals import Box, IntRange, Interval, dyadic_form
 
 Cell = tuple[int, int]
 
@@ -55,6 +68,25 @@ class ZeroProblem:
             r = expr.range_on(box)
             if r.excludes_zero():
                 return (label, r)
+        return None
+
+    def empty_dyadic(self, x, y, xiv: Interval, yiv: Interval) -> Optional[EmptyCert]:
+        """``empty_certificate`` of the box with integer axes ``x`` and
+        ``y`` (see ``Expr.range_dyadic``): each sign is read off the
+        integer numerators, and only the excluding enclosure becomes an
+        ``Interval``."""
+        for label, expr in self.components:
+            r = expr.dyadic_kernel().range_dyadic(x, y, xiv, yiv)
+            if excludes_zero(r):
+                return (label, Interval.from_ints(*r))
+        return None
+
+    def excluding_label(self, piece: "Piece") -> Optional[str]:
+        """The label of the first component whose enclosure on the boundary
+        piece excludes zero, or None."""
+        for label, expr in self.components:
+            if excludes_zero(enclose(expr, piece)):
+                return label
         return None
 
 
@@ -96,6 +128,96 @@ class Segment:
     @property
     def end(self) -> tuple[Fraction, Fraction]:
         return (self.x1, self.y1)
+
+
+class DyadicSegment(NamedTuple):
+    """A Segment in integer form: from (x0, y0) / 2^e to (x1, y1) / 2^e.
+
+    Halving adds one to ``e`` and never reduces, so a piece's numerators
+    stay integers at every level."""
+
+    x0: int
+    y0: int
+    x1: int
+    y1: int
+    e: int
+
+    def halves(self) -> tuple["DyadicSegment", "DyadicSegment"]:
+        x0, y0, x1, y1, e = self
+        mx, my = x0 + x1, y0 + y1
+        return (
+            DyadicSegment(2 * x0, 2 * y0, mx, my, e + 1),
+            DyadicSegment(mx, my, 2 * x1, 2 * y1, e + 1),
+        )
+
+    def axes(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """The (lo, hi, e) axes of the piece's box, as
+        ``Expr.range_dyadic`` takes them."""
+        x0, y0, x1, y1, e = self
+        return (x0, x1, e) if x0 <= x1 else (x1, x0, e), (y0, y1, e) if y0 <= y1 else (y1, y0, e)
+
+    @property
+    def start(self) -> tuple[int, int, int]:
+        return (self.x0, self.y0, self.e)
+
+    @property
+    def end(self) -> tuple[int, int, int]:
+        return (self.x1, self.y1, self.e)
+
+
+# A boundary piece: a segment, in integer form wherever it is dyadic.
+Piece = Union[Segment, DyadicSegment]
+
+
+def boundary_piece(seg: Segment) -> Piece:
+    """The piece that boundary certificates bisect for a segment: its
+    integer form, or the segment itself when a coordinate is not dyadic."""
+    dx, dy = dyadic_form(seg.x0, seg.x1), dyadic_form(seg.y0, seg.y1)
+    if dx is None or dy is None:
+        return seg
+    e = max(dx[2], dy[2])
+    sx, sy = e - dx[2], e - dy[2]
+    return DyadicSegment(dx[0] << sx, dy[0] << sy, dx[1] << sx, dy[1] << sy, e)
+
+
+def piece_segment(piece: Piece) -> Segment:
+    """A boundary piece as a Fraction ``Segment``."""
+    if isinstance(piece, Segment):
+        return piece
+    d = 1 << piece.e
+    return Segment(Fraction(piece.x0, d), Fraction(piece.y0, d), Fraction(piece.x1, d), Fraction(piece.y1, d))
+
+
+def enclose(expr: Expr, piece: Piece) -> IntRange:
+    """Enclosure of the expression over the piece's box, in integer form:
+    the integer kernel on an integer piece, ``range_on`` otherwise."""
+    if isinstance(piece, DyadicSegment):
+        return expr.dyadic_kernel().range_dyadic(*piece.axes())
+    return expr.range_on(piece.box()).ints()
+
+
+def excludes_zero(r: IntRange) -> bool:
+    return r[0] > 0 or r[1] < 0
+
+
+class DyadicCell(NamedTuple):
+    """Quadtree cell (i, j) at ``level`` of a region with dyadic corners:
+    its corners are the region's low corner plus (i, j) and (i + 1, j + 1)
+    times the region's widths over 2^level."""
+
+    i: int
+    j: int
+    level: int
+
+    def quarters(self) -> tuple["DyadicCell", ...]:
+        """The four children, in the order of ``Box.split4``."""
+        i, j, level = 2 * self.i, 2 * self.j, self.level + 1
+        return (
+            DyadicCell(i, j, level),
+            DyadicCell(i + 1, j, level),
+            DyadicCell(i, j + 1, level),
+            DyadicCell(i + 1, j + 1, level),
+        )
 
 
 @dataclass(frozen=True)
@@ -221,15 +343,24 @@ class CertifyResult:
 MAX_SEG_REFINE = 42
 
 
+_SPLIT = {
+    Segment: Segment.halves,
+    DyadicSegment: DyadicSegment.halves,
+    Box: Box.split4,
+    DyadicCell: DyadicCell.quarters,
+}
+
+
 def bisect(piece, certify, max_level: int):
-    """Bisect a Segment (into its halves) or a Box (into its quarters) until
-    ``certify`` returns a certificate, depth first, first child first.
+    """Bisect a segment (into its halves) or a box (into its quarters),
+    each in Fraction or in integer form, until ``certify`` returns a
+    certificate, depth first, first child first.
 
     Yields (piece, certificate) for every certified piece and (piece, None)
     for every piece still uncertified ``max_level`` levels down; a caller
     that needs every piece certified can stop at the first None.
     """
-    split = Segment.halves if isinstance(piece, Segment) else Box.split4
+    split = _SPLIT[type(piece)]
     stack = [(piece, 0)]
     while stack:
         piece, level = stack.pop()
@@ -244,14 +375,49 @@ def _subdivide(problem, region: Box, max_depth: int):
     """Quadtree subdivision; returns ({retained finest-depth cell: its
     leaf box}, list of certified-empty (box, label, enclosure)), both in
     the deterministic traversal order.  The leaf boxes are the block
-    geometry; the integer cell indices only serve adjacency."""
+    geometry; the integer cell indices only serve adjacency.
+
+    A region with dyadic corners is bisected as ``DyadicCell``s, decided
+    by the integer kernels; a ``Box`` is built for each leaf only, from
+    one shared ``Interval`` per distinct cell side.  Any other region is
+    bisected as Fraction boxes."""
     retained: dict[Cell, Box] = {}
     empties: list[tuple[Box, str, Interval]] = []
-    n = 1 << max_depth
-    wx, wy = region.x.width() / n, region.y.width() / n
-    for box, cert in bisect(region, problem.empty_certificate, max_depth):
+    dx, dy = dyadic_form(region.x.lo, region.x.hi), dyadic_form(region.y.lo, region.y.hi)
+    if dx is None or dy is None:
+        n = 1 << max_depth
+        wx, wy = region.x.width() / n, region.y.width() / n
+        for box, cert in bisect(region, problem.empty_certificate, max_depth):
+            if cert is None:
+                retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
+            else:
+                empties.append((box, *cert))
+        return retained, empties
+
+    (ax, bx, ex), (ay, by, ey) = dx, dy
+    wx, wy = bx - ax, by - ay
+    sides: dict[tuple[int, int, int], Interval] = {}
+
+    def side(form: tuple[int, int, int]) -> Interval:
+        iv = sides.get(form)
+        if iv is None:
+            iv = sides[form] = Interval.from_ints(form[0], form[1], 1 << form[2])
+        return iv
+
+    def axes(cell: DyadicCell):
+        i, j, level = cell
+        x0, y0 = (ax << level) + i * wx, (ay << level) + j * wy
+        return (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level)
+
+    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
+        x, y = axes(cell)
+        return problem.empty_dyadic(x, y, side(x), side(y))
+
+    for cell, cert in bisect(DyadicCell(0, 0, 0), certify, max_depth):
+        x, y = axes(cell)
+        box = Box(side(x), side(y))
         if cert is None:
-            retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
+            retained[(cell.i, cell.j)] = box
         else:
             empties.append((box, *cert))
     return retained, empties
@@ -338,17 +504,14 @@ def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ..
 
 
 def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
-    def certify(seg: Segment) -> Optional[EmptyCert]:
-        return problem.empty_certificate(seg.box())
-
     per_segment = []
     total = 0
     for loop in boundary:
         for seg in loop.segments:
             pieces = 0
-            for piece, cert in bisect(seg, certify, max_refine):
+            for piece, cert in bisect(boundary_piece(seg), problem.excluding_label, max_refine):
                 if cert is None:
-                    return CertifyResult(False, total, piece, tuple(per_segment))
+                    return CertifyResult(False, total, piece_segment(piece), tuple(per_segment))
                 pieces += 1
             per_segment.append((seg, pieces))
             total += pieces

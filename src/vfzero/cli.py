@@ -220,10 +220,19 @@ def _cmd_verify_main(args):
     return results, {}, (EXIT_FALSIFIED if falsified else EXIT_OK)
 
 
+def _blocks_to_verify(field, args):
+    """The blocks a per-block check runs on; a region without one would
+    make the check pass vacuously, so it is a usage error."""
+    blocks = isolate_zeros(field, _region(args), args.depth).blocks
+    if not blocks:
+        raise ValueError("region holds no zero block; nothing to verify")
+    return blocks
+
+
 def _cmd_verify_stability(args):
     field = parse_field(args.field, args.domain)
-    res = isolate_zeros(field, _region(args), args.depth)
-    reports = [stability_test(field, blk, trials=args.trials, seed=args.seed) for blk in res.blocks]
+    blocks = _blocks_to_verify(field, args)
+    reports = [stability_test(field, blk, trials=args.trials, seed=args.seed) for blk in blocks]
     ok = all(r.ok for r in reports)
     results = {"reports": reports, "ok": ok}
     return results, {}, (EXIT_OK if ok else EXIT_FALSIFIED)
@@ -240,8 +249,8 @@ def _cmd_verify_invariance(args):
 def _cmd_verify_transfer(args):
     x = parse_field(args.x, args.domain)
     y = parse_field(args.y, args.domain)
-    res = isolate_zeros(x, _region(args), args.depth)
-    reports = [index_transfer_check(x, y, blk, args.mode) for blk in res.blocks]
+    blocks = _blocks_to_verify(x, args)
+    reports = [index_transfer_check(x, y, blk, args.mode) for blk in blocks]
     certified = all(r.certified for r in reports)
     results = {"reports": reports, "all_certified": certified}
     return results, {}, (EXIT_OK if certified else EXIT_CERTIFICATION)

@@ -32,7 +32,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .intervals import Box, Interval, dyadic_form, pi_power, sin_2pi_range, cos_2pi_range
+from .intervals import (
+    Box, IntRange, Interval, cos_2pi_range, dyadic_form, imul, pi_power, sin_2pi_range,
+)
 
 PLANE = "plane"
 TORUS = "torus"
@@ -370,13 +372,21 @@ class Expr:
         loop ``_range_on_fractions`` runs.  Both compute the same exact
         interval operations, so they return identical endpoints.
         """
+        out = self.dyadic_kernel().range_on(box)
+        return self._range_on_fractions(box) if out is None else out
+
+    def dyadic_kernel(self) -> "_DyadicKernel":
+        """The integer enclosure kernel, compiled on first use.
+
+        Its ``range_dyadic(x, y, xiv, yiv)`` is the integer entry behind
+        ``range_on``: quadtree cells and boundary pieces that are held as
+        integer numerators over powers of two call it directly."""
         try:
-            kernel = self._kernel
+            return self._kernel
         except AttributeError:
             kernel = _DyadicKernel(self._num, self._den)
             object.__setattr__(self, "_kernel", kernel)
-        out = kernel.range_on(box)
-        return self._range_on_fractions(box) if out is None else out
+            return kernel
 
     def _range_on_fractions(self, box: Box) -> Interval:
         """Reference enclosure in Fraction interval arithmetic."""
@@ -462,28 +472,6 @@ def _gens_string(key: Key) -> str:
 # dyadic-integer enclosure kernel
 
 
-def _imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """[a, b] * [c, d] over the integers: the min and max of the four
-    corner products, chosen by the signs of the factors."""
-    if a >= 0:
-        if c >= 0:
-            return a * c, b * d
-        if d <= 0:
-            return b * c, a * d
-        return b * c, b * d
-    if b <= 0:
-        if c >= 0:
-            return a * d, b * c
-        if d <= 0:
-            return b * d, a * c
-        return a * d, a * c
-    if c >= 0:
-        return a * d, b * d
-    if d <= 0:
-        return b * c, a * c
-    return min(a * d, b * c), max(a * c, b * d)
-
-
 def _ipow(a: int, b: int, n: int) -> tuple[int, int]:
     """Tight {t**n : t in [a, b]} over the integers (Interval.int_pow)."""
     if n % 2 == 1 or a >= 0:
@@ -506,7 +494,11 @@ class _DyadicKernel:
     2^shift.  A box with dyadic corners is then evaluated term by term
     with the same interval products and tight powers as the Fraction loop,
     on integers scaled by Q * 2^s; terms are added after aligning their
-    shifts, and only the result is turned back into Fractions.
+    shifts.  ``range_dyadic`` is the integer entry: it takes the box as
+    numerators over powers of two and returns the enclosure the same way,
+    for callers that hold cells and pieces as integers.  ``range_on`` is
+    its wrapper for a ``Box``, converting the corners in and the result
+    back to Fractions.
     """
 
     __slots__ = ("den", "terms", "factors", "trig_order")
@@ -538,25 +530,40 @@ class _DyadicKernel:
         """The exact enclosure of the Fraction loop, or None when a box
         corner is not dyadic."""
         x, y = box.x, box.y
+        dx, dy = dyadic_form(x.lo, x.hi), dyadic_form(y.lo, y.hi)
+        if dx is None or dy is None:
+            return None
+        return Interval.from_ints(*self.range_dyadic(dx, dy, x, y))
+
+    def range_dyadic(self, x, y, xiv: Optional[Interval] = None,
+                     yiv: Optional[Interval] = None) -> IntRange:
+        """The enclosure over the box with axes ``x = (a, b, e)``, the
+        interval [a/2^e, b/2^e], and ``y`` alike, in integer form: the
+        interval the Fraction loop gives.  The numerators need not be
+        reduced.  ``xiv`` and ``yiv``
+        are the same axes as ``Interval``s; only trig lookups read them
+        (the trig caches are keyed by ``Fraction`` endpoints), and they are
+        built from ``x`` and ``y`` when not given."""
         # x and y keep their own power-of-two denominators; the shifts of
         # the factors add up per term, and terms are aligned when summed
-        bases = [dyadic_form(x.lo, x.hi), dyadic_form(y.lo, y.hi), None, None, None, None]
-        if bases[0] is None or bases[1] is None:
-            return None
+        bases = [x, y, None, None, None, None]
+        if self.trig_order:
+            if xiv is None:
+                xiv = Interval.from_ints(x[0], x[1], 1 << x[2])
+            if yiv is None:
+                yiv = Interval.from_ints(y[0], y[1], 1 << y[2])
         for gen in self.trig_order:
             # same lookups in the same order as the Fraction loop, so the
             # lru_cache statistics do not depend on the path taken
             if gen == _SX:
-                iv = sin_2pi_range(x.lo, x.hi)
+                iv = sin_2pi_range(xiv.lo, xiv.hi)
             elif gen == _CX:
-                iv = cos_2pi_range(x.lo, x.hi)
+                iv = cos_2pi_range(xiv.lo, xiv.hi)
             elif gen == _SY:
-                iv = sin_2pi_range(y.lo, y.hi)
+                iv = sin_2pi_range(yiv.lo, yiv.hi)
             else:
-                iv = cos_2pi_range(y.lo, y.hi)
-            if iv.dyadic is None:  # mpmath endpoints are always dyadic
-                return None
-            bases[gen] = iv.dyadic
+                iv = cos_2pi_range(yiv.lo, yiv.hi)
+            bases[gen] = iv.dyadic  # mpmath endpoints and +-1 are dyadic
         powers = []
         for gen, n in self.factors:
             a, b, shift = bases[gen]
@@ -566,7 +573,7 @@ class _DyadicKernel:
         for lo, hi, shift, slots in self.terms:
             for k in slots:
                 a, b, s = powers[k]
-                lo, hi = _imul(lo, hi, a, b)
+                lo, hi = imul(lo, hi, a, b)
                 shift += s
             if shift > top:
                 lo_sum <<= shift - top
@@ -577,8 +584,7 @@ class _DyadicKernel:
                 hi <<= top - shift
             lo_sum += lo
             hi_sum += hi
-        den = self.den << top
-        return Interval(Fraction(lo_sum, den), Fraction(hi_sum, den))
+        return lo_sum, hi_sum, self.den << top
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,16 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
-from .blocks import MAX_SEG_REFINE, ZeroBlock, bisect, isolate_zeros
+from .blocks import (
+    MAX_SEG_REFINE,
+    ZeroBlock,
+    bisect,
+    boundary_piece,
+    enclose,
+    excludes_zero,
+    isolate_zeros,
+    piece_segment,
+)
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
 from .fields import VectorField, jacobian, parse_field
@@ -277,17 +286,18 @@ def _boundary_pieces(field: VectorField, block: ZeroBlock):
     """Refine the block boundary until the field enclosure on every piece
     excludes the origin; returns the pieces with their enclosures."""
 
-    def certify(seg):
-        rx, ry = field.range_on(seg.box())
-        return (rx, ry) if rx.excludes_zero() or ry.excludes_zero() else None
+    def certify(piece):
+        rx, ry = enclose(field.cx, piece), enclose(field.cy, piece)
+        return (rx, ry) if excludes_zero(rx) or excludes_zero(ry) else None
 
     pieces = []
     for loop in block.boundary:
         for seg in loop.segments:
-            for piece, cert in bisect(seg, certify, MAX_SEG_REFINE):
+            for piece, cert in bisect(boundary_piece(seg), certify, MAX_SEG_REFINE):
                 if cert is None:
                     raise CertificationError("field magnitude bound not certifiable on boundary")
-                pieces.append((piece, *cert))
+                rx, ry = cert
+                pieces.append((piece_segment(piece), Interval.from_ints(*rx), Interval.from_ints(*ry)))
     return pieces
 
 
@@ -336,6 +346,7 @@ def stability_test(
     m = min(max(rx.mig(), ry.mig()) for _, rx, ry in pieces)
     if m <= 0:
         raise CertificationError("no positive lower field bound on the boundary")
+    int_pieces = [boundary_piece(seg) for seg, _, _ in pieces]
     rng = random.Random(seed)
     failures = []
     eps_seen: list[Fraction] = []
@@ -344,13 +355,14 @@ def stability_test(
         if pert.is_zero:
             eps_seen.append(Fraction(1))
             continue
-        s = Fraction(0)
-        for segpiece, _, _ in pieces:
-            box = segpiece.box()
-            px = pert.cx.range_on(box)
-            py = pert.cy.range_on(box)
-            s = max(s, px.mag(), py.mag())
-        eps = Fraction(1) if s == 0 else m / (2 * s)
+        # s = max |P| over the pieces, kept as the fraction s_num / s_den
+        s_num, s_den = 0, 1
+        for piece in int_pieces:
+            for lo, hi, den in (enclose(pert.cx, piece), enclose(pert.cy, piece)):
+                mag = max(-lo, hi)
+                if mag * s_den > s_num * den:
+                    s_num, s_den = mag, den
+        eps = Fraction(1) if s_num == 0 else m / (2 * Fraction(s_num, s_den))
         eps_seen.append(eps)
         perturbed = x_field + pert.scale(eps)
         if block_index(perturbed, block).index != base:

@@ -18,6 +18,15 @@ the pi powers and the trig enclosures held by ``sin_2pi_range`` and
 ``cos_2pi_range``'s ``lru_cache`` convert once per cache entry, and the
 caches see the same hits and misses as before.  Boxes with a non-dyadic
 corner take the Fraction path; both paths give identical endpoints.
+
+Quadtree cells and boundary pieces are carried as integers (see
+``blocks``), so enclosures also travel in integer form, ``IntRange``
+(lo, hi, den) for [lo/den, hi/den]: ``Interval.from_ints`` and
+``Interval.ints`` convert, ``imul`` multiplies, and ``atan2_range`` takes
+either form.  ``Fraction`` endpoints are built where an ``Interval`` is
+returned or stored, and as the keys of the trig caches.  mpmath endpoints
+(mantissa * 2^exp) become Fractions by one shift or one division by a
+power of two.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
+# An interval in integer form: (lo, hi, den) with den > 0 is [lo/den, hi/den].
+IntRange = tuple[int, int, int]
 
 _PREC_BITS = 128
 _iv.prec = _PREC_BITS
@@ -59,8 +70,10 @@ def _raw_to_fraction(raw) -> Fraction:
     sign, man, exp, bc = raw
     if not man and (exp or bc):
         raise EnclosureError(f"non-finite mpmath endpoint {raw!r}")
-    f = Fraction(int(man)) * (Fraction(2) ** int(exp))
-    return -f if sign else f
+    man, exp = int(man), int(exp)
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int, int]]:
@@ -79,10 +92,15 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return _raw_to_fraction(lo), _raw_to_fraction(hi)
 
 
-def _iv_from_fractions(lo: Fraction, hi: Fraction):
-    a = from_rational(lo.numerator, lo.denominator, _PREC_BITS, round_floor)
-    b = from_rational(hi.numerator, hi.denominator, _PREC_BITS, round_ceiling)
+def _iv_from_ratios(p_lo: int, q_lo: int, p_hi: int, q_hi: int):
+    # from_rational rounds the exact quotient, so p/q need not be reduced
+    a = from_rational(p_lo, q_lo, _PREC_BITS, round_floor)
+    b = from_rational(p_hi, q_hi, _PREC_BITS, round_ceiling)
     return _iv.mpf([_RawMpf(a), _RawMpf(b)])
+
+
+def _iv_from_fractions(lo: Fraction, hi: Fraction):
+    return _iv_from_ratios(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 @dataclass(frozen=True)
@@ -104,6 +122,12 @@ class Interval:
     def point(v: RationalLike) -> "Interval":
         v = Fraction(v)
         return Interval(v, v)
+
+    @staticmethod
+    def from_ints(lo: int, hi: int, den: int) -> "Interval":
+        """The interval of the integer form (lo, hi, den); the inverse of
+        ``ints``."""
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     @staticmethod
     def hull(items: Iterable["Interval"]) -> "Interval":
@@ -179,6 +203,11 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
+    def ints(self) -> IntRange:
+        """The interval in integer form."""
+        lo, hi = self.lo, self.hi
+        return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
+
     @cached_property
     def dyadic(self) -> Optional[tuple[int, int, int]]:
         """``dyadic_form(lo, hi)``, computed once per interval object."""
@@ -186,6 +215,28 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[a, b] * [c, d] over the integers: the min and max of the four
+    corner products, chosen by the signs of the factors."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
 
 
 def _pi_interval() -> Interval:
@@ -248,17 +299,20 @@ def _grid_point_in(lo: Fraction, hi: Fraction, phase: Fraction) -> bool:
     return lo <= phase + k <= hi
 
 
-def atan2_range(y: Interval, x: Interval) -> Interval:
+def atan2_range(y: Union[Interval, IntRange], x: Union[Interval, IntRange]) -> Interval:
     """Enclosure of atan2 over the rectangle y x x.
 
-    Raises EnclosureError when the rectangle contains the origin (the
-    angle is then undefined).  Near the branch cut (x < 0, y straddling 0)
-    a sound but wide enclosure is returned; callers detect the width and
-    refine their inputs.
+    Each of ``y`` and ``x`` is an ``Interval`` or its integer form
+    (``IntRange``); both forms give the same enclosure.  Raises
+    EnclosureError when the rectangle contains the origin (the angle is
+    then undefined).  Near the branch cut (x < 0, y straddling 0) a sound
+    but wide enclosure is returned; callers detect the width and refine
+    their inputs.
     """
-    if x.contains_zero() and y.contains_zero():
+    (ylo, yhi, yden), (xlo, xhi, xden) = (v.ints() if isinstance(v, Interval) else v for v in (y, x))
+    if xlo <= 0 <= xhi and ylo <= 0 <= yhi:
         raise EnclosureError("atan2 rectangle contains the origin")
-    res = _iv.atan2(_iv_from_fractions(y.lo, y.hi), _iv_from_fractions(x.lo, x.hi))
+    res = _iv.atan2(_iv_from_ratios(ylo, yden, yhi, yden), _iv_from_ratios(xlo, xden, xhi, xden))
     lo, hi = _iv_endpoints(res)
     return Interval(lo, hi)
 

@@ -7,9 +7,20 @@ open half-plane and bounds the angle variation on the piece below pi.  The
 signed principal angle between consecutive endpoint values is then
 enclosed with 128-bit interval atan2, and the loop total must land within
 a quarter period of an integer multiple of 2*pi for the degree to be
-accepted.  Endpoint values are enclosures too: ``range_on`` of the
+accepted.  Endpoint values are enclosures too: the enclosure of the
 degenerate box at the vertex, which is the exact value for polynomials
 and a 128-bit-wide enclosure where trigonometric terms enter.
+
+Boundary pieces are bisected in integer form (``blocks.DyadicSegment``:
+numerators over 2^e) wherever the segment is dyadic.  The piece and
+endpoint enclosures and their cross and dot products are integers, and
+``atan2_range`` takes them as such; its increment ``Interval`` is the
+first ``Fraction`` a piece produces (apart from the keys of the trig
+caches).  Endpoint values are memoized per loop, keyed by the vertex in
+lowest terms, and the memo is kept across that loop's gate retries, so a
+vertex shared by two pieces or revisited by a retry is evaluated once.  A
+segment with a non-dyadic coordinate is bisected as a ``Segment`` on the
+Fraction enclosure loop, with the same increments.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -25,17 +36,22 @@ from typing import Optional
 from .blocks import (
     MAX_SEG_REFINE,
     BoundaryLoop,
+    Piece,
     Segment,
     ZeroBlock,
     ZeroProblem,
     bisect,
+    boundary_piece,
     certify_boundary,
+    enclose,
+    excludes_zero,
     isolate_zeros,
+    piece_segment,
 )
 from .errors import CertificationError, FalsificationError
 from .expr import Expr
 from .fields import VectorField, dot, wedge
-from .intervals import Box, EnclosureError, HALF_PI, Interval, TWO_PI, atan2_range
+from .intervals import Box, EnclosureError, HALF_PI, IntRange, Interval, TWO_PI, atan2_range, imul
 
 
 @dataclass(frozen=True)
@@ -65,20 +81,58 @@ _MAX_INC_WIDTH = Fraction(4, 5)  # radians; keeps atan2 away from the branch cut
 _GATE_RETRIES = 3
 
 
-def _value_enclosure(field: VectorField, p) -> tuple[Interval, Interval]:
-    return field.range_on(Box(Interval.point(p[0]), Interval.point(p[1])))
+def _vertex_value(field: VectorField, p, values: dict) -> tuple[IntRange, IntRange]:
+    """Enclosures of the field's components at a piece endpoint, memoized
+    in the loop's ``values``.  ``p`` is a pair of Fractions, or the
+    (x, y, e) of an integer piece, the point (x, y) / 2^e, which is keyed
+    in lowest terms so that pieces of every level share it."""
+    dyadic = len(p) == 3
+    if dyadic:
+        x, y, e = p
+        low = ((x | y) & -(x | y)).bit_length() - 1  # trailing zeros shared by x and y
+        k = e if low < 0 else min(low, e)
+        p = (x >> k, y >> k, e - k)
+    out = values.get(p)
+    if out is None:
+        if dyadic:
+            x, y, e = p
+            xs, ys = (x, x, e), (y, y, e)
+            out = (field.cx.dyadic_kernel().range_dyadic(xs, ys),
+                   field.cy.dyadic_kernel().range_dyadic(xs, ys))
+        else:
+            rx, ry = field.range_on(Box(Interval.point(p[0]), Interval.point(p[1])))
+            out = (rx.ints(), ry.ints())
+        values[p] = out
+    return out
 
 
-def _increment(field: VectorField, seg: Segment, max_width: Fraction) -> Optional[Interval]:
+def _cross_dot(u: tuple[IntRange, IntRange], v: tuple[IntRange, IntRange]) -> tuple[IntRange, IntRange]:
+    """Interval cross u x v and dot u . v, over the common denominator of
+    the four components; the same intervals as the Fraction products."""
+    (a, b, p), (c, d, q) = u
+    (e, f, r), (g, h, s) = v
+    qr, ps, qs, pr = q * r, p * s, q * s, p * r
+    den = ps * qr
+    xy_lo, xy_hi = imul(a, b, g, h)  # ux * vy, over p * s
+    yx_lo, yx_hi = imul(c, d, e, f)  # uy * vx, over q * r
+    xx_lo, xx_hi = imul(a, b, e, f)  # ux * vx, over p * r
+    yy_lo, yy_hi = imul(c, d, g, h)  # uy * vy, over q * s
+    cross = (xy_lo * qr - yx_hi * ps, xy_hi * qr - yx_lo * ps, den)
+    dotv = (xx_lo * qs + yy_lo * pr, xx_hi * qs + yy_hi * pr, den)
+    return cross, dotv
+
+
+def _increment(field: VectorField, piece: Piece, max_width: Fraction, values: dict) -> Optional[Interval]:
     """Certified angle increment over the piece, or None while the field
-    enclosure may meet the origin or the increment is wider than max_width."""
-    rx, ry = field.range_on(seg.box())
-    if not (rx.excludes_zero() or ry.excludes_zero()):
+    enclosure may meet the origin or the increment is wider than max_width.
+    Endpoint values come from the loop's memo ``values``."""
+    # both components, as field.range_on evaluates them: the trig cache
+    # traffic then does not depend on which one excludes zero
+    rx, ry = enclose(field.cx, piece), enclose(field.cy, piece)
+    if not (excludes_zero(rx) or excludes_zero(ry)):
         return None
-    ux, uy = _value_enclosure(field, seg.start)
-    vx, vy = _value_enclosure(field, seg.end)
-    cross = ux * vy - uy * vx
-    dotv = ux * vx + uy * vy
+    cross, dotv = _cross_dot(_vertex_value(field, piece.start, values),
+                             _vertex_value(field, piece.end, values))
     try:
         inc = atan2_range(cross, dotv)
     except EnclosureError:
@@ -95,12 +149,15 @@ def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
 
 def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
     max_width = _MAX_INC_WIDTH
+    segments = [boundary_piece(seg) for seg in loop.segments]
+    values: dict = {}  # vertex values of this loop, kept across the gate retries
     for _ in range(_GATE_RETRIES + 1):
         increments: list[Interval] = []
-        for seg in loop.segments:
-            pieces = bisect(seg, lambda s: _increment(field, s, max_width), MAX_SEG_REFINE)
+        for seg in segments:
+            pieces = bisect(seg, lambda s: _increment(field, s, max_width, values), MAX_SEG_REFINE)
             for piece, inc in pieces:
                 if inc is None:
+                    piece = piece_segment(piece)
                     raise CertificationError(
                         "zero too close to boundary: segment near "
                         f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
@@ -220,13 +277,12 @@ def index_transfer_check(
     w = wedge(x_field, y_field)
     d = dot(x_field, y_field)
 
-    def never_ratio(seg: Segment) -> Optional[bool]:
+    def never_ratio(piece: Piece) -> Optional[bool]:
         # X != lambda*Y on the piece for every lambda of the given sign
-        box = seg.box()
-        if w.range_on(box).excludes_zero():
+        if excludes_zero(enclose(w, piece)):
             return True
-        r = d.range_on(box)
-        if (sign < 0 and r.lo > 0) or (sign > 0 and r.hi < 0):
+        lo, hi, _ = enclose(d, piece)
+        if (sign < 0 and lo > 0) or (sign > 0 and hi < 0):
             return True
         return None
 
@@ -234,9 +290,9 @@ def index_transfer_check(
     for loop in block.boundary:
         for seg in loop.segments:
             certs = 0
-            for piece, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
+            for piece, cert in bisect(boundary_piece(seg), never_ratio, MAX_SEG_REFINE):
                 if cert is None:
-                    return TransferReport(mode, False, pieces, None, None, piece)
+                    return TransferReport(mode, False, pieces, None, None, piece_segment(piece))
                 certs += 1
             pieces += certs
     if ix != iy:

@@ -4,9 +4,13 @@ These deliberately avoid the library's certified code paths: winding
 numbers come from dense float sampling of the direction angle, and Lie
 brackets are recomputed symbolically with sympy from the coordinate
 formula.  Expression evaluation for the dense oracle is compiled to a
-plain lambda straight from the term data.  The reference ring at the end
-is the original ``Fraction`` implementation of the ``Expr`` ring
-operations, kept to check the integer-numerator ones term by term.
+plain lambda straight from the term data.  The Fraction geometry
+reference bisects quadtree cells as ``Box``es and boundary pieces as
+``Segment``s and accumulates winding increments from ``Interval``
+cross and dot products, all on the Fraction enclosure loop, to check the
+integer cells and pieces against.  The reference ring at the end is the
+original ``Fraction`` implementation of the ``Expr`` ring operations,
+kept to check the integer-numerator ones term by term.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from fractions import Fraction
 
 import sympy
 
-from vfzero import BoundaryLoop, Expr, VectorField
+from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField
+from vfzero.blocks import MAX_SEG_REFINE, Segment, bisect
 from vfzero.expr import Key, _gens_string
+from vfzero.intervals import HALF_PI, TWO_PI, EnclosureError, atan2_range
+from vfzero.winding import _GATE_RETRIES, _MAX_INC_WIDTH, LoopWinding
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,72 @@ def dense_loop_winding(field: VectorField, loop: BoundaryLoop, samples: int = 20
 def dense_block_winding(field: VectorField, block, samples: int = 20_000) -> int:
     """Sum of dense loop windings over a block boundary (interior-left)."""
     return sum(dense_loop_winding(field, loop, samples) for loop in block.boundary)
+
+
+# ---------------------------------------------------------------------------
+# Fraction geometry reference
+
+
+def fraction_empty_certificate(problem, box: Box):
+    """``ZeroProblem.empty_certificate`` on the Fraction enclosure loop."""
+    for label, expr in problem.components:
+        r = expr._range_on_fractions(box)
+        if r.excludes_zero():
+            return (label, r)
+    return None
+
+
+def fraction_subdivide(problem, region: Box, max_depth: int):
+    """Quadtree subdivision by Fraction boxes: ({cell: leaf box}, [(box,
+    label, enclosure)]) in traversal order, as ``blocks._subdivide``."""
+    n = 1 << max_depth
+    wx, wy = region.x.width() / n, region.y.width() / n
+    retained, empties = {}, []
+    for box, cert in bisect(region, lambda b: fraction_empty_certificate(problem, b), max_depth):
+        if cert is None:
+            retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
+        else:
+            empties.append((box, *cert))
+    return retained, empties
+
+
+def _fraction_value(field: VectorField, p) -> tuple[Interval, Interval]:
+    box = Box(Interval.point(p[0]), Interval.point(p[1]))
+    return field.cx._range_on_fractions(box), field.cy._range_on_fractions(box)
+
+
+def fraction_increment(field: VectorField, seg: Segment, max_width: Fraction):
+    """``winding._increment`` on a Segment with Interval cross and dot
+    products of Fraction endpoint values."""
+    box = seg.box()
+    rx, ry = field.cx._range_on_fractions(box), field.cy._range_on_fractions(box)
+    if not (rx.excludes_zero() or ry.excludes_zero()):
+        return None
+    ux, uy = _fraction_value(field, seg.start)
+    vx, vy = _fraction_value(field, seg.end)
+    try:
+        inc = atan2_range(ux * vy - uy * vx, ux * vx + uy * vy)
+    except EnclosureError:
+        return None
+    return None if inc.width() > max_width else inc
+
+
+def fraction_loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
+    """``winding._loop_winding`` on Segments and ``fraction_increment``."""
+    max_width = _MAX_INC_WIDTH
+    for _ in range(_GATE_RETRIES + 1):
+        increments = []
+        for seg in loop.segments:
+            for _, inc in bisect(seg, lambda s: fraction_increment(field, s, max_width), MAX_SEG_REFINE):
+                if inc is None:
+                    raise ValueError("uncertified piece")
+                increments.append(inc)
+        total = Interval(sum(i.lo for i in increments), sum(i.hi for i in increments))
+        k = int(round(total.midpoint() / TWO_PI.midpoint()))
+        if total.lo > (TWO_PI * k - HALF_PI).hi and total.hi < (TWO_PI * k + HALF_PI).lo:
+            return LoopWinding(k, len(increments), total, max(i.width() for i in increments))
+        max_width = max_width / 8
+    raise ValueError("winding gate not met")
 
 
 # ---------------------------------------------------------------------------

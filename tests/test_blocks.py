@@ -18,7 +18,11 @@ from vfzero import (
     parse_field,
     scalar_zero_blocks,
 )
+from vfzero.blocks import ZeroProblem, _field_parts, _subdivide
 from vfzero.blocks import dilate_block as _dilate
+
+from conftest import plane_fields, torus_polys
+from oracles import fraction_empty_certificate, fraction_subdivide
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 REGION2 = Box.from_corners(-2, -2, 2, 2)
@@ -207,3 +211,39 @@ class TestDilation:
         )
         with pytest.raises(CertificationError):
             _dilate(field, edge_block, extra_refine=2)
+
+
+class TestIntegerSubdivision:
+    """Quadtree cells in integer form against the Fraction box bisection."""
+
+    @staticmethod
+    def _check(field, region, depth):
+        problem = ZeroProblem(_field_parts(field))
+        retained, empties = _subdivide(problem, region, depth)
+        assert (retained, empties) == fraction_subdivide(problem, region, depth)
+        for box, label, enclosure in empties:
+            assert problem.empty_certificate(box) == (label, enclosure)
+            assert fraction_empty_certificate(problem, box) == (label, enclosure)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(plane_fields(), st.sampled_from([REGION2, TORUS]), st.integers(1, 4))
+    def test_plane_matches_fraction_bisection(self, field, region, depth):
+        self._check(field, region, depth)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(torus_polys(), torus_polys(), st.integers(1, 4))
+    def test_torus_matches_fraction_bisection(self, cx, cy, depth):
+        from vfzero import VectorField
+
+        self._check(VectorField(cx, cy), TORUS, depth)
+
+    def test_non_dyadic_region_takes_fraction_path(self):
+        # corner 1/3: no cell side is dyadic, so the Fraction boxes run
+        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
+        region = Box.from_corners(0, 0, Fraction(1, 3), 1)
+        res = isolate_zeros(field, region, 6)
+        problem = ZeroProblem(_field_parts(field))
+        retained, empties = fraction_subdivide(problem, region, 6)
+        assert res.empty_boxes == tuple(empties)
+        assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
+        assert len(res.blocks) == 1 and not res.blocks[0].coarse

@@ -209,6 +209,17 @@ class TestExitCodes:
         assert run_command(argv) == 3
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", [
+        ["stability", "--field", "(x^2 + y^2 + 1, x)"],
+        ["transfer", "--x", "(x^2 + y^2 + 1, x)", "--y", "(1, 0)"],
+    ])
+    def test_usage_error_no_block_to_verify(self, suite, tmp_path, capsys):
+        # a region without a zero block used to pass with an empty report list
+        out = tmp_path / "report.json"
+        assert run_command(["verify", *suite, "--depth", "4", "--out", str(out)]) == 3
+        assert "region holds no zero block; nothing to verify" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_falsification_exit(self, monkeypatch, tmp_path):
         import vfzero.cli as cli
         from vfzero.harness import PoincareHopfReport

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vfzero import (
     Box,
     CertificationError,
     FalsificationError,
     Segment,
+    VectorField,
     block_from_boxes,
     block_index,
     dilate_block,
@@ -19,10 +23,19 @@ from vfzero import (
     region_index,
     scalar_factor_index_check,
     stability_test,
+    winding,
     winding_number,
 )
+from vfzero.blocks import ZeroProblem, piece_segment
 
-from oracles import dense_block_winding, dense_circle_winding, dense_loop_winding
+from conftest import plane_fields, torus_polys
+from oracles import (
+    dense_block_winding,
+    dense_circle_winding,
+    dense_loop_winding,
+    fraction_increment,
+    fraction_loop_winding,
+)
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 REGION2 = Box.from_corners(-2, -2, 2, 2)
@@ -36,6 +49,9 @@ def origin_block(field_text, depth=6, region=REGION):
     zero = (Fraction(0), Fraction(0))
     blk = next(b for b in res.blocks if b.contains_point(zero))
     return field, blk
+
+
+TORUS = Box.from_corners(0, 0, 1, 1)
 
 
 class TestWindingNumber:
@@ -280,3 +296,75 @@ class TestScalarFactorIndex:
         field, blk = origin_block("(x, -y)")
         rep = scalar_factor_index_check(field, parse_expr("1"), blk)
         assert rep.index_y == rep.index_scaled == -1
+
+
+def _record_certified_pieces(field, region, depth):
+    """Isolate and index the field's blocks, recording every boundary piece
+    that ``certify_boundary`` and ``_increment`` were asked about."""
+    labels, increments = [], []
+    excluding_label, increment = ZeroProblem.excluding_label, winding._increment
+
+    def record_label(problem, piece):
+        label = excluding_label(problem, piece)
+        labels.append((problem, piece, label))
+        return label
+
+    def record_increment(f, piece, max_width, values):
+        inc = increment(f, piece, max_width, values)
+        increments.append((f, piece, max_width, inc))
+        return inc
+
+    with mock.patch.object(ZeroProblem, "excluding_label", record_label), \
+            mock.patch.object(winding, "_increment", record_increment):
+        for blk in isolate_zeros(field, region, depth).blocks:
+            try:
+                block_index(field, blk)
+            except CertificationError:
+                pass
+    return labels, increments
+
+
+class TestIntegerPieces:
+    """Boundary pieces in integer form against the Fraction reference: each
+    certified piece excludes zero on the Fraction enclosure loop, and every
+    increment equals the one of Interval cross and dot products."""
+
+    @staticmethod
+    def _check(field, region, depth):
+        labels, increments = _record_certified_pieces(field, region, depth)
+        for problem, piece, label in labels:
+            if label is not None:
+                expr = dict(problem.components)[label]
+                assert expr._range_on_fractions(piece_segment(piece).box()).excludes_zero()
+        for f, piece, max_width, inc in increments:
+            assert fraction_increment(f, piece_segment(piece), max_width) == inc
+        return labels, increments
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(plane_fields(2, 3), st.integers(3, 5))
+    def test_plane_pieces(self, field, depth):
+        assume(not field.is_zero)
+        self._check(field, REGION2, depth)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(torus_polys(), torus_polys(), st.integers(2, 3))
+    def test_torus_pieces(self, cx, cy, depth):
+        assume(not (cx.is_zero and cy.is_zero))
+        self._check(VectorField(cx, cy), TORUS, depth)
+
+    @pytest.mark.parametrize("name, depth", [("complex-squaring", 5), ("torus-grid-saddle", 4)])
+    def test_catalog_pieces(self, catalog, name, depth):
+        entry = catalog[name]
+        labels, increments = self._check(entry.field, entry.region, depth)
+        assert any(label for _, _, label in labels)
+        assert any(inc is not None for *_, inc in increments)
+
+    def test_non_dyadic_region_matches_fraction_reference(self):
+        # corner 1/3: the block boundary has no dyadic piece, so winding
+        # runs on Fraction segments
+        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
+        blocks = isolate_zeros(field, Box.from_corners(0, 0, Fraction(1, 3), 1), 6).blocks
+        reports = [block_index(field, blk) for blk in blocks]
+        assert [r.index for r in reports] == [2]
+        for blk, rep in zip(blocks, reports):
+            assert rep.loops == tuple(fraction_loop_winding(field, lp) for lp in blk.boundary)
