@@ -19,7 +19,8 @@ Addition, multiplication, negation, powers and derivatives therefore run
 on ``int`` numerators only, with one gcd reduction per result.
 ``Fraction`` values are built only where coefficients are read:
 ``terms()``, ``coefficient()``, ``eval_at``, the Fraction enclosure loop,
-``divide_exact``, printing and hashing.
+printing and hashing.  Exact polynomial division (``divide_exact``) runs
+on the integer numerators as well.
 
 The unit ``pi`` enters through derivatives of the trig generators
 (d/dx sin(2*pi*x) = 2*pi*cos(2*pi*x)) and is carried symbolically, never
@@ -142,7 +143,11 @@ class Expr:
         """``terms`` maps keys to rationals (``Fraction`` or ``int``)."""
         if domain not in (PLANE, TORUS):
             raise DomainError(f"unknown domain {domain!r}")
-        den = math.lcm(*(c.denominator for c in terms.values()))
+        try:
+            den = math.lcm(*(c.denominator for c in terms.values()))
+        except AttributeError:
+            key, c = next((k, c) for k, c in terms.items() if not hasattr(c, "denominator"))
+            raise TypeError(f"coefficient {c!r} of term {key} is not an int or Fraction") from None
         num, den = _reduce(
             _normalize({k: c.numerator * (den // c.denominator) for k, c in terms.items()}), den
         )
@@ -718,13 +723,55 @@ def parse_expr(text: str, domain: str = PLANE) -> Expr:
 # exact polynomial division
 
 
+def _long_divide(a: dict[tuple, int], b: dict[tuple, int]) -> Optional[tuple[dict, int]]:
+    """Integer long division of polynomials held as ``{exponents: int}``.
+
+    Divides ``a`` by the nonzero ``b`` term by term from the
+    lexicographically largest exponent tuple down, and returns
+    ``(q, m)`` with ``m * a == q * b``, or None when ``b`` does not divide
+    ``a`` over the rationals.  ``m > 0`` collects the factors by which the
+    remainder was scaled whenever ``b``'s leading coefficient did not
+    divide the remainder's (a pseudo-division); when ``b`` divides ``a``
+    over the integers, ``m == 1``.  ``q`` holds its terms in decreasing
+    exponent order.
+    """
+    bterms = sorted(b.items(), reverse=True)
+    (blead, bc), rest = bterms[0], bterms[1:]
+    rem = dict(a)
+    quo: dict[tuple, int] = {}
+    m = 1
+    while rem:
+        rkey = max(rem)
+        diff = tuple(r - s for r, s in zip(rkey, blead))
+        if min(diff) < 0:
+            return None
+        rc = rem.pop(rkey)
+        scale = abs(bc) // math.gcd(rc, bc)
+        if scale != 1:
+            rem = {k: c * scale for k, c in rem.items()}
+            quo = {k: c * scale for k, c in quo.items()}
+            m *= scale
+            rc *= scale
+        c = rc // bc
+        quo[diff] = c
+        for k, v in rest:
+            key = tuple(d + e for d, e in zip(diff, k))
+            acc = rem.get(key, 0) - c * v
+            if acc:
+                rem[key] = acc
+            else:
+                del rem[key]
+    return quo, m
+
+
 def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
     """Exact quotient a/b in the polynomial term ring, or None.
 
     Long division by the leading monomial in lexicographic order; with a
     single divisor, a zero remainder occurs iff b divides a exactly.
     Intended for pure polynomials (trig-free expressions); pi is treated
-    as one more formal variable.
+    as one more formal variable.  The division runs on the integer
+    numerators (``_long_divide``), so no ``Fraction`` is built.
     """
     if a.domain != b.domain:
         raise DomainError("domain mismatch")
@@ -732,22 +779,11 @@ def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
         raise ValueError("divide_exact requires trig-free expressions")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero expression")
-    rem = {k: Fraction(c, a._den) for k, c in a._num.items()}
-    bterms = list(b.terms())
-    blead_key, blead_coeff = bterms[0]
-    quo: dict[Key, Fraction] = {}
-    while rem:
-        rlead_key = max(rem)
-        diff = tuple(r - s for r, s in zip(rlead_key, blead_key))
-        if any(d < 0 for d in diff):
-            return None
-        c = rem[rlead_key] / blead_coeff
-        quo[diff] = quo.get(diff, Fraction(0)) + c
-        for k, bc in bterms:
-            key = tuple(d + e for d, e in zip(diff, k))
-            acc = rem.get(key, Fraction(0)) - c * bc
-            if acc == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = acc
-    return Expr(a.domain, quo)
+    out = _long_divide(a._num, b._num)
+    if out is None:
+        return None
+    # m * A == Q * B for the numerators, so a/b = (Q/m) * (b._den / a._den);
+    # the terms are stored in increasing key order, as Expr() would order them
+    quo, m = out
+    db = b._den
+    return _make(a.domain, *_reduce({k: c * db for k, c in reversed(quo.items())}, m * a._den))

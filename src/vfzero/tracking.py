@@ -7,17 +7,24 @@ with the explicit caveat that continuity of f across Z(X) has not been
 certified.  The necessary condition is exact: [Y, X] wedge X must vanish
 identically, otherwise the pair is NOT_TRACKING and the wedge residual is
 the counterexample witness.
+
+A rational cofactor num/den is reduced by the gcd of the two polynomials,
+computed here on their integer numerators by content/primitive-part
+Euclid in Z[pi][y][x] and made monic in the lexicographic order
+x > y > pi (sympy's normalization, which the tests check it against);
+the package does not use sympy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .blocks import ZeroBlock, common_zero_blocks, scalar_zero_blocks
 from .errors import FalsificationError
-from .expr import Expr, divide_exact
+from .expr import Expr, _long_divide, _make, _reduce, divide_exact
 from .fields import VectorField, lie_bracket, wedge
 from .intervals import Box
 
@@ -154,26 +161,116 @@ def _solve_exact(mat: list[list[Fraction]], n: int) -> Optional[list[Fraction]]:
     return sol
 
 
+# -- integer polynomial gcd ---------------------------------------------
+# Polynomials are dicts {exponent tuple: int}; the first exponent is the
+# main variable, and the rest are the coefficient ring's variables.
+
+
+def _mul(f: dict, g: dict) -> dict:
+    out: dict[tuple, int] = {}
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            key = tuple(a + b for a, b in zip(kf, kg))
+            out[key] = out.get(key, 0) + cf * cg
+    return {k: c for k, c in out.items() if c}
+
+
+def _sub(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for k, c in g.items():
+        acc = out.get(k, 0) - c
+        if acc:
+            out[k] = acc
+        else:
+            del out[k]
+    return out
+
+
+def _coeffs(f: dict) -> dict[int, dict]:
+    """``f`` as a polynomial in its main variable: {degree: coefficient}."""
+    out: dict[int, dict] = {}
+    for (e, *rest), c in f.items():
+        out.setdefault(e, {})[tuple(rest)] = c
+    return out
+
+
+def _lift(c: dict, e: int) -> dict:
+    """The coefficient ``c`` times the main variable to the power ``e``."""
+    return {(e, *k): v for k, v in c.items()}
+
+
+def _is_unit(c: dict) -> bool:
+    """Whether ``c`` is the constant 1 or -1."""
+    if len(c) != 1:
+        return False
+    (k, v), = c.items()
+    return abs(v) == 1 and not any(k)
+
+
+def _content_pp(f: dict) -> tuple[dict, dict]:
+    """Content (a gcd of the coefficients in the main variable) and
+    primitive part of ``f``."""
+    coeffs = iter(_coeffs(f).values())
+    cont = next(coeffs)
+    for c in coeffs:
+        if _is_unit(cont):
+            break
+        cont = _gcd(cont, c)
+    if _is_unit(cont):
+        return cont, f
+    return cont, _long_divide(f, _lift(cont, 0))[0]  # exact over Z
+
+
+def _gcd(f: dict, g: dict) -> dict:
+    """A gcd of the nonzero ``f`` and ``g`` in Z[v1, ..., vn], up to sign:
+    content/primitive-part Euclid in the main variable, with the contents'
+    gcd taken recursively in the remaining variables (Brown, 1971)."""
+    if not next(iter(f)):
+        # no variables left: integers
+        return {(): math.gcd(f[()], g[()])}
+    cf, f = _content_pp(f)
+    cg, g = _content_pp(g)
+    cont = _gcd(cf, cg)
+    if max(k[0] for k in f) < max(k[0] for k in g):
+        f, g = g, f
+    while True:
+        # pseudo-remainder of f by g: lc(g) * r - lc(r) * x^k * g cancels the
+        # leading term of r; the powers of lc(g) it leaves are content and
+        # drop out with the primitive part
+        dg = max(k[0] for k in g)
+        lg = _lift(_coeffs(g)[dg], 0)
+        r = f
+        while r:
+            dr = max(k[0] for k in r)
+            if dr < dg:
+                break
+            lr = _lift(_coeffs(r)[dr], dr - dg)
+            r = _sub(_mul(lg, r), _mul(lr, g))
+        if not r:
+            return _mul(_lift(cont, 0), g)
+        f, g = g, _content_pp(r)[1]
+
+
 def _poly_gcd(a: Expr, b: Expr) -> Expr:
-    """Multivariate gcd over the rationals (content/primitive-part style,
-    via sympy's polynomial kernel)."""
-    import sympy
+    """Multivariate gcd over the rationals of trig-free ``a`` and ``b``,
+    as sympy's ``Poly(..., x, y, pi, domain="QQ").gcd`` gives it: monic
+    in the lexicographic order x > y > pi.
 
-    sx, sy, spi = sympy.symbols("x y pi_unit")
-
-    def to_sympy(e: Expr):
-        total = sympy.Integer(0)
-        for (kpi, ex, ey, *_), c in e.terms():
-            total += sympy.Rational(c.numerator, c.denominator) * spi**kpi * sx**ex * sy**ey
-        return sympy.Poly(total, sx, sy, spi, domain="QQ")
-
-    g = to_sympy(a).gcd(to_sympy(b))
-    terms = {}
-    for (ex, ey, kpi), c in g.terms():
-        terms[(int(kpi), int(ex), int(ey), 0, 0, 0, 0)] = Fraction(
-            int(sympy.numer(c)), int(sympy.denom(c))
-        )
-    return Expr(a.domain, terms)
+    The integer numerators are taken as polynomials in Z[pi][y][x]
+    (denominators only scale them, which a gcd over the rationals
+    ignores), their gcd comes from ``_gcd``, and it is divided by its
+    leading coefficient.
+    """
+    f = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in a._num.items()}
+    g = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in b._num.items()}
+    h = _gcd(f, g) if f and g else f or g
+    if not h:
+        return Expr.zero(a.domain)
+    lead = h[max(h)]
+    sign = 1 if lead > 0 else -1
+    # increasing (x, y, pi) order, the order Expr() stores sympy's terms in
+    num = {(kpi, ex, ey, 0, 0, 0, 0): sign * h[ex, ey, kpi] for ex, ey, kpi in sorted(h)}
+    return _make(a.domain, *_reduce(num, abs(lead)))
 
 
 def track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:

@@ -25,6 +25,20 @@ def plane_polys(max_deg: int = 3, coeff: int = 4):
     return plane_terms(max_deg, coeff).map(lambda terms: Expr("plane", terms))
 
 
+@st.composite
+def pi_polys(draw, max_deg: int = 2, coeff: int = 4):
+    """Plane polynomials in x, y and pi with rational coefficients: a sum
+    of ``plane_terms`` polynomials, each times a rational and a power of
+    pi."""
+    total = Expr.zero("plane")
+    for terms, k, r in draw(st.lists(
+        st.tuples(plane_terms(max_deg, coeff), st.integers(0, 2), rationals(-3, 3, 6)),
+        min_size=1, max_size=3,
+    )):
+        total = total + Expr("plane", terms) * Expr.gen("pi", "plane") ** k * r
+    return total
+
+
 def torus_terms(max_deg: int = 2, coeff: int = 3):
     """The term dicts that ``torus_polys`` builds its expressions from."""
     keys = [

@@ -8,21 +8,24 @@ plain lambda straight from the term data.  The Fraction geometry
 reference bisects quadtree cells as ``Box``es and boundary pieces as
 ``Segment``s and accumulates winding increments from ``Interval``
 cross and dot products, all on the Fraction enclosure loop, to check the
-integer cells and pieces against.  The reference ring at the end is the
-original ``Fraction`` implementation of the ``Expr`` ring operations,
-kept to check the integer-numerator ones term by term.
+integer cells and pieces against.  The reference ring is the original
+``Fraction`` implementation of the ``Expr`` ring operations, kept to check
+the integer-numerator ones term by term; after it come the cofactor gcd
+through sympy's ``Poly.gcd`` and the ``Fraction`` long division, kept to
+check the integer gcd and division.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 import sympy
 
 from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField
 from vfzero.blocks import MAX_SEG_REFINE, Segment, bisect
-from vfzero.expr import Key, _gens_string
+from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import HALF_PI, TWO_PI, EnclosureError, atan2_range
 from vfzero.winding import _GATE_RETRIES, _MAX_INC_WIDTH, LoopWinding
 
@@ -366,3 +369,74 @@ def ref_eval_float(terms: dict[Key, Fraction], x: float, y: float) -> float:
 
 def ref_hash(domain: str, terms: dict[Key, Fraction]) -> int:
     return hash((domain, frozenset(terms.items())))
+
+
+# ---------------------------------------------------------------------------
+# reference polynomial gcd and division: the cofactor gcd as it came from
+# sympy's polynomial kernel, and the long division in Fraction arithmetic,
+# kept to check the integer ones
+
+
+def ref_poly_gcd(a: Expr, b: Expr) -> Expr:
+    """Multivariate gcd over the rationals (content/primitive-part style,
+    via sympy's polynomial kernel)."""
+    import sympy
+
+    sx, sy, spi = sympy.symbols("x y pi_unit")
+
+    def to_sympy(e: Expr):
+        total = sympy.Integer(0)
+        for (kpi, ex, ey, *_), c in e.terms():
+            total += sympy.Rational(c.numerator, c.denominator) * spi**kpi * sx**ex * sy**ey
+        return sympy.Poly(total, sx, sy, spi, domain="QQ")
+
+    g = to_sympy(a).gcd(to_sympy(b))
+    terms = {}
+    for (ex, ey, kpi), c in g.terms():
+        terms[(int(kpi), int(ex), int(ey), 0, 0, 0, 0)] = Fraction(
+            int(sympy.numer(c)), int(sympy.denom(c))
+        )
+    return Expr(a.domain, terms)
+
+
+def ref_divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
+    """Exact quotient a/b in the polynomial term ring, or None.
+
+    Long division by the leading monomial in lexicographic order; with a
+    single divisor, a zero remainder occurs iff b divides a exactly.
+    Intended for pure polynomials (trig-free expressions); pi is treated
+    as one more formal variable.
+    """
+    if a.domain != b.domain:
+        raise DomainError("domain mismatch")
+    if a.has_trig() or b.has_trig():
+        raise ValueError("divide_exact requires trig-free expressions")
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero expression")
+    rem = {k: Fraction(c, a._den) for k, c in a._num.items()}
+    bterms = list(b.terms())
+    blead_key, blead_coeff = bterms[0]
+    quo: dict[Key, Fraction] = {}
+    while rem:
+        rlead_key = max(rem)
+        diff = tuple(r - s for r, s in zip(rlead_key, blead_key))
+        if any(d < 0 for d in diff):
+            return None
+        c = rem[rlead_key] / blead_coeff
+        quo[diff] = quo.get(diff, Fraction(0)) + c
+        for k, bc in bterms:
+            key = tuple(d + e for d, e in zip(diff, k))
+            acc = rem.get(key, Fraction(0)) - c * bc
+            if acc == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = acc
+    return Expr(a.domain, quo)
+
+
+def same_expr(got: Optional[Expr], ref: Optional[Expr]) -> bool:
+    """Identical results, with None matching None: equal as Exprs, with
+    the same terms in the same order."""
+    if ref is None:
+        return got is None
+    return got == ref and list(got._num.items()) == list(ref._num.items())

@@ -19,10 +19,11 @@ from vfzero import (
 
 from vfzero.intervals import cos_2pi_range, sin_2pi_range
 
-from conftest import boxes, plane_polys, plane_terms, torus_polys, torus_terms
+from conftest import boxes, pi_polys, plane_polys, plane_terms, torus_polys, torus_terms
 from oracles import (
     ref_add,
     ref_derive,
+    ref_divide_exact,
     ref_eval_float,
     ref_hash,
     ref_mul,
@@ -31,6 +32,7 @@ from oracles import (
     ref_pow,
     ref_str,
     ref_sub,
+    same_expr,
 )
 
 
@@ -344,6 +346,12 @@ class TestIntegerRing:
         assert e._den == 6 and list(e._num.values()) == [1, 2]
         assert e.derive("x") == Expr.const(Fraction(1, 6), "plane")
 
+    @pytest.mark.parametrize("bad", [0.5, "1/2"])
+    def test_non_rational_coefficient_names_its_term(self, bad):
+        k = (0, 1, 0, 0, 0, 0, 0)
+        with pytest.raises(TypeError, match=r"\(0, 1, 0, 0, 0, 0, 0\)"):
+            Expr("plane", {_ONE: Fraction(1, 3), k: bad})
+
 
 class TestDerive:
     def test_power_rule(self):
@@ -420,3 +428,40 @@ class TestDomainDiscipline:
     def test_divide_requires_trig_free(self):
         with pytest.raises(ValueError):
             divide_exact(parse_expr("sin2px", "torus"), parse_expr("sin2px", "torus"))
+
+
+class TestIntegerDivision:
+    """``divide_exact`` on integer numerators against the Fraction long
+    division of ``oracles``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pi_polys(), pi_polys())
+    def test_exact_quotient_matches_fraction_division(self, p, b):
+        if b.is_zero:
+            return
+        a = p * b
+        q = divide_exact(a, b)
+        assert same_expr(q, ref_divide_exact(a, b))
+        assert q == p
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pi_polys(), pi_polys())
+    def test_any_division_matches_fraction_division(self, a, b):
+        # mostly not exact: None must come back exactly when the Fraction
+        # division gives None
+        if b.is_zero:
+            return
+        assert same_expr(divide_exact(a, b), ref_divide_exact(a, b))
+
+    @pytest.mark.parametrize("a, b", [
+        ("x^2*y + 1", "x*y"),
+        ("x + pi", "2*x"),
+        ("x^2 - 1/3", "x - 1"),
+        ("pi*x*y", "pi^2"),
+        ("3*x - 6*y", "-2*x + 4*y"),
+        ("(x + pi)*(2*x - 3/5*y)", "-2*x + 3/5*y"),
+        ("0", "-7*pi*y"),
+    ])
+    def test_hand_cases(self, a, b):
+        a, b = parse_expr(a), parse_expr(b)
+        assert same_expr(divide_exact(a, b), ref_divide_exact(a, b))

@@ -8,7 +8,10 @@ changes what a user sees and needs its own justification.  One has moved
 since: ``verify invariance`` used to isolate at depth 8 whatever ``--depth``
 said, and now isolates at the default depth 7 its report states, which
 moves its seeds and residuals (re-recorded; at ``--depth 8`` the new report
-differs from the old one only in ``config.depth``).
+differs from the old one only in ``config.depth``).  The two rational
+``track`` reports pin the reduced ``cofactor_num``/``cofactor_den``; they
+were recorded while the cofactor gcd still came from sympy's polynomial
+kernel.
 """
 
 import hashlib
@@ -39,6 +42,12 @@ GOLDEN = [
      "bdd2c90a3ef0f2927e1d2709300c1a2c96215809128dbf7f17cfe5ab0b527ce1"),
     ("track", ["track", "--y", "(x, y)", "--x", "(x^2 - y^2, 2*x*y)"],
      "df8fe827159d6368d13a9149d854bc5b90306603e214becac064aadf75572dca"),
+    ("track-rational", ["track", "--y", "(y, 0)", "--x", "(x^2, x*y)"],
+     "41bdcc0c54c62ebd9bec0dc6ca0ad0ca6092104030befa0d7d5297f94b07eb16"),
+    # the gcd of each component pair is pi*x or pi*y, and the monic gcd
+    # leaves the constants in place: the cofactor is 6*y / (2*x)
+    ("track-rational-pi", ["track", "--y", "(3*y, 0)", "--x", "(2*pi*x^2, 2*pi*x*y)"],
+     "4b88cd9bb006918521c31f0b47f4f74d082ba8f76346a4e6c01b957c3a926732"),
     ("dep", ["dep", "--x", "(x, y)", "--y", "(-y, x)"],
      "efed7fea2d78eebacc827569a8fb5cf04fb1df2f353a0144c69f722062c8985f"),
     ("common", ["common", "--field", "(x, y)", "--field", "(x^2 - y^2, 2*x*y)"],

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfzero import (
     Box,
@@ -27,8 +29,10 @@ from vfzero import (
     track_check,
     wedge,
 )
+from vfzero.tracking import _poly_gcd
 
-from conftest import plane_polys, torus_polys
+from conftest import pi_polys, plane_polys, rationals, torus_polys
+from oracles import ref_poly_gcd, same_expr
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 SQUARING = parse_field("(x^2 - y^2, 2*x*y)")
@@ -216,14 +220,106 @@ class TestBackpropProperty:
             assert rep.status != NOT_TRACKING
 
 
-def test_import_loads_no_sympy():
-    # sympy is imported lazily by the cofactor reduction; importing the
-    # package alone must not pay for it
+@st.composite
+def _one_variable_polys(draw, slot: int):
+    """Nonconstant polynomials in pi alone (slot 0) or y alone (slot 2),
+    with rational coefficients."""
+    terms = {}
+    for e, c in draw(st.lists(st.tuples(st.integers(0, 3), rationals(-3, 3, 6)),
+                              min_size=1, max_size=3)):
+        key = [0] * 7
+        key[slot] = e
+        terms[tuple(key)] = terms.get(tuple(key), 0) + c
+    key = [0] * 7
+    key[slot] = draw(st.integers(1, 2))
+    terms[tuple(key)] = terms.get(tuple(key), 0) + draw(st.sampled_from([-2, 1, Fraction(3, 2)]))
+    return Expr("plane", terms)
+
+
+class TestIntegerGcd:
+    """The cofactor gcd on integer numerators against sympy's ``Poly.gcd``
+    (``oracles.ref_poly_gcd``): the same monic gcd, lex x > y > pi, with
+    the same terms in the same order."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pi_polys(), pi_polys(), pi_polys())
+    def test_common_factor(self, g, p, q):
+        a, b = g * p, g * q
+        assert same_expr(_poly_gcd(a, b), ref_poly_gcd(a, b))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pi_polys(), pi_polys())
+    def test_random_pairs(self, a, b):
+        # mostly coprime: the gcd is 1
+        assert same_expr(_poly_gcd(a, b), ref_poly_gcd(a, b))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pi_polys(), pi_polys())
+    def test_one_divides_the_other(self, g, p):
+        a = g * p
+        assert same_expr(_poly_gcd(a, g), ref_poly_gcd(a, g))
+        assert same_expr(_poly_gcd(g, a), ref_poly_gcd(g, a))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([0, 2]).flatmap(_one_variable_polys), pi_polys(), pi_polys(),
+           st.booleans())
+    def test_pi_or_y_content(self, c, p, q, negate):
+        a, b = c * p, c * q
+        if negate:
+            a = -a
+        assert same_expr(_poly_gcd(a, b), ref_poly_gcd(a, b))
+
+    @pytest.mark.parametrize("a, b, gcd", [
+        ("2*x*y + 4*y^2", "6*y*pi + 3*x*pi", "x + 2*y"),
+        ("x + pi", "y - 1", "1"),
+        ("x^2 - y^2", "-x^2 - 2*x*y - y^2", "x + y"),
+        ("-3*x*y + pi", "6*x*y - 2*pi", "x*y - 1/3*pi"),
+        ("-pi^2*x + pi^2", "2*pi*y - 2*pi*x*y", "pi*x - pi"),
+        ("-5/2*y^2*x + y^2", "y^3*pi", "y^2"),
+        ("(y^2 - 2)*(x + 1)", "(y^2 - 2)*(x - pi)", "y^2 - 2"),
+        ("(pi^2 + 1)*x", "(pi^2 + 1)*(y + 3)", "pi^2 + 1"),
+        ("0", "-4*x*y + 2", "x*y - 1/2"),
+        ("0", "0", "0"),
+    ])
+    def test_hand_cases(self, a, b, gcd):
+        a, b = parse_expr(a), parse_expr(b)
+        got = _poly_gcd(a, b)
+        assert same_expr(got, ref_poly_gcd(a, b))
+        assert got == parse_expr(gcd)
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this vfzero."""
     import vfzero
 
     src = os.path.dirname(os.path.dirname(vfzero.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, vfzero; print('sympy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+
+
+def test_import_loads_no_sympy():
+    # sympy is not a runtime dependency: importing the package must not
+    # load it (the tests use it only as an oracle)
+    out = _run_python("import sys, vfzero; print('sympy' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_rational_cofactor_without_sympy(tmp_path):
+    # with the sympy import blocked, the rational cofactor is still reduced,
+    # in track_check and through the command line
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from vfzero import parse_field, track_check\n"
+        "from vfzero.cli import run_command\n"
+        "rep = track_check(parse_field('(y, 0)'), parse_field('(x^2, x*y)'))\n"
+        "print(rep.status, rep.cofactor_num, rep.cofactor_den)\n"
+        "print(run_command(['track', '--y', '(y, 0)', '--x', '(x^2, x*y)', '--out', sys.argv[1]]))\n"
+    )
+    report = tmp_path / "track.json"
+    out = _run_python(code, str(report))
+    assert out.stdout.split() == [RATIONAL_TRACKING, "y", "x", "0"]
+    results = json.loads(report.read_text())["results"]
+    assert (results["cofactor_num"], results["cofactor_den"]) == ("y", "x")
