@@ -20,7 +20,16 @@ on ``int`` numerators only, with one gcd reduction per result.
 ``Fraction`` values are built only where coefficients are read:
 ``terms()``, ``coefficient()``, ``eval_at``, the Fraction enclosure loop,
 printing and hashing.  Exact polynomial division (``divide_exact``) runs
-on the integer numerators as well.
+on the integer numerators as well.  A coefficient must be an ``int`` or a
+``Fraction``; a float or a string raises ``TypeError``, also as the plain
+operand of a ring operation.
+
+``derivation_sum`` is the Lie bracket's primitive: a sum of products
+``a * b.derive(var)`` computed as one integer sum over a common
+denominator and normalized once.  It shares its product loop
+(``_add_product``) with ``*`` and its derivative rule (``_derivative``)
+with ``derive``; since the normal form is unique its result is ``==`` to
+the composition of those operations, with the terms in another order.
 
 The unit ``pi`` enters through derivatives of the trig generators
 (d/dx sin(2*pi*x) = 2*pi*cos(2*pi*x)) and is carried symbolically, never
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .intervals import (
     Box, IntRange, Interval, cos_2pi_range, dyadic_form, imul, pi_power, sin_2pi_range,
@@ -126,6 +135,71 @@ def _reduce(num: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
     return num, den
 
 
+def _add_product(out: dict[Key, int], a: dict[Key, int], b: dict[Key, int], scale: int) -> None:
+    """Add ``scale * a * b`` to the numerators ``out``, term by term in the
+    order of ``a``, then of ``b``; the result is left unnormalized."""
+    get = out.get
+    items2 = b.items()
+    for (a0, a1, a2, a3, a4, a5, a6), c1 in a.items():
+        c1 *= scale
+        for (b0, b1, b2, b3, b4, b5, b6), c2 in items2:
+            key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
+            out[key] = get(key, 0) + c1 * c2
+
+
+def _derivative(num: dict[Key, int], var: str) -> dict[Key, int]:
+    """Partial derivative in ``var`` ('x' or 'y') of the numerators ``num``,
+    over the same denominator and unnormalized: a cosine exponent may reach
+    2 and a combined coefficient may be 0."""
+    if var not in ("x", "y"):
+        raise ValueError("var must be 'x' or 'y'")
+    out: dict[Key, int] = {}
+
+    def acc(key: Key, c: int):
+        out[key] = out.get(key, 0) + c
+
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in num.items():
+        if var == "x":
+            if ex:
+                acc((kpi, ex - 1, ey, s1, c1, s2, c2), coeff * ex)
+            if s1:
+                acc((kpi + 1, ex, ey, s1 - 1, c1 + 1, s2, c2), coeff * s1 * 2)
+            if c1:
+                acc((kpi + 1, ex, ey, s1 + 1, c1 - 1, s2, c2), -coeff * c1 * 2)
+        else:
+            if ey:
+                acc((kpi, ex, ey - 1, s1, c1, s2, c2), coeff * ey)
+            if s2:
+                acc((kpi + 1, ex, ey, s1, c1, s2 - 1, c2 + 1), coeff * s2 * 2)
+            if c2:
+                acc((kpi + 1, ex, ey, s1, c1, s2 + 1, c2 - 1), -coeff * c2 * 2)
+    return out
+
+
+def derivation_sum(terms: Sequence[tuple[int, "Expr", "Expr", str]]) -> "Expr":
+    """The exact sum of ``sign * a * b.derive(var)`` over the tuples
+    ``(sign, a, b, var)`` in the nonempty ``terms``, all of whose Exprs
+    live on one domain.
+
+    One integer sum of products: each derivative is taken on ``b``'s
+    numerators without normalizing, each product is scaled to the lcm of
+    the ``a._den * b._den``, and the sum is normalized and reduced once.
+    The normal form is unique, so the result is ``==`` to the composition
+    of ``derive``, ``*``, ``+`` and ``-``; its terms are in another order.
+    """
+    domain = terms[0][1].domain
+    dens = []
+    for _, a, b, _ in terms:
+        if a.domain != domain or b.domain != domain:
+            raise DomainError("domain mismatch")
+        dens.append(a._den * b._den)
+    den = math.lcm(*dens)
+    out: dict[Key, int] = {}
+    for (sign, a, b, var), d in zip(terms, dens):
+        _add_product(out, a._num, _derivative(b._num, var), sign * (den // d))
+    return _make(domain, *_reduce(_normalize(out), den))
+
+
 class Expr:
     """Immutable normal-form expression tied to a domain.
 
@@ -166,7 +240,7 @@ class Expr:
 
     @staticmethod
     def const(value, domain: str) -> "Expr":
-        return Expr(domain, {_ONE_KEY: value if isinstance(value, int) else Fraction(value)})
+        return Expr(domain, {_ONE_KEY: value})
 
     @staticmethod
     def gen(name: str, domain: str) -> "Expr":
@@ -224,12 +298,7 @@ class Expr:
     def __mul__(self, other) -> "Expr":
         other = self._coerce(other)
         out: dict[Key, int] = {}
-        get = out.get
-        items2 = other._num.items()
-        for (a0, a1, a2, a3, a4, a5, a6), c1 in self._num.items():
-            for (b0, b1, b2, b3, b4, b5, b6), c2 in items2:
-                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
-                out[key] = get(key, 0) + c1 * c2
+        _add_product(out, self._num, other._num, 1)
         return _make(self.domain, *_reduce(_normalize(out), self._den * other._den))
 
     __rmul__ = __mul__
@@ -281,29 +350,7 @@ class Expr:
 
     def derive(self, var: str) -> "Expr":
         """Exact partial derivative with respect to 'x' or 'y'."""
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        out: dict[Key, int] = {}
-
-        def acc(key: Key, c: int):
-            out[key] = out.get(key, 0) + c
-
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
-            if var == "x":
-                if ex:
-                    acc((kpi, ex - 1, ey, s1, c1, s2, c2), coeff * ex)
-                if s1:
-                    acc((kpi + 1, ex, ey, s1 - 1, c1 + 1, s2, c2), coeff * s1 * 2)
-                if c1:
-                    acc((kpi + 1, ex, ey, s1 + 1, c1 - 1, s2, c2), -coeff * c1 * 2)
-            else:
-                if ey:
-                    acc((kpi, ex, ey - 1, s1, c1, s2, c2), coeff * ey)
-                if s2:
-                    acc((kpi + 1, ex, ey, s1, c1, s2 - 1, c2 + 1), coeff * s2 * 2)
-                if c2:
-                    acc((kpi + 1, ex, ey, s1, c1, s2 + 1, c2 - 1), -coeff * c2 * 2)
-        return _make(self.domain, *_reduce(_normalize(out), self._den))
+        return _make(self.domain, *_reduce(_normalize(_derivative(self._num, var)), self._den))
 
     # -- evaluation ----------------------------------------------------
 

@@ -1,11 +1,16 @@
-"""Vector fields on the plane or torus and their differential calculus."""
+"""Vector fields on the plane or torus and their differential calculus.
+
+The Lie bracket computes each component as one integer sum of products,
+normalized once (``expr.derivation_sum``), rather than as a chain of ring
+operations; ``wedge`` and ``dot`` stay compositions of ring operations.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import DomainError, Expr, parse_expr
+from .expr import DomainError, Expr, derivation_sum, parse_expr
 from .intervals import Box, Interval
 
 
@@ -107,24 +112,23 @@ def lie_bracket(y_field: VectorField, x_field: VectorField) -> VectorField:
 
     so the radial field E = (x, y) satisfies [E, X] = (k-1) X for X
     homogeneous of degree k.
+
+    Each component is one integer sum of the four products, normalized
+    once (``expr.derivation_sum``).  It is ``==`` to the same formula
+    written with ``derive``, ``*``, ``+`` and ``-``, but its terms are in
+    another order; no caller in the package reads that order.
     """
     if y_field.domain != x_field.domain:
         raise DomainError("domain mismatch in lie_bracket")
-    jx = jacobian(x_field)
-    jy = jacobian(y_field)
-    bx = (
-        y_field.cx * jx.dxx
-        + y_field.cy * jx.dxy
-        - x_field.cx * jy.dxx
-        - x_field.cy * jy.dxy
-    )
-    by = (
-        y_field.cx * jx.dyx
-        + y_field.cy * jx.dyy
-        - x_field.cx * jy.dyx
-        - x_field.cy * jy.dyy
-    )
-    return VectorField(bx, by)
+    yx, yy = y_field.cx, y_field.cy
+    xx, xy = x_field.cx, x_field.cy
+
+    def component(x_i: Expr, y_i: Expr) -> Expr:
+        return derivation_sum(
+            ((1, yx, x_i, "x"), (1, yy, x_i, "y"), (-1, xx, y_i, "x"), (-1, xy, y_i, "y"))
+        )
+
+    return VectorField(component(xx, yx), component(xy, yy))
 
 
 def wedge(x_field: VectorField, y_field: VectorField) -> Expr:

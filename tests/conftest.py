@@ -26,16 +26,18 @@ def plane_polys(max_deg: int = 3, coeff: int = 4):
 
 
 @st.composite
-def pi_polys(draw, max_deg: int = 2, coeff: int = 4):
-    """Plane polynomials in x, y and pi with rational coefficients: a sum
-    of ``plane_terms`` polynomials, each times a rational and a power of
+def pi_polys(draw, max_deg: int = 2, coeff: int = 4, domain: str = "plane"):
+    """Polynomials in pi and the domain's generators with rational
+    coefficients: a sum of ``plane_terms`` (or, on the torus,
+    ``torus_terms``) polynomials, each times a rational and a power of
     pi."""
-    total = Expr.zero("plane")
-    for terms, k, r in draw(st.lists(
-        st.tuples(plane_terms(max_deg, coeff), st.integers(0, 2), rationals(-3, 3, 6)),
+    terms = plane_terms(max_deg, coeff) if domain == "plane" else torus_terms(max_deg, coeff)
+    total = Expr.zero(domain)
+    for t, k, r in draw(st.lists(
+        st.tuples(terms, st.integers(0, 2), rationals(-3, 3, 6)),
         min_size=1, max_size=3,
     )):
-        total = total + Expr("plane", terms) * Expr.gen("pi", "plane") ** k * r
+        total = total + Expr(domain, t) * Expr.gen("pi", domain) ** k * r
     return total
 
 

@@ -12,7 +12,9 @@ integer cells and pieces against.  The reference ring is the original
 ``Fraction`` implementation of the ``Expr`` ring operations, kept to check
 the integer-numerator ones term by term; after it come the cofactor gcd
 through sympy's ``Poly.gcd`` and the ``Fraction`` long division, kept to
-check the integer gcd and division.
+check the integer gcd and division.  The reference Lie bracket is the
+bracket composed of ``Expr`` ring operations (``derive``, ``*``, ``+``,
+``-``), kept to check the fused integer bracket.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 
 import sympy
 
-from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField
+from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
 from vfzero.blocks import MAX_SEG_REFINE, Segment, bisect
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import HALF_PI, TWO_PI, EnclosureError, atan2_range
@@ -228,6 +230,33 @@ def brackets_agree(y_field: VectorField, x_field: VectorField, bracket: VectorFi
     d1 = sympy.simplify(b1 - to_sympy(bracket.cx))
     d2 = sympy.simplify(b2 - to_sympy(bracket.cy))
     return d1 == 0 and d2 == 0
+
+
+def ref_lie_bracket(y_field: VectorField, x_field: VectorField) -> VectorField:
+    """Lie bracket [Y, X] with the convention
+
+        [Y, X]^i = sum_j (Y^j d_j X^i - X^j d_j Y^i),
+
+    so the radial field E = (x, y) satisfies [E, X] = (k-1) X for X
+    homogeneous of degree k.
+    """
+    if y_field.domain != x_field.domain:
+        raise DomainError("domain mismatch in lie_bracket")
+    jx = jacobian(x_field)
+    jy = jacobian(y_field)
+    bx = (
+        y_field.cx * jx.dxx
+        + y_field.cy * jx.dxy
+        - x_field.cx * jy.dxx
+        - x_field.cy * jy.dxy
+    )
+    by = (
+        y_field.cx * jx.dyx
+        + y_field.cy * jx.dyy
+        - x_field.cx * jy.dyx
+        - x_field.cy * jy.dyy
+    )
+    return VectorField(bx, by)
 
 
 def eval_fraction_grid(e: Expr, x: Fraction, y: Fraction) -> float:

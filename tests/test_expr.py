@@ -352,6 +352,21 @@ class TestIntegerRing:
         with pytest.raises(TypeError, match=r"\(0, 1, 0, 0, 0, 0, 0\)"):
             Expr("plane", {_ONE: Fraction(1, 3), k: bad})
 
+    @pytest.mark.parametrize("make", [
+        lambda x: Expr.const(0.1, "plane"),
+        lambda x: Expr.const("1/2", "plane"),
+        lambda x: x * 0.1,
+        lambda x: 0.1 * x,
+        lambda x: x + 0.1,
+        lambda x: 0.1 + x,
+        lambda x: x - 0.1,
+        lambda x: 0.1 - x,
+    ])
+    def test_plain_operand_must_be_rational(self, make):
+        # a float would otherwise enter as the binary fraction it rounds to
+        with pytest.raises(TypeError, match="not an int or Fraction"):
+            make(parse_expr("x"))
+
 
 class TestDerive:
     def test_power_rule(self):

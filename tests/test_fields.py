@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfzero import (
     Box,
@@ -16,8 +17,8 @@ from vfzero import (
     wedge,
 )
 
-from conftest import plane_fields, plane_polys
-from oracles import brackets_agree
+from conftest import pi_polys, plane_fields, plane_polys
+from oracles import brackets_agree, ref_lie_bracket
 
 
 class TestJacobian:
@@ -92,6 +93,69 @@ class TestLieBracket:
         lhs = lie_bracket(x.scale(p), x)
         minus_xp = -(x.cx * p.derive("x") + x.cy * p.derive("y"))
         assert lhs == x.scale(minus_xp)
+
+
+def _fields(polys):
+    return st.tuples(polys, polys).map(lambda t: VectorField(*t))
+
+
+# plane fields mix denominators up to 6 and powers of pi; torus fields
+# also do, and products of their cosines give cos^2 terms to rewrite
+_PLANE_FIELDS = _fields(pi_polys())
+_TORUS_FIELDS = _fields(pi_polys(domain="torus"))
+_ANY_FIELDS = st.one_of(_PLANE_FIELDS, _TORUS_FIELDS)
+_FIELD_PAIRS = st.one_of(st.tuples(_PLANE_FIELDS, _PLANE_FIELDS),
+                         st.tuples(_TORUS_FIELDS, _TORUS_FIELDS))
+
+
+class TestFusedBracket:
+    """``lie_bracket`` (one integer sum of products per component) against
+    ``ref_lie_bracket``, the same formula as a composition of ``Expr``
+    ring operations.  ``==`` compares the reduced numerators and
+    denominator, so it also checks that the result is in normal form."""
+
+    @staticmethod
+    def _bracket(y, x):
+        got = lie_bracket(y, x)
+        assert got == ref_lie_bracket(y, x)
+        return got
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_PLANE_FIELDS, _PLANE_FIELDS)
+    def test_plane_mixed_denominators_and_pi(self, y, x):
+        self._bracket(y, x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_TORUS_FIELDS, _TORUS_FIELDS)
+    def test_torus_cosine_squares_and_pi(self, y, x):
+        self._bracket(y, x)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_ANY_FIELDS)
+    def test_zero_field(self, f):
+        zero = VectorField.zero(f.domain)
+        for y, x in ((zero, f), (f, zero), (zero, zero)):
+            b = self._bracket(y, x)
+            assert b.is_zero and b.cx._den == b.cy._den == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_ANY_FIELDS)
+    def test_self_bracket(self, f):
+        b = self._bracket(f, f)
+        assert b.cx._num == {} == b.cy._num and b.cx._den == b.cy._den == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_FIELD_PAIRS)
+    def test_antisymmetry(self, pair):
+        y, x = pair
+        assert self._bracket(x, y) == -self._bracket(y, x)
+
+    def test_pythagorean_identity(self):
+        # sin * d(cos) - cos * d(sin) = -2 pi (sin^2 + cos^2): the cos^2
+        # of the second product is rewritten and cancels the first's sin^2
+        y = parse_field("(sin2px, 0)", "torus")
+        x = parse_field("(cos2px, 0)", "torus")
+        assert self._bracket(y, x) == parse_field("(-2*pi, 0)", "torus")
 
 
 class TestWedge:

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from vfzero import (
@@ -14,6 +17,7 @@ from vfzero import (
     refine_seed,
     stability_test,
 )
+from vfzero.harness import _boundary_pieces, _random_perturbation
 
 
 class TestCatalog:
@@ -109,6 +113,49 @@ class TestStability:
         blk = isolate_zeros(e.field, e.region, 6).blocks[0]
         with pytest.raises(ValueError, match="trials"):
             stability_test(e.field, blk, trials=trials)
+
+
+class TestStabilityScale:
+    """The perturbation scale eps of ``stability_test`` keeps
+    eps * |P| below |X| (sup norms) on every boundary piece, so the
+    straight-line deformation X + t eps P never vanishes there.  The trial
+    perturbations are replayed from the same ``random.Random(seed)``, and
+    both bounds are taken on each piece's box by the Fraction enclosure
+    loop, independently of the integer kernel that ``stability_test`` uses."""
+
+    @pytest.mark.parametrize("name, depth, seed", [
+        ("linear-node", 6, 3),
+        ("complex-squaring", 6, 11),
+        ("torus-grid-node", 5, 5),
+        ("torus-grid-saddle", 5, 2),
+    ])
+    def test_epsilon_bounds_perturbation_on_every_piece(self, catalog, name, depth, seed):
+        e = catalog[name]
+        blk = isolate_zeros(e.field, e.region, depth).blocks[0]
+        trials = 40
+        rep = stability_test(e.field, blk, trials=trials, seed=seed)
+        boxes = [seg.box() for seg, _, _ in _boundary_pieces(e.field, blk)]
+
+        def sup(field, box):
+            return max(field.cx._range_on_fractions(box).mag(),
+                       field.cy._range_on_fractions(box).mag())
+
+        x_low = [max(e.field.cx._range_on_fractions(b).mig(),
+                     e.field.cy._range_on_fractions(b).mig()) for b in boxes]
+        m = min(x_low)
+        assert m > 0
+        rng = random.Random(seed)
+        eps_seen = []
+        for _ in range(trials):
+            pert = _random_perturbation(e.domain, rng)
+            p_high = [sup(pert, b) for b in boxes]
+            s = max(p_high)
+            eps = Fraction(1) if s == 0 else m / (2 * s)
+            eps_seen.append(eps)
+            for p, x in zip(p_high, x_low):
+                assert eps * p < x
+        # the replay reproduces the scales the report states
+        assert (rep.epsilon_min, rep.epsilon_max) == (min(eps_seen), max(eps_seen))
 
 
 class TestPoincareHopf:
