@@ -16,18 +16,18 @@ the boxes its cells had as bisection leaves, and every boundary edge is
 read off the corners of its own cell's box.  ``Grid`` keeps only the
 integer side: cell indices, adjacency and the chaining of boundary edges.
 
-Over a region with dyadic corners the bisection itself runs on integers.
-A quadtree cell is a ``DyadicCell`` (i, j, level) over the region's
-dyadic form, and a boundary piece is a ``DyadicSegment``, its endpoint
-numerators over 2^e.  Their enclosures come from the integer entry of the
-expression kernel (``Expr.range_dyadic``), and emptiness is read off the
+The bisection itself runs on integers.  Every coordinate of a region is
+a numerator over q * 2^e, where q is the lcm of the odd parts of the
+denominators of its corners (q = 1 for a dyadic region).  A quadtree cell
+is a ``DyadicCell`` (i, j, level) of the region's lattice, and a boundary
+piece is a ``DyadicSegment``, its endpoint numerators over q * 2^e with q
+taken from the segment's own endpoints.  Their enclosures come from the
+integer entry of the expression kernel
+(``Expr.dyadic_kernel().range_dyadic``), and emptiness is read off the
 integer numerators.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
 objects are built only for what is returned or stored: the leaf boxes
 (one shared ``Interval`` per distinct cell side within a subdivision),
-the enclosures of empty leaves, and an offending boundary piece.  A
-region or segment with a non-dyadic coordinate is bisected as Fraction
-boxes and segments on the Fraction enclosure loop; both give the same
-certificates.
+the enclosures of empty leaves, and an offending boundary piece.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificationError
 from .expr import Expr
 from .fields import VectorField
-from .intervals import Box, IntRange, Interval, dyadic_form
+from .intervals import Box, IntRange, Interval, lattice_form, odd_denominator
 
 Cell = tuple[int, int]
 
@@ -63,25 +63,18 @@ class ZeroProblem:
         self.components = tuple(components)
         self.domain = self.components[0][1].domain
 
-    def empty_certificate(self, box: Box) -> Optional[EmptyCert]:
+    def empty_dyadic(self, x, y, q: int, xiv: Interval, yiv: Interval) -> Optional[EmptyCert]:
+        """The emptiness certificate of the box with integer axes ``x``
+        and ``y`` over q (see ``Expr.dyadic_kernel().range_dyadic``), or
+        None: each sign is read off the integer numerators, and only the
+        excluding enclosure becomes an ``Interval``."""
         for label, expr in self.components:
-            r = expr.range_on(box)
-            if r.excludes_zero():
-                return (label, r)
-        return None
-
-    def empty_dyadic(self, x, y, xiv: Interval, yiv: Interval) -> Optional[EmptyCert]:
-        """``empty_certificate`` of the box with integer axes ``x`` and
-        ``y`` (see ``Expr.range_dyadic``): each sign is read off the
-        integer numerators, and only the excluding enclosure becomes an
-        ``Interval``."""
-        for label, expr in self.components:
-            r = expr.dyadic_kernel().range_dyadic(x, y, xiv, yiv)
+            r = expr.dyadic_kernel().range_dyadic(x, y, q, xiv, yiv)
             if excludes_zero(r):
                 return (label, Interval.from_ints(*r))
         return None
 
-    def excluding_label(self, piece: "Piece") -> Optional[str]:
+    def excluding_label(self, piece: DyadicSegment) -> Optional[str]:
         """The label of the first component whose enclosure on the boundary
         piece excludes zero, or None."""
         for label, expr in self.components:
@@ -113,14 +106,6 @@ class Segment:
             Interval(min(self.y0, self.y1), max(self.y0, self.y1)),
         )
 
-    def halves(self) -> tuple["Segment", "Segment"]:
-        mx = (self.x0 + self.x1) / 2
-        my = (self.y0 + self.y1) / 2
-        return (
-            Segment(self.x0, self.y0, mx, my),
-            Segment(mx, my, self.x1, self.y1),
-        )
-
     @property
     def start(self) -> tuple[Fraction, Fraction]:
         return (self.x0, self.y0)
@@ -131,7 +116,8 @@ class Segment:
 
 
 class DyadicSegment(NamedTuple):
-    """A Segment in integer form: from (x0, y0) / 2^e to (x1, y1) / 2^e.
+    """A boundary piece: the Segment from (x0, y0) / (q 2^e) to
+    (x1, y1) / (q 2^e), with q odd (1 for a dyadic segment).
 
     Halving adds one to ``e`` and never reduces, so a piece's numerators
     stay integers at every level."""
@@ -141,59 +127,51 @@ class DyadicSegment(NamedTuple):
     x1: int
     y1: int
     e: int
+    q: int
 
     def halves(self) -> tuple["DyadicSegment", "DyadicSegment"]:
-        x0, y0, x1, y1, e = self
+        x0, y0, x1, y1, e, q = self
         mx, my = x0 + x1, y0 + y1
         return (
-            DyadicSegment(2 * x0, 2 * y0, mx, my, e + 1),
-            DyadicSegment(mx, my, 2 * x1, 2 * y1, e + 1),
+            DyadicSegment(2 * x0, 2 * y0, mx, my, e + 1, q),
+            DyadicSegment(mx, my, 2 * x1, 2 * y1, e + 1, q),
         )
 
     def axes(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """The (lo, hi, e) axes of the piece's box, as
-        ``Expr.range_dyadic`` takes them."""
-        x0, y0, x1, y1, e = self
+        """The (lo, hi, e) axes of the piece's box over q, as
+        ``Expr.dyadic_kernel().range_dyadic`` takes them."""
+        x0, y0, x1, y1, e, _ = self
         return (x0, x1, e) if x0 <= x1 else (x1, x0, e), (y0, y1, e) if y0 <= y1 else (y1, y0, e)
 
     @property
-    def start(self) -> tuple[int, int, int]:
-        return (self.x0, self.y0, self.e)
+    def start(self) -> tuple[int, int, int, int]:
+        return (self.x0, self.y0, self.e, self.q)
 
     @property
-    def end(self) -> tuple[int, int, int]:
-        return (self.x1, self.y1, self.e)
+    def end(self) -> tuple[int, int, int, int]:
+        return (self.x1, self.y1, self.e, self.q)
 
 
-# A boundary piece: a segment, in integer form wherever it is dyadic.
-Piece = Union[Segment, DyadicSegment]
-
-
-def boundary_piece(seg: Segment) -> Piece:
-    """The piece that boundary certificates bisect for a segment: its
-    integer form, or the segment itself when a coordinate is not dyadic."""
-    dx, dy = dyadic_form(seg.x0, seg.x1), dyadic_form(seg.y0, seg.y1)
-    if dx is None or dy is None:
-        return seg
+def boundary_piece(seg: Segment) -> DyadicSegment:
+    """The integer form of a segment, over the lcm q of the odd parts of
+    its endpoints' denominators: the piece that boundary certificates
+    bisect."""
+    q = odd_denominator(seg.x0, seg.y0, seg.x1, seg.y1)
+    dx, dy = lattice_form(seg.x0, seg.x1, q), lattice_form(seg.y0, seg.y1, q)
     e = max(dx[2], dy[2])
     sx, sy = e - dx[2], e - dy[2]
-    return DyadicSegment(dx[0] << sx, dy[0] << sy, dx[1] << sx, dy[1] << sy, e)
+    return DyadicSegment(dx[0] << sx, dy[0] << sy, dx[1] << sx, dy[1] << sy, e, q)
 
 
-def piece_segment(piece: Piece) -> Segment:
+def piece_segment(piece: DyadicSegment) -> Segment:
     """A boundary piece as a Fraction ``Segment``."""
-    if isinstance(piece, Segment):
-        return piece
-    d = 1 << piece.e
+    d = piece.q << piece.e
     return Segment(Fraction(piece.x0, d), Fraction(piece.y0, d), Fraction(piece.x1, d), Fraction(piece.y1, d))
 
 
-def enclose(expr: Expr, piece: Piece) -> IntRange:
-    """Enclosure of the expression over the piece's box, in integer form:
-    the integer kernel on an integer piece, ``range_on`` otherwise."""
-    if isinstance(piece, DyadicSegment):
-        return expr.dyadic_kernel().range_dyadic(*piece.axes())
-    return expr.range_on(piece.box()).ints()
+def enclose(expr: Expr, piece: DyadicSegment) -> IntRange:
+    """Enclosure of the expression over the piece's box, in integer form."""
+    return expr.dyadic_kernel().range_dyadic(*piece.axes(), piece.q)
 
 
 def excludes_zero(r: IntRange) -> bool:
@@ -201,16 +179,17 @@ def excludes_zero(r: IntRange) -> bool:
 
 
 class DyadicCell(NamedTuple):
-    """Quadtree cell (i, j) at ``level`` of a region with dyadic corners:
-    its corners are the region's low corner plus (i, j) and (i + 1, j + 1)
-    times the region's widths over 2^level."""
+    """Quadtree cell (i, j) at ``level`` of a region: its corners are the
+    region's low corner plus (i, j) and (i + 1, j + 1) times the region's
+    widths over 2^level."""
 
     i: int
     j: int
     level: int
 
     def quarters(self) -> tuple["DyadicCell", ...]:
-        """The four children, in the order of ``Box.split4``."""
+        """The four children: low x and low y first, then high x, then
+        high y, then both high."""
         i, j, level = 2 * self.i, 2 * self.j, self.level + 1
         return (
             DyadicCell(i, j, level),
@@ -230,24 +209,15 @@ class BoundaryLoop:
 
 @dataclass(frozen=True)
 class Grid:
-    """Dyadic cell grid over a region."""
+    """The 2^depth x 2^depth cell indices of a region's finest quadtree
+    level."""
 
-    region: Box
     depth: int
     torus: bool
 
     @property
     def n(self) -> int:
         return 1 << self.depth
-
-    def cell_box(self, cell: Cell) -> Box:
-        i, j = cell
-        wx = self.region.x.width() / self.n
-        wy = self.region.y.width() / self.n
-        return Box(
-            Interval(self.region.x.lo + i * wx, self.region.x.lo + (i + 1) * wx),
-            Interval(self.region.y.lo + j * wy, self.region.y.lo + (j + 1) * wy),
-        )
 
     def wrap(self, cell: Cell) -> Cell:
         if self.torus:
@@ -288,7 +258,7 @@ class ZeroBlock:
         return Box(Interval.hull(xs), Interval.hull(ys))
 
     def grid(self) -> Grid:
-        return Grid(self.region, self.resolution, self.domain == "torus")
+        return Grid(self.resolution, self.domain == "torus")
 
     def contains_point(self, p) -> bool:
         return any(b.contains_point(p) for b in self.boxes)
@@ -344,17 +314,15 @@ MAX_SEG_REFINE = 42
 
 
 _SPLIT = {
-    Segment: Segment.halves,
     DyadicSegment: DyadicSegment.halves,
-    Box: Box.split4,
     DyadicCell: DyadicCell.quarters,
 }
 
 
 def bisect(piece, certify, max_level: int):
-    """Bisect a segment (into its halves) or a box (into its quarters),
-    each in Fraction or in integer form, until ``certify`` returns a
-    certificate, depth first, first child first.
+    """Bisect a boundary piece (into its halves) or a quadtree cell (into
+    its quarters) until ``certify`` returns a certificate, depth first,
+    first child first.
 
     Yields (piece, certificate) for every certified piece and (piece, None)
     for every piece still uncertified ``max_level`` levels down; a caller
@@ -371,37 +339,25 @@ def bisect(piece, certify, max_level: int):
             yield piece, cert
 
 
-def _subdivide(problem, region: Box, max_depth: int):
-    """Quadtree subdivision; returns ({retained finest-depth cell: its
-    leaf box}, list of certified-empty (box, label, enclosure)), both in
-    the deterministic traversal order.  The leaf boxes are the block
-    geometry; the integer cell indices only serve adjacency.
+def _lattice(problem, region: Box):
+    """The region's quadtree cells on integers: (certify, box) for a
+    ``DyadicCell``, its emptiness certificate under the problem and its
+    ``Box``.
 
-    A region with dyadic corners is bisected as ``DyadicCell``s, decided
-    by the integer kernels; a ``Box`` is built for each leaf only, from
-    one shared ``Interval`` per distinct cell side.  Any other region is
-    bisected as Fraction boxes."""
-    retained: dict[Cell, Box] = {}
-    empties: list[tuple[Box, str, Interval]] = []
-    dx, dy = dyadic_form(region.x.lo, region.x.hi), dyadic_form(region.y.lo, region.y.hi)
-    if dx is None or dy is None:
-        n = 1 << max_depth
-        wx, wy = region.x.width() / n, region.y.width() / n
-        for box, cert in bisect(region, problem.empty_certificate, max_depth):
-            if cert is None:
-                retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
-            else:
-                empties.append((box, *cert))
-        return retained, empties
-
-    (ax, bx, ex), (ay, by, ey) = dx, dy
+    Every cell coordinate is an integer over q * 2^e, with q the lcm of
+    the odd parts of the region's corner denominators (1 for a dyadic
+    region), so a cell is decided by the integer kernels; a ``Box`` is
+    built from one shared ``Interval`` per distinct cell side."""
+    x, y = region.x, region.y
+    q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
+    (ax, bx, ex), (ay, by, ey) = lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
     wx, wy = bx - ax, by - ay
     sides: dict[tuple[int, int, int], Interval] = {}
 
     def side(form: tuple[int, int, int]) -> Interval:
         iv = sides.get(form)
         if iv is None:
-            iv = sides[form] = Interval.from_ints(form[0], form[1], 1 << form[2])
+            iv = sides[form] = Interval.from_ints(form[0], form[1], q << form[2])
         return iv
 
     def axes(cell: DyadicCell):
@@ -411,15 +367,30 @@ def _subdivide(problem, region: Box, max_depth: int):
 
     def certify(cell: DyadicCell) -> Optional[EmptyCert]:
         x, y = axes(cell)
-        return problem.empty_dyadic(x, y, side(x), side(y))
+        return problem.empty_dyadic(x, y, q, side(x), side(y))
 
-    for cell, cert in bisect(DyadicCell(0, 0, 0), certify, max_depth):
+    def box(cell: DyadicCell) -> Box:
         x, y = axes(cell)
-        box = Box(side(x), side(y))
+        return Box(side(x), side(y))
+
+    return certify, box
+
+
+def _subdivide(problem, region: Box, max_depth: int):
+    """Quadtree subdivision; returns ({retained finest-depth cell: its
+    leaf box}, list of certified-empty (box, label, enclosure)), both in
+    the deterministic traversal order.  The leaf boxes are the block
+    geometry; the integer cell indices only serve adjacency.  The region
+    is bisected as ``DyadicCell``s of its ``_lattice``; a ``Box`` is built
+    for each leaf only."""
+    retained: dict[Cell, Box] = {}
+    empties: list[tuple[Box, str, Interval]] = []
+    certify, cell_box = _lattice(problem, region)
+    for cell, cert in bisect(DyadicCell(0, 0, 0), certify, max_depth):
         if cert is None:
-            retained[(cell.i, cell.j)] = box
+            retained[(cell.i, cell.j)] = cell_box(cell)
         else:
-            empties.append((box, *cert))
+            empties.append((cell_box(cell), *cert))
     return retained, empties
 
 
@@ -543,7 +514,7 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     if region.x.width() <= 0 or region.y.width() <= 0:
         raise ValueError("region must have positive width and height")
     retained, empties = _subdivide(problem, region, max_depth)
-    grid = Grid(region, max_depth, torus)
+    grid = Grid(max_depth, torus)
     blocks = []
     for k, cells in enumerate(_components(grid, list(retained))):
         comp = {c: retained[c] for c in cells}
@@ -610,13 +581,14 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
             )
         layer.update(nb for nb in nbs if nb not in members)
     problem = ZeroProblem(_field_parts(field))
+    certify, cell_box = _lattice(problem, block.region)
     for c in sorted(layer):
-        box = grid.cell_box(c)
-        if any(cert is None for _, cert in bisect(box, problem.empty_certificate, extra_refine)):
+        cell = DyadicCell(*c, block.resolution)
+        if any(cert is None for _, cert in bisect(cell, certify, extra_refine)):
             raise CertificationError(
                 f"dilation layer cell {c} could not be certified nonvanishing"
             )
-        members[c] = box
+        members[c] = cell_box(cell)
     comp = dict(sorted(members.items()))
     boundary = _boundary_loops(grid, comp)
     cert = certify_boundary(problem, boundary)
@@ -665,7 +637,7 @@ def block_from_boxes(domain: str, boxes: Sequence[Box]) -> ZeroBlock:
     depth = max(1, (span - 1).bit_length())
     n = 1 << depth
     region = Box(Interval(x0, x0 + n * wx), Interval(y0, y0 + n * wy))
-    grid = Grid(region, depth, torus=False)
+    grid = Grid(depth, torus=False)
     comp = dict(sorted(cells.items()))
     boundary = _boundary_loops(grid, comp)
     return ZeroBlock(

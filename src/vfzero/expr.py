@@ -18,11 +18,11 @@ positive denominator (``_num`` and ``_den``), reduced so that
 Addition, multiplication, negation, powers and derivatives therefore run
 on ``int`` numerators only, with one gcd reduction per result.
 ``Fraction`` values are built only where coefficients are read:
-``terms()``, ``coefficient()``, ``eval_at``, the Fraction enclosure loop,
-printing and hashing.  Exact polynomial division (``divide_exact``) runs
-on the integer numerators as well.  A coefficient must be an ``int`` or a
-``Fraction``; a float or a string raises ``TypeError``, also as the plain
-operand of a ring operation.
+``terms()``, ``coefficient()``, ``eval_at``, printing and hashing.  Exact
+polynomial division (``divide_exact``) runs on the integer numerators as
+well.  A coefficient must be an ``int`` or a ``Fraction``; a float or a
+string raises ``TypeError``, also as the plain operand of a ring
+operation.
 
 ``derivation_sum`` is the Lie bracket's primitive: a sum of products
 ``a * b.derive(var)`` computed as one integer sum over a common
@@ -30,6 +30,12 @@ denominator and normalized once.  It shares its product loop
 (``_add_product``) with ``*`` and its derivative rule (``_derivative``)
 with ``derive``; since the normal form is unique its result is ``==`` to
 the composition of those operations, with the terms in another order.
+
+Enclosures over boxes take one exact path: ``dyadic_kernel()`` compiles
+the numerators once, and its ``range_dyadic`` evaluates a box whose
+coordinates are integers over q * 2^e in ``int`` arithmetic.
+``range_on`` converts a ``Box`` to that form and the result back to an
+``Interval``.
 
 The unit ``pi`` enters through derivatives of the trig generators
 (d/dx sin(2*pi*x) = 2*pi*cos(2*pi*x)) and is carried symbolically, never
@@ -43,7 +49,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .intervals import (
-    Box, IntRange, Interval, cos_2pi_range, dyadic_form, imul, pi_power, sin_2pi_range,
+    Box, IntRange, Interval, cos_2pi_range, imul, lattice_form, odd_denominator, pi_power,
+    sin_2pi_range,
 )
 
 PLANE = "plane"
@@ -417,60 +424,27 @@ class Expr:
 
         Term-wise interval arithmetic with tight integer powers; containment
         of the true range is unconditional since all endpoints are exact.
-        When all four box corners are dyadic (power-of-two denominators, as
-        every quadtree cell and boundary piece of a dyadic region is) the
-        enclosure is computed in pure ``int`` arithmetic by a kernel compiled
-        on the first call; otherwise, e.g. for a corner 1/3, the Fraction
-        loop ``_range_on_fractions`` runs.  Both compute the same exact
-        interval operations, so they return identical endpoints.
+        The corners become integers over q * 2^e (``lattice_form``) and
+        the kernel evaluates them in pure ``int`` arithmetic; the endpoints
+        are those of the same interval operations on ``Fraction`` values.
         """
-        out = self.dyadic_kernel().range_on(box)
-        return self._range_on_fractions(box) if out is None else out
+        x, y = box.x, box.y
+        q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
+        return Interval.from_ints(*self.dyadic_kernel().range_dyadic(
+            lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q), q))
 
     def dyadic_kernel(self) -> "_DyadicKernel":
         """The integer enclosure kernel, compiled on first use.
 
-        Its ``range_dyadic(x, y, xiv, yiv)`` is the integer entry behind
-        ``range_on``: quadtree cells and boundary pieces that are held as
-        integer numerators over powers of two call it directly."""
+        Its ``range_dyadic(x, y, q, xiv, yiv)`` is the integer entry behind
+        ``range_on``: quadtree cells and boundary pieces, which are held as
+        integer numerators, call it directly."""
         try:
             return self._kernel
         except AttributeError:
             kernel = _DyadicKernel(self._num, self._den)
             object.__setattr__(self, "_kernel", kernel)
             return kernel
-
-    def _range_on_fractions(self, box: Box) -> Interval:
-        """Reference enclosure in Fraction interval arithmetic."""
-        sx = cx = sy = cy = None
-        den = self._den
-        total = Interval.point(0)
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
-            v = Interval.point(Fraction(coeff, den))
-            if kpi:
-                v = v * pi_power(kpi)
-            if ex:
-                v = v * box.x.int_pow(ex)
-            if ey:
-                v = v * box.y.int_pow(ey)
-            if s1:
-                if sx is None:
-                    sx = sin_2pi_range(box.x.lo, box.x.hi)
-                v = v * sx.int_pow(s1)
-            if c1:
-                if cx is None:
-                    cx = cos_2pi_range(box.x.lo, box.x.hi)
-                v = v * cx.int_pow(c1)
-            if s2:
-                if sy is None:
-                    sy = sin_2pi_range(box.y.lo, box.y.hi)
-                v = v * sy.int_pow(s2)
-            if c2:
-                if cy is None:
-                    cy = cos_2pi_range(box.y.lo, box.y.hi)
-                v = v * cy.int_pow(c2)
-            total = total + v
-        return total
 
     # -- printing -------------------------------------------------------
 
@@ -534,31 +508,29 @@ def _ipow(a: int, b: int, n: int) -> tuple[int, int]:
 
 
 # generator indices of a compiled factor: x, y, then the four trig
-# functions in the order the Fraction loop tests them within a term
+# functions in the order a term-by-term evaluation meets them
 _SX, _CX, _SY, _CY = 2, 3, 4, 5
 
 
 class _DyadicKernel:
-    """An Expr compiled for exact integer evaluation on dyadic boxes.
+    """An Expr compiled for exact integer evaluation on boxes.
 
     Every integer numerator of the Expr, over its denominator Q, is folded
     together with its pi power into a constant integer interval over
-    2^shift.  A box with dyadic corners is then evaluated term by term
-    with the same interval products and tight powers as the Fraction loop,
-    on integers scaled by Q * 2^s; terms are added after aligning their
-    shifts.  ``range_dyadic`` is the integer entry: it takes the box as
-    numerators over powers of two and returns the enclosure the same way,
-    for callers that hold cells and pieces as integers.  ``range_on`` is
-    its wrapper for a ``Box``, converting the corners in and the result
-    back to Fractions.
+    2^shift.  A box whose coordinates are integers over q * 2^e is then
+    evaluated term by term with the same interval products and tight
+    powers as Fraction interval arithmetic would use, on integers scaled
+    by Q * q^D * 2^s, where D is the top x/y degree; terms are added after
+    aligning their shifts.
     """
 
-    __slots__ = ("den", "terms", "factors", "trig_order")
+    __slots__ = ("den", "terms", "factors", "trig_order", "degrees", "top_degree")
 
     def __init__(self, num: dict[Key, int], den: int):
         self.den = den
         factors: dict[tuple[int, int], int] = {}
         compiled = []
+        degrees = []
         trig_order: list[int] = []
         for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
             if kpi:
@@ -574,39 +546,36 @@ class _DyadicKernel:
                     if gen >= _SX and gen not in trig_order:
                         trig_order.append(gen)
             compiled.append((lo, hi, shift, tuple(slots)))
+            degrees.append(ex + ey)
         self.terms = tuple(compiled)
         self.factors = tuple(factors)
         self.trig_order = tuple(trig_order)
+        self.degrees = tuple(degrees)
+        self.top_degree = max(degrees, default=0)
 
-    def range_on(self, box: Box) -> Optional[Interval]:
-        """The exact enclosure of the Fraction loop, or None when a box
-        corner is not dyadic."""
-        x, y = box.x, box.y
-        dx, dy = dyadic_form(x.lo, x.hi), dyadic_form(y.lo, y.hi)
-        if dx is None or dy is None:
-            return None
-        return Interval.from_ints(*self.range_dyadic(dx, dy, x, y))
-
-    def range_dyadic(self, x, y, xiv: Optional[Interval] = None,
+    def range_dyadic(self, x, y, q: int, xiv: Optional[Interval] = None,
                      yiv: Optional[Interval] = None) -> IntRange:
         """The enclosure over the box with axes ``x = (a, b, e)``, the
-        interval [a/2^e, b/2^e], and ``y`` alike, in integer form: the
-        interval the Fraction loop gives.  The numerators need not be
-        reduced.  ``xiv`` and ``yiv``
-        are the same axes as ``Interval``s; only trig lookups read them
-        (the trig caches are keyed by ``Fraction`` endpoints), and they are
-        built from ``x`` and ``y`` when not given."""
+        interval [a/(q 2^e), b/(q 2^e)], and ``y`` alike, in integer form:
+        the interval that Fraction interval arithmetic gives.  The
+        numerators need not be reduced, and q > 0.  ``xiv`` and
+        ``yiv`` are the same axes as ``Interval``s; only trig lookups read
+        them (the trig caches are keyed by ``Fraction`` endpoints), and
+        they are built from ``x``, ``y`` and q when not given."""
         # x and y keep their own power-of-two denominators; the shifts of
-        # the factors add up per term, and terms are aligned when summed
+        # the factors add up per term, and terms are aligned when summed.
+        # Their common factor q is cleared by scaling a term of
+        # x/y degree d by q^(D - d): positive scalings commute with interval
+        # products and tight powers, and every term is then over q^D
         bases = [x, y, None, None, None, None]
         if self.trig_order:
             if xiv is None:
-                xiv = Interval.from_ints(x[0], x[1], 1 << x[2])
+                xiv = Interval.from_ints(x[0], x[1], q << x[2])
             if yiv is None:
-                yiv = Interval.from_ints(y[0], y[1], 1 << y[2])
+                yiv = Interval.from_ints(y[0], y[1], q << y[2])
         for gen in self.trig_order:
-            # same lookups in the same order as the Fraction loop, so the
-            # lru_cache statistics do not depend on the path taken
+            # the lookups of term-by-term Fraction interval arithmetic, in
+            # its order, so the lru_cache statistics match that reference
             if gen == _SX:
                 iv = sin_2pi_range(xiv.lo, xiv.hi)
             elif gen == _CX:
@@ -620,9 +589,16 @@ class _DyadicKernel:
         for gen, n in self.factors:
             a, b, shift = bases[gen]
             powers.append(_ipow(a, b, n) + (shift * n,))
+        terms = self.terms
+        den = self.den
+        if q != 1:
+            deg = self.top_degree
+            terms = [(lo * q ** (deg - d), hi * q ** (deg - d), shift, slots)
+                     for (lo, hi, shift, slots), d in zip(terms, self.degrees)]
+            den *= q**deg
         lo_sum = hi_sum = 0
         top = 0
-        for lo, hi, shift, slots in self.terms:
+        for lo, hi, shift, slots in terms:
             for k in slots:
                 a, b, s = powers[k]
                 lo, hi = imul(lo, hi, a, b)
@@ -636,7 +612,7 @@ class _DyadicKernel:
                 hi <<= top - shift
             lo_sum += lo
             hi_sum += hi
-        return lo_sum, hi_sum, self.den << top
+        return lo_sum, hi_sum, den << top
 
 
 # ---------------------------------------------------------------------------

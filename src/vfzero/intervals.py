@@ -8,25 +8,25 @@ dyadic endpoints mpmath returns are lifted back into exact rationals, so
 the only approximation is an outward widening of at most one ulp at that
 precision.
 
-Every enclosure here is also *dyadic* unless an input is not: box corners
-produced by bisecting a region with dyadic corners, mpmath's pi/sin/cos
-endpoints (mantissa * 2^exp) and the exact values -1, 0, 1 all have
-power-of-two denominators.  ``Interval.dyadic`` exposes that integer form
-(numerators over one shared 2^e), so ``Expr.range_on`` can evaluate a box
-in pure ``int`` arithmetic; the form is cached on the interval object, so
-the pi powers and the trig enclosures held by ``sin_2pi_range`` and
-``cos_2pi_range``'s ``lru_cache`` convert once per cache entry, and the
-caches see the same hits and misses as before.  Boxes with a non-dyadic
-corner take the Fraction path; both paths give identical endpoints.
+Every coordinate the geometry handles has an integer form: a numerator
+over q * 2^e, where q is the lcm of the odd parts of the denominators of
+a region's corners (``odd_denominator``; q = 1 for a dyadic region), and
+every corner of its quadtree cells shares that q; a boundary piece takes
+q from its own endpoints.  ``lattice_form`` gives the numerators of an
+interval.
+mpmath's pi/sin/cos endpoints (mantissa * 2^exp) and the exact values -1,
+0, 1 are *dyadic*, q = 1: ``Interval.dyadic`` exposes that form, cached
+on the interval object, so the pi powers and the trig enclosures held by
+``sin_2pi_range`` and ``cos_2pi_range``'s ``lru_cache`` convert once per
+cache entry.  ``Expr.range_on`` evaluates every box in pure ``int``
+arithmetic on these forms.
 
-Quadtree cells and boundary pieces are carried as integers (see
-``blocks``), so enclosures also travel in integer form, ``IntRange``
-(lo, hi, den) for [lo/den, hi/den]: ``Interval.from_ints`` and
-``Interval.ints`` convert, ``imul`` multiplies, and ``atan2_range`` takes
-either form.  ``Fraction`` endpoints are built where an ``Interval`` is
-returned or stored, and as the keys of the trig caches.  mpmath endpoints
-(mantissa * 2^exp) become Fractions by one shift or one division by a
-power of two.
+Enclosures also travel in integer form, ``IntRange`` (lo, hi, den) for
+[lo/den, hi/den]: ``Interval.from_ints`` and ``Interval.ints`` convert,
+``imul`` multiplies, and ``atan2_range`` takes either form.  ``Fraction``
+endpoints are built where an ``Interval`` is returned or stored, and as
+the keys of the trig caches.  mpmath endpoints (mantissa * 2^exp) become
+Fractions by one shift or one division by a power of two.
 """
 
 from __future__ import annotations
@@ -85,6 +85,23 @@ def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int, int]]:
     # powers of two: the larger denominator is a multiple of the other
     den = max(d_lo, d_hi)
     return lo.numerator * (den // d_lo), hi.numerator * (den // d_hi), den.bit_length() - 1
+
+
+def odd_denominator(*values: Fraction) -> int:
+    """The lcm of the odd parts of the values' denominators: the least q
+    such that every value is an integer over q * 2^e for some e."""
+    q = 1
+    for v in values:
+        d = v.denominator
+        if d & (d - 1):  # not a power of two
+            q = math.lcm(q, d >> ((d & -d).bit_length() - 1))
+    return q
+
+
+def lattice_form(lo: Fraction, hi: Fraction, q: int) -> tuple[int, int, int]:
+    """(a, b, e) with lo = a / (q * 2**e) and hi = b / (q * 2**e); q must
+    be a multiple of ``odd_denominator(lo, hi)``."""
+    return dyadic_form(lo * q, hi * q) if q != 1 else dyadic_form(lo, hi)
 
 
 def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
@@ -327,16 +344,6 @@ class Box:
     @staticmethod
     def from_corners(x0, y0, x1, y1) -> "Box":
         return Box(Interval(Fraction(x0), Fraction(x1)), Interval(Fraction(y0), Fraction(y1)))
-
-    def split4(self) -> tuple["Box", "Box", "Box", "Box"]:
-        xm = self.x.midpoint()
-        ym = self.y.midpoint()
-        return (
-            Box(Interval(self.x.lo, xm), Interval(self.y.lo, ym)),
-            Box(Interval(xm, self.x.hi), Interval(self.y.lo, ym)),
-            Box(Interval(self.x.lo, xm), Interval(ym, self.y.hi)),
-            Box(Interval(xm, self.x.hi), Interval(ym, self.y.hi)),
-        )
 
     def contains_point(self, p: tuple[Fraction, Fraction]) -> bool:
         return self.x.contains(p[0]) and self.y.contains(p[1])

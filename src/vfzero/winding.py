@@ -12,15 +12,13 @@ degenerate box at the vertex, which is the exact value for polynomials
 and a 128-bit-wide enclosure where trigonometric terms enter.
 
 Boundary pieces are bisected in integer form (``blocks.DyadicSegment``:
-numerators over 2^e) wherever the segment is dyadic.  The piece and
+numerators over q * 2^e, q = 1 for a dyadic segment).  The piece and
 endpoint enclosures and their cross and dot products are integers, and
 ``atan2_range`` takes them as such; its increment ``Interval`` is the
 first ``Fraction`` a piece produces (apart from the keys of the trig
 caches).  Endpoint values are memoized per loop, keyed by the vertex in
 lowest terms, and the memo is kept across that loop's gate retries, so a
-vertex shared by two pieces or revisited by a retry is evaluated once.  A
-segment with a non-dyadic coordinate is bisected as a ``Segment`` on the
-Fraction enclosure loop, with the same increments.
+vertex shared by two pieces or revisited by a retry is evaluated once.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -29,6 +27,7 @@ contributions enter with the correct sign automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,7 +35,7 @@ from typing import Optional
 from .blocks import (
     MAX_SEG_REFINE,
     BoundaryLoop,
-    Piece,
+    DyadicSegment,
     Segment,
     ZeroBlock,
     ZeroProblem,
@@ -83,25 +82,22 @@ _GATE_RETRIES = 3
 
 def _vertex_value(field: VectorField, p, values: dict) -> tuple[IntRange, IntRange]:
     """Enclosures of the field's components at a piece endpoint, memoized
-    in the loop's ``values``.  ``p`` is a pair of Fractions, or the
-    (x, y, e) of an integer piece, the point (x, y) / 2^e, which is keyed
-    in lowest terms so that pieces of every level share it."""
-    dyadic = len(p) == 3
-    if dyadic:
-        x, y, e = p
-        low = ((x | y) & -(x | y)).bit_length() - 1  # trailing zeros shared by x and y
-        k = e if low < 0 else min(low, e)
-        p = (x >> k, y >> k, e - k)
+    in the loop's ``values``.  ``p`` is the (x, y, e, q) of a piece's
+    endpoint, the point (x, y) / (q 2^e), which is keyed in lowest terms
+    so that pieces of every level, and over every q, share it."""
+    x, y, e, q = p
+    low = ((x | y) & -(x | y)).bit_length() - 1  # trailing zeros shared by x and y
+    k = e if low < 0 else min(low, e)
+    x, y, e = x >> k, y >> k, e - k
+    if q != 1:
+        g = math.gcd(x, y, q)
+        x, y, q = x // g, y // g, q // g
+    p = (x, y, e, q)
     out = values.get(p)
     if out is None:
-        if dyadic:
-            x, y, e = p
-            xs, ys = (x, x, e), (y, y, e)
-            out = (field.cx.dyadic_kernel().range_dyadic(xs, ys),
-                   field.cy.dyadic_kernel().range_dyadic(xs, ys))
-        else:
-            rx, ry = field.range_on(Box(Interval.point(p[0]), Interval.point(p[1])))
-            out = (rx.ints(), ry.ints())
+        xs, ys = (x, x, e), (y, y, e)
+        out = (field.cx.dyadic_kernel().range_dyadic(xs, ys, q),
+               field.cy.dyadic_kernel().range_dyadic(xs, ys, q))
         values[p] = out
     return out
 
@@ -122,7 +118,7 @@ def _cross_dot(u: tuple[IntRange, IntRange], v: tuple[IntRange, IntRange]) -> tu
     return cross, dotv
 
 
-def _increment(field: VectorField, piece: Piece, max_width: Fraction, values: dict) -> Optional[Interval]:
+def _increment(field: VectorField, piece: DyadicSegment, max_width: Fraction, values: dict) -> Optional[Interval]:
     """Certified angle increment over the piece, or None while the field
     enclosure may meet the origin or the increment is wider than max_width.
     Endpoint values come from the loop's memo ``values``."""
@@ -277,7 +273,7 @@ def index_transfer_check(
     w = wedge(x_field, y_field)
     d = dot(x_field, y_field)
 
-    def never_ratio(piece: Piece) -> Optional[bool]:
+    def never_ratio(piece: DyadicSegment) -> Optional[bool]:
         # X != lambda*Y on the piece for every lambda of the given sign
         if excludes_zero(enclose(w, piece)):
             return True

@@ -1,9 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from vfzero import Box, Expr, Interval, VectorField, builtin_catalog
+
+# Phases for the derandomized oracle comparisons: a failing example is
+# reported unshrunk, because shrinking composite expression draws (sums of
+# mapped Exprs) takes minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 # shared hypothesis strategies
 

@@ -4,10 +4,13 @@ These deliberately avoid the library's certified code paths: winding
 numbers come from dense float sampling of the direction angle, and Lie
 brackets are recomputed symbolically with sympy from the coordinate
 formula.  Expression evaluation for the dense oracle is compiled to a
-plain lambda straight from the term data.  The Fraction geometry
-reference bisects quadtree cells as ``Box``es and boundary pieces as
-``Segment``s and accumulates winding increments from ``Interval``
-cross and dot products, all on the Fraction enclosure loop, to check the
+plain lambda straight from the term data.  The reference enclosure,
+``range_on_fractions``, is term-by-term ``Fraction`` interval
+arithmetic, kept to check the integer kernel behind ``Expr.range_on``
+on every kind of box.  The Fraction geometry reference bisects quadtree
+cells as ``Box``es and boundary pieces as ``Segment``s with its own
+``fraction_bisect`` and accumulates winding increments from ``Interval``
+cross and dot products, all on that reference enclosure, to check the
 integer cells and pieces against.  The reference ring is the original
 ``Fraction`` implementation of the ``Expr`` ring operations, kept to check
 the integer-numerator ones term by term; after it come the cofactor gcd
@@ -26,9 +29,11 @@ from typing import Optional
 import sympy
 
 from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
-from vfzero.blocks import MAX_SEG_REFINE, Segment, bisect
+from vfzero.blocks import MAX_SEG_REFINE, Segment
 from vfzero.expr import DomainError, Key, _gens_string
-from vfzero.intervals import HALF_PI, TWO_PI, EnclosureError, atan2_range
+from vfzero.intervals import (
+    HALF_PI, TWO_PI, EnclosureError, atan2_range, cos_2pi_range, pi_power, sin_2pi_range,
+)
 from vfzero.winding import _GATE_RETRIES, _MAX_INC_WIDTH, LoopWinding
 
 
@@ -125,13 +130,75 @@ def dense_block_winding(field: VectorField, block, samples: int = 20_000) -> int
 
 
 # ---------------------------------------------------------------------------
-# Fraction geometry reference
+# Fraction enclosure and geometry reference
+
+
+def range_on_fractions(e: Expr, box: Box) -> Interval:
+    """Reference enclosure in Fraction interval arithmetic."""
+    sx = cx = sy = cy = None
+    den = e._den
+    total = Interval.point(0)
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in e._num.items():
+        v = Interval.point(Fraction(coeff, den))
+        if kpi:
+            v = v * pi_power(kpi)
+        if ex:
+            v = v * box.x.int_pow(ex)
+        if ey:
+            v = v * box.y.int_pow(ey)
+        if s1:
+            if sx is None:
+                sx = sin_2pi_range(box.x.lo, box.x.hi)
+            v = v * sx.int_pow(s1)
+        if c1:
+            if cx is None:
+                cx = cos_2pi_range(box.x.lo, box.x.hi)
+            v = v * cx.int_pow(c1)
+        if s2:
+            if sy is None:
+                sy = sin_2pi_range(box.y.lo, box.y.hi)
+            v = v * sy.int_pow(s2)
+        if c2:
+            if cy is None:
+                cy = cos_2pi_range(box.y.lo, box.y.hi)
+            v = v * cy.int_pow(c2)
+        total = total + v
+    return total
+
+
+def _split4(box: Box) -> tuple[Box, Box, Box, Box]:
+    xm, ym = box.x.midpoint(), box.y.midpoint()
+    return (
+        Box(Interval(box.x.lo, xm), Interval(box.y.lo, ym)),
+        Box(Interval(xm, box.x.hi), Interval(box.y.lo, ym)),
+        Box(Interval(box.x.lo, xm), Interval(ym, box.y.hi)),
+        Box(Interval(xm, box.x.hi), Interval(ym, box.y.hi)),
+    )
+
+
+def _halves(seg: Segment) -> tuple[Segment, Segment]:
+    mx, my = (seg.x0 + seg.x1) / 2, (seg.y0 + seg.y1) / 2
+    return Segment(seg.x0, seg.y0, mx, my), Segment(mx, my, seg.x1, seg.y1)
+
+
+def fraction_bisect(piece, certify, max_level: int):
+    """``blocks.bisect`` on a Fraction ``Box`` (into quarters) or
+    ``Segment`` (into halves)."""
+    split = _split4 if isinstance(piece, Box) else _halves
+    stack = [(piece, 0)]
+    while stack:
+        piece, level = stack.pop()
+        cert = certify(piece)
+        if cert is None and level < max_level:
+            stack.extend((child, level + 1) for child in reversed(split(piece)))
+        else:
+            yield piece, cert
 
 
 def fraction_empty_certificate(problem, box: Box):
-    """``ZeroProblem.empty_certificate`` on the Fraction enclosure loop."""
+    """The emptiness certificate of a box on the Fraction enclosure loop."""
     for label, expr in problem.components:
-        r = expr._range_on_fractions(box)
+        r = range_on_fractions(expr, box)
         if r.excludes_zero():
             return (label, r)
     return None
@@ -143,7 +210,7 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
     n = 1 << max_depth
     wx, wy = region.x.width() / n, region.y.width() / n
     retained, empties = {}, []
-    for box, cert in bisect(region, lambda b: fraction_empty_certificate(problem, b), max_depth):
+    for box, cert in fraction_bisect(region, lambda b: fraction_empty_certificate(problem, b), max_depth):
         if cert is None:
             retained[(int((box.x.lo - region.x.lo) / wx), int((box.y.lo - region.y.lo) / wy))] = box
         else:
@@ -153,14 +220,14 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
 
 def _fraction_value(field: VectorField, p) -> tuple[Interval, Interval]:
     box = Box(Interval.point(p[0]), Interval.point(p[1]))
-    return field.cx._range_on_fractions(box), field.cy._range_on_fractions(box)
+    return range_on_fractions(field.cx, box), range_on_fractions(field.cy, box)
 
 
 def fraction_increment(field: VectorField, seg: Segment, max_width: Fraction):
     """``winding._increment`` on a Segment with Interval cross and dot
     products of Fraction endpoint values."""
     box = seg.box()
-    rx, ry = field.cx._range_on_fractions(box), field.cy._range_on_fractions(box)
+    rx, ry = range_on_fractions(field.cx, box), range_on_fractions(field.cy, box)
     if not (rx.excludes_zero() or ry.excludes_zero()):
         return None
     ux, uy = _fraction_value(field, seg.start)
@@ -178,7 +245,8 @@ def fraction_loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding
     for _ in range(_GATE_RETRIES + 1):
         increments = []
         for seg in loop.segments:
-            for _, inc in bisect(seg, lambda s: fraction_increment(field, s, max_width), MAX_SEG_REFINE):
+            for _, inc in fraction_bisect(seg, lambda s: fraction_increment(field, s, max_width),
+                                          MAX_SEG_REFINE):
                 if inc is None:
                     raise ValueError("uncertified piece")
                 increments.append(inc)

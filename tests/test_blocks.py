@@ -22,7 +22,7 @@ from vfzero.blocks import ZeroProblem, _field_parts, _subdivide
 from vfzero.blocks import dilate_block as _dilate
 
 from conftest import plane_fields, torus_polys
-from oracles import fraction_empty_certificate, fraction_subdivide
+from oracles import fraction_bisect, fraction_empty_certificate, fraction_subdivide
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 REGION2 = Box.from_corners(-2, -2, 2, 2)
@@ -172,9 +172,9 @@ class TestBoundaryStructure:
         # every boundary edge is used exactly once and every loop closes
         from vfzero.blocks import Grid, _boundary_loops, _components
 
-        grid = Grid(Box.from_corners(0, 0, 1, 1), 3, torus)
+        grid = Grid(3, torus)
         for comp in _components(grid, sorted(cells)):
-            loops = _boundary_loops(grid, {c: grid.cell_box(c) for c in comp})
+            loops = _boundary_loops(grid, {c: _cell_box(grid, c) for c in comp})
             edge_count = 0
             for (i, j) in comp:
                 for nb in ((i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)):
@@ -190,6 +190,11 @@ class TestBoundaryStructure:
                 assert _same_vertex(grid, segs[-1].end, segs[0].start, torus)
 
 
+def _cell_box(grid, cell):
+    (i, j), w = cell, Fraction(1, grid.n)  # cells of [0, 1]^2
+    return Box.from_corners(i * w, j * w, (i + 1) * w, (j + 1) * w)
+
+
 def _same_vertex(grid, p, q, torus):
     if not torus:
         return p == q
@@ -203,6 +208,24 @@ class TestDilation:
         grown = dilate_block(field, blk)
         assert len(grown.cells) > len(blk.cells)
         assert not grown.coarse
+
+    def test_non_dyadic_dilation_matches_fraction_cells(self):
+        # corner 1/3: the layer cells are bisected on integers over 3 * 2^e
+        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
+        region = Box.from_corners(0, 0, Fraction(1, 3), 1)
+        blk = isolate_zeros(field, region, 6).blocks[0]
+        grown = dilate_block(field, blk)
+        problem = ZeroProblem(_field_parts(field))
+
+        def certify(box):
+            return fraction_empty_certificate(problem, box)
+
+        wx, wy = region.x.width() / 64, region.y.width() / 64
+        assert set(blk.cells) < set(grown.cells)
+        for (i, j), box in zip(grown.cells, grown.boxes):
+            assert box == Box.from_corners(i * wx, j * wy, (i + 1) * wx, (j + 1) * wy)
+            if (i, j) not in blk.cells:
+                assert all(cert for _, cert in fraction_bisect(box, certify, 6))
 
     def test_dilation_at_region_edge_fails(self):
         field = parse_field("(x - 1, y - 1)")
@@ -222,7 +245,6 @@ class TestIntegerSubdivision:
         retained, empties = _subdivide(problem, region, depth)
         assert (retained, empties) == fraction_subdivide(problem, region, depth)
         for box, label, enclosure in empties:
-            assert problem.empty_certificate(box) == (label, enclosure)
             assert fraction_empty_certificate(problem, box) == (label, enclosure)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -237,8 +259,8 @@ class TestIntegerSubdivision:
 
         self._check(VectorField(cx, cy), TORUS, depth)
 
-    def test_non_dyadic_region_takes_fraction_path(self):
-        # corner 1/3: no cell side is dyadic, so the Fraction boxes run
+    def test_non_dyadic_region_matches_fraction_bisection(self):
+        # corner 1/3: the cells are integers over 3 * 2^e
         field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
         region = Box.from_corners(0, 0, Fraction(1, 3), 1)
         res = isolate_zeros(field, region, 6)

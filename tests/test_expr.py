@@ -19,8 +19,9 @@ from vfzero import (
 
 from vfzero.intervals import cos_2pi_range, sin_2pi_range
 
-from conftest import boxes, pi_polys, plane_polys, plane_terms, torus_polys, torus_terms
+from conftest import NO_SHRINK, boxes, pi_polys, plane_polys, plane_terms, torus_polys, torus_terms
 from oracles import (
+    range_on_fractions,
     ref_add,
     ref_derive,
     ref_divide_exact,
@@ -75,6 +76,27 @@ def dyadic_boxes(draw):
     shape = draw(st.sampled_from(["box", "x-segment", "y-segment", "point"]))
     x0, x1 = sorted((draw(_dyadics()), draw(_dyadics())))
     y0, y1 = sorted((draw(_dyadics()), draw(_dyadics())))
+    if shape in ("y-segment", "point"):
+        x1 = x0
+    if shape in ("x-segment", "point"):
+        y1 = y0
+    return Box(Interval(x0, x1), Interval(y0, y1))
+
+
+def _lattice_rationals(bound: int = 2, max_exp: int = 6):
+    # integers over d * 2^k; d = 1 gives the dyadic corners mixed in
+    return st.tuples(st.sampled_from([1, 3, 5, 7, 9, 15]), st.integers(0, max_exp)).flatmap(
+        lambda t: st.integers(-bound * (t[0] << t[1]), bound * (t[0] << t[1])).map(
+            lambda n: Fraction(n, t[0] << t[1])))
+
+
+@st.composite
+def odd_denominator_boxes(draw):
+    """Boxes with corners over 3, 5, 7, 9 and 15 (times powers of two)
+    mixed with dyadic corners, including point and segment boxes."""
+    shape = draw(st.sampled_from(["box", "x-segment", "y-segment", "point"]))
+    x0, x1 = sorted((draw(_lattice_rationals()), draw(_lattice_rationals())))
+    y0, y1 = sorted((draw(_lattice_rationals()), draw(_lattice_rationals())))
     if shape in ("y-segment", "point"):
         x1 = x0
     if shape in ("x-segment", "point"):
@@ -215,16 +237,17 @@ class TestDyadicKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kernel_exprs(), st.one_of(dyadic_boxes(), depth10_cells()))
     def test_equals_fraction_path(self, e, box):
-        ref = e._range_on_fractions(box)
-        assert e.range_on(box) == ref
-        # the integer kernel itself answered, not the fallback
-        assert e._kernel.range_on(box) == ref
+        assert e.range_on(box) == range_on_fractions(e, box)
 
-    def test_non_dyadic_corner_falls_back(self):
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(st.one_of(pi_polys(max_deg=3), pi_polys(domain="torus")), odd_denominator_boxes())
+    def test_non_dyadic_equals_fraction_path(self, e, box):
+        assert e.range_on(box) == range_on_fractions(e, box)
+
+    def test_non_dyadic_corner_on_integers(self):
         e = parse_expr("x^3 - 3*x*y^2 - 1/3*x")
         box = Box.from_corners(Fraction(1, 3), 0, 1, Fraction(1, 2))
-        assert e.range_on(box) == e._range_on_fractions(box)
-        assert e._kernel.range_on(box) is None
+        assert e.range_on(box) == range_on_fractions(e, box)
 
     def test_compiled_on_first_enclosure_only(self):
         e = parse_expr("x^2 - y") * parse_expr("x + 1")
@@ -238,7 +261,7 @@ class TestDyadicKernel:
         cells = [Box(Interval(i * w, (i + 1) * w), Interval(j * w, (j + 2) * w))
                  for i in range(0, 64, 5) for j in range(0, 62, 7)]
         traffic = []
-        for evaluate in (e._range_on_fractions, e.range_on):
+        for evaluate in (lambda box: range_on_fractions(e, box), e.range_on):
             sin_2pi_range.cache_clear()
             cos_2pi_range.cache_clear()
             for box in cells + cells[::3]:

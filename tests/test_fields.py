@@ -17,7 +17,7 @@ from vfzero import (
     wedge,
 )
 
-from conftest import pi_polys, plane_fields, plane_polys
+from conftest import NO_SHRINK, pi_polys, plane_fields, plane_polys
 from oracles import brackets_agree, ref_lie_bracket
 
 
@@ -112,7 +112,9 @@ class TestFusedBracket:
     """``lie_bracket`` (one integer sum of products per component) against
     ``ref_lie_bracket``, the same formula as a composition of ``Expr``
     ring operations.  ``==`` compares the reduced numerators and
-    denominator, so it also checks that the result is in normal form."""
+    denominator, so it also checks that the result is in normal form.  A
+    failing example is reported unshrunk: shrinking the composite
+    ``pi_polys`` draws takes minutes."""
 
     @staticmethod
     def _bracket(y, x):
@@ -120,17 +122,17 @@ class TestFusedBracket:
         assert got == ref_lie_bracket(y, x)
         return got
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(_PLANE_FIELDS, _PLANE_FIELDS)
     def test_plane_mixed_denominators_and_pi(self, y, x):
         self._bracket(y, x)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(_TORUS_FIELDS, _TORUS_FIELDS)
     def test_torus_cosine_squares_and_pi(self, y, x):
         self._bracket(y, x)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(_ANY_FIELDS)
     def test_zero_field(self, f):
         zero = VectorField.zero(f.domain)
@@ -138,13 +140,13 @@ class TestFusedBracket:
             b = self._bracket(y, x)
             assert b.is_zero and b.cx._den == b.cy._den == 1
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(_ANY_FIELDS)
     def test_self_bracket(self, f):
         b = self._bracket(f, f)
         assert b.cx._num == {} == b.cy._num and b.cx._den == b.cy._den == 1
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)
     @given(_FIELD_PAIRS)
     def test_antisymmetry(self, pair):
         y, x = pair

@@ -8,7 +8,9 @@ changes what a user sees and needs its own justification.  One has moved
 since: ``verify invariance`` used to isolate at depth 8 whatever ``--depth``
 said, and now isolates at the default depth 7 its report states, which
 moves its seeds and residuals (re-recorded; at ``--depth 8`` the new report
-differs from the old one only in ``config.depth``).  The two rational
+differs from the old one only in ``config.depth``).  The five reports over
+non-dyadic regions were recorded while those regions still took a
+Fraction bisection path of their own.  The two rational
 ``track`` reports pin the reduced ``cofactor_num``/``cofactor_den``; they
 were recorded while the cofactor gcd still came from sympy's polynomial
 kernel.
@@ -32,6 +34,9 @@ from vfzero import (
 from vfzero.blocks import common_zero_blocks
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces
+
+# a double zero at (1/7, 1/2), inside the region 0,0,1/3,1
+_THIRD_FIELD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
 
 GOLDEN = [
     ("zeros", ["zeros", "--field", "(x, y)", "--region", "-1,-1,1,1", "--depth", "8"],
@@ -70,6 +75,22 @@ GOLDEN = [
      "94d1ff715aa5fb4f7ab8b158aff1019a9f8419bd3ed32490c8b178528505ff7c"),
     ("verify-main-seed7", ["verify", "main", "--depth", "10", "--seed", "7"],
      "526fc4ab0c2b6ffbe1e0eefb860f959b7db0582d96203b186a68ad8c5645597e"),
+    # non-dyadic regions: every cell and piece is an integer over 3 * 2^e,
+    # or over 15 * 2^e; recorded while such regions still ran the Fraction
+    # enclosure loop
+    ("zeros-third", ["zeros", "--field", _THIRD_FIELD, "--region", "0,0,1/3,1", "--depth", "6"],
+     "a80ae6b928dd61d2638458338bb562ed96930e600c7a21545b67911d29835543"),
+    ("index-third", ["index", "--field", _THIRD_FIELD, "--region", "0,0,1/3,1", "--depth", "6"],
+     "c3c6cea0f1a7e232106fb42453e9504c2fdcdd876807cebf99e0d7f9d8de8e83"),
+    ("verify-stability-third", ["verify", "stability", "--field", _THIRD_FIELD, "--region",
+                                "0,0,1/3,1", "--depth", "6", "--trials", "10"],
+     "e13ede0b7e337c8e7d37f016d76bf5aa512d8bad89b25e55c76662df94f96bc4"),
+    ("verify-transfer-third", ["verify", "transfer", "--x", _THIRD_FIELD, "--y", _THIRD_FIELD,
+                               "--region", "0,0,1/3,1", "--depth", "6"],
+     "63f5bdafe91e221afd96033b0ebb5c887d68ce5e7c38d28a8d24633f82d611a3"),
+    ("index-mixed-denominators", ["index", "--field", "(x - 1/10, y + 1/6)", "--region",
+                                  "-1/5,-1/3,2/3,3/5", "--depth", "5"],
+     "dfae164dcdd05db3cd689d7c869dea0e5441635f0999ea1c7f44cf5c6cad37dc"),
 ]
 
 

@@ -19,6 +19,8 @@ from vfzero import (
 )
 from vfzero.harness import _boundary_pieces, _random_perturbation
 
+from oracles import range_on_fractions
+
 
 class TestCatalog:
     def test_builtin_loads(self, catalog):
@@ -137,11 +139,11 @@ class TestStabilityScale:
         boxes = [seg.box() for seg, _, _ in _boundary_pieces(e.field, blk)]
 
         def sup(field, box):
-            return max(field.cx._range_on_fractions(box).mag(),
-                       field.cy._range_on_fractions(box).mag())
+            return max(range_on_fractions(field.cx, box).mag(),
+                       range_on_fractions(field.cy, box).mag())
 
-        x_low = [max(e.field.cx._range_on_fractions(b).mig(),
-                     e.field.cy._range_on_fractions(b).mig()) for b in boxes]
+        x_low = [max(range_on_fractions(e.field.cx, b).mig(),
+                     range_on_fractions(e.field.cy, b).mig()) for b in boxes]
         m = min(x_low)
         assert m > 0
         rng = random.Random(seed)

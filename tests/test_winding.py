@@ -35,6 +35,7 @@ from oracles import (
     dense_loop_winding,
     fraction_increment,
     fraction_loop_winding,
+    range_on_fractions,
 )
 
 REGION = Box.from_corners(-1, -1, 1, 1)
@@ -335,7 +336,7 @@ class TestIntegerPieces:
         for problem, piece, label in labels:
             if label is not None:
                 expr = dict(problem.components)[label]
-                assert expr._range_on_fractions(piece_segment(piece).box()).excludes_zero()
+                assert range_on_fractions(expr, piece_segment(piece).box()).excludes_zero()
         for f, piece, max_width, inc in increments:
             assert fraction_increment(f, piece_segment(piece), max_width) == inc
         return labels, increments
@@ -360,8 +361,7 @@ class TestIntegerPieces:
         assert any(inc is not None for *_, inc in increments)
 
     def test_non_dyadic_region_matches_fraction_reference(self):
-        # corner 1/3: the block boundary has no dyadic piece, so winding
-        # runs on Fraction segments
+        # corner 1/3: the boundary pieces are integers over 2^e or 3 * 2^e
         field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
         blocks = isolate_zeros(field, Box.from_corners(0, 0, Fraction(1, 3), 1), 6).blocks
         reports = [block_index(field, blk) for blk in blocks]
