@@ -496,8 +496,8 @@ def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = MA
 
     A public check with no caller inside the package: ``winding.block_index``
     and ``winding.index_transfer_check`` take the isolating certificate
-    from the winding refinement, which proves the same on every boundary
-    piece."""
+    from the winding bisection, which certifies a strict sign of one field
+    component, and so the same, on every boundary piece."""
     return certify_boundary(ZeroProblem(_field_parts(field)), block.boundary, max_refine)
 
 

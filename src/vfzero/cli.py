@@ -79,8 +79,6 @@ def _index_summary(rep) -> dict:
             {
                 "winding": lw.winding,
                 "pieces": lw.pieces,
-                "angle_sum": lw.angle_sum,
-                "max_piece_width": lw.max_piece_width,
             }
             for lw in rep.loops
         ],

@@ -2,10 +2,11 @@
 
 All interval endpoints are exact ``fractions.Fraction`` values, so every
 enclosure computed here is unconditional: no floating-point rounding mode
-games are needed.  Transcendental enclosures (pi, sin, cos, atan2) are
-delegated to mpmath's interval context at 128-bit working precision; the
-dyadic endpoints mpmath returns are lifted back into exact rationals, so
-the only approximation is an outward widening of at most one ulp at that
+games are needed.  Transcendental enclosures (pi, sin, cos, and the
+atan2 that only the tests' winding oracle uses) are delegated to mpmath's
+interval context at 128-bit working precision; the dyadic endpoints
+mpmath returns are lifted back into exact rationals, so the only
+approximation is an outward widening of at most one ulp at that
 precision.
 
 Every coordinate the geometry handles has an integer form: a numerator
@@ -23,10 +24,10 @@ arithmetic on these forms.
 
 Enclosures also travel in integer form, ``IntRange`` (lo, hi, den) for
 [lo/den, hi/den]: ``Interval.from_ints`` and ``Interval.ints`` convert,
-``imul`` multiplies, and ``atan2_range`` takes either form.  ``Fraction``
-endpoints are built where an ``Interval`` is returned or stored, and as
-the keys of the trig caches.  mpmath endpoints (mantissa * 2^exp) become
-Fractions by one shift or one division by a power of two.
+and ``imul`` multiplies.  ``Fraction`` endpoints are built where an
+``Interval`` is returned or stored, and as the keys of the trig caches.
+mpmath endpoints (mantissa * 2^exp) become Fractions by one shift or one
+division by a power of two.
 """
 
 from __future__ import annotations
@@ -262,8 +263,6 @@ def _pi_interval() -> Interval:
 
 
 PI: Interval = _pi_interval()
-TWO_PI: Interval = PI * 2
-HALF_PI: Interval = Interval(PI.lo / 2, PI.hi / 2)
 
 _PI_POWERS: dict[int, Interval] = {0: Interval.point(1), 1: PI}
 
@@ -316,6 +315,7 @@ def _grid_point_in(lo: Fraction, hi: Fraction, phase: Fraction) -> bool:
     return lo <= phase + k <= hi
 
 
+# Unused by the winding; kept for the tests' atan2 oracle and the benchmark tracer, which bind it.
 def atan2_range(y: Union[Interval, IntRange], x: Union[Interval, IntRange]) -> Interval:
     """Enclosure of atan2 over the rectangle y x x.
 

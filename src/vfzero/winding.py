@@ -1,24 +1,25 @@
 """Certified winding numbers and Poincare-Hopf block indices.
 
-The degree of the field direction map along a boundary loop is computed by
-certified angle accumulation: each loop segment is refined until the field
-enclosure over the piece misses the origin, which confines the field to an
-open half-plane and bounds the angle variation on the piece below pi.  The
-signed principal angle between consecutive endpoint values is then
-enclosed with 128-bit interval atan2, and the loop total must land within
-a quarter period of an integer multiple of 2*pi for the degree to be
-accepted.  Endpoint values are enclosures too: the enclosure of the
-degenerate box at the vertex, which is the exact value for polynomials
-and a 128-bit-wide enclosure where trigonometric terms enter.
+The degree of the field direction map along a closed boundary loop is the
+signed number of times the field crosses the positive x-axis, counted +1
+from below to above.  Each loop segment is bisected until the enclosure of
+one component on the piece has a strict sign, trying cx first and then cy:
+the piece is then certified ``cx > 0``, ``cx < 0``, ``cy > 0`` or
+``cy < 0``, and the field misses the origin on it.  Only a ``cx > 0`` piece
+can meet the positive x-axis.  Such a piece never touches a ``cx < 0``
+piece, since at their shared vertex cx would have both signs, so a maximal
+run of ``cx > 0`` pieces sits between two ``cy``-certified pieces with
+signs s0 before and s1 after.  On the run the field stays in the right
+half-plane, so it crosses the positive x-axis a net (s1 - s0) / 2 times.
+The winding number is the sum over the runs; a loop with no ``cy`` piece
+or no ``cx > 0`` run stays in an open half-plane and winds 0.  No angle,
+vertex value or transcendental function enters: every decision is the
+sign of an integer enclosure (Stenger 1975, Kearfott 1979; Franek and
+Ratschan, Math. Comp. 2015).
 
 Boundary pieces are bisected in integer form (``blocks.DyadicSegment``:
-numerators over q * 2^e, q = 1 for a dyadic segment).  The piece and
-endpoint enclosures and their cross and dot products are integers, and
-``atan2_range`` takes them as such; its increment ``Interval`` is the
-first ``Fraction`` a piece produces (apart from the keys of the trig
-caches).  Endpoint values are memoized per loop, keyed by the vertex in
-lowest terms, and the memo is kept across that loop's gate retries, so a
-vertex shared by two pieces or revisited by a retry is evaluated once.
+numerators over q * 2^e, q = 1 for a dyadic segment), and their
+enclosures come from ``Expr.dyadic_kernel().range_dyadic``.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -27,9 +28,7 @@ contributions enter with the correct sign automatically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .blocks import (
@@ -50,15 +49,13 @@ from .blocks import (
 from .errors import CertificationError, FalsificationError
 from .expr import Expr
 from .fields import VectorField, dot, wedge
-from .intervals import Box, EnclosureError, HALF_PI, IntRange, Interval, TWO_PI, atan2_range, imul
+from .intervals import Box, IntRange
 
 
 @dataclass(frozen=True)
 class LoopWinding:
     winding: int
     pieces: int
-    angle_sum: Interval
-    max_piece_width: Fraction
 
 
 @dataclass(frozen=True)
@@ -68,74 +65,42 @@ class IndexReport:
     loops: tuple[LoopWinding, ...]
     method: str = "winding"
 
-    @property
-    def angle_sum(self) -> Interval:
-        return Interval(
-            sum((lw.angle_sum.lo for lw in self.loops), Fraction(0)),
-            sum((lw.angle_sum.hi for lw in self.loops), Fraction(0)),
-        )
+
+def _sign(r: IntRange) -> int:
+    """The strict sign of an enclosure, or 0 when it meets zero."""
+    return 1 if r[0] > 0 else -1 if r[1] < 0 else 0
 
 
-_MAX_INC_WIDTH = Fraction(4, 5)  # radians; keeps atan2 away from the branch cut
-_GATE_RETRIES = 3
+def _sign_certificate(field: VectorField, piece: DyadicSegment) -> Optional[tuple[int, int]]:
+    """(component, sign) of the first component, cx (0) then cy (1), whose
+    enclosure on the piece has a strict sign, or None."""
+    s = _sign(enclose(field.cx, piece))
+    if s:
+        return (0, s)
+    s = _sign(enclose(field.cy, piece))
+    return (1, s) if s else None
 
 
-def _vertex_value(field: VectorField, p, values: dict) -> tuple[IntRange, IntRange]:
-    """Enclosures of the field's components at a piece endpoint, memoized
-    in the loop's ``values``.  ``p`` is the (x, y, e, q) of a piece's
-    endpoint, the point (x, y) / (q 2^e), which is keyed in lowest terms
-    so that pieces of every level, and over every q, share it."""
-    x, y, e, q = p
-    low = ((x | y) & -(x | y)).bit_length() - 1  # trailing zeros shared by x and y
-    k = e if low < 0 else min(low, e)
-    x, y, e = x >> k, y >> k, e - k
-    if q != 1:
-        g = math.gcd(x, y, q)
-        x, y, q = x // g, y // g, q // g
-    p = (x, y, e, q)
-    out = values.get(p)
-    if out is None:
-        xs, ys = (x, x, e), (y, y, e)
-        out = (field.cx.dyadic_kernel().range_dyadic(xs, ys, q),
-               field.cy.dyadic_kernel().range_dyadic(xs, ys, q))
-        values[p] = out
-    return out
-
-
-def _cross_dot(u: tuple[IntRange, IntRange], v: tuple[IntRange, IntRange]) -> tuple[IntRange, IntRange]:
-    """Interval cross u x v and dot u . v, over the common denominator of
-    the four components; the same intervals as the Fraction products."""
-    (a, b, p), (c, d, q) = u
-    (e, f, r), (g, h, s) = v
-    qr, ps, qs, pr = q * r, p * s, q * s, p * r
-    den = ps * qr
-    xy_lo, xy_hi = imul(a, b, g, h)  # ux * vy, over p * s
-    yx_lo, yx_hi = imul(c, d, e, f)  # uy * vx, over q * r
-    xx_lo, xx_hi = imul(a, b, e, f)  # ux * vx, over p * r
-    yy_lo, yy_hi = imul(c, d, g, h)  # uy * vy, over q * s
-    cross = (xy_lo * qr - yx_hi * ps, xy_hi * qr - yx_lo * ps, den)
-    dotv = (xx_lo * qs + yy_lo * pr, xx_hi * qs + yy_hi * pr, den)
-    return cross, dotv
-
-
-def _increment(field: VectorField, piece: DyadicSegment, max_width: Fraction, values: dict) -> Optional[Interval]:
-    """Certified angle increment over the piece, or None while the field
-    enclosure may meet the origin or the increment is wider than max_width.
-    Endpoint values come from the loop's memo ``values``."""
-    # both components, as field.range_on evaluates them: the trig cache
-    # traffic then does not depend on which one excludes zero
-    rx, ry = enclose(field.cx, piece), enclose(field.cy, piece)
-    if not (excludes_zero(rx) or excludes_zero(ry)):
-        return None
-    cross, dotv = _cross_dot(_vertex_value(field, piece.start, values),
-                             _vertex_value(field, piece.end, values))
-    try:
-        inc = atan2_range(cross, dotv)
-    except EnclosureError:
-        return None
-    if inc is None or inc.width() > max_width:
-        return None
-    return inc
+def _crossings(certs: list[tuple[int, int]]) -> int:
+    """Signed count of crossings of the positive x-axis along a closed loop
+    of pieces with the given sign certificates, in loop order: each maximal
+    run of ``cx > 0`` pieces between ``cy`` pieces of signs s0 and s1 adds
+    (s1 - s0) / 2."""
+    first = next((i for i, (comp, _) in enumerate(certs) if comp == 1), None)
+    if first is None:
+        return 0
+    total = 0
+    before = certs[first][1]  # cy sign before the current run
+    in_run = False
+    for comp, sign in certs[first + 1:] + certs[:first + 1]:
+        if comp == 1:
+            if in_run:
+                total += (sign - before) // 2
+                in_run = False
+            before = sign
+        elif sign > 0:
+            in_run = True
+    return total
 
 
 def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
@@ -144,51 +109,27 @@ def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
 
 
 def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
-    max_width = _MAX_INC_WIDTH
-    segments = [boundary_piece(seg) for seg in loop.segments]
-    values: dict = {}  # vertex values of this loop, kept across the gate retries
-    for _ in range(_GATE_RETRIES + 1):
-        increments: list[Interval] = []
-        for seg in segments:
-            pieces = bisect(seg, lambda s: _increment(field, s, max_width, values), MAX_SEG_REFINE)
-            for piece, inc in pieces:
-                if inc is None:
-                    piece = piece_segment(piece)
-                    raise CertificationError(
-                        "zero too close to boundary: segment near "
-                        f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
-                    )
-                increments.append(inc)
-        total = Interval(
-            sum((i.lo for i in increments), Fraction(0)),
-            sum((i.hi for i in increments), Fraction(0)),
-        )
-        mid = total.midpoint()
-        k = int(round(mid / TWO_PI.midpoint()))
-        lower = TWO_PI * k - HALF_PI
-        upper = TWO_PI * k + HALF_PI
-        if total.lo > lower.hi and total.hi < upper.lo:
-            return LoopWinding(
-                winding=k,
-                pieces=len(increments),
-                angle_sum=total,
-                max_piece_width=max((i.width() for i in increments), default=Fraction(0)),
-            )
-        # widen certification by refining every piece before giving up
-        max_width = max_width / 8
-    raise CertificationError(
-        f"winding sum {float(total.lo):.4f}..{float(total.hi):.4f} not within a "
-        f"quarter period of 2*pi*{k} after {_GATE_RETRIES} refinement passes"
-    )
+    certs: list[tuple[int, int]] = []
+    for seg in loop.segments:
+        for piece, cert in bisect(boundary_piece(seg), lambda s: _sign_certificate(field, s), MAX_SEG_REFINE):
+            if cert is None:
+                piece = piece_segment(piece)
+                raise CertificationError(
+                    "zero too close to boundary: segment near "
+                    f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
+                )
+            certs.append(cert)
+    return LoopWinding(winding=_crossings(certs), pieces=len(certs))
 
 
 def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
     """Certified Poincare-Hopf index of the field on the block.
 
     The index is the sum over boundary loops (interior-left orientation).
-    The winding refinement certifies on every boundary piece that the
-    field enclosure misses the origin, which is the isolating certificate;
-    a block whose boundary runs through a zero of the field fails there.
+    The winding bisection certifies a strict sign of one component on
+    every boundary piece, so the field misses the origin there, which is
+    the isolating certificate; a block whose boundary runs through a zero
+    of the field fails there.
     """
     if block.coarse:
         raise CertificationError(f"block {block.label} is coarse; refine the isolation")
@@ -262,8 +203,10 @@ def index_transfer_check(
     on the boundary, which is exactly what makes the two indices agree.
     Both indices are computed first: ``block_index`` raises
     ``CertificationError`` when the block is coarse or not isolating for
-    either field, so ``certify_isolating`` is not called.  A failed
-    certificate reports the first uncertified boundary piece.
+    either field, so ``certify_isolating`` is not called.  A piece is
+    decided from component signs first, and only then from the enclosures
+    of wedge(X, Y) and dot(X, Y).  A failed certificate reports the first
+    uncertified boundary piece.
     """
     if mode not in (MODE_NO_NEGATIVE_RATIO, MODE_NO_POSITIVE_RATIO):
         raise ValueError(f"unknown mode {mode!r}")
@@ -274,7 +217,12 @@ def index_transfer_check(
     d = dot(x_field, y_field)
 
     def never_ratio(piece: DyadicSegment) -> Optional[bool]:
-        # X != lambda*Y on the piece for every lambda of the given sign
+        # X != lambda*Y on the piece for every lambda of the given sign:
+        # first from one component with strict signs in X and Y, the same
+        # (no negative ratio) or opposite (no positive ratio) ones
+        for a, b in ((x_field.cx, y_field.cx), (x_field.cy, y_field.cy)):
+            if _sign(enclose(a, piece)) * _sign(enclose(b, piece)) == -sign:
+                return True
         if excludes_zero(enclose(w, piece)):
             return True
         lo, hi, _ = enclose(d, piece)

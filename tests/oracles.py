@@ -9,9 +9,11 @@ plain lambda straight from the term data.  The reference enclosure,
 arithmetic, kept to check the integer kernel behind ``Expr.range_on``
 on every kind of box.  The Fraction geometry reference bisects quadtree
 cells as ``Box``es and boundary pieces as ``Segment``s with its own
-``fraction_bisect`` and accumulates winding increments from ``Interval``
-cross and dot products, all on that reference enclosure, to check the
-integer cells and pieces against.  The reference ring is the original
+``fraction_bisect``, on that reference enclosure, to check the integer
+cells and pieces against.  Its loop winding, ``fraction_loop_winding``,
+is certified atan2 angle accumulation from ``Interval`` cross and dot
+products of endpoint values: an index law independent of the library's
+count of axis crossings.  The reference ring is the original
 ``Fraction`` implementation of the ``Expr`` ring operations, kept to check
 the integer-numerator ones term by term; after it come the cofactor gcd
 through sympy's ``Poly.gcd`` and the ``Fraction`` long division, kept to
@@ -23,6 +25,7 @@ bracket composed of ``Expr`` ring operations (``derive``, ``*``, ``+``,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,9 +35,8 @@ from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
 from vfzero.blocks import MAX_SEG_REFINE, Segment
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import (
-    HALF_PI, TWO_PI, EnclosureError, atan2_range, cos_2pi_range, pi_power, sin_2pi_range,
+    PI, EnclosureError, atan2_range, cos_2pi_range, pi_power, sin_2pi_range,
 )
-from vfzero.winding import _GATE_RETRIES, _MAX_INC_WIDTH, LoopWinding
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +220,36 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
     return retained, empties
 
 
+# The atan2 winding: certified angle accumulation.  Each piece's field
+# enclosure must miss the origin, the signed angle between the field values
+# at its endpoints is enclosed with interval atan2, and the loop total must
+# land within a quarter period of 2*pi*k; otherwise every piece is refined
+# with an 8 times smaller width bound, at most _GATE_RETRIES times.
+
+TWO_PI: Interval = PI * 2
+HALF_PI: Interval = Interval(PI.lo / 2, PI.hi / 2)
+_MAX_INC_WIDTH = Fraction(4, 5)  # radians; keeps atan2 away from the branch cut
+_GATE_RETRIES = 3
+
+
+@dataclass(frozen=True)
+class LoopWinding:
+    winding: int
+    pieces: int
+    angle_sum: Interval
+    max_piece_width: Fraction
+
+
 def _fraction_value(field: VectorField, p) -> tuple[Interval, Interval]:
     box = Box(Interval.point(p[0]), Interval.point(p[1]))
     return range_on_fractions(field.cx, box), range_on_fractions(field.cy, box)
 
 
 def fraction_increment(field: VectorField, seg: Segment, max_width: Fraction):
-    """``winding._increment`` on a Segment with Interval cross and dot
-    products of Fraction endpoint values."""
+    """The certified angle increment of the field over a Segment, from
+    Interval cross and dot products of Fraction endpoint values, or None
+    while the field enclosure may meet the origin or the increment is
+    wider than max_width."""
     box = seg.box()
     rx, ry = range_on_fractions(field.cx, box), range_on_fractions(field.cy, box)
     if not (rx.excludes_zero() or ry.excludes_zero()):
@@ -240,7 +264,9 @@ def fraction_increment(field: VectorField, seg: Segment, max_width: Fraction):
 
 
 def fraction_loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
-    """``winding._loop_winding`` on Segments and ``fraction_increment``."""
+    """The atan2 winding of the field along the loop, on Segments and
+    ``fraction_increment``: an index law independent of the crossing count
+    of ``winding._loop_winding``."""
     max_width = _MAX_INC_WIDTH
     for _ in range(_GATE_RETRIES + 1):
         increments = []

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from vfzero import Box, isolate_zeros, parse_field
 from vfzero.cli import run_command
+
+from oracles import dense_loop_winding, fraction_loop_winding
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -147,9 +150,14 @@ class TestArtifacts:
         )
         hull = doc["results"]["blocks"][0]["hull"]
         assert hull["x0"] == "-1/32" and isinstance(hull["x0"], str)
-        angle = doc["results"]["blocks"][0]["loops"][0]["angle_sum"]
-        assert "/" in angle["lo"]
         assert isinstance(doc["results"]["blocks"][0]["index"], int)
+        # the reported per-loop windings are the atan2 oracle's and dense
+        # sampling's
+        field = parse_field("(x, y)")
+        blk = isolate_zeros(field, Box.from_corners(-1, -1, 1, 1), 6).blocks[0]
+        expected = [fraction_loop_winding(field, lp).winding for lp in blk.boundary]
+        assert [lp["winding"] for lp in doc["results"]["blocks"][0]["loops"]] == expected == [
+            dense_loop_winding(field, lp) for lp in blk.boundary]
 
     def test_per_loop_windings_sum_to_block_index(self, tmp_path):
         _, doc, _ = run_json(

@@ -13,7 +13,11 @@ non-dyadic regions were recorded while those regions still took a
 Fraction bisection path of their own.  The two rational
 ``track`` reports pin the reduced ``cofactor_num``/``cofactor_den``; they
 were recorded while the cofactor gcd still came from sympy's polynomial
-kernel.
+kernel.  Four have moved since the winding became a count of axis
+crossings: the three ``index`` reports no longer print each loop's atan2
+``angle_sum`` and ``max_piece_width`` (nothing else in them changed), and
+the X = Y ``verify transfer`` over 0,0,1/3,1 decides its pieces from
+component signs first, so its ``pieces`` went from 12495 to 142.
 """
 
 import hashlib
@@ -42,7 +46,7 @@ GOLDEN = [
     ("zeros", ["zeros", "--field", "(x, y)", "--region", "-1,-1,1,1", "--depth", "8"],
      "68aa85931cf564a153930423db80e586a5f695bbdeb7f63fad18aa27521f563b"),
     ("index", ["index", "--field", "(x^2 - y^2, 2*x*y)", "--region", "-1,-1,1,1"],
-     "d78c4609cb42ae8e23e381b935f74d2a6ab79da44929fa2a47ecee15d8471e9c"),
+     "282c0ffd1360e2794e892ab8c26ad787fe881cccedbf8bfecb92abe4981bc09f"),
     ("bracket", ["bracket", "--y", "(0, x)", "--x", "(1, 0)"],
      "bdd2c90a3ef0f2927e1d2709300c1a2c96215809128dbf7f17cfe5ab0b527ce1"),
     ("track", ["track", "--y", "(x, y)", "--x", "(x^2 - y^2, 2*x*y)"],
@@ -81,16 +85,16 @@ GOLDEN = [
     ("zeros-third", ["zeros", "--field", _THIRD_FIELD, "--region", "0,0,1/3,1", "--depth", "6"],
      "a80ae6b928dd61d2638458338bb562ed96930e600c7a21545b67911d29835543"),
     ("index-third", ["index", "--field", _THIRD_FIELD, "--region", "0,0,1/3,1", "--depth", "6"],
-     "c3c6cea0f1a7e232106fb42453e9504c2fdcdd876807cebf99e0d7f9d8de8e83"),
+     "07b294d43061b456138c385d501aabf94c6fdf452dbd05d09bf0c9523d27c43f"),
     ("verify-stability-third", ["verify", "stability", "--field", _THIRD_FIELD, "--region",
                                 "0,0,1/3,1", "--depth", "6", "--trials", "10"],
      "e13ede0b7e337c8e7d37f016d76bf5aa512d8bad89b25e55c76662df94f96bc4"),
     ("verify-transfer-third", ["verify", "transfer", "--x", _THIRD_FIELD, "--y", _THIRD_FIELD,
                                "--region", "0,0,1/3,1", "--depth", "6"],
-     "63f5bdafe91e221afd96033b0ebb5c887d68ce5e7c38d28a8d24633f82d611a3"),
+     "98ea09840b2742b37e287e2537eba0b34ee21c27b803809c79e2b89cc26ad431"),
     ("index-mixed-denominators", ["index", "--field", "(x - 1/10, y + 1/6)", "--region",
                                   "-1/5,-1/3,2/3,3/5", "--depth", "5"],
-     "dfae164dcdd05db3cd689d7c869dea0e5441635f0999ea1c7f44cf5c6cad37dc"),
+     "1119578cad1270ecbba5bbc5218456e5493e1ca04f2f65c1b3ccfdffd0503173"),
 ]
 
 

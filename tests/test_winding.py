@@ -14,6 +14,7 @@ from vfzero import (
     VectorField,
     block_from_boxes,
     block_index,
+    builtin_catalog,
     dilate_block,
     index_transfer_check,
     isolate_zeros,
@@ -26,14 +27,15 @@ from vfzero import (
     winding,
     winding_number,
 )
-from vfzero.blocks import ZeroProblem, piece_segment
+from vfzero.blocks import ZeroProblem, boundary_piece, piece_segment
+from vfzero.harness import _random_perturbation
 
 from conftest import plane_fields, torus_polys
 from oracles import (
     dense_block_winding,
     dense_circle_winding,
     dense_loop_winding,
-    fraction_increment,
+    TWO_PI,
     fraction_loop_winding,
     range_on_fractions,
 )
@@ -94,19 +96,23 @@ class TestBlockIndex:
         field = parse_field("((x^2 + y^2 - 1)*x, (x^2 + y^2 - 1)*y)")
         blocks = isolate_zeros(field, REGION2, 6).blocks
         ring = next(b for b in blocks if len(b.boundary) == 2)
-        rep = block_index(field, ring)
+        rep = _check_loop_windings(field, ring)
         assert rep.index == 0
         loops = sorted(lw.winding for lw in rep.loops)
         assert loops == [-1, 1]  # interior-left: outer +1, hole loop -1
         assert dense_block_winding(field, ring) == 0
 
     def test_angle_sum_encloses_index(self):
-        from vfzero.intervals import TWO_PI
-
+        # the atan2 oracle's certified angle sum of each loop encloses 2*pi
+        # times the loop's crossing count
         field, blk = origin_block("(x^2 - y^2, 2*x*y)")
         rep = block_index(field, blk)
-        s = rep.angle_sum
-        assert s.lo <= (TWO_PI * rep.index).hi and (TWO_PI * rep.index).lo <= s.hi
+        assert rep.index == 2
+        for lw, loop in zip(rep.loops, blk.boundary):
+            ref = fraction_loop_winding(field, loop)
+            s, turn = ref.angle_sum, TWO_PI * lw.winding
+            assert s.lo <= turn.hi and turn.lo <= s.hi
+            assert lw.winding == ref.winding == dense_loop_winding(field, loop)
 
     def test_linear_field_law_sample(self):
         rng = random.Random(99)
@@ -130,7 +136,7 @@ class TestBlockIndex:
         for field, expected in ((zk, k), (ck, -k)):
             blocks = isolate_zeros(field, REGION, 6).blocks
             blk = next(b for b in blocks if b.contains_point(zero))
-            assert block_index(field, blk).index == expected
+            assert _check_loop_windings(field, blk).index == expected
             assert dense_circle_winding(field, radius=0.8) == expected
 
     def test_isolating_neighborhood_independence(self):
@@ -143,8 +149,10 @@ class TestBlockIndex:
         # boundary can exclude it
         field = parse_field("(x, y)")
         blk = block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)])
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match="^zero too close to boundary: segment near "):
             block_index(field, blk)
+        with pytest.raises(ValueError, match="uncertified piece"):
+            fraction_loop_winding(field, blk.boundary[0])
 
     def test_boundary_certified_between_levels_31_and_42(self):
         # the west edge passes 2^-35 from the zero at (0, 1/3), so isolation
@@ -192,6 +200,43 @@ class TestBlockIndex:
         assert [r.index for r in reports] == expected
         pieces = [[lw.pieces for lw in r.loops] for r in reports]
         assert pieces == ([[6]] * 4 if depth == 3 else [[4, 4]])
+
+
+class TestCrossingRule:
+    """Edge cases of the count of positive x-axis crossings; the loops are
+    checked against the atan2 oracle and dense sampling.  The hole loop,
+    the indices -2 and 3 and a boundary through a zero are checked in
+    ``TestBlockIndex``."""
+
+    @staticmethod
+    def _loop_certificates(field, loop):
+        return [winding._sign_certificate(field, boundary_piece(seg)) for seg in loop.segments]
+
+    def test_loop_certified_only_by_cx_positive_winds_zero(self):
+        # cy changes sign twice along the loop, inside the run of cx > 0
+        field = parse_field("(2 + x, y)")
+        loop = region_boundary_loop(REGION)
+        assert self._loop_certificates(field, loop) == [(0, 1)] * 4
+        lw = winding._loop_winding(field, loop)
+        assert lw.winding == fraction_loop_winding(field, loop).winding == 0
+        assert dense_loop_winding(field, loop) == 0
+
+    def test_loop_certified_only_by_cx_negative_winds_zero(self):
+        field = parse_field("(-2 - x, y)")
+        loop = region_boundary_loop(REGION)
+        assert self._loop_certificates(field, loop) == [(0, -1)] * 4
+        lw = winding._loop_winding(field, loop)
+        assert lw.winding == fraction_loop_winding(field, loop).winding == 0
+        assert dense_loop_winding(field, loop) == 0
+
+    def test_run_wrapping_the_loop_start(self):
+        # the run of cx > 0 pieces spans the last and first pieces of the
+        # loop: (s1 - s0) / 2 = (1 - (-1)) / 2
+        certs = [(0, 1), (1, 1), (0, -1), (1, -1), (0, 1)]
+        assert winding._crossings(certs) == 1
+        assert winding._crossings([(0, 1), (1, -1), (0, -1), (1, 1), (0, 1)]) == -1
+        # over the left half-plane and back: no crossing of the positive axis
+        assert winding._crossings([(1, 1), (0, 1), (1, 1), (0, -1), (1, -1), (0, -1)]) == 0
 
 
 def _complex_power_field(k: int, conjugate: bool = False):
@@ -299,47 +344,78 @@ class TestScalarFactorIndex:
         assert rep.index_y == rep.index_scaled == -1
 
 
+def _perturbed(field, seed):
+    """The field plus a 2^-12 multiple of a derandomized perturbation of
+    the kind ``stability_test`` draws."""
+    pert = _random_perturbation(field.domain, random.Random(seed))
+    return field + pert.scale(Fraction(1, 4096))
+
+
+def _check_loop_windings(field, block):
+    """Each loop's crossing count equals the winding of the atan2 oracle and
+    of dense sampling, with no more pieces than the oracle certified."""
+    rep = block_index(field, block)
+    for lw, loop in zip(rep.loops, block.boundary):
+        ref = fraction_loop_winding(field, loop)
+        assert lw.winding == ref.winding == dense_loop_winding(field, loop, 4000)
+        assert lw.pieces <= ref.pieces
+    return rep
+
+
 def _record_certified_pieces(field, region, depth):
     """Isolate and index the field's blocks, recording every boundary piece
-    that ``certify_boundary`` and ``_increment`` were asked about."""
-    labels, increments = [], []
-    excluding_label, increment = ZeroProblem.excluding_label, winding._increment
+    that ``certify_boundary`` and ``_sign_certificate`` were asked about,
+    and the blocks whose index was certified."""
+    labels, signs, indexed = [], [], []
+    excluding_label, sign_certificate = ZeroProblem.excluding_label, winding._sign_certificate
 
     def record_label(problem, piece):
         label = excluding_label(problem, piece)
         labels.append((problem, piece, label))
         return label
 
-    def record_increment(f, piece, max_width, values):
-        inc = increment(f, piece, max_width, values)
-        increments.append((f, piece, max_width, inc))
-        return inc
+    def record_sign(f, piece):
+        cert = sign_certificate(f, piece)
+        signs.append((f, piece, cert))
+        return cert
 
     with mock.patch.object(ZeroProblem, "excluding_label", record_label), \
-            mock.patch.object(winding, "_increment", record_increment):
+            mock.patch.object(winding, "_sign_certificate", record_sign):
         for blk in isolate_zeros(field, region, depth).blocks:
             try:
                 block_index(field, blk)
             except CertificationError:
-                pass
-    return labels, increments
+                continue
+            indexed.append(blk)
+    return labels, signs, indexed
 
 
 class TestIntegerPieces:
     """Boundary pieces in integer form against the Fraction reference: each
-    certified piece excludes zero on the Fraction enclosure loop, and every
-    increment equals the one of Interval cross and dot products."""
+    certified piece excludes zero on the Fraction enclosure loop, every
+    sign certificate is the one the Fraction enclosures give (cx first),
+    and every certified block's loop windings equal the atan2 oracle's and
+    dense sampling's."""
 
     @staticmethod
     def _check(field, region, depth):
-        labels, increments = _record_certified_pieces(field, region, depth)
+        labels, signs, indexed = _record_certified_pieces(field, region, depth)
         for problem, piece, label in labels:
             if label is not None:
                 expr = dict(problem.components)[label]
                 assert range_on_fractions(expr, piece_segment(piece).box()).excludes_zero()
-        for f, piece, max_width, inc in increments:
-            assert fraction_increment(f, piece_segment(piece), max_width) == inc
-        return labels, increments
+        for f, piece, cert in signs:
+            box = piece_segment(piece).box()
+            rx, ry = range_on_fractions(f.cx, box), range_on_fractions(f.cy, box)
+            expected = None
+            for comp, r in enumerate((rx, ry)):
+                if r.excludes_zero():
+                    expected = (comp, 1 if r.lo > 0 else -1)
+                    break
+            assert cert == expected
+        for blk in indexed:
+            _check_loop_windings(field, blk)
+        return labels, signs, indexed
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(plane_fields(2, 3), st.integers(3, 5))
@@ -356,15 +432,33 @@ class TestIntegerPieces:
     @pytest.mark.parametrize("name, depth", [("complex-squaring", 5), ("torus-grid-saddle", 4)])
     def test_catalog_pieces(self, catalog, name, depth):
         entry = catalog[name]
-        labels, increments = self._check(entry.field, entry.region, depth)
+        labels, signs, indexed = self._check(entry.field, entry.region, depth)
         assert any(label for _, _, label in labels)
-        assert any(inc is not None for *_, inc in increments)
+        # both components certify pieces, with both signs
+        assert {cert for *_, cert in signs} >= {(0, 1), (0, -1), (1, 1), (1, -1)}
+        assert indexed
 
     def test_non_dyadic_region_matches_fraction_reference(self):
         # corner 1/3: the boundary pieces are integers over 2^e or 3 * 2^e
         field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
         blocks = isolate_zeros(field, Box.from_corners(0, 0, Fraction(1, 3), 1), 6).blocks
-        reports = [block_index(field, blk) for blk in blocks]
+        reports = [_check_loop_windings(field, blk) for blk in blocks]
         assert [r.index for r in reports] == [2]
-        for blk, rep in zip(blocks, reports):
-            assert rep.loops == tuple(fraction_loop_winding(field, lp) for lp in blk.boundary)
+        for field2 in (_perturbed(field, 1), _perturbed(field, 2)):
+            assert [_check_loop_windings(field2, blk).index for blk in blocks] == [2]
+
+
+class TestIndexLaws:
+    """The crossing count against the atan2 oracle and dense sampling on
+    every catalog entry's blocks, for the entry's field and two 2^-12
+    perturbations of it."""
+
+    @pytest.mark.parametrize("name", [e.name for e in builtin_catalog()])
+    def test_catalog_blocks(self, catalog, name):
+        entry = catalog[name]
+        depth = 6 if entry.domain == "plane" else 4
+        blocks = [b for b in isolate_zeros(entry.field, entry.region, depth).blocks if not b.coarse]
+        assert blocks
+        for field in (entry.field, _perturbed(entry.field, 1), _perturbed(entry.field, 2)):
+            for blk in blocks:
+                _check_loop_windings(field, blk)
