@@ -3,29 +3,27 @@
 Every set isolated here is one kind of zero problem: the common zeros of
 a tuple of labelled scalar components (a field's two components, one
 scalar, or the components of several fields).  A box is certified empty
-when some component's enclosure excludes zero.
+when some component's enclosure excludes zero, and a boundary piece when
+one has a strict sign (``ZeroProblem.sign_certificate``).
 
 Every certificate is reached by one bisection primitive, ``bisect``: a box
 or a boundary segment is split until each piece carries a certificate or a
 level limit is hit.  A region is bisected until every cell is certified
 empty or the maximum depth is reached.  Cells that survive at full depth
 are grouped into connected blocks; the oriented boundary of each block's
-cell union is extracted and certified nonvanishing segment by segment.
-Everything is exact.  The geometry comes from the quadtree: a block keeps
-the boxes its cells had as bisection leaves, and every boundary edge is
-read off the corners of its own cell's box.  ``Grid`` keeps only the
-integer side: cell indices, adjacency and the chaining of boundary edges.
+cell union is built and certified nonvanishing segment by segment.
+Everything is exact, and the geometry runs on integers.
 
-The bisection itself runs on integers.  Every coordinate of a region is
-a numerator over q * 2^e, where q is the lcm of the odd parts of the
-denominators of its corners (q = 1 for a dyadic region).  A quadtree cell
-is a ``DyadicCell`` (i, j, level) of the region's lattice, and a boundary
-piece is a ``DyadicSegment``, its endpoint numerators over q * 2^e with q
-taken from the segment's own endpoints.  Their enclosures come from the
-integer entry of the expression kernel
-(``Expr.dyadic_kernel().range_dyadic``), and emptiness is read off the
+Every coordinate of a region is a numerator over q * 2^e, where q is the
+lcm of the odd parts of the denominators of its corners (q = 1 for a
+dyadic region).  A quadtree cell is a ``DyadicCell`` (i, j, level) of the
+region's lattice, and a boundary edge is a ``DyadicSegment`` between two
+lattice vertices, built once and bisected as it is.  ``Grid`` keeps the
+cell indices, adjacency and the chaining of boundary edges.  Enclosures
+come from the integer entry of the expression kernel
+(``Expr.dyadic_kernel().range_dyadic``), and signs are read off the
 integer numerators.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
-objects are built only for what is returned or stored: the leaf boxes
+objects are built only for what is returned or reported: the leaf boxes
 (one shared ``Interval`` per distinct cell side within a subdivision),
 the enclosures of empty leaves, and an offending boundary piece.
 
@@ -63,23 +61,24 @@ class ZeroProblem:
         self.components = tuple(components)
         self.domain = self.components[0][1].domain
 
-    def empty_dyadic(self, x, y, q: int, xiv: Interval, yiv: Interval) -> Optional[EmptyCert]:
+    def empty_dyadic(self, x, y, q: int) -> Optional[EmptyCert]:
         """The emptiness certificate of the box with integer axes ``x``
         and ``y`` over q (see ``Expr.dyadic_kernel().range_dyadic``), or
         None: each sign is read off the integer numerators, and only the
         excluding enclosure becomes an ``Interval``."""
         for label, expr in self.components:
-            r = expr.dyadic_kernel().range_dyadic(x, y, q, xiv, yiv)
+            r = expr.dyadic_kernel().range_dyadic(x, y, q)
             if excludes_zero(r):
                 return (label, Interval.from_ints(*r))
         return None
 
-    def excluding_label(self, piece: DyadicSegment) -> Optional[str]:
-        """The label of the first component whose enclosure on the boundary
-        piece excludes zero, or None."""
-        for label, expr in self.components:
-            if excludes_zero(enclose(expr, piece)):
-                return label
+    def sign_certificate(self, piece: DyadicSegment) -> Optional[tuple[int, int]]:
+        """(k, sign) of the first component k, in order, whose enclosure on
+        the boundary piece has a strict sign, or None."""
+        for k, (_, expr) in enumerate(self.components):
+            sign = strict_sign(enclose(expr, piece))
+            if sign:
+                return (k, sign)
         return None
 
 
@@ -117,7 +116,7 @@ class Segment:
 
 class DyadicSegment(NamedTuple):
     """A boundary piece: the Segment from (x0, y0) / (q 2^e) to
-    (x1, y1) / (q 2^e), with q odd (1 for a dyadic segment).
+    (x1, y1) / (q 2^e), with q odd: its region lattice's (1 if dyadic).
 
     Halving adds one to ``e`` and never reduces, so a piece's numerators
     stay integers at every level."""
@@ -143,28 +142,9 @@ class DyadicSegment(NamedTuple):
         x0, y0, x1, y1, e, _ = self
         return (x0, x1, e) if x0 <= x1 else (x1, x0, e), (y0, y1, e) if y0 <= y1 else (y1, y0, e)
 
-    @property
-    def start(self) -> tuple[int, int, int, int]:
-        return (self.x0, self.y0, self.e, self.q)
-
-    @property
-    def end(self) -> tuple[int, int, int, int]:
-        return (self.x1, self.y1, self.e, self.q)
-
-
-def boundary_piece(seg: Segment) -> DyadicSegment:
-    """The integer form of a segment, over the lcm q of the odd parts of
-    its endpoints' denominators: the piece that boundary certificates
-    bisect."""
-    q = odd_denominator(seg.x0, seg.y0, seg.x1, seg.y1)
-    dx, dy = lattice_form(seg.x0, seg.x1, q), lattice_form(seg.y0, seg.y1, q)
-    e = max(dx[2], dy[2])
-    sx, sy = e - dx[2], e - dy[2]
-    return DyadicSegment(dx[0] << sx, dy[0] << sy, dx[1] << sx, dy[1] << sy, e, q)
-
 
 def piece_segment(piece: DyadicSegment) -> Segment:
-    """A boundary piece as a Fraction ``Segment``."""
+    """A boundary piece as a Fraction ``Segment``, the form it is reported in."""
     d = piece.q << piece.e
     return Segment(Fraction(piece.x0, d), Fraction(piece.y0, d), Fraction(piece.x1, d), Fraction(piece.y1, d))
 
@@ -176,6 +156,11 @@ def enclose(expr: Expr, piece: DyadicSegment) -> IntRange:
 
 def excludes_zero(r: IntRange) -> bool:
     return r[0] > 0 or r[1] < 0
+
+
+def strict_sign(r: IntRange) -> int:
+    """The strict sign of an enclosure, or 0 when it meets zero."""
+    return 1 if r[0] > 0 else -1 if r[1] < 0 else 0
 
 
 class DyadicCell(NamedTuple):
@@ -202,9 +187,10 @@ class DyadicCell(NamedTuple):
 @dataclass(frozen=True)
 class BoundaryLoop:
     """One closed boundary curve, oriented with the block interior on its
-    left (outer loops run counterclockwise, hole loops clockwise)."""
+    left (outer loops run counterclockwise, hole loops clockwise); each
+    segment is one cell edge on the region's lattice."""
 
-    segments: tuple[Segment, ...]
+    segments: tuple[DyadicSegment, ...]
 
 
 @dataclass(frozen=True)
@@ -339,18 +325,22 @@ def bisect(piece, certify, max_level: int):
             yield piece, cert
 
 
+def _region_lattice(region: Box) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+    """(q, x, y): the region's axes as (a, b, e) over q * 2^e."""
+    x, y = region.x, region.y
+    q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
+    return q, lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
+
+
 def _lattice(problem, region: Box):
     """The region's quadtree cells on integers: (certify, box) for a
     ``DyadicCell``, its emptiness certificate under the problem and its
     ``Box``.
 
-    Every cell coordinate is an integer over q * 2^e, with q the lcm of
-    the odd parts of the region's corner denominators (1 for a dyadic
-    region), so a cell is decided by the integer kernels; a ``Box`` is
-    built from one shared ``Interval`` per distinct cell side."""
-    x, y = region.x, region.y
-    q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
-    (ax, bx, ex), (ay, by, ey) = lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
+    Every cell coordinate is an integer over q * 2^e, so a cell is decided
+    by the integer kernels; a ``Box`` is built from one shared
+    ``Interval`` per distinct cell side."""
+    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
     wx, wy = bx - ax, by - ay
     sides: dict[tuple[int, int, int], Interval] = {}
 
@@ -366,8 +356,7 @@ def _lattice(problem, region: Box):
         return (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level)
 
     def certify(cell: DyadicCell) -> Optional[EmptyCert]:
-        x, y = axes(cell)
-        return problem.empty_dyadic(x, y, q, side(x), side(y))
+        return problem.empty_dyadic(*axes(cell), q)
 
     def box(cell: DyadicCell) -> Box:
         x, y = axes(cell)
@@ -420,30 +409,41 @@ _LEFT = {"E": "N", "N": "W", "W": "S", "S": "E"}
 _RIGHT = {"E": "S", "S": "W", "W": "N", "N": "E"}
 
 
-def _boundary_loops(grid: Grid, comp: dict[Cell, Box]) -> tuple[BoundaryLoop, ...]:
-    """Oriented boundary of the cell union, interior on the left; ``comp``
-    maps each cell to its box, whose corners give the edge endpoints."""
+def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[BoundaryLoop, ...]:
+    """Oriented boundary of the union of the grid's cells of the region,
+    interior on the left; each edge joins two lattice vertices, over q * 2^e
+    with one e for both axes."""
+    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
+    e = max(ex, ey)
+    sx, sy = e - ex, e - ey
+    x0, wx = ax << (grid.depth + sx), (bx - ax) << sx
+    y0, wy = ay << (grid.depth + sy), (by - ay) << sy
+    e += grid.depth
+    # one int per lattice line, shared by every edge on it
+    xs: dict[int, int] = {}
+    ys: dict[int, int] = {}
+    members = set(cells)
 
     def is_member(cell: Cell) -> bool:
-        return grid.wrap(cell) in comp
+        return grid.wrap(cell) in members
 
-    # directed edges: (wrapped from-vertex, wrapped to-vertex, direction, segment)
+    # directed edges: (from-vertex, to-vertex, direction, piece)
     edges = []
-    for (i, j) in sorted(comp):
-        b = comp[(i, j)]
-        x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
+    for (i, j) in sorted(cells):
+        xa, xb = xs.setdefault(i, x0 + i * wx), xs.setdefault(i + 1, x0 + (i + 1) * wx)
+        ya, yb = ys.setdefault(j, y0 + j * wy), ys.setdefault(j + 1, y0 + (j + 1) * wy)
         if not is_member((i, j - 1)):  # south side, heading east
-            edges.append(((i, j), (i + 1, j), "E", Segment(x0, y0, x1, y0)))
+            edges.append(((i, j), (i + 1, j), "E", DyadicSegment(xa, ya, xb, ya, e, q)))
         if not is_member((i + 1, j)):  # east side, heading north
-            edges.append(((i + 1, j), (i + 1, j + 1), "N", Segment(x1, y0, x1, y1)))
+            edges.append(((i + 1, j), (i + 1, j + 1), "N", DyadicSegment(xb, ya, xb, yb, e, q)))
         if not is_member((i, j + 1)):  # north side, heading west
-            edges.append(((i + 1, j + 1), (i, j + 1), "W", Segment(x1, y1, x0, y1)))
+            edges.append(((i + 1, j + 1), (i, j + 1), "W", DyadicSegment(xb, yb, xa, yb, e, q)))
         if not is_member((i - 1, j)):  # west side, heading south
-            edges.append(((i, j + 1), (i, j), "S", Segment(x0, y1, x0, y0)))
+            edges.append(((i, j + 1), (i, j), "S", DyadicSegment(xa, yb, xa, ya, e, q)))
 
     by_from: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(edges):
-        by_from.setdefault(grid.wrap(e[0]), []).append(idx)
+    for idx, edge in enumerate(edges):
+        by_from.setdefault(grid.wrap(edge[0]), []).append(idx)
 
     used = [False] * len(edges)
     loops: list[BoundaryLoop] = []
@@ -480,7 +480,7 @@ def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int 
     for loop in boundary:
         for seg in loop.segments:
             pieces = 0
-            for piece, cert in bisect(boundary_piece(seg), problem.excluding_label, max_refine):
+            for piece, cert in bisect(seg, problem.sign_certificate, max_refine):
                 if cert is None:
                     return CertifyResult(False, total, piece_segment(piece), tuple(per_segment))
                 pieces += 1
@@ -517,8 +517,7 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     grid = Grid(max_depth, torus)
     blocks = []
     for k, cells in enumerate(_components(grid, list(retained))):
-        comp = {c: retained[c] for c in cells}
-        boundary = _boundary_loops(grid, comp)
+        boundary = _boundary_loops(grid, cells, region)
         cert = certify_boundary(problem, boundary)
         blocks.append(
             ZeroBlock(
@@ -526,8 +525,8 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
                 domain=problem.domain,
                 region=region,
                 resolution=max_depth,
-                cells=tuple(comp),
-                boxes=tuple(comp.values()),
+                cells=tuple(cells),
+                boxes=tuple(retained[c] for c in cells),
                 boundary=boundary,
                 coarse=not cert.ok,
                 certificate=cert.per_segment if cert.ok else None,
@@ -590,7 +589,7 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
             )
         members[c] = cell_box(cell)
     comp = dict(sorted(members.items()))
-    boundary = _boundary_loops(grid, comp)
+    boundary = _boundary_loops(grid, list(comp), block.region)
     cert = certify_boundary(problem, boundary)
     if not cert.ok:
         raise CertificationError("dilated boundary could not be certified")
@@ -637,9 +636,8 @@ def block_from_boxes(domain: str, boxes: Sequence[Box]) -> ZeroBlock:
     depth = max(1, (span - 1).bit_length())
     n = 1 << depth
     region = Box(Interval(x0, x0 + n * wx), Interval(y0, y0 + n * wy))
-    grid = Grid(depth, torus=False)
     comp = dict(sorted(cells.items()))
-    boundary = _boundary_loops(grid, comp)
+    boundary = _boundary_loops(Grid(depth, torus=False), list(comp), region)
     return ZeroBlock(
         label="user",
         domain=domain,

@@ -436,7 +436,7 @@ class Expr:
     def dyadic_kernel(self) -> "_DyadicKernel":
         """The integer enclosure kernel, compiled on first use.
 
-        Its ``range_dyadic(x, y, q, xiv, yiv)`` is the integer entry behind
+        Its ``range_dyadic(x, y, q)`` is the integer entry behind
         ``range_on``: quadtree cells and boundary pieces, which are held as
         integer numerators, call it directly."""
         try:
@@ -507,6 +507,14 @@ def _ipow(a: int, b: int, n: int) -> tuple[int, int]:
     return 0, max(a**n, b**n)
 
 
+def _trig_key(axis: tuple[int, int, int], q: int) -> tuple[int, int, int]:
+    """The axis (a, b, e) over q as a trig cache key: (a, b, q 2^e) reduced."""
+    a, b, e = axis
+    den = q << e
+    g = math.gcd(a, b, den)
+    return a // g, b // g, den // g
+
+
 # generator indices of a compiled factor: x, y, then the four trig
 # functions in the order a term-by-term evaluation meets them
 _SX, _CX, _SY, _CY = 2, 3, 4, 5
@@ -553,15 +561,11 @@ class _DyadicKernel:
         self.degrees = tuple(degrees)
         self.top_degree = max(degrees, default=0)
 
-    def range_dyadic(self, x, y, q: int, xiv: Optional[Interval] = None,
-                     yiv: Optional[Interval] = None) -> IntRange:
+    def range_dyadic(self, x, y, q: int) -> IntRange:
         """The enclosure over the box with axes ``x = (a, b, e)``, the
         interval [a/(q 2^e), b/(q 2^e)], and ``y`` alike, in integer form:
         the interval that Fraction interval arithmetic gives.  The
-        numerators need not be reduced, and q > 0.  ``xiv`` and
-        ``yiv`` are the same axes as ``Interval``s; only trig lookups read
-        them (the trig caches are keyed by ``Fraction`` endpoints), and
-        they are built from ``x``, ``y`` and q when not given."""
+        numerators need not be reduced, and q > 0."""
         # x and y keep their own power-of-two denominators; the shifts of
         # the factors add up per term, and terms are aligned when summed.
         # Their common factor q is cleared by scaling a term of
@@ -569,21 +573,18 @@ class _DyadicKernel:
         # products and tight powers, and every term is then over q^D
         bases = [x, y, None, None, None, None]
         if self.trig_order:
-            if xiv is None:
-                xiv = Interval.from_ints(x[0], x[1], q << x[2])
-            if yiv is None:
-                yiv = Interval.from_ints(y[0], y[1], q << y[2])
+            xkey, ykey = _trig_key(x, q), _trig_key(y, q)
         for gen in self.trig_order:
             # the lookups of term-by-term Fraction interval arithmetic, in
             # its order, so the lru_cache statistics match that reference
             if gen == _SX:
-                iv = sin_2pi_range(xiv.lo, xiv.hi)
+                iv = sin_2pi_range(*xkey)
             elif gen == _CX:
-                iv = cos_2pi_range(xiv.lo, xiv.hi)
+                iv = cos_2pi_range(*xkey)
             elif gen == _SY:
-                iv = sin_2pi_range(yiv.lo, yiv.hi)
+                iv = sin_2pi_range(*ykey)
             else:
-                iv = cos_2pi_range(yiv.lo, yiv.hi)
+                iv = cos_2pi_range(*ykey)
             bases[gen] = iv.dyadic  # mpmath endpoints and +-1 are dyadic
         powers = []
         for gen, n in self.factors:

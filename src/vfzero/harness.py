@@ -26,11 +26,9 @@ from .blocks import (
     MAX_SEG_REFINE,
     ZeroBlock,
     bisect,
-    boundary_piece,
     enclose,
     excludes_zero,
     isolate_zeros,
-    piece_segment,
 )
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
@@ -284,7 +282,7 @@ class StabilityReport:
 
 def _boundary_pieces(field: VectorField, block: ZeroBlock):
     """Refine the block boundary until the field enclosure on every piece
-    excludes the origin; returns the pieces with their enclosures."""
+    excludes the origin; returns (piece, cx enclosure, cy enclosure)."""
 
     def certify(piece):
         rx, ry = enclose(field.cx, piece), enclose(field.cy, piece)
@@ -293,11 +291,11 @@ def _boundary_pieces(field: VectorField, block: ZeroBlock):
     pieces = []
     for loop in block.boundary:
         for seg in loop.segments:
-            for piece, cert in bisect(boundary_piece(seg), certify, MAX_SEG_REFINE):
+            for piece, cert in bisect(seg, certify, MAX_SEG_REFINE):
                 if cert is None:
                     raise CertificationError("field magnitude bound not certifiable on boundary")
                 rx, ry = cert
-                pieces.append((piece_segment(piece), Interval.from_ints(*rx), Interval.from_ints(*ry)))
+                pieces.append((piece, Interval.from_ints(*rx), Interval.from_ints(*ry)))
     return pieces
 
 
@@ -341,12 +339,13 @@ def stability_test(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not block.boundary:
+        raise ValueError(f"block {block.label} has no boundary to bound the perturbation against")
     base = block_index(x_field, block).index
     pieces = _boundary_pieces(x_field, block)
     m = min(max(rx.mig(), ry.mig()) for _, rx, ry in pieces)
     if m <= 0:
         raise CertificationError("no positive lower field bound on the boundary")
-    int_pieces = [boundary_piece(seg) for seg, _, _ in pieces]
     rng = random.Random(seed)
     failures = []
     eps_seen: list[Fraction] = []
@@ -357,7 +356,7 @@ def stability_test(
             continue
         # s = max |P| over the pieces, kept as the fraction s_num / s_den
         s_num, s_den = 0, 1
-        for piece in int_pieces:
+        for piece, _, _ in pieces:
             for lo, hi, den in (enclose(pert.cx, piece), enclose(pert.cy, piece)):
                 mag = max(-lo, hi)
                 if mag * s_den > s_num * den:

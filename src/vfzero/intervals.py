@@ -12,8 +12,8 @@ precision.
 Every coordinate the geometry handles has an integer form: a numerator
 over q * 2^e, where q is the lcm of the odd parts of the denominators of
 a region's corners (``odd_denominator``; q = 1 for a dyadic region), and
-every corner of its quadtree cells shares that q; a boundary piece takes
-q from its own endpoints.  ``lattice_form`` gives the numerators of an
+every corner of its quadtree cells and every vertex of its boundary
+pieces shares that q.  ``lattice_form`` gives the numerators of an
 interval.
 mpmath's pi/sin/cos endpoints (mantissa * 2^exp) and the exact values -1,
 0, 1 are *dyadic*, q = 1: ``Interval.dyadic`` exposes that form, cached
@@ -25,7 +25,8 @@ arithmetic on these forms.
 Enclosures also travel in integer form, ``IntRange`` (lo, hi, den) for
 [lo/den, hi/den]: ``Interval.from_ints`` and ``Interval.ints`` convert,
 and ``imul`` multiplies.  ``Fraction`` endpoints are built where an
-``Interval`` is returned or stored, and as the keys of the trig caches.
+``Interval`` is returned or stored; the trig caches are keyed on the
+reduced integer form of their interval.
 mpmath endpoints (mantissa * 2^exp) become Fractions by one shift or one
 division by a power of two.
 """
@@ -115,10 +116,6 @@ def _iv_from_ratios(p_lo: int, q_lo: int, p_hi: int, q_hi: int):
     a = from_rational(p_lo, q_lo, _PREC_BITS, round_floor)
     b = from_rational(p_hi, q_hi, _PREC_BITS, round_ceiling)
     return _iv.mpf([_RawMpf(a), _RawMpf(b)])
-
-
-def _iv_from_fractions(lo: Fraction, hi: Fraction):
-    return _iv_from_ratios(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 @dataclass(frozen=True)
@@ -273,40 +270,35 @@ def pi_power(k: int) -> Interval:
     return _PI_POWERS[k]
 
 
-@lru_cache(maxsize=1 << 16)
-def sin_2pi_range(lo: Fraction, hi: Fraction) -> Interval:
-    """Enclosure of {sin(2*pi*t) : t in [lo, hi]}.
-
-    Extrema locations of sin(2*pi*t) are rational (t = 1/4 and 3/4 mod 1),
-    so the max/min clipping below is exact; endpoint values come from
-    mpmath's interval sine.
-    """
-    if hi - lo >= 1:
+def _trig_2pi_range(fn, a: int, b: int, den: int, top: Fraction, bottom: Fraction) -> Interval:
+    # fn(2*pi*t) on [a/den, b/den] from mpmath's interval function, clipped
+    # to [-1, 1]; its extrema sit at the rational phases top and bottom
+    # (mod 1), so inserting them where they lie inside is exact
+    if b - a >= den:
         return Interval(Fraction(-1), Fraction(1))
-    arg = 2 * _iv.pi * _iv_from_fractions(lo, hi)
-    a, b = _iv_endpoints(_iv.sin(arg))
-    out = Interval(max(a, Fraction(-1)), min(b, Fraction(1)))
-    # insert exact extrema when a critical point lies inside [lo, hi]
-    if _grid_point_in(lo, hi, Fraction(1, 4)):
+    v_lo, v_hi = _iv_endpoints(fn(2 * _iv.pi * _iv_from_ratios(a, den, b, den)))
+    out = Interval(max(v_lo, Fraction(-1)), min(v_hi, Fraction(1)))
+    lo, hi = Fraction(a, den), Fraction(b, den)
+    if _grid_point_in(lo, hi, top):
         out = Interval(out.lo, Fraction(1))
-    if _grid_point_in(lo, hi, Fraction(3, 4)):
+    if _grid_point_in(lo, hi, bottom):
         out = Interval(Fraction(-1), out.hi)
     return out
 
 
 @lru_cache(maxsize=1 << 16)
-def cos_2pi_range(lo: Fraction, hi: Fraction) -> Interval:
-    """Enclosure of {cos(2*pi*t) : t in [lo, hi]}."""
-    if hi - lo >= 1:
-        return Interval(Fraction(-1), Fraction(1))
-    arg = 2 * _iv.pi * _iv_from_fractions(lo, hi)
-    a, b = _iv_endpoints(_iv.cos(arg))
-    out = Interval(max(a, Fraction(-1)), min(b, Fraction(1)))
-    if _grid_point_in(lo, hi, Fraction(0)):
-        out = Interval(out.lo, Fraction(1))
-    if _grid_point_in(lo, hi, Fraction(1, 2)):
-        out = Interval(Fraction(-1), out.hi)
-    return out
+def sin_2pi_range(a: int, b: int, den: int) -> Interval:
+    """Enclosure of {sin(2*pi*t) : t in [a/den, b/den]}, keyed on that
+    integer form reduced by gcd(a, b, den): one key per interval, and
+    ``Fraction`` endpoints only on a miss."""
+    return _trig_2pi_range(_iv.sin, a, b, den, Fraction(1, 4), Fraction(3, 4))
+
+
+@lru_cache(maxsize=1 << 16)
+def cos_2pi_range(a: int, b: int, den: int) -> Interval:
+    """Enclosure of {cos(2*pi*t) : t in [a/den, b/den]}, keyed as
+    ``sin_2pi_range``."""
+    return _trig_2pi_range(_iv.cos, a, b, den, Fraction(0), Fraction(1, 2))
 
 
 def _grid_point_in(lo: Fraction, hi: Fraction, phase: Fraction) -> bool:

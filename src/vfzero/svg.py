@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .blocks import ZeroBlock
+from .blocks import ZeroBlock, piece_segment
 from .fields import VectorField
 from .intervals import Box
 
@@ -88,12 +88,13 @@ def phase_portrait_svg(
     # certified boundary loops
     for blk in blocks:
         for loop in blk.boundary:
+            segs = [piece_segment(piece) for piece in loop.segments]
             pts = []
-            for seg in loop.segments:
+            for seg in segs:
                 px, py = m.to_svg(float(seg.x0), float(seg.y0))
                 pts.append(f"{_fmt(px)},{_fmt(py)}")
-            if loop.segments:
-                px, py = m.to_svg(float(loop.segments[-1].x1), float(loop.segments[-1].y1))
+            if segs:
+                px, py = m.to_svg(float(segs[-1].x1), float(segs[-1].y1))
                 pts.append(f"{_fmt(px)},{_fmt(py)}")
             parts.append(
                 f'<polyline points="{" ".join(pts)}" fill="none" '

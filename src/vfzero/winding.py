@@ -17,8 +17,10 @@ vertex value or transcendental function enters: every decision is the
 sign of an integer enclosure (Stenger 1975, Kearfott 1979; Franek and
 Ratschan, Math. Comp. 2015).
 
-Boundary pieces are bisected in integer form (``blocks.DyadicSegment``:
-numerators over q * 2^e, q = 1 for a dyadic segment), and their
+Boundary loops hold their pieces in integer form (``blocks.DyadicSegment``:
+numerators over q * 2^e on the region's lattice, q = 1 for a dyadic
+region), and each piece is bisected by the sign certificate of the
+field's zero problem, ``blocks.ZeroProblem.sign_certificate``, whose
 enclosures come from ``Expr.dyadic_kernel().range_dyadic``.
 
 The index of a block is the sum of the winding numbers of its boundary
@@ -35,21 +37,24 @@ from .blocks import (
     MAX_SEG_REFINE,
     BoundaryLoop,
     DyadicSegment,
+    Grid,
     Segment,
     ZeroBlock,
     ZeroProblem,
+    _boundary_loops,
+    _field_parts,
     bisect,
-    boundary_piece,
     certify_boundary,
     enclose,
     excludes_zero,
     isolate_zeros,
     piece_segment,
+    strict_sign,
 )
 from .errors import CertificationError, FalsificationError
 from .expr import Expr
 from .fields import VectorField, dot, wedge
-from .intervals import Box, IntRange
+from .intervals import Box
 
 
 @dataclass(frozen=True)
@@ -66,26 +71,11 @@ class IndexReport:
     method: str = "winding"
 
 
-def _sign(r: IntRange) -> int:
-    """The strict sign of an enclosure, or 0 when it meets zero."""
-    return 1 if r[0] > 0 else -1 if r[1] < 0 else 0
-
-
-def _sign_certificate(field: VectorField, piece: DyadicSegment) -> Optional[tuple[int, int]]:
-    """(component, sign) of the first component, cx (0) then cy (1), whose
-    enclosure on the piece has a strict sign, or None."""
-    s = _sign(enclose(field.cx, piece))
-    if s:
-        return (0, s)
-    s = _sign(enclose(field.cy, piece))
-    return (1, s) if s else None
-
-
 def _crossings(certs: list[tuple[int, int]]) -> int:
     """Signed count of crossings of the positive x-axis along a closed loop
-    of pieces with the given sign certificates, in loop order: each maximal
-    run of ``cx > 0`` pieces between ``cy`` pieces of signs s0 and s1 adds
-    (s1 - s0) / 2."""
+    of pieces with the given sign certificates (k, sign), in loop order,
+    where k = 0 is cx and k = 1 is cy: each maximal run of ``cx > 0``
+    pieces between ``cy`` pieces of signs s0 and s1 adds (s1 - s0) / 2."""
     first = next((i for i, (comp, _) in enumerate(certs) if comp == 1), None)
     if first is None:
         return 0
@@ -109,9 +99,10 @@ def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
 
 
 def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
+    sign_certificate = ZeroProblem(_field_parts(field)).sign_certificate
     certs: list[tuple[int, int]] = []
     for seg in loop.segments:
-        for piece, cert in bisect(boundary_piece(seg), lambda s: _sign_certificate(field, s), MAX_SEG_REFINE):
+        for piece, cert in bisect(seg, sign_certificate, MAX_SEG_REFINE):
             if cert is None:
                 piece = piece_segment(piece)
                 raise CertificationError(
@@ -142,17 +133,9 @@ def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
 
 
 def region_boundary_loop(region: Box) -> BoundaryLoop:
-    """Counterclockwise rectangle boundary of the region."""
-    x0, x1 = region.x.lo, region.x.hi
-    y0, y1 = region.y.lo, region.y.hi
-    return BoundaryLoop(
-        (
-            Segment(x0, y0, x1, y0),
-            Segment(x1, y0, x1, y1),
-            Segment(x1, y1, x0, y1),
-            Segment(x0, y1, x0, y0),
-        )
-    )
+    """Counterclockwise rectangle boundary of the region: the boundary of
+    its one cell at depth 0."""
+    return _boundary_loops(Grid(0, torus=False), [(0, 0)], region)[0]
 
 
 def region_index(field: VectorField, region: Box, max_depth: int) -> int:
@@ -221,7 +204,7 @@ def index_transfer_check(
         # first from one component with strict signs in X and Y, the same
         # (no negative ratio) or opposite (no positive ratio) ones
         for a, b in ((x_field.cx, y_field.cx), (x_field.cy, y_field.cy)):
-            if _sign(enclose(a, piece)) * _sign(enclose(b, piece)) == -sign:
+            if strict_sign(enclose(a, piece)) * strict_sign(enclose(b, piece)) == -sign:
                 return True
         if excludes_zero(enclose(w, piece)):
             return True
@@ -234,7 +217,7 @@ def index_transfer_check(
     for loop in block.boundary:
         for seg in loop.segments:
             certs = 0
-            for piece, cert in bisect(boundary_piece(seg), never_ratio, MAX_SEG_REFINE):
+            for piece, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
                 if cert is None:
                     return TransferReport(mode, False, pieces, None, None, piece_segment(piece))
                 certs += 1

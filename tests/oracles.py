@@ -10,7 +10,9 @@ arithmetic, kept to check the integer kernel behind ``Expr.range_on``
 on every kind of box.  The Fraction geometry reference bisects quadtree
 cells as ``Box``es and boundary pieces as ``Segment``s with its own
 ``fraction_bisect``, on that reference enclosure, to check the integer
-cells and pieces against.  Its loop winding, ``fraction_loop_winding``,
+cells and pieces against; ``fraction_boundary_loops`` reads each block
+boundary edge off the corners of its cell's box, to check the lattice
+pieces of ``blocks._boundary_loops`` against.  Its loop winding, ``fraction_loop_winding``,
 is certified atan2 angle accumulation from ``Interval`` cross and dot
 products of endpoint values: an index law independent of the library's
 count of axis crossings.  The reference ring is the original
@@ -32,7 +34,7 @@ from typing import Optional
 import sympy
 
 from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
-from vfzero.blocks import MAX_SEG_REFINE, Segment
+from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import (
     PI, EnclosureError, atan2_range, cos_2pi_range, pi_power, sin_2pi_range,
@@ -105,12 +107,13 @@ def dense_circle_winding(
 
 
 def _sample_loop(loop: BoundaryLoop, samples: int):
+    segments = [piece_segment(piece) for piece in loop.segments]
     lengths = [
-        abs(float(s.x1 - s.x0)) + abs(float(s.y1 - s.y0)) for s in loop.segments
+        abs(float(s.x1 - s.x0)) + abs(float(s.y1 - s.y0)) for s in segments
     ]
     total = sum(lengths) or 1.0
     points = []
-    for seg, ln in zip(loop.segments, lengths):
+    for seg, ln in zip(segments, lengths):
         n = max(2, int(samples * ln / total))
         x0, y0, x1, y1 = (float(seg.x0), float(seg.y0), float(seg.x1), float(seg.y1))
         for k in range(n):
@@ -135,6 +138,15 @@ def dense_block_winding(field: VectorField, block, samples: int = 20_000) -> int
 # Fraction enclosure and geometry reference
 
 
+def fraction_trig_key(iv: Interval) -> tuple[int, int, int]:
+    """The trig cache key of an interval from its Fraction endpoints: their
+    numerators over the lcm of their denominators, a triple that is
+    already reduced."""
+    lo, hi = iv.lo, iv.hi
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
 def range_on_fractions(e: Expr, box: Box) -> Interval:
     """Reference enclosure in Fraction interval arithmetic."""
     sx = cx = sy = cy = None
@@ -150,19 +162,19 @@ def range_on_fractions(e: Expr, box: Box) -> Interval:
             v = v * box.y.int_pow(ey)
         if s1:
             if sx is None:
-                sx = sin_2pi_range(box.x.lo, box.x.hi)
+                sx = sin_2pi_range(*fraction_trig_key(box.x))
             v = v * sx.int_pow(s1)
         if c1:
             if cx is None:
-                cx = cos_2pi_range(box.x.lo, box.x.hi)
+                cx = cos_2pi_range(*fraction_trig_key(box.x))
             v = v * cx.int_pow(c1)
         if s2:
             if sy is None:
-                sy = sin_2pi_range(box.y.lo, box.y.hi)
+                sy = sin_2pi_range(*fraction_trig_key(box.y))
             v = v * sy.int_pow(s2)
         if c2:
             if cy is None:
-                cy = cos_2pi_range(box.y.lo, box.y.hi)
+                cy = cos_2pi_range(*fraction_trig_key(box.y))
             v = v * cy.int_pow(c2)
         total = total + v
     return total
@@ -220,6 +232,62 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
     return retained, empties
 
 
+_LEFT = {"E": "N", "N": "W", "W": "S", "S": "E"}
+_RIGHT = {"E": "S", "S": "W", "W": "N", "N": "E"}
+
+
+def fraction_boundary_loops(grid, comp: dict) -> tuple[tuple[Segment, ...], ...]:
+    """The oriented boundary loops of a cell union, interior on the left,
+    as ``Segment``s read off the corners of each cell's box: ``comp`` maps
+    each cell of the grid to its box.  The box-corner extraction that
+    ``blocks._boundary_loops`` replaced with lattice pieces."""
+
+    def is_member(cell) -> bool:
+        return grid.wrap(cell) in comp
+
+    # directed edges: (from-vertex, to-vertex, direction, segment)
+    edges = []
+    for (i, j) in sorted(comp):
+        b = comp[(i, j)]
+        x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
+        if not is_member((i, j - 1)):  # south side, heading east
+            edges.append(((i, j), (i + 1, j), "E", Segment(x0, y0, x1, y0)))
+        if not is_member((i + 1, j)):  # east side, heading north
+            edges.append(((i + 1, j), (i + 1, j + 1), "N", Segment(x1, y0, x1, y1)))
+        if not is_member((i, j + 1)):  # north side, heading west
+            edges.append(((i + 1, j + 1), (i, j + 1), "W", Segment(x1, y1, x0, y1)))
+        if not is_member((i - 1, j)):  # west side, heading south
+            edges.append(((i, j + 1), (i, j), "S", Segment(x0, y1, x0, y0)))
+
+    by_from: dict = {}
+    for idx, e in enumerate(edges):
+        by_from.setdefault(grid.wrap(e[0]), []).append(idx)
+
+    used = [False] * len(edges)
+    loops = []
+    for start_idx in range(len(edges)):
+        if used[start_idx]:
+            continue
+        chain = [start_idx]
+        used[start_idx] = True
+        start_v = grid.wrap(edges[start_idx][0])
+        cur = edges[start_idx]
+        while grid.wrap(cur[1]) != start_v:
+            v = grid.wrap(cur[1])
+            candidates = [k for k in by_from.get(v, ()) if not used[k]]
+            if not candidates:
+                raise AssertionError("open boundary chain: inconsistent cell union")
+            # prefer left turn, then straight, then right turn
+            pref = (_LEFT[cur[2]], cur[2], _RIGHT[cur[2]])
+            candidates.sort(key=lambda k: pref.index(edges[k][2]))
+            nxt = candidates[0]
+            used[nxt] = True
+            chain.append(nxt)
+            cur = edges[nxt]
+        loops.append(tuple(edges[k][3] for k in chain))
+    return tuple(loops)
+
+
 # The atan2 winding: certified angle accumulation.  Each piece's field
 # enclosure must miss the origin, the signed angle between the field values
 # at its endpoints is enclosed with interval atan2, and the loop total must
@@ -270,8 +338,9 @@ def fraction_loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding
     max_width = _MAX_INC_WIDTH
     for _ in range(_GATE_RETRIES + 1):
         increments = []
-        for seg in loop.segments:
-            for _, inc in fraction_bisect(seg, lambda s: fraction_increment(field, s, max_width),
+        for piece in loop.segments:
+            for _, inc in fraction_bisect(piece_segment(piece),
+                                          lambda s: fraction_increment(field, s, max_width),
                                           MAX_SEG_REFINE):
                 if inc is None:
                     raise ValueError("uncertified piece")

@@ -11,6 +11,7 @@ from vfzero import (
     CertificationError,
     Interval,
     block_from_boxes,
+    builtin_catalog,
     certify_isolating,
     dilate_block,
     isolate_zeros,
@@ -18,11 +19,17 @@ from vfzero import (
     parse_field,
     scalar_zero_blocks,
 )
-from vfzero.blocks import ZeroProblem, _field_parts, _subdivide
+from vfzero.blocks import Grid, ZeroProblem, _field_parts, _subdivide, piece_segment
 from vfzero.blocks import dilate_block as _dilate
+from vfzero.winding import region_boundary_loop
 
 from conftest import plane_fields, torus_polys
-from oracles import fraction_bisect, fraction_empty_certificate, fraction_subdivide
+from oracles import (
+    fraction_bisect,
+    fraction_boundary_loops,
+    fraction_empty_certificate,
+    fraction_subdivide,
+)
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 REGION2 = Box.from_corners(-2, -2, 2, 2)
@@ -170,11 +177,13 @@ class TestBoundaryStructure:
     )
     def test_loops_partition_boundary_edges(self, cells, torus):
         # every boundary edge is used exactly once and every loop closes
-        from vfzero.blocks import Grid, _boundary_loops, _components
+        from vfzero.blocks import _boundary_loops, _components
 
         grid = Grid(3, torus)
         for comp in _components(grid, sorted(cells)):
-            loops = _boundary_loops(grid, {c: _cell_box(grid, c) for c in comp})
+            loops = _boundary_loops(grid, comp, TORUS)
+            assert _segment_loops(loops) == fraction_boundary_loops(
+                grid, {c: _cell_box(grid, c) for c in comp})
             edge_count = 0
             for (i, j) in comp:
                 for nb in ((i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)):
@@ -184,7 +193,7 @@ class TestBoundaryStructure:
                         edge_count += 1
             assert sum(len(lp.segments) for lp in loops) == edge_count
             for lp in loops:
-                segs = lp.segments
+                segs = [piece_segment(piece) for piece in lp.segments]
                 for a, b in zip(segs, segs[1:]):
                     assert _same_vertex(grid, a.end, b.start, torus)
                 assert _same_vertex(grid, segs[-1].end, segs[0].start, torus)
@@ -199,6 +208,50 @@ def _same_vertex(grid, p, q, torus):
     if not torus:
         return p == q
     return ((p[0] - q[0]) % 1 == 0) and ((p[1] - q[1]) % 1 == 0)
+
+
+def _segment_loops(loops):
+    return tuple(tuple(piece_segment(piece) for piece in lp.segments) for lp in loops)
+
+
+def _box_corner_loops(blk):
+    return fraction_boundary_loops(blk.grid(), dict(zip(blk.cells, blk.boxes)))
+
+
+class TestLatticeBoundary:
+    """Boundary loops built as lattice pieces against the loops read off
+    the corners of each cell's box: the same ``Segment``s, loop by loop."""
+
+    @pytest.mark.parametrize("name", [e.name for e in builtin_catalog()])
+    def test_catalog_blocks(self, catalog, name):
+        entry = catalog[name]
+        depth = 6 if entry.domain == "plane" else 4
+        blocks = isolate_zeros(entry.field, entry.region, depth).blocks
+        assert blocks
+        for blk in blocks:
+            assert _segment_loops(blk.boundary) == _box_corner_loops(blk)
+
+    def test_dilation(self):
+        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
+        blk = isolate_zeros(field, Box.from_corners(0, 0, Fraction(1, 3), 1), 6).blocks[0]
+        grown = dilate_block(field, blk)
+        assert _segment_loops(grown.boundary) == _box_corner_loops(grown)
+
+    def test_block_from_boxes(self):
+        # an L of three congruent non-dyadic boxes: widths 1/3 and 1/20 from
+        # the corner (1/7, -1/9), so the region's y axis is over 2 * q
+        wx, wy = Fraction(1, 3), Fraction(1, 20)
+        x0, y0 = Fraction(1, 7), Fraction(-1, 9)
+        boxes = [Box.from_corners(x0 + i * wx, y0 + j * wy, x0 + (i + 1) * wx, y0 + (j + 1) * wy)
+                 for i, j in ((0, 0), (1, 0), (0, 1))]
+        blk = block_from_boxes("plane", boxes)
+        assert [len(lp.segments) for lp in blk.boundary] == [8]
+        assert _segment_loops(blk.boundary) == _box_corner_loops(blk)
+
+    def test_region_boundary_loop(self):
+        region = Box.from_corners(0, 0, Fraction(1, 3), 1)
+        assert _segment_loops([region_boundary_loop(region)]) == fraction_boundary_loops(
+            Grid(0, torus=False), {(0, 0): region})
 
 
 class TestDilation:

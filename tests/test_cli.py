@@ -217,6 +217,14 @@ class TestExitCodes:
         assert run_command(argv) == 3
         assert "usage error" in capsys.readouterr().err
 
+    def test_usage_error_stability_without_boundary(self, capsys):
+        # the whole-torus block has no boundary loop to bound the
+        # perturbation scale on
+        argv = ["verify", "stability", "--field", "(sin2px, sin2py)", "--domain", "torus",
+                "--depth", "1"]
+        assert run_command(argv) == 3
+        assert "block K0 has no boundary" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x^2 + y^2 + 1, x)"],
         ["transfer", "--x", "(x^2 + y^2 + 1, x)", "--y", "(1, 0)"],

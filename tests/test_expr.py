@@ -260,6 +260,10 @@ class TestDyadicKernel:
         w = Fraction(1, 64)
         cells = [Box(Interval(i * w, (i + 1) * w), Interval(j * w, (j + 2) * w))
                  for i in range(0, 64, 5) for j in range(0, 62, 7)]
+        # with a side over 3 * 2^e, the kernel's numerators of the other
+        # side carry the factor 3 and reduce to the same cache keys
+        cells += [Box(Interval(i * w, (i + 2) * w), Interval(Fraction(j, 3), Fraction(j + 1, 3)))
+                  for i in range(0, 62, 9) for j in range(3)]
         traffic = []
         for evaluate in (lambda box: range_on_fractions(e, box), e.range_on):
             sin_2pi_range.cache_clear()

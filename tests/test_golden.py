@@ -18,8 +18,19 @@ crossings: the three ``index`` reports no longer print each loop's atan2
 ``angle_sum`` and ``max_piece_width`` (nothing else in them changed), and
 the X = Y ``verify transfer`` over 0,0,1/3,1 decides its pieces from
 component signs first, so its ``pieces`` went from 12495 to 142.
+
+Six ``repr`` pins below moved when block boundaries became lattice
+pieces: ``isolate-plane``, ``isolate-torus``, ``scalar-blocks``,
+``common-blocks``, ``dilate`` and ``boundary-pieces``.  Each boundary
+loop, each per-segment certificate and each piece of ``_boundary_pieces``
+now holds a ``DyadicSegment`` where it held a ``Segment``; with every
+piece mapped back through ``piece_segment`` each object gives its old
+hash, which ``test_segment_form_unchanged`` keeps checking.
+
+``plot`` writes an SVG, pinned by its own hash.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -35,7 +46,15 @@ from vfzero import (
     parse_field,
     scalar_zero_blocks,
 )
-from vfzero.blocks import common_zero_blocks
+from vfzero.blocks import (
+    BoundaryLoop,
+    CertifyResult,
+    DyadicSegment,
+    IsolationResult,
+    ZeroBlock,
+    common_zero_blocks,
+    piece_segment,
+)
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces
 
@@ -126,34 +145,89 @@ def _dilated():
     return dilate_block(field, isolate_zeros(field, _R1, 6).blocks[0])
 
 
+def _squaring_pieces():
+    return _boundary_pieces(*_catalog_block("complex-squaring"))
+
+
+FACTORIES = {
+    "isolate-plane":
+        lambda: isolate_zeros(parse_field("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)"), _R2, 6),
+    "isolate-empty":
+        lambda: isolate_zeros(parse_field("(x^2 + y^2 - 1/4, x^2 + y^2 - 1)"), _R1, 6),
+    "isolate-torus":
+        lambda: isolate_zeros(parse_field("(sin2px, sin2py)", "torus"), _TORUS, 5),
+    "scalar-blocks":
+        lambda: scalar_zero_blocks(parse_expr("x^2 + y^2 - 1"), _R2, 5),
+    "common-blocks":
+        lambda: common_zero_blocks([parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")],
+                                   _R1, 5),
+    "dilate": _dilated,
+    "isolating-fails":
+        lambda: certify_isolating(parse_field("(x, y)"),
+                                  block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)]),
+                                  max_refine=12),
+    "boundary-pieces": lambda: sorted(repr(p) for p in _squaring_pieces()),
+}
+
 OBJECTS = [
-    ("isolate-plane",
-     lambda: isolate_zeros(parse_field("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)"), _R2, 6),
-     "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
-    ("isolate-empty",
-     lambda: isolate_zeros(parse_field("(x^2 + y^2 - 1/4, x^2 + y^2 - 1)"), _R1, 6),
-     "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
-    ("isolate-torus",
-     lambda: isolate_zeros(parse_field("(sin2px, sin2py)", "torus"), _TORUS, 5),
-     "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
-    ("scalar-blocks",
-     lambda: scalar_zero_blocks(parse_expr("x^2 + y^2 - 1"), _R2, 5),
-     "e2923080177a4c251dfcf1ca1663566f86569c01f59c907694d139843f1abd2d"),
-    ("common-blocks",
-     lambda: common_zero_blocks([parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")], _R1, 5),
-     "f9206888905c65e130a94980c823333e8af081cd28823a121f4d90e07e1d8f93"),
-    ("dilate", _dilated, "91d46e12e7d4240f185d0a4a1a2c95fdd44f08ad1aee05e734abe3c90aebe14e"),
-    ("isolating-fails",
-     lambda: certify_isolating(parse_field("(x, y)"),
-                               block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)]),
-                               max_refine=12),
-     "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
-    ("boundary-pieces",
-     lambda: sorted(repr(p) for p in _boundary_pieces(*_catalog_block("complex-squaring"))),
-     "5934068d43cac4ee1fafaf7493689074a1fba3e5f845cc36e5bf81e1ef81805f"),
+    ("isolate-plane", "2f989778279816bcfd302616268acb18f98076871269265e993d0610e2915162"),
+    ("isolate-empty", "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
+    ("isolate-torus", "ce67f736aed97578c858d3447825eacfc8bbb818e42e483e4e0596666ff0f5b5"),
+    ("scalar-blocks", "e2536f555622670c36a8701eb32a2e0e8c65cf02ead386369f2546fa0654e949"),
+    ("common-blocks", "66bea8c89f08f8d4d9ef46e5e88e8981c2fa8f2ecdba9216cfeaa0b093a821c5"),
+    ("dilate", "5a455d734a808f5f66a4678dcd62bfb49ff56b5a13b15476ad8b16cf987bc737"),
+    ("isolating-fails", "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
+    ("boundary-pieces", "c59991ff7c38f776cb2efef1259a7f66cad76fb08060a38608cfb7d709f4c540"),
 ]
 
 
-@pytest.mark.parametrize("build, sha256", [o[1:] for o in OBJECTS], ids=[o[0] for o in OBJECTS])
-def test_object_repr_unchanged(build, sha256):
-    assert hashlib.sha256(repr(build()).encode()).hexdigest() == sha256
+@pytest.mark.parametrize("name, sha256", OBJECTS, ids=[o[0] for o in OBJECTS])
+def test_object_repr_unchanged(name, sha256):
+    assert hashlib.sha256(repr(FACTORIES[name]()).encode()).hexdigest() == sha256
+
+
+def _as_segments(obj):
+    """The object with every boundary piece replaced by its ``Segment``."""
+    if isinstance(obj, DyadicSegment):
+        return piece_segment(obj)
+    if isinstance(obj, (BoundaryLoop, CertifyResult, IsolationResult, ZeroBlock)):
+        return dataclasses.replace(obj, **{f.name: _as_segments(getattr(obj, f.name))
+                                           for f in dataclasses.fields(obj)})
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(_as_segments(v) for v in obj)
+    return obj
+
+
+# The hashes the six moved pins had while boundaries held ``Segment``s.
+SEGMENT_FORMS = [
+    ("isolate-plane", "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
+    ("isolate-torus", "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
+    ("scalar-blocks", "e2923080177a4c251dfcf1ca1663566f86569c01f59c907694d139843f1abd2d"),
+    ("common-blocks", "f9206888905c65e130a94980c823333e8af081cd28823a121f4d90e07e1d8f93"),
+    ("dilate", "91d46e12e7d4240f185d0a4a1a2c95fdd44f08ad1aee05e734abe3c90aebe14e"),
+    ("boundary-pieces", "5934068d43cac4ee1fafaf7493689074a1fba3e5f845cc36e5bf81e1ef81805f"),
+]
+
+
+@pytest.mark.parametrize("name, sha256", SEGMENT_FORMS, ids=[o[0] for o in SEGMENT_FORMS])
+def test_segment_form_unchanged(name, sha256):
+    if name == "boundary-pieces":
+        obj = sorted(repr(_as_segments(p)) for p in _squaring_pieces())
+    else:
+        obj = _as_segments(FACTORIES[name]())
+    assert hashlib.sha256(repr(obj).encode()).hexdigest() == sha256
+
+
+PLOTS = [
+    ("plot-squaring", ["plot", "--field", "(x^2 - y^2, 2*x*y)"],
+     "8a910c29fe4b8e751fbfe2feea2257080ce64e597311d4bb1150108776fa58f5"),
+    ("plot-torus", ["plot", "--field", "(sin2px, sin2py)", "--domain", "torus"],
+     "24c068c7609df729e13ef40f9955c46733f95f4140869d0610afd98bf2252a81"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", [p[1:] for p in PLOTS], ids=[p[0] for p in PLOTS])
+def test_plot_svg_unchanged(argv, sha256, tmp_path):
+    svg = tmp_path / "plot.svg"
+    assert run_command(argv + ["--svg-out", str(svg), "--out", str(tmp_path / "r.json")]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == sha256

@@ -17,7 +17,8 @@ from vfzero import (
     refine_seed,
     stability_test,
 )
-from vfzero.harness import _boundary_pieces, _random_perturbation
+from vfzero.blocks import piece_segment
+from vfzero.harness import TORUS_SQUARE, _boundary_pieces, _random_perturbation
 
 from oracles import range_on_fractions
 
@@ -116,6 +117,14 @@ class TestStability:
         with pytest.raises(ValueError, match="trials"):
             stability_test(e.field, blk, trials=trials)
 
+    def test_block_without_boundary_rejected(self):
+        # at depth 1 every cell of the torus is retained: one block, no loops
+        field = parse_field("(sin2px, sin2py)", "torus")
+        (blk,) = isolate_zeros(field, TORUS_SQUARE, 1).blocks
+        assert blk.boundary == ()
+        with pytest.raises(ValueError, match="block K0 has no boundary"):
+            stability_test(field, blk, trials=3)
+
 
 class TestStabilityScale:
     """The perturbation scale eps of ``stability_test`` keeps
@@ -136,7 +145,7 @@ class TestStabilityScale:
         blk = isolate_zeros(e.field, e.region, depth).blocks[0]
         trials = 40
         rep = stability_test(e.field, blk, trials=trials, seed=seed)
-        boxes = [seg.box() for seg, _, _ in _boundary_pieces(e.field, blk)]
+        boxes = [piece_segment(piece).box() for piece, _, _ in _boundary_pieces(e.field, blk)]
 
         def sup(field, box):
             return max(range_on_fractions(field.cx, box).mag(),

@@ -69,8 +69,8 @@ class TestDyadicForm:
         assert Interval(Fraction(0), Fraction(5, 6)).dyadic is None
 
     def test_cached_enclosures_are_dyadic(self):
-        for iv in (PI, pi_power(3), sin_2pi_range(Fraction(1, 3), Fraction(1, 2)),
-                   cos_2pi_range(Fraction(1, 8), Fraction(3, 8))):
+        for iv in (PI, pi_power(3), sin_2pi_range(2, 3, 6),
+                   cos_2pi_range(1, 3, 8)):
             a, b, e = iv.dyadic
             assert (Fraction(a, 1 << e), Fraction(b, 1 << e)) == (iv.lo, iv.hi)
 

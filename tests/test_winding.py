@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -27,8 +28,8 @@ from vfzero import (
     winding,
     winding_number,
 )
-from vfzero.blocks import ZeroProblem, boundary_piece, piece_segment
-from vfzero.harness import _random_perturbation
+from vfzero.blocks import ZeroProblem, _field_parts, certify_boundary, piece_segment
+from vfzero.harness import _boundary_pieces, _random_perturbation
 
 from conftest import plane_fields, torus_polys
 from oracles import (
@@ -210,7 +211,7 @@ class TestCrossingRule:
 
     @staticmethod
     def _loop_certificates(field, loop):
-        return [winding._sign_certificate(field, boundary_piece(seg)) for seg in loop.segments]
+        return [ZeroProblem(_field_parts(field)).sign_certificate(seg) for seg in loop.segments]
 
     def test_loop_certified_only_by_cx_positive_winds_zero(self):
         # cy changes sign twice along the loop, inside the run of cx > 0
@@ -297,7 +298,7 @@ class TestIndexTransfer:
         assert any(
             seg.box().contains_point(piece.start) and seg.box().contains_point(piece.end)
             for loop in blk.boundary
-            for seg in loop.segments
+            for seg in map(piece_segment, loop.segments)
         )
 
     def test_transfer_soundness_sample(self):
@@ -364,58 +365,49 @@ def _check_loop_windings(field, block):
 
 def _record_certified_pieces(field, region, depth):
     """Isolate and index the field's blocks, recording every boundary piece
-    that ``certify_boundary`` and ``_sign_certificate`` were asked about,
-    and the blocks whose index was certified."""
-    labels, signs, indexed = [], [], []
-    excluding_label, sign_certificate = ZeroProblem.excluding_label, winding._sign_certificate
+    that ``certify_boundary`` and the winding asked
+    ``ZeroProblem.sign_certificate`` about, and the blocks whose index was
+    certified."""
+    signs, indexed = [], []
+    sign_certificate = ZeroProblem.sign_certificate
 
-    def record_label(problem, piece):
-        label = excluding_label(problem, piece)
-        labels.append((problem, piece, label))
-        return label
-
-    def record_sign(f, piece):
-        cert = sign_certificate(f, piece)
-        signs.append((f, piece, cert))
+    def record_sign(problem, piece):
+        cert = sign_certificate(problem, piece)
+        signs.append((problem, piece, cert))
         return cert
 
-    with mock.patch.object(ZeroProblem, "excluding_label", record_label), \
-            mock.patch.object(winding, "_sign_certificate", record_sign):
+    with mock.patch.object(ZeroProblem, "sign_certificate", record_sign):
         for blk in isolate_zeros(field, region, depth).blocks:
             try:
                 block_index(field, blk)
             except CertificationError:
                 continue
             indexed.append(blk)
-    return labels, signs, indexed
+    return signs, indexed
 
 
 class TestIntegerPieces:
-    """Boundary pieces in integer form against the Fraction reference: each
-    certified piece excludes zero on the Fraction enclosure loop, every
-    sign certificate is the one the Fraction enclosures give (cx first),
-    and every certified block's loop windings equal the atan2 oracle's and
-    dense sampling's."""
+    """Boundary pieces in integer form against the Fraction reference:
+    every sign certificate, of the isolation's boundary certificate and of
+    the winding alike, is the one the Fraction enclosures give (first
+    component first), and every certified block's loop windings equal the
+    atan2 oracle's and dense sampling's."""
 
     @staticmethod
     def _check(field, region, depth):
-        labels, signs, indexed = _record_certified_pieces(field, region, depth)
-        for problem, piece, label in labels:
-            if label is not None:
-                expr = dict(problem.components)[label]
-                assert range_on_fractions(expr, piece_segment(piece).box()).excludes_zero()
-        for f, piece, cert in signs:
+        signs, indexed = _record_certified_pieces(field, region, depth)
+        for problem, piece, cert in signs:
             box = piece_segment(piece).box()
-            rx, ry = range_on_fractions(f.cx, box), range_on_fractions(f.cy, box)
             expected = None
-            for comp, r in enumerate((rx, ry)):
+            for k, (_, expr) in enumerate(problem.components):
+                r = range_on_fractions(expr, box)
                 if r.excludes_zero():
-                    expected = (comp, 1 if r.lo > 0 else -1)
+                    expected = (k, 1 if r.lo > 0 else -1)
                     break
             assert cert == expected
         for blk in indexed:
             _check_loop_windings(field, blk)
-        return labels, signs, indexed
+        return signs, indexed
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(plane_fields(2, 3), st.integers(3, 5))
@@ -432,8 +424,8 @@ class TestIntegerPieces:
     @pytest.mark.parametrize("name, depth", [("complex-squaring", 5), ("torus-grid-saddle", 4)])
     def test_catalog_pieces(self, catalog, name, depth):
         entry = catalog[name]
-        labels, signs, indexed = self._check(entry.field, entry.region, depth)
-        assert any(label for _, _, label in labels)
+        signs, indexed = self._check(entry.field, entry.region, depth)
+        assert any(cert for *_, cert in signs)
         # both components certify pieces, with both signs
         assert {cert for *_, cert in signs} >= {(0, 1), (0, -1), (1, 1), (1, -1)}
         assert indexed
@@ -462,3 +454,57 @@ class TestIndexLaws:
         for field in (entry.field, _perturbed(entry.field, 1), _perturbed(entry.field, 2)):
             for blk in blocks:
                 _check_loop_windings(field, blk)
+
+
+_THIRD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
+
+
+def _count_case(name):
+    """(field, blocks) of one piece-count case: catalog blocks, whole
+    boxes that need refinement, and a dilation."""
+    entries = {e.name: e for e in builtin_catalog()}
+    if name in ("complex-squaring:6", "annulus-node:4", "torus-shear:3", "torus-grid-saddle:4"):
+        entry, depth = entries[name.split(":")[0]], int(name.split(":")[1])
+        return entry.field, isolate_zeros(entry.field, entry.region, depth).blocks
+    if name == "third-box":
+        box = Box.from_corners(0, 0, Fraction(1, 3), 1)
+        return parse_field(_THIRD), [block_from_boxes("plane", [box])]
+    if name == "squaring-box":
+        return parse_field("(x^2 - y^2, 2*x*y)"), [block_from_boxes("plane", [REGION])]
+    field = parse_field("(x, y)")
+    return field, [dilate_block(field, isolate_zeros(field, REGION, 6).blocks[0])]
+
+
+class TestPieceCounts:
+    """Per loop, the pieces that ``certify_boundary``, ``_loop_winding``,
+    ``_boundary_pieces`` and ``index_transfer_check`` (against the field
+    turned by a right angle) certify, as recorded while block boundaries
+    were ``Segment``s read off box corners."""
+
+    RECORDED = {
+        "complex-squaring:6": [[(16, 16, 16, 16)]],
+        "annulus-node:4": [[(40, 40, 40, 48), (24, 24, 24, 40), (8, 8, 8, 8)]],
+        "torus-shear:3": [[(10, 10, 10, 12), (10, 10, 10, 12)],
+                          [(10, 10, 10, 12), (10, 10, 10, 12)]],
+        "torus-grid-saddle:4": [[(8, 8, 8, 8)]] * 4,
+        "third-box": [[(24, 24, 24, 214)]],
+        "squaring-box": [[(16, 16, 16, 4)]],
+        "dilated": [[(16, 16, 16, 16)]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_pieces_per_loop(self, name):
+        field, blocks = _count_case(name)
+        turned = VectorField(-field.cy, field.cx)
+        problem = ZeroProblem(_field_parts(field))
+        counts = []
+        for blk in blocks:
+            row = []
+            for loop in blk.boundary:
+                one = dataclasses.replace(blk, boundary=(loop,))
+                row.append((certify_boundary(problem, (loop,)).pieces,
+                            winding._loop_winding(field, loop).pieces,
+                            len(_boundary_pieces(field, one)),
+                            index_transfer_check(field, turned, one).pieces))
+            counts.append(row)
+        assert counts == self.RECORDED[name]
