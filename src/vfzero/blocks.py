@@ -23,9 +23,14 @@ cell indices, adjacency and the chaining of boundary edges.  Enclosures
 come from the integer entry of the expression kernel
 (``Expr.dyadic_kernel().range_dyadic``), and signs are read off the
 integer numerators.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
-objects are built only for what is returned or reported: the leaf boxes
-(one shared ``Interval`` per distinct cell side within a subdivision),
-the enclosures of empty leaves, and an offending boundary piece.
+objects are built only for what is returned or reported: the boxes of the
+retained cells (one shared ``Interval`` per distinct cell side within a
+subdivision) and an offending boundary piece.  An empty leaf is kept as
+its cell, the label of the excluding component and the excluding
+enclosure in integer form; its ``Box`` and ``Interval`` are built on first
+access to ``IsolationResult.empty_boxes`` only.  Blocks on one lattice
+meet when a cell of one is a cell of the other or one of its eight
+neighbours, which is decided on cell indices and wraps on the torus.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificationError
@@ -45,8 +51,8 @@ from .intervals import Box, IntRange, Interval, lattice_form, odd_denominator
 Cell = tuple[int, int]
 
 # An emptiness certificate: (label of the component that excludes zero,
-# the excluding enclosure).
-EmptyCert = tuple[str, Interval]
+# the excluding enclosure in integer form).
+EmptyCert = tuple[str, IntRange]
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +70,11 @@ class ZeroProblem:
     def empty_dyadic(self, x, y, q: int) -> Optional[EmptyCert]:
         """The emptiness certificate of the box with integer axes ``x``
         and ``y`` over q (see ``Expr.dyadic_kernel().range_dyadic``), or
-        None: each sign is read off the integer numerators, and only the
-        excluding enclosure becomes an ``Interval``."""
+        None: each sign is read off the integer numerators."""
         for label, expr in self.components:
             r = expr.dyadic_kernel().range_dyadic(x, y, q)
             if excludes_zero(r):
-                return (label, Interval.from_ints(*r))
+                return (label, r)
         return None
 
     def sign_certificate(self, piece: DyadicSegment) -> Optional[tuple[int, int]]:
@@ -207,20 +212,45 @@ class Grid:
 
     def wrap(self, cell: Cell) -> Cell:
         if self.torus:
-            return (cell[0] % self.n, cell[1] % self.n)
+            n = 1 << self.depth
+            return (cell[0] % n, cell[1] % n)
         return cell
 
-    def neighbors8(self, cell: Cell):
+    def neighbors8(self, cell: Cell) -> list[Cell]:
+        """The eight cells around ``cell``, x offset first, then y offset,
+        each -1, 0, 1: wrapped on the torus, clipped to the grid on the
+        plane."""
         i, j = cell
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                c = (i + di, j + dj)
-                if self.torus:
-                    yield self.wrap(c)
-                elif 0 <= c[0] < self.n and 0 <= c[1] < self.n:
-                    yield c
+        n = 1 << self.depth
+        if self.torus:
+            return [((i + di) % n, (j + dj) % n) for di, dj in _AROUND]
+        return [(i + di, j + dj) for di, dj in _AROUND if 0 <= i + di < n and 0 <= j + dj < n]
+
+
+_AROUND = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj)
+
+
+def _seam_shift(i: int, k: int) -> int:
+    """The period shift that puts the neighbouring lattice index k next to
+    i: -1 or 1 across the torus seam, 0 otherwise."""
+    return -1 if k - i > 1 else 1 if i - k > 1 else 0
+
+
+def _overlap(a: Box, b: Box) -> Box:
+    return Box(
+        Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
+        Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
+    )
+
+
+def _box_overlap(boxes: Sequence[Box], others: Sequence[Box]) -> Optional[Box]:
+    """The overlap of the first meeting pair of boxes (``boxes`` outer), or
+    None."""
+    for a in boxes:
+        for b in others:
+            if a.intersects(b):
+                return _overlap(a, b)
+    return None
 
 
 @dataclass(frozen=True)
@@ -250,28 +280,63 @@ class ZeroBlock:
         return any(b.contains_point(p) for b in self.boxes)
 
     def intersects_block(self, other: "ZeroBlock") -> bool:
-        """Closed box-unions intersect."""
+        """Closed cell unions meet (see ``overlap_box``)."""
         return self.overlap_box(other) is not None
 
     def overlap_box(self, other: "ZeroBlock") -> Optional[Box]:
-        """Overlap of the first meeting pair of boxes (own boxes outer), or
-        None when the closed box-unions are disjoint."""
-        for a in self.boxes:
-            for b in other.boxes:
-                if a.intersects(b):
-                    return Box(
-                        Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
-                        Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
-                    )
+        """A witness that the closed cell unions meet, or None when they are
+        disjoint: the overlap of the first own cell, in order, that meets
+        the other block with the first cell of the other block that meets
+        it.
+
+        Blocks on one lattice (same region, resolution and domain) are
+        decided on cell indices: two closed cells meet when they are equal
+        or neighbours, and ``Grid.neighbors8`` wraps on the torus.  A
+        neighbour across the seam x = 0 = 1 or y = 0 = 1 is shifted by one
+        period before the overlap is taken, so the witness lies in the own
+        cell's box, inside the fundamental square.  Blocks on different
+        lattices (a ``block_from_boxes`` block) fall back to testing
+        every pair of boxes, which does not wrap."""
+        if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
+            return _box_overlap(self.boxes, other.boxes)
+        grid = self.grid()
+        position = {c: k for k, c in enumerate(other.cells)}
+        for a, box in zip(self.cells, self.boxes):
+            hits = [position[c] for c in (a, *grid.neighbors8(a)) if c in position]
+            if hits:
+                k = min(hits)
+                (i, j), b = other.cells[k], other.boxes[k]
+                sx, sy = _seam_shift(a[0], i), _seam_shift(a[1], j)
+                if sx or sy:
+                    b = Box(Interval(b.x.lo + sx, b.x.hi + sx), Interval(b.y.lo + sy, b.y.hi + sy))
+                return _overlap(box, b)
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class IsolationResult:
+    """The blocks of a subdivision and its certified-empty leaves, each
+    kept as (cell, label of the excluding component, the excluding
+    enclosure in integer form) in traversal order."""
+
     blocks: tuple[ZeroBlock, ...]
-    empty_boxes: tuple[tuple[Box, str, Interval], ...]
+    empty_cells: tuple[tuple[DyadicCell, str, IntRange], ...]
     region: Box
     max_depth: int
+
+    @cached_property
+    def empty_boxes(self) -> tuple[tuple[Box, str, Interval], ...]:
+        """(box, label, enclosure) of every certified-empty leaf, built on
+        first access."""
+        _, cell_box = _lattice(self.region)
+        return tuple((cell_box(cell), label, Interval.from_ints(*r)) for cell, label, r in self.empty_cells)
+
+    def __repr__(self) -> str:
+        """The dataclass repr with the empty leaves in their ``Box`` form."""
+        return (
+            f"IsolationResult(blocks={self.blocks!r}, empty_boxes={self.empty_boxes!r}, "
+            f"region={self.region!r}, max_depth={self.max_depth!r})"
+        )
 
     @property
     def fully_certified_empty(self) -> bool:
@@ -332,10 +397,10 @@ def _region_lattice(region: Box) -> tuple[int, tuple[int, int, int], tuple[int, 
     return q, lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
 
 
-def _lattice(problem, region: Box):
-    """The region's quadtree cells on integers: (certify, box) for a
-    ``DyadicCell``, its emptiness certificate under the problem and its
-    ``Box``.
+def _lattice(region: Box):
+    """The region's quadtree cells on integers: (axes, box) for a
+    ``DyadicCell``, its (x, y, q) axes as the integer kernels take them and
+    its ``Box``.
 
     Every cell coordinate is an integer over q * 2^e, so a cell is decided
     by the integer kernels; a ``Box`` is built from one shared
@@ -353,33 +418,35 @@ def _lattice(problem, region: Box):
     def axes(cell: DyadicCell):
         i, j, level = cell
         x0, y0 = (ax << level) + i * wx, (ay << level) + j * wy
-        return (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level)
-
-    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
-        return problem.empty_dyadic(*axes(cell), q)
+        return (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level), q
 
     def box(cell: DyadicCell) -> Box:
-        x, y = axes(cell)
+        x, y, _ = axes(cell)
         return Box(side(x), side(y))
 
-    return certify, box
+    return axes, box
 
 
 def _subdivide(problem, region: Box, max_depth: int):
     """Quadtree subdivision; returns ({retained finest-depth cell: its
-    leaf box}, list of certified-empty (box, label, enclosure)), both in
-    the deterministic traversal order.  The leaf boxes are the block
-    geometry; the integer cell indices only serve adjacency.  The region
-    is bisected as ``DyadicCell``s of its ``_lattice``; a ``Box`` is built
-    for each leaf only."""
+    leaf box}, list of certified-empty (cell, label, integer enclosure)),
+    both in the deterministic traversal order.  The leaf boxes are the
+    block geometry; the integer cell indices only serve adjacency.  The
+    region is bisected as ``DyadicCell``s of its ``_lattice``; a ``Box`` is
+    built for each retained leaf only."""
     retained: dict[Cell, Box] = {}
-    empties: list[tuple[Box, str, Interval]] = []
-    certify, cell_box = _lattice(problem, region)
+    empties: list[tuple[DyadicCell, str, IntRange]] = []
+    axes, cell_box = _lattice(region)
+    empty = problem.empty_dyadic
+
+    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
+        return empty(*axes(cell))
+
     for cell, cert in bisect(DyadicCell(0, 0, 0), certify, max_depth):
         if cert is None:
             retained[(cell.i, cell.j)] = cell_box(cell)
         else:
-            empties.append((cell_box(cell), *cert))
+            empties.append((cell, *cert))
     return retained, empties
 
 
@@ -580,7 +647,11 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
             )
         layer.update(nb for nb in nbs if nb not in members)
     problem = ZeroProblem(_field_parts(field))
-    certify, cell_box = _lattice(problem, block.region)
+    axes, cell_box = _lattice(block.region)
+
+    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
+        return problem.empty_dyadic(*axes(cell))
+
     for c in sorted(layer):
         cell = DyadicCell(*c, block.resolution)
         if any(cert is None for _, cert in bisect(cell, certify, extra_refine)):

@@ -99,7 +99,7 @@ def _cmd_zeros(args):
         "certified_empty": res.fully_certified_empty,
         "coarse": coarse,
     }
-    certs = {"empty_boxes": len(res.empty_boxes)}
+    certs = {"empty_boxes": len(res.empty_cells)}
     return results, certs, (EXIT_CERTIFICATION if coarse else EXIT_OK)
 
 
@@ -120,7 +120,7 @@ def _cmd_index(args):
         "total_index": sum(r.index for r in reports),
         "coarse": False,
     }
-    certs = {"empty_boxes": len(res.empty_boxes)}
+    certs = {"empty_boxes": len(res.empty_cells)}
     return results, certs, EXIT_OK
 
 

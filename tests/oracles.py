@@ -12,7 +12,10 @@ cells as ``Box``es and boundary pieces as ``Segment``s with its own
 ``fraction_bisect``, on that reference enclosure, to check the integer
 cells and pieces against; ``fraction_boundary_loops`` reads each block
 boundary edge off the corners of its cell's box, to check the lattice
-pieces of ``blocks._boundary_loops`` against.  Its loop winding, ``fraction_loop_winding``,
+pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
+every pair of boxes of two blocks, to check the witnesses that
+``ZeroBlock.overlap_box`` reads off cell indices.  The reference loop
+winding, ``fraction_loop_winding``,
 is certified atan2 angle accumulation from ``Interval`` cross and dot
 products of endpoint values: an index law independent of the library's
 count of axis crossings.  The reference ring is the original
@@ -230,6 +233,21 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
         else:
             empties.append((box, *cert))
     return retained, empties
+
+
+def box_overlap(block, other) -> Optional[Box]:
+    """The overlap of the first meeting pair of boxes of two blocks (own
+    boxes outer), or None when no pair of closed boxes meets: the all-pairs
+    box test that ``ZeroBlock.overlap_box`` replaced with cell indices.  It
+    does not wrap on the torus."""
+    for a in block.boxes:
+        for b in other.boxes:
+            if a.intersects(b):
+                return Box(
+                    Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
+                    Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
+                )
+    return None
 
 
 _LEFT = {"E": "N", "N": "W", "W": "S", "S": "E"}

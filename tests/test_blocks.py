@@ -19,12 +19,16 @@ from vfzero import (
     parse_field,
     scalar_zero_blocks,
 )
-from vfzero.blocks import Grid, ZeroProblem, _field_parts, _subdivide, piece_segment
+from vfzero.blocks import (
+    Grid, IsolationResult, ZeroProblem, _field_parts, _subdivide, common_zero_blocks, piece_segment,
+)
 from vfzero.blocks import dilate_block as _dilate
+from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
 
 from conftest import plane_fields, torus_polys
 from oracles import (
+    box_overlap,
     fraction_bisect,
     fraction_boundary_loops,
     fraction_empty_certificate,
@@ -34,6 +38,7 @@ from oracles import (
 REGION = Box.from_corners(-1, -1, 1, 1)
 REGION2 = Box.from_corners(-2, -2, 2, 2)
 TORUS = Box.from_corners(0, 0, 1, 1)
+THIRD = Box.from_corners(0, 0, Fraction(1, 3), 1)
 
 
 def cover_union(blocks):
@@ -296,8 +301,9 @@ class TestIntegerSubdivision:
     def _check(field, region, depth):
         problem = ZeroProblem(_field_parts(field))
         retained, empties = _subdivide(problem, region, depth)
-        assert (retained, empties) == fraction_subdivide(problem, region, depth)
-        for box, label, enclosure in empties:
+        empty_boxes = IsolationResult((), tuple(empties), region, depth).empty_boxes
+        assert (retained, list(empty_boxes)) == fraction_subdivide(problem, region, depth)
+        for box, label, enclosure in empty_boxes:
             assert fraction_empty_certificate(problem, box) == (label, enclosure)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -322,3 +328,128 @@ class TestIntegerSubdivision:
         assert res.empty_boxes == tuple(empties)
         assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
         assert len(res.blocks) == 1 and not res.blocks[0].coarse
+
+
+class TestLazyEmptyBoxes:
+    """Empty leaves are kept as cells with integer enclosures; their boxes
+    are built on first access, equal to the Fraction bisection's."""
+
+    @pytest.mark.parametrize("text, domain, region, depth", [
+        ("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)", "plane", REGION2, 6),
+        ("(sin2px*cos2py, sin2py)", "torus", TORUS, 5),
+        ("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))", "plane", THIRD, 6),
+    ])
+    def test_empty_boxes_match_fraction_bisection(self, text, domain, region, depth):
+        field = parse_field(text, domain)
+        res = isolate_zeros(field, region, depth)
+        assert "empty_boxes" not in res.__dict__
+        _, empties = fraction_subdivide(ZeroProblem(_field_parts(field)), region, depth)
+        assert len(res.empty_boxes) == len(res.empty_cells) == len(empties)
+        assert res.empty_boxes == tuple(empties)
+        assert res.empty_boxes is res.empty_boxes
+
+    @pytest.mark.parametrize("command", ["zeros", "index"])
+    def test_cli_counts_without_building_boxes(self, command, monkeypatch, tmp_path):
+        import vfzero.cli as cli
+
+        results = []
+
+        def isolate(*args):
+            results.append(isolate_zeros(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "isolate_zeros", isolate)
+        argv = [command, "--field", "(x^2 - y^2, 2*x*y)", "--region", "-1,-1,1,1", "--depth", "6"]
+        assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        (res,) = results
+        assert res.empty_cells
+        assert "empty_boxes" not in res.__dict__
+
+
+def _torus_blocks(text, depth):
+    return isolate_zeros(parse_field(text, "torus"), TORUS, depth).blocks
+
+
+class TestLatticeOverlap:
+    """Witnesses read off cell indices against the all-pairs box test of
+    ``oracles.box_overlap``."""
+
+    @staticmethod
+    def _pairs(entry, depth):
+        """(block of X, block of a tracker or of the common zero set) for
+        every block of X, essential or not, as ``main_theorem_check``
+        pairs them."""
+        blocks = isolate_zeros(entry.field, entry.region, depth).blocks
+        others = [b for y in dict.fromkeys(entry.trackers)
+                  for b in isolate_zeros(y, entry.region, depth).blocks]
+        others += common_zero_blocks(entry.trackers, entry.region, depth).blocks
+        return [(a, b) for a in blocks for b in others]
+
+    @pytest.mark.parametrize("name", [e.name for e in builtin_catalog() if e.domain == "plane"])
+    def test_plane_matches_box_overlap(self, catalog, name):
+        pairs = self._pairs(catalog[name], 7)
+        assert pairs
+        for a, b in pairs:
+            assert a.overlap_box(b) == box_overlap(a, b)
+
+    @pytest.mark.parametrize("name", [e.name for e in builtin_catalog() if e.domain == "torus"])
+    def test_torus_agrees_where_boxes_meet(self, catalog, name):
+        met = 0
+        for a, b in self._pairs(catalog[name], 7):
+            w = box_overlap(a, b)
+            if w is not None:
+                met += 1
+                assert a.overlap_box(b) == w
+        assert met
+
+    @pytest.mark.parametrize("x, y, own, other, witness", [
+        # x0 = atan(1/200) / (2 pi) is below 1/64: X's zeros sit in the
+        # first column or row of cells, the mirrored tracker's in the last
+        ("(sin2px - 1/200*cos2px, cos2py)", "(sin2px + 1/200*cos2px, cos2py)",
+         (0, 15), (63, 15), (0, Fraction(15, 64), 0, Fraction(1, 4))),
+        ("(cos2px, sin2py - 1/200*cos2py)", "(cos2px, sin2py + 1/200*cos2py)",
+         (15, 0), (15, 63), (Fraction(15, 64), 0, Fraction(1, 4), 0)),
+        ("(sin2px - 1/200*cos2px, sin2py - 1/200*cos2py)",
+         "(sin2px + 1/200*cos2px, sin2py + 1/200*cos2py)",
+         (0, 0), (63, 63), (0, 0, 0, 0)),
+    ])
+    def test_torus_seam(self, x, y, own, other, witness):
+        a = next(b for b in _torus_blocks(x, 6) if b.cells[0] == own)
+        b = next(b for b in _torus_blocks(y, 6) if b.cells[0] == other)
+        assert box_overlap(a, b) is None
+        w = a.overlap_box(b)
+        assert w == Box.from_corners(*witness)
+        # the witness lies in the own block, inside the fundamental square
+        assert any(box.contains_point(w.midpoint()) for box in a.boxes)
+        assert b.overlap_box(a) == Box.from_corners(*(1 if t == 0 else t for t in witness))
+
+    def test_block_from_boxes_falls_back_to_boxes(self):
+        blk = isolate_zeros(parse_field("(x, y)"), REGION, 6).blocks[0]
+        near = block_from_boxes("plane", [Box.from_corners(Fraction(1, 32), 0, Fraction(1, 8), Fraction(3, 32))])
+        far = block_from_boxes("plane", [Box.from_corners(Fraction(1, 2), 0, Fraction(5, 8), Fraction(1, 8))])
+        for a, b in ((blk, near), (near, blk), (blk, far), (far, blk)):
+            assert a.overlap_box(b) == box_overlap(a, b)
+        assert blk.overlap_box(near) is not None
+        assert blk.overlap_box(far) is None
+
+    def test_dilated_block_on_the_lattice(self):
+        field = parse_field("(x, y)")
+        blk = isolate_zeros(field, REGION, 6).blocks[0]
+        grown = dilate_block(field, blk)
+        assert (grown.region, grown.resolution) == (blk.region, blk.resolution)
+        assert grown.overlap_box(blk) == box_overlap(grown, blk)
+        assert blk.overlap_box(grown) == box_overlap(blk, grown)
+
+
+class TestNeighbors8:
+    @pytest.mark.parametrize("torus", [False, True])
+    @pytest.mark.parametrize("cell", [(0, 0), (3, 5), (7, 7), (0, 4)])
+    def test_order_and_wrap(self, torus, cell):
+        grid = Grid(3, torus)
+        i, j = cell
+        around = [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+        if torus:
+            expected = [grid.wrap(c) for c in around]
+        else:
+            expected = [c for c in around if 0 <= c[0] < 8 and 0 <= c[1] < 8]
+        assert list(grid.neighbors8(cell)) == expected

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +306,19 @@ class TestCustomCatalog:
         entry = doc["results"]["entries"][0]
         assert entry["entry"] == "user-node"
         assert entry["hypotheses_ok"] and entry["conclusion_holds"]
+
+    def test_torus_seam_catalog(self, tmp_path):
+        # the essential blocks K0 and K1 meet the tracker's blocks only
+        # across x = 0 = 1; the witnesses lie on x = 0
+        cat = Path(__file__).parent / "data" / "torus-seam.cfg"
+        code, doc, _ = run_json(
+            ["verify", "main", "--catalog", str(cat), "--depth", "6"], tmp_path
+        )
+        assert code == 0
+        entry = doc["results"]["entries"][0]
+        assert entry["entry"] == "torus-seam"
+        assert entry["essential_blocks"] == ["K0", "K1", "K2", "K3"]
+        assert entry["missed"] == [] and entry["conclusion_holds"]
+        seam = {(w["tracker"], w["block"]): w["box"] for w in doc["results"]["entries"][0]["witnesses"]}
+        assert seam[("Y0", "K0")] == {"x0": "0", "x1": "0", "y0": "15/64", "y1": "1/4"}
+        assert seam[("common", "K1")] == {"x0": "0", "x1": "0", "y0": "47/64", "y1": "3/4"}

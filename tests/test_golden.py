@@ -49,6 +49,7 @@ from vfzero import (
 from vfzero.blocks import (
     BoundaryLoop,
     CertifyResult,
+    DyadicCell,
     DyadicSegment,
     IsolationResult,
     ZeroBlock,
@@ -190,6 +191,8 @@ def _as_segments(obj):
     """The object with every boundary piece replaced by its ``Segment``."""
     if isinstance(obj, DyadicSegment):
         return piece_segment(obj)
+    if isinstance(obj, DyadicCell):  # an empty leaf's cell holds no piece
+        return obj
     if isinstance(obj, (BoundaryLoop, CertifyResult, IsolationResult, ZeroBlock)):
         return dataclasses.replace(obj, **{f.name: _as_segments(getattr(obj, f.name))
                                            for f in dataclasses.fields(obj)})

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,20 @@ class TestCatalog:
             assert len(res.blocks) == e.expected_blocks, e.name
             indices = tuple(block_index(e.field, b).index for b in res.blocks)
             assert indices == e.expected_indices, e.name
+
+    def test_torus_seam_entry(self):
+        # the covers of K0 and K1 meet the tracker's only across x = 0 = 1,
+        # which the box test without wrap-around reported as missed
+        path = Path(__file__).parent / "data" / "torus-seam.cfg"
+        (entry,) = load_catalog(path.read_text())
+        rep = main_theorem_check(entry, 6)
+        assert rep.block_indices == tuple(zip(("K0", "K1", "K2", "K3"), entry.expected_indices))
+        assert not rep.hypotheses_ok
+        assert rep.missed == () and rep.conclusion_holds
+        assert len(rep.witnesses) == 8
+        for w in rep.witnesses:
+            assert 0 <= w.box.x.lo <= w.box.x.hi <= 1 and 0 <= w.box.y.lo <= w.box.y.hi <= 1
+        assert {w.box.x.lo for w in rep.witnesses if w.block in ("K0", "K1")} == {0}
 
     def test_custom_catalog_text(self):
         text = """
