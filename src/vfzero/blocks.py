@@ -21,8 +21,11 @@ region's lattice, and a boundary edge is a ``DyadicSegment`` between two
 lattice vertices, built once and bisected as it is.  ``Grid`` keeps the
 cell indices, adjacency and the chaining of boundary edges.  Enclosures
 come from the integer entry of the expression kernel
-(``Expr.dyadic_kernel().range_dyadic``), and signs are read off the
-integer numerators.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
+(``Expr.dyadic_kernel().range_dyadic``), which a ``ZeroProblem`` binds
+once per component, leaving out identically zero components; signs are
+read off the integer numerators.  A cell's axes are computed inline from
+the region lattice, so certifying a cell is one call that runs the
+component loop.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
 objects are built only for what is returned or reported: the boxes of the
 retained cells (one shared ``Interval`` per distinct cell side within a
 subdivision) and an offending boundary piece.  An empty leaf is kept as
@@ -30,7 +33,9 @@ its cell, the label of the excluding component and the excluding
 enclosure in integer form; its ``Box`` and ``Interval`` are built on first
 access to ``IsolationResult.empty_boxes`` only.  Blocks on one lattice
 meet when a cell of one is a cell of the other or one of its eight
-neighbours, which is decided on cell indices and wraps on the torus.
+neighbours, which is decided on cell indices and wraps on the torus;
+blocks on different lattices are tested box by box, on the torus also
+across the seams.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -61,29 +66,34 @@ EmptyCert = tuple[str, IntRange]
 
 class ZeroProblem:
     """Common zeros of labelled scalar components: a box is empty when the
-    first component, in order, whose enclosure excludes zero says so."""
+    first component, in order, whose enclosure excludes zero says so.
+
+    The constructor binds each component's compiled enclosure kernel
+    (``Expr.dyadic_kernel().range_dyadic``) once.  Identically zero
+    components are left out of the certificate loops: their enclosure
+    [0, 0] never excludes zero and never has a strict sign."""
 
     def __init__(self, components: Sequence[tuple[str, Expr]]):
         self.components = tuple(components)
         self.domain = self.components[0][1].domain
-
-    def empty_dyadic(self, x, y, q: int) -> Optional[EmptyCert]:
-        """The emptiness certificate of the box with integer axes ``x``
-        and ``y`` over q (see ``Expr.dyadic_kernel().range_dyadic``), or
-        None: each sign is read off the integer numerators."""
-        for label, expr in self.components:
-            r = expr.dyadic_kernel().range_dyadic(x, y, q)
-            if excludes_zero(r):
-                return (label, r)
-        return None
+        # (position in components, label, kernel) of each nonzero component
+        self.kernels = tuple(
+            (k, label, expr.dyadic_kernel().range_dyadic)
+            for k, (label, expr) in enumerate(self.components) if not expr.is_zero
+        )
 
     def sign_certificate(self, piece: DyadicSegment) -> Optional[tuple[int, int]]:
         """(k, sign) of the first component k, in order, whose enclosure on
-        the boundary piece has a strict sign, or None."""
-        for k, (_, expr) in enumerate(self.components):
-            sign = strict_sign(enclose(expr, piece))
-            if sign:
-                return (k, sign)
+        the boundary piece has a strict sign, or None; k is the position
+        in ``components``."""
+        x, y = piece.axes()
+        q = piece.q
+        for k, _, kernel in self.kernels:
+            lo, hi, _ = kernel(x, y, q)
+            if lo > 0:
+                return (k, 1)
+            if hi < 0:
+                return (k, -1)
         return None
 
 
@@ -236,6 +246,14 @@ def _seam_shift(i: int, k: int) -> int:
     return -1 if k - i > 1 else 1 if i - k > 1 else 0
 
 
+# period shifts of a box on the torus: none first, then across the seams
+_PERIOD_SHIFTS = ((0, 0), *_AROUND)
+
+
+def _shifted(box: Box, sx: int, sy: int) -> Box:
+    return Box(Interval(box.x.lo + sx, box.x.hi + sx), Interval(box.y.lo + sy, box.y.hi + sy))
+
+
 def _overlap(a: Box, b: Box) -> Box:
     return Box(
         Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
@@ -243,13 +261,16 @@ def _overlap(a: Box, b: Box) -> Box:
     )
 
 
-def _box_overlap(boxes: Sequence[Box], others: Sequence[Box]) -> Optional[Box]:
-    """The overlap of the first meeting pair of boxes (``boxes`` outer), or
-    None."""
-    for a in boxes:
-        for b in others:
-            if a.intersects(b):
-                return _overlap(a, b)
+def _box_overlap(boxes: Sequence[Box], others: Sequence[Box], shifts) -> Optional[Box]:
+    """The overlap of the first meeting pair of boxes (``boxes`` outer),
+    with ``others`` shifted by the first of the ``shifts`` under which a
+    pair meets, or None."""
+    for sx, sy in shifts:
+        shifted = [_shifted(b, sx, sy) for b in others] if sx or sy else others
+        for a in boxes:
+            for b in shifted:
+                if a.intersects(b):
+                    return _overlap(a, b)
     return None
 
 
@@ -295,10 +316,13 @@ class ZeroBlock:
         neighbour across the seam x = 0 = 1 or y = 0 = 1 is shifted by one
         period before the overlap is taken, so the witness lies in the own
         cell's box, inside the fundamental square.  Blocks on different
-        lattices (a ``block_from_boxes`` block) fall back to testing
-        every pair of boxes, which does not wrap."""
+        lattices (another resolution, or a ``block_from_boxes`` block)
+        fall back to testing every pair of boxes; on the torus the other
+        block's boxes are then also shifted by the periods, unshifted
+        first, so the witness again lies in an own box."""
         if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
-            return _box_overlap(self.boxes, other.boxes)
+            torus = self.domain == other.domain == "torus"
+            return _box_overlap(self.boxes, other.boxes, _PERIOD_SHIFTS if torus else _PERIOD_SHIFTS[:1])
         grid = self.grid()
         position = {c: k for k, c in enumerate(other.cells)}
         for a, box in zip(self.cells, self.boxes):
@@ -307,9 +331,7 @@ class ZeroBlock:
                 k = min(hits)
                 (i, j), b = other.cells[k], other.boxes[k]
                 sx, sy = _seam_shift(a[0], i), _seam_shift(a[1], j)
-                if sx or sy:
-                    b = Box(Interval(b.x.lo + sx, b.x.hi + sx), Interval(b.y.lo + sy, b.y.hi + sy))
-                return _overlap(box, b)
+                return _overlap(box, _shifted(b, sx, sy) if sx or sy else b)
         return None
 
 
@@ -328,7 +350,7 @@ class IsolationResult:
     def empty_boxes(self) -> tuple[tuple[Box, str, Interval], ...]:
         """(box, label, enclosure) of every certified-empty leaf, built on
         first access."""
-        _, cell_box = _lattice(self.region)
+        cell_box = _cell_boxes(self.region)
         return tuple((cell_box(cell), label, Interval.from_ints(*r)) for cell, label, r in self.empty_cells)
 
     def __repr__(self) -> str:
@@ -397,34 +419,46 @@ def _region_lattice(region: Box) -> tuple[int, tuple[int, int, int], tuple[int, 
     return q, lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
 
 
-def _lattice(region: Box):
-    """The region's quadtree cells on integers: (axes, box) for a
-    ``DyadicCell``, its (x, y, q) axes as the integer kernels take them and
-    its ``Box``.
-
-    Every cell coordinate is an integer over q * 2^e, so a cell is decided
-    by the integer kernels; a ``Box`` is built from one shared
-    ``Interval`` per distinct cell side."""
+def _cell_boxes(region: Box):
+    """The ``Box`` of a ``DyadicCell`` of the region, built from one
+    shared ``Interval`` per distinct cell side."""
     q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
     wx, wy = bx - ax, by - ay
     sides: dict[tuple[int, int, int], Interval] = {}
 
-    def side(form: tuple[int, int, int]) -> Interval:
-        iv = sides.get(form)
+    def side(a: int, w: int, e: int) -> Interval:
+        iv = sides.get((a, w, e))
         if iv is None:
-            iv = sides[form] = Interval.from_ints(form[0], form[1], q << form[2])
+            iv = sides[a, w, e] = Interval.from_ints(a, a + w, q << e)
         return iv
 
-    def axes(cell: DyadicCell):
+    def box(cell: DyadicCell) -> Box:
+        i, j, level = cell
+        return Box(side((ax << level) + i * wx, wx, ex + level), side((ay << level) + j * wy, wy, ey + level))
+
+    return box
+
+
+def _cell_certifier(problem: ZeroProblem, region: Box):
+    """The emptiness certificate of a ``DyadicCell`` of the region, or
+    None, as ``bisect`` takes it: the cell's (a, b, e) axes over q are
+    computed inline and passed to each component's kernel, and signs are
+    read off the integer numerators."""
+    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
+    wx, wy = bx - ax, by - ay
+    kernels = [(label, kernel) for _, label, kernel in problem.kernels]
+
+    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
         i, j, level = cell
         x0, y0 = (ax << level) + i * wx, (ay << level) + j * wy
-        return (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level), q
+        x, y = (x0, x0 + wx, ex + level), (y0, y0 + wy, ey + level)
+        for label, kernel in kernels:
+            r = kernel(x, y, q)
+            if r[0] > 0 or r[1] < 0:
+                return (label, r)
+        return None
 
-    def box(cell: DyadicCell) -> Box:
-        x, y, _ = axes(cell)
-        return Box(side(x), side(y))
-
-    return axes, box
+    return certify
 
 
 def _subdivide(problem, region: Box, max_depth: int):
@@ -432,17 +466,12 @@ def _subdivide(problem, region: Box, max_depth: int):
     leaf box}, list of certified-empty (cell, label, integer enclosure)),
     both in the deterministic traversal order.  The leaf boxes are the
     block geometry; the integer cell indices only serve adjacency.  The
-    region is bisected as ``DyadicCell``s of its ``_lattice``; a ``Box`` is
+    region is bisected as ``DyadicCell``s of its lattice; a ``Box`` is
     built for each retained leaf only."""
     retained: dict[Cell, Box] = {}
     empties: list[tuple[DyadicCell, str, IntRange]] = []
-    axes, cell_box = _lattice(region)
-    empty = problem.empty_dyadic
-
-    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
-        return empty(*axes(cell))
-
-    for cell, cert in bisect(DyadicCell(0, 0, 0), certify, max_depth):
+    cell_box = _cell_boxes(region)
+    for cell, cert in bisect(DyadicCell(0, 0, 0), _cell_certifier(problem, region), max_depth):
         if cert is None:
             retained[(cell.i, cell.j)] = cell_box(cell)
         else:
@@ -490,27 +519,33 @@ def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[Bou
     xs: dict[int, int] = {}
     ys: dict[int, int] = {}
     members = set(cells)
-
-    def is_member(cell: Cell) -> bool:
-        return grid.wrap(cell) in members
+    n = grid.n
+    # vertex indices run mod m: 0..n on the plane, and n is 0 on the torus
+    m = n if grid.torus else n + 1
+    if grid.torus:
+        # the images across the seams of the cells on the square's four
+        # sides, so that a side test needs no wrap
+        members.update([(n, j) for i, j in cells if i == 0] + [(-1, j) for i, j in cells if i == n - 1]
+                       + [(i, n) for i, j in cells if j == 0] + [(i, -1) for i, j in cells if j == n - 1])
 
     # directed edges: (from-vertex, to-vertex, direction, piece)
     edges = []
     for (i, j) in sorted(cells):
         xa, xb = xs.setdefault(i, x0 + i * wx), xs.setdefault(i + 1, x0 + (i + 1) * wx)
         ya, yb = ys.setdefault(j, y0 + j * wy), ys.setdefault(j + 1, y0 + (j + 1) * wy)
-        if not is_member((i, j - 1)):  # south side, heading east
-            edges.append(((i, j), (i + 1, j), "E", DyadicSegment(xa, ya, xb, ya, e, q)))
-        if not is_member((i + 1, j)):  # east side, heading north
-            edges.append(((i + 1, j), (i + 1, j + 1), "N", DyadicSegment(xb, ya, xb, yb, e, q)))
-        if not is_member((i, j + 1)):  # north side, heading west
-            edges.append(((i + 1, j + 1), (i, j + 1), "W", DyadicSegment(xb, yb, xa, yb, e, q)))
-        if not is_member((i - 1, j)):  # west side, heading south
-            edges.append(((i, j + 1), (i, j), "S", DyadicSegment(xa, yb, xa, ya, e, q)))
+        i1, j1 = (i + 1) % m, (j + 1) % m
+        if (i, j - 1) not in members:  # south side, heading east
+            edges.append(((i, j), (i1, j), "E", DyadicSegment(xa, ya, xb, ya, e, q)))
+        if (i + 1, j) not in members:  # east side, heading north
+            edges.append(((i1, j), (i1, j1), "N", DyadicSegment(xb, ya, xb, yb, e, q)))
+        if (i, j + 1) not in members:  # north side, heading west
+            edges.append(((i1, j1), (i, j1), "W", DyadicSegment(xb, yb, xa, yb, e, q)))
+        if (i - 1, j) not in members:  # west side, heading south
+            edges.append(((i, j1), (i, j), "S", DyadicSegment(xa, yb, xa, ya, e, q)))
 
     by_from: dict[tuple[int, int], list[int]] = {}
     for idx, edge in enumerate(edges):
-        by_from.setdefault(grid.wrap(edge[0]), []).append(idx)
+        by_from.setdefault(edge[0], []).append(idx)
 
     used = [False] * len(edges)
     loops: list[BoundaryLoop] = []
@@ -519,16 +554,16 @@ def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[Bou
             continue
         chain = [start_idx]
         used[start_idx] = True
-        start_v = grid.wrap(edges[start_idx][0])
         cur = edges[start_idx]
-        while grid.wrap(cur[1]) != start_v:
-            v = grid.wrap(cur[1])
-            candidates = [k for k in by_from.get(v, ()) if not used[k]]
+        start_v = cur[0]
+        while cur[1] != start_v:
+            candidates = [k for k in by_from.get(cur[1], ()) if not used[k]]
             if not candidates:
                 raise AssertionError("open boundary chain: inconsistent cell union")
-            # prefer left turn, then straight, then right turn
-            pref = (_LEFT[cur[2]], cur[2], _RIGHT[cur[2]])
-            candidates.sort(key=lambda k: pref.index(edges[k][2]))
+            if len(candidates) > 1:
+                # prefer left turn, then straight, then right turn
+                pref = (_LEFT[cur[2]], cur[2], _RIGHT[cur[2]])
+                candidates.sort(key=lambda k: pref.index(edges[k][2]))
             nxt = candidates[0]
             used[nxt] = True
             chain.append(nxt)
@@ -647,11 +682,8 @@ def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) ->
             )
         layer.update(nb for nb in nbs if nb not in members)
     problem = ZeroProblem(_field_parts(field))
-    axes, cell_box = _lattice(block.region)
-
-    def certify(cell: DyadicCell) -> Optional[EmptyCert]:
-        return problem.empty_dyadic(*axes(cell))
-
+    certify = _cell_certifier(problem, block.region)
+    cell_box = _cell_boxes(block.region)
     for c in sorted(layer):
         cell = DyadicCell(*c, block.resolution)
         if any(cert is None for _, cert in bisect(cell, certify, extra_refine)):

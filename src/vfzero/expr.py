@@ -35,7 +35,14 @@ Enclosures over boxes take one exact path: ``dyadic_kernel()`` compiles
 the numerators once, and its ``range_dyadic`` evaluates a box whose
 coordinates are integers over q * 2^e in ``int`` arithmetic.
 ``range_on`` converts a ``Box`` to that form and the result back to an
-``Interval``.
+``Interval``.  The compiled kernel works as little as it can per box: a
+term without pi has the point coefficient [n, n], so its first factor is
+a scaling whose endpoint order the sign of n fixes; odd powers and powers
+of nonnegative axes keep the endpoint order; only the axes that the trig
+generators use become trig cache keys.  None of this changes a value:
+every term is Moore's natural interval extension of it, and the result
+is the interval of term-by-term ``Fraction`` interval arithmetic,
+endpoint for endpoint.
 
 The unit ``pi`` enters through derivatives of the trig generators
 (d/dx sin(2*pi*x) = 2*pi*cos(2*pi*x)) and is carried symbolically, never
@@ -498,15 +505,6 @@ def _gens_string(key: Key) -> str:
 # dyadic-integer enclosure kernel
 
 
-def _ipow(a: int, b: int, n: int) -> tuple[int, int]:
-    """Tight {t**n : t in [a, b]} over the integers (Interval.int_pow)."""
-    if n % 2 == 1 or a >= 0:
-        return a**n, b**n
-    if b <= 0:
-        return b**n, a**n
-    return 0, max(a**n, b**n)
-
-
 def _trig_key(axis: tuple[int, int, int], q: int) -> tuple[int, int, int]:
     """The axis (a, b, e) over q as a trig cache key: (a, b, q 2^e) reduced."""
     a, b, e = axis
@@ -515,51 +513,74 @@ def _trig_key(axis: tuple[int, int, int], q: int) -> tuple[int, int, int]:
     return a // g, b // g, den // g
 
 
-# generator indices of a compiled factor: x, y, then the four trig
-# functions in the order a term-by-term evaluation meets them
+# generator indices of a term key's exponents (ex, ey, s1, c1, s2, c2)
 _SX, _CX, _SY, _CY = 2, 3, 4, 5
 
 
 class _DyadicKernel:
     """An Expr compiled for exact integer evaluation on boxes.
 
-    Every integer numerator of the Expr, over its denominator Q, is folded
-    together with its pi power into a constant integer interval over
-    2^shift.  A box whose coordinates are integers over q * 2^e is then
-    evaluated term by term with the same interval products and tight
-    powers as Fraction interval arithmetic would use, on integers scaled
-    by Q * q^D * 2^s, where D is the top x/y degree; terms are added after
-    aligning their shifts.
+    A box whose coordinates are integers over q * 2^e is evaluated term by
+    term with the interval products and tight powers of Fraction interval
+    arithmetic, on integers scaled by Q * q^D * 2^s, where Q is the Expr's
+    denominator and D the top x/y degree; terms are added after aligning
+    their shifts.  The result is the interval that term-by-term Fraction
+    interval arithmetic gives, endpoint for endpoint.
+
+    Compiled once per Expr:
+
+    * a term's head is its pi power (an integer interval over 2^shift)
+      if it has one, else its first factor, else the unit.  Its numerator
+      n is the point coefficient [n, n], so it scales the head [a, b] to
+      (n a, n b) if n >= 0 and to (n b, n a) otherwise, which is what
+      ``imul(n, n, a, b)`` returns; only the other factors go through
+      ``imul``;
+    * every distinct (generator, exponent) factor is one slot of the
+      per-call power table: exponent 1 passes the axis through, an odd
+      exponent keeps the endpoint order, and only even powers test signs;
+    * the trig generators are looked up once each per box, in the order a
+      term-by-term evaluation meets them, and only the axes they use are
+      reduced to cache keys.
     """
 
-    __slots__ = ("den", "terms", "factors", "trig_order", "degrees", "top_degree")
+    __slots__ = ("den", "terms", "degrees", "top_degree", "constants", "odd", "even", "trig",
+                 "trig_x", "trig_y")
 
     def __init__(self, num: dict[Key, int], den: int):
         self.den = den
-        factors: dict[tuple[int, int], int] = {}
-        compiled = []
-        degrees = []
-        trig_order: list[int] = []
+        trig: list[int] = []  # trig generators in the order first met
+        raw = []
         for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
-            if kpi:
-                a, b, shift = pi_power(kpi).dyadic
-                lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
-            else:
-                lo = hi = n
-                shift = 0
-            slots = []
-            for gen, e in enumerate((ex, ey, s1, c1, s2, c2)):
-                if e:
-                    slots.append(factors.setdefault((gen, e), len(factors)))
-                    if gen >= _SX and gen not in trig_order:
-                        trig_order.append(gen)
-            compiled.append((lo, hi, shift, tuple(slots)))
+            factors = [(gen, e) for gen, e in enumerate((ex, ey, s1, c1, s2, c2)) if e]
+            trig += [gen for gen, _ in factors if gen >= _SX and gen not in trig]
+            raw.append((n, kpi, factors))
+        # the per-call power table: the heads (the unit and pi powers),
+        # the bases x, y and the trig ranges in lookup order, then the odd
+        # and the even powers; a factor of exponent 1 is its base's slot
+        heads = sorted({kpi for _, kpi, factors in raw if kpi or not factors})
+        base = {gen: len(heads) + k for k, gen in enumerate([0, 1, *trig])}
+        pairs = {(base[gen], e) for _, _, factors in raw for gen, e in factors if e > 1}
+        odd = sorted(p for p in pairs if p[1] % 2)
+        even = sorted(p for p in pairs if p[1] % 2 == 0)
+        power = {p: len(heads) + len(base) + k for k, p in enumerate(odd + even)}
+        terms = []
+        degrees = []
+        for (n, kpi, factors), (_, ex, ey, *_) in zip(raw, num):
+            slots = [base[gen] if e == 1 else power[base[gen], e] for gen, e in factors]
+            if kpi or not slots:
+                slots.insert(0, heads.index(kpi))
+            terms.append((n, slots[0], tuple(slots[1:])))
             degrees.append(ex + ey)
-        self.terms = tuple(compiled)
-        self.factors = tuple(factors)
-        self.trig_order = tuple(trig_order)
+        self.terms = tuple(terms)
         self.degrees = tuple(degrees)
         self.top_degree = max(degrees, default=0)
+        self.constants = tuple(pi_power(kpi).dyadic for kpi in heads)
+        self.odd = tuple(odd)
+        self.even = tuple(even)
+        self.trig = tuple((sin_2pi_range if gen in (_SX, _SY) else cos_2pi_range, gen >= _SY)
+                          for gen in trig)
+        self.trig_x = _SX in trig or _CX in trig
+        self.trig_y = _SY in trig or _CY in trig
 
     def range_dyadic(self, x, y, q: int) -> IntRange:
         """The enclosure over the box with axes ``x = (a, b, e)``, the
@@ -571,36 +592,37 @@ class _DyadicKernel:
         # Their common factor q is cleared by scaling a term of
         # x/y degree d by q^(D - d): positive scalings commute with interval
         # products and tight powers, and every term is then over q^D
-        bases = [x, y, None, None, None, None]
-        if self.trig_order:
-            xkey, ykey = _trig_key(x, q), _trig_key(y, q)
-        for gen in self.trig_order:
-            # the lookups of term-by-term Fraction interval arithmetic, in
-            # its order, so the lru_cache statistics match that reference
-            if gen == _SX:
-                iv = sin_2pi_range(*xkey)
-            elif gen == _CX:
-                iv = cos_2pi_range(*xkey)
-            elif gen == _SY:
-                iv = sin_2pi_range(*ykey)
+        powers = [*self.constants, x, y]
+        if self.trig:
+            xkey = _trig_key(x, q) if self.trig_x else None
+            ykey = _trig_key(y, q) if self.trig_y else None
+            for fn, on_y in self.trig:
+                # the lookups of term-by-term Fraction interval arithmetic,
+                # in its order, so the lru_cache statistics match it
+                powers.append(fn(*(ykey if on_y else xkey)).dyadic)  # mpmath endpoints and +-1 are dyadic
+        for k, n in self.odd:
+            a, b, s = powers[k]
+            powers.append((a**n, b**n, s * n))
+        for k, n in self.even:
+            # tight {t**n : t in [a, b]}, as Interval.int_pow
+            a, b, s = powers[k]
+            if a >= 0:
+                powers.append((a**n, b**n, s * n))
+            elif b <= 0:
+                powers.append((b**n, a**n, s * n))
             else:
-                iv = cos_2pi_range(*ykey)
-            bases[gen] = iv.dyadic  # mpmath endpoints and +-1 are dyadic
-        powers = []
-        for gen, n in self.factors:
-            a, b, shift = bases[gen]
-            powers.append(_ipow(a, b, n) + (shift * n,))
+                powers.append((0, max(a**n, b**n), s * n))
         terms = self.terms
         den = self.den
         if q != 1:
             deg = self.top_degree
-            terms = [(lo * q ** (deg - d), hi * q ** (deg - d), shift, slots)
-                     for (lo, hi, shift, slots), d in zip(terms, self.degrees)]
+            terms = [(n * q ** (deg - d), head, rest) for (n, head, rest), d in zip(terms, self.degrees)]
             den *= q**deg
-        lo_sum = hi_sum = 0
-        top = 0
-        for lo, hi, shift, slots in terms:
-            for k in slots:
+        lo_sum = hi_sum = top = 0
+        for n, head, rest in terms:
+            a, b, shift = powers[head]
+            lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
+            for k in rest:
                 a, b, s = powers[k]
                 lo, hi = imul(lo, hi, a, b)
                 shift += s

@@ -7,7 +7,10 @@ formula.  Expression evaluation for the dense oracle is compiled to a
 plain lambda straight from the term data.  The reference enclosure,
 ``range_on_fractions``, is term-by-term ``Fraction`` interval
 arithmetic, kept to check the integer kernel behind ``Expr.range_on``
-on every kind of box.  The Fraction geometry reference bisects quadtree
+on every kind of box; ``RefDyadicKernel`` is the first integer kernel,
+which runs every factor of a term through ``imul`` and a tight power,
+kept to check the compiled kernel's integer triples call for call.  The
+Fraction geometry reference bisects quadtree
 cells as ``Box``es and boundary pieces as ``Segment``s with its own
 ``fraction_bisect``, on that reference enclosure, to check the integer
 cells and pieces against; ``fraction_boundary_loops`` reads each block
@@ -40,7 +43,7 @@ from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
 from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import (
-    PI, EnclosureError, atan2_range, cos_2pi_range, pi_power, sin_2pi_range,
+    PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
 )
 
 
@@ -181,6 +184,124 @@ def range_on_fractions(e: Expr, box: Box) -> Interval:
             v = v * cy.int_pow(c2)
         total = total + v
     return total
+
+
+def _ref_ipow(a: int, b: int, n: int) -> tuple[int, int]:
+    """Tight {t**n : t in [a, b]} over the integers (Interval.int_pow)."""
+    if n % 2 == 1 or a >= 0:
+        return a**n, b**n
+    if b <= 0:
+        return b**n, a**n
+    return 0, max(a**n, b**n)
+
+
+def _ref_trig_key(axis: tuple[int, int, int], q: int) -> tuple[int, int, int]:
+    """The axis (a, b, e) over q as a trig cache key: (a, b, q 2^e) reduced."""
+    a, b, e = axis
+    den = q << e
+    g = math.gcd(a, b, den)
+    return a // g, b // g, den // g
+
+
+# generator indices of a compiled factor: x, y, then the four trig
+# functions in the order a term-by-term evaluation meets them
+_GEN_SX, _GEN_CX, _GEN_SY, _GEN_CY = 2, 3, 4, 5
+
+
+class RefDyadicKernel:
+    """An Expr compiled for exact integer evaluation on boxes.
+
+    Every integer numerator of the Expr, over its denominator Q, is folded
+    together with its pi power into a constant integer interval over
+    2^shift.  A box whose coordinates are integers over q * 2^e is then
+    evaluated term by term with the same interval products and tight
+    powers as Fraction interval arithmetic would use, on integers scaled
+    by Q * q^D * 2^s, where D is the top x/y degree; terms are added after
+    aligning their shifts.
+    """
+
+    __slots__ = ("den", "terms", "factors", "trig_order", "degrees", "top_degree")
+
+    def __init__(self, num: dict[Key, int], den: int):
+        self.den = den
+        factors: dict[tuple[int, int], int] = {}
+        compiled = []
+        degrees = []
+        trig_order: list[int] = []
+        for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
+            if kpi:
+                a, b, shift = pi_power(kpi).dyadic
+                lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
+            else:
+                lo = hi = n
+                shift = 0
+            slots = []
+            for gen, e in enumerate((ex, ey, s1, c1, s2, c2)):
+                if e:
+                    slots.append(factors.setdefault((gen, e), len(factors)))
+                    if gen >= _GEN_SX and gen not in trig_order:
+                        trig_order.append(gen)
+            compiled.append((lo, hi, shift, tuple(slots)))
+            degrees.append(ex + ey)
+        self.terms = tuple(compiled)
+        self.factors = tuple(factors)
+        self.trig_order = tuple(trig_order)
+        self.degrees = tuple(degrees)
+        self.top_degree = max(degrees, default=0)
+
+    def range_dyadic(self, x, y, q: int) -> IntRange:
+        """The enclosure over the box with axes ``x = (a, b, e)``, the
+        interval [a/(q 2^e), b/(q 2^e)], and ``y`` alike, in integer form:
+        the interval that Fraction interval arithmetic gives.  The
+        numerators need not be reduced, and q > 0."""
+        # x and y keep their own power-of-two denominators; the shifts of
+        # the factors add up per term, and terms are aligned when summed.
+        # Their common factor q is cleared by scaling a term of
+        # x/y degree d by q^(D - d): positive scalings commute with interval
+        # products and tight powers, and every term is then over q^D
+        bases = [x, y, None, None, None, None]
+        if self.trig_order:
+            xkey, ykey = _ref_trig_key(x, q), _ref_trig_key(y, q)
+        for gen in self.trig_order:
+            # the lookups of term-by-term Fraction interval arithmetic, in
+            # its order, so the lru_cache statistics match that reference
+            if gen == _GEN_SX:
+                iv = sin_2pi_range(*xkey)
+            elif gen == _GEN_CX:
+                iv = cos_2pi_range(*xkey)
+            elif gen == _GEN_SY:
+                iv = sin_2pi_range(*ykey)
+            else:
+                iv = cos_2pi_range(*ykey)
+            bases[gen] = iv.dyadic  # mpmath endpoints and +-1 are dyadic
+        powers = []
+        for gen, n in self.factors:
+            a, b, shift = bases[gen]
+            powers.append(_ref_ipow(a, b, n) + (shift * n,))
+        terms = self.terms
+        den = self.den
+        if q != 1:
+            deg = self.top_degree
+            terms = [(lo * q ** (deg - d), hi * q ** (deg - d), shift, slots)
+                     for (lo, hi, shift, slots), d in zip(terms, self.degrees)]
+            den *= q**deg
+        lo_sum = hi_sum = 0
+        top = 0
+        for lo, hi, shift, slots in terms:
+            for k in slots:
+                a, b, s = powers[k]
+                lo, hi = imul(lo, hi, a, b)
+                shift += s
+            if shift > top:
+                lo_sum <<= shift - top
+                hi_sum <<= shift - top
+                top = shift
+            elif shift < top:
+                lo <<= top - shift
+                hi <<= top - shift
+            lo_sum += lo
+            hi_sum += hi
+        return lo_sum, hi_sum, den << top
 
 
 def _split4(box: Box) -> tuple[Box, Box, Box, Box]:

@@ -9,6 +9,7 @@ import pytest
 from vfzero import (
     Box,
     CertificationError,
+    Expr,
     Interval,
     block_from_boxes,
     builtin_catalog,
@@ -20,7 +21,7 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    Grid, IsolationResult, ZeroProblem, _field_parts, _subdivide, common_zero_blocks, piece_segment,
+    DyadicSegment, Grid, IsolationResult, ZeroProblem, _field_parts, _subdivide, common_zero_blocks, piece_segment,
 )
 from vfzero.blocks import dilate_block as _dilate
 from vfzero.cli import run_command
@@ -330,6 +331,36 @@ class TestIntegerSubdivision:
         assert len(res.blocks) == 1 and not res.blocks[0].coarse
 
 
+class TestZeroComponents:
+    """Identically zero components are left out of the certificate loops:
+    they never exclude zero and never have a strict sign."""
+
+    @pytest.mark.parametrize("text, cells", [
+        # sin2px vanishes on x = 0 and x = 1/2, sin2py on y = 0 and y = 1/2
+        ("(sin2px, 0)", {(i, j) for i in (0, 31, 32, 63) for j in range(64)}),
+        ("(0, sin2py)", {(i, j) for i in range(64) for j in (0, 31, 32, 63)}),
+    ])
+    def test_isolation_matches_fraction_bisection(self, text, cells):
+        field = parse_field(text, "torus")
+        problem = ZeroProblem(_field_parts(field))
+        assert len(problem.kernels) == 1
+        res = isolate_zeros(field, TORUS, 6)
+        retained, empties = fraction_subdivide(problem, TORUS, 6)
+        assert [label for _, label, _ in res.empty_cells] == [label for _, label, _ in empties]
+        assert res.empty_boxes == tuple(empties)
+        assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
+        assert set(retained) == cells
+
+    def test_sign_certificate_keeps_the_component_position(self):
+        zero, y = Expr.zero("plane"), parse_expr("y")
+        problem = ZeroProblem([("cx", zero), ("cy", y)])
+        # the piece from (1/4, 1/4) to (3/4, 1/4): y = 1/4 there
+        piece = DyadicSegment(1, 1, 3, 1, 2, 1)
+        assert problem.sign_certificate(piece) == (1, 1)
+        assert problem.sign_certificate(DyadicSegment(1, -1, 3, -1, 2, 1)) == (1, -1)
+        assert problem.sign_certificate(DyadicSegment(1, 0, 3, 0, 2, 1)) is None
+
+
 class TestLazyEmptyBoxes:
     """Empty leaves are kept as cells with integer enclosures; their boxes
     are built on first access, equal to the Fraction bisection's."""
@@ -422,6 +453,22 @@ class TestLatticeOverlap:
         # the witness lies in the own block, inside the fundamental square
         assert any(box.contains_point(w.midpoint()) for box in a.boxes)
         assert b.overlap_box(a) == Box.from_corners(*(1 if t == 0 else t for t in witness))
+
+    def test_torus_seam_across_resolutions(self):
+        # the same tracker pair as above, isolated at depths 6 and 7: the
+        # blocks are on different lattices, and meet only on x = 0 = 1
+        x = "(sin2px - 1/200*cos2px, cos2py)"
+        y = "(sin2px + 1/200*cos2px, cos2py)"
+        a = next(b for b in _torus_blocks(x, 6) if b.label == "K0")
+        b = next(b for b in _torus_blocks(y, 7) if b.label == "K2")
+        assert a.cells == ((0, 15), (0, 16)) and b.cells == ((127, 31), (127, 32))
+        assert box_overlap(a, b) is None
+        assert a.overlap_box(b) == Box.from_corners(0, Fraction(31, 128), 0, Fraction(1, 4))
+        assert b.overlap_box(a) == Box.from_corners(1, Fraction(31, 128), 1, Fraction(1, 4))
+        # away from the seam, the unshifted witness is kept
+        a7 = next(b for b in _torus_blocks(x, 7) if b.label == "K0")
+        assert box_overlap(a, a7) is not None
+        assert a.overlap_box(a7) == box_overlap(a, a7)
 
     def test_block_from_boxes_falls_back_to_boxes(self):
         blk = isolate_zeros(parse_field("(x, y)"), REGION, 6).blocks[0]

@@ -17,10 +17,11 @@ from vfzero import (
     parse_expr,
 )
 
-from vfzero.intervals import cos_2pi_range, sin_2pi_range
+from vfzero.intervals import cos_2pi_range, lattice_form, odd_denominator, sin_2pi_range
 
 from conftest import NO_SHRINK, boxes, pi_polys, plane_polys, plane_terms, torus_polys, torus_terms
 from oracles import (
+    RefDyadicKernel,
     range_on_fractions,
     ref_add,
     ref_derive,
@@ -110,6 +111,57 @@ def depth10_cells(draw):
     i, j = draw(st.integers(0, 1023)), draw(st.integers(0, 1023))
     w = Fraction(side, 1024)
     return Box(Interval(x0 + i * w, x0 + (i + 1) * w), Interval(y0 + j * w, y0 + (j + 1) * w))
+
+
+@st.composite
+def lattice_boxes(draw, odd=(3, 5)):
+    """Boxes with every corner an integer over q * 2^k for one odd q drawn
+    from ``odd``, straddling 0 or not, including point and segment boxes."""
+    q, k = draw(st.sampled_from(odd)), draw(st.integers(0, 6))
+    d = q << k
+    corner = st.integers(-2 * d, 2 * d).map(lambda n: Fraction(n, d))
+    shape = draw(st.sampled_from(["box", "x-segment", "y-segment", "point"]))
+    x0, x1 = sorted((draw(corner), draw(corner)))
+    y0, y1 = sorted((draw(corner), draw(corner)))
+    if shape in ("y-segment", "point"):
+        x1 = x0
+    if shape in ("x-segment", "point"):
+        y1 = y0
+    return Box(Interval(x0, x1), Interval(y0, y1))
+
+
+def point_constant_exprs():
+    """Constants and monomials with negative or positive point
+    coefficients, plus the zero expression, on both domains."""
+    plane_keys = [(0, ex, ey, 0, 0, 0, 0) for ex in range(4) for ey in range(4)]
+    torus_keys = [(0, 0, 0, s1, c1, s2, c2) for s1 in range(3) for c1 in (0, 1)
+                  for s2 in range(3) for c2 in (0, 1)]
+    coeffs = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    return st.one_of(
+        st.sampled_from([Expr.zero("plane"), Expr.zero("torus")]),
+        st.tuples(st.sampled_from(["plane", "torus"]), coeffs).map(lambda t: Expr.const(t[1], t[0])),
+        st.lists(st.tuples(st.sampled_from(plane_keys), coeffs), min_size=1, max_size=3).map(
+            lambda items: Expr("plane", dict(items))),
+        st.lists(st.tuples(st.sampled_from(torus_keys), coeffs), min_size=1, max_size=3).map(
+            lambda items: Expr("torus", dict(items))),
+    )
+
+
+def even_power_exprs():
+    """Even powers of x and y, alone and in products, with a sign: their
+    tight powers on axes that straddle 0 start at 0."""
+    powers = st.tuples(st.sampled_from([0, 2, 4]), st.sampled_from([0, 2, 4]), st.integers(-3, 3))
+    return st.lists(powers, min_size=1, max_size=3).map(
+        lambda items: Expr("plane", {(0, ex, ey, 0, 0, 0, 0): c for ex, ey, c in items}))
+
+
+def _kernel_triples(e: Expr, box: Box):
+    """The integer triples of the compiled kernel and of the reference
+    kernel on the box."""
+    x, y = box.x, box.y
+    q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
+    axes = (lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q), q)
+    return e.dyadic_kernel().range_dyadic(*axes), RefDyadicKernel(e._num, e._den).range_dyadic(*axes)
 
 
 class TestParse:
@@ -254,6 +306,30 @@ class TestDyadicKernel:
         assert not hasattr(e, "_kernel")
         e.range_on(Box.from_corners(0, 0, 1, 1))
         assert hasattr(e, "_kernel")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(kernel_exprs(), st.one_of(dyadic_boxes(), depth10_cells()))
+    def test_same_triple_as_reference_kernel(self, e, box):
+        got, ref = _kernel_triples(e, box)
+        assert got == ref
+
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(st.one_of(pi_polys(max_deg=3), pi_polys(domain="torus")), lattice_boxes())
+    def test_same_triple_over_odd_denominators(self, e, box):
+        got, ref = _kernel_triples(e, box)
+        assert got == ref
+
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(st.one_of(point_constant_exprs(), even_power_exprs()),
+           st.one_of(dyadic_boxes(), lattice_boxes(), lattice_boxes(odd=(1,))))
+    def test_same_triple_on_point_constants_and_even_powers(self, e, box):
+        got, ref = _kernel_triples(e, box)
+        assert got == ref
+
+    def test_zero_expression(self):
+        for domain in ("plane", "torus"):
+            kernel = Expr.zero(domain).dyadic_kernel()
+            assert kernel.range_dyadic((-1, 3, 2), (0, 5, 7), 3) == (0, 0, 1)
 
     def test_same_trig_cache_traffic(self):
         e = parse_expr("sin2px*cos2py - cos2px + pi*sin2py^2", "torus")
