@@ -39,6 +39,15 @@ across the seams.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
+
+Whether a zero set meets a block, and with which witness, is decided on
+a window (``cover_witnesses``): the block's cells and their eight
+neighbours.  One ``bisect`` from the root cell, with every branch that
+holds no window cell out of scope, finds the retained window cells.  None
+means a miss; one 8-connected piece lies in the one block of the zero set
+that meets the block, and gives the witness; two or more pieces leave the
+choice to the block order of the whole region, so only then is the zero
+set isolated over the whole region.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ Cell = tuple[int, int]
 # An emptiness certificate: (label of the component that excludes zero,
 # the excluding enclosure in integer form).
 EmptyCert = tuple[str, IntRange]
+
+# builds a NamedTuple without its Python-level __new__
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +159,8 @@ class DyadicSegment(NamedTuple):
         x0, y0, x1, y1, e, q = self
         mx, my = x0 + x1, y0 + y1
         return (
-            DyadicSegment(2 * x0, 2 * y0, mx, my, e + 1, q),
-            DyadicSegment(mx, my, 2 * x1, 2 * y1, e + 1, q),
+            _new(DyadicSegment, (2 * x0, 2 * y0, mx, my, e + 1, q)),
+            _new(DyadicSegment, (mx, my, 2 * x1, 2 * y1, e + 1, q)),
         )
 
     def axes(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -190,12 +202,13 @@ class DyadicCell(NamedTuple):
     def quarters(self) -> tuple["DyadicCell", ...]:
         """The four children: low x and low y first, then high x, then
         high y, then both high."""
-        i, j, level = 2 * self.i, 2 * self.j, self.level + 1
+        i, j, level = self
+        i, j, level = 2 * i, 2 * j, level + 1
         return (
-            DyadicCell(i, j, level),
-            DyadicCell(i + 1, j, level),
-            DyadicCell(i, j + 1, level),
-            DyadicCell(i + 1, j + 1, level),
+            _new(DyadicCell, (i, j, level)),
+            _new(DyadicCell, (i + 1, j, level)),
+            _new(DyadicCell, (i, j + 1, level)),
+            _new(DyadicCell, (i + 1, j + 1, level)),
         )
 
 
@@ -219,12 +232,6 @@ class Grid:
     @property
     def n(self) -> int:
         return 1 << self.depth
-
-    def wrap(self, cell: Cell) -> Cell:
-        if self.torus:
-            n = 1 << self.depth
-            return (cell[0] % n, cell[1] % n)
-        return cell
 
     def neighbors8(self, cell: Cell) -> list[Cell]:
         """The eight cells around ``cell``, x offset first, then y offset,
@@ -271,6 +278,23 @@ def _box_overlap(boxes: Sequence[Box], others: Sequence[Box], shifts) -> Optiona
             for b in shifted:
                 if a.intersects(b):
                     return _overlap(a, b)
+    return None
+
+
+def _lattice_overlap(grid: Grid, cells: Sequence[Cell], boxes: Sequence[Box],
+                     other_cells: Sequence[Cell], other_boxes: Sequence[Box]) -> Optional[Box]:
+    """The overlap of the first own cell, in order, that meets one of the
+    other cells (is equal to it or one of its eight neighbours on the
+    grid) with the first other cell that meets it, shifted by a period
+    across the torus seam, or None when no cell meets."""
+    position = {c: k for k, c in enumerate(other_cells)}
+    for a, box in zip(cells, boxes):
+        hits = [position[c] for c in (a, *grid.neighbors8(a)) if c in position]
+        if hits:
+            k = min(hits)
+            (i, j), b = other_cells[k], other_boxes[k]
+            sx, sy = _seam_shift(a[0], i), _seam_shift(a[1], j)
+            return _overlap(box, _shifted(b, sx, sy) if sx or sy else b)
     return None
 
 
@@ -323,16 +347,7 @@ class ZeroBlock:
         if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
             torus = self.domain == other.domain == "torus"
             return _box_overlap(self.boxes, other.boxes, _PERIOD_SHIFTS if torus else _PERIOD_SHIFTS[:1])
-        grid = self.grid()
-        position = {c: k for k, c in enumerate(other.cells)}
-        for a, box in zip(self.cells, self.boxes):
-            hits = [position[c] for c in (a, *grid.neighbors8(a)) if c in position]
-            if hits:
-                k = min(hits)
-                (i, j), b = other.cells[k], other.boxes[k]
-                sx, sy = _seam_shift(a[0], i), _seam_shift(a[1], j)
-                return _overlap(box, _shifted(b, sx, sy) if sx or sy else b)
-        return None
+        return _lattice_overlap(self.grid(), self.cells, self.boxes, other.cells, other.boxes)
 
 
 @dataclass(frozen=True, repr=False)
@@ -659,10 +674,75 @@ def scalar_zero_blocks(expr: Expr, region: Box, max_depth: int) -> list[ZeroBloc
 
 def common_zero_blocks(fields: Sequence[VectorField], region: Box, max_depth: int) -> IsolationResult:
     """Blocks of the simultaneous zero set of all given fields."""
+    return _build_blocks(_common_problem(fields), region, max_depth)
+
+
+def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
     if not fields:
         raise ValueError("no generators")
-    problem = ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
-    return _build_blocks(problem, region, max_depth)
+    return ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
+
+
+# ``bisect``'s certificate for a cell that is no ancestor of a window cell
+_OUT_OF_SCOPE = ("out of scope", None)
+
+
+def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) -> list[Optional[Box]]:
+    """For each block, the witness that the common zero set of the fields
+    meets it, or None: exactly the first ``overlap_box`` that is not None
+    over the blocks of ``common_zero_blocks(fields, region, resolution)``,
+    decided on the cells around the block instead of the whole region.
+
+    The blocks share one region, resolution and domain, as the blocks of
+    one isolation do.  A block's window is its cells and their
+    ``Grid.neighbors8``; a window cell is retained when the cell and every
+    quadtree ancestor of it survive the emptiness certificate, which is
+    what a whole-region subdivision retains.  One ``bisect`` from the root
+    cell reaches the window cells, with every cell that is no ancestor of
+    one out of scope; the certificates are memoized across the blocks.
+    No retained window cell: the block is missed.  The retained window
+    cells 8-connected inside the window: they lie in one block of the
+    zero set, the only one meeting this block, and the witness is read
+    off them as ``overlap_box`` reads it.  Two or more pieces: the block
+    order of the whole region decides which one gives the witness, so the
+    zero set is isolated over the whole region, once per call."""
+    if not blocks:
+        return []
+    problem = _common_problem(fields)
+    region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
+    certify = _cell_certifier(problem, region)
+    cell_box = _cell_boxes(region)
+    memo: dict[DyadicCell, Optional[EmptyCert]] = {}
+    whole: Optional[tuple[ZeroBlock, ...]] = None
+    witnesses: list[Optional[Box]] = []
+    for blk in blocks:
+        window = set(blk.cells).union(*map(grid.neighbors8, blk.cells))
+        scope: set[tuple[int, int, int]] = set()
+        level_cells = window
+        for level in range(depth, -1, -1):
+            scope.update((i, j, level) for i, j in level_cells)
+            level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
+
+        def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
+            if cell not in scope:
+                return _OUT_OF_SCOPE
+            if cell not in memo:
+                memo[cell] = certify(cell)
+            return memo[cell]
+
+        found = [(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None]
+        pieces = _components(grid, found)
+        if len(pieces) > 1:
+            if whole is None:
+                whole = common_zero_blocks(fields, region, depth).blocks
+            witnesses.append(next((w for w in map(blk.overlap_box, whole) if w is not None), None))
+        elif pieces:
+            (piece,) = pieces
+            boxes = [cell_box(DyadicCell(i, j, depth)) for i, j in piece]
+            witnesses.append(_lattice_overlap(grid, blk.cells, blk.boxes, piece, boxes))
+        else:
+            witnesses.append(None)
+    return witnesses
 
 
 def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) -> ZeroBlock:

@@ -26,6 +26,7 @@ from .blocks import (
     MAX_SEG_REFINE,
     ZeroBlock,
     bisect,
+    cover_witnesses,
     enclose,
     excludes_zero,
     isolate_zeros,
@@ -39,7 +40,6 @@ from .tracking import (
     POLY_TRACKING,
     LieAlgebraSpec,
     TrackReport,
-    common_zeros,
     dep_set,
     track_check,
 )
@@ -435,12 +435,14 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     """Check the common-zero conclusion on one catalog entry.
 
     Pipeline: classify every tracker symbolically; isolate Z(X) and find
-    the essential (nonzero-index) blocks; isolate every tracker's zero set
-    (once per distinct field: a tracker equal to X or to an earlier tracker
-    reuses that isolation) and the common zero set of all trackers; demand
-    that each of those covers intersects every essential block's cover,
-    emitting witness boxes.  When a tracker fails the tracking hypothesis the conclusion is
-    still evaluated and reported (negative controls).
+    the essential (nonzero-index) blocks; demand that the cover of every
+    tracker's zero set, and of the common zero set of all trackers, meets
+    every essential block's cover, emitting witness boxes.  Each cover is
+    decided by ``blocks.cover_witnesses`` on the cells around the
+    essential blocks; a zero set is isolated over the whole region only
+    when its retained cells next to a block fall into two or more pieces.
+    When a tracker fails the tracking hypothesis the conclusion is still
+    evaluated and reported (negative controls).
     """
     reports: list[TrackReport] = [track_check(y, entry.field) for y in entry.trackers]
     statuses = tuple(r.status for r in reports)
@@ -457,25 +459,19 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     witnesses: list[Witness] = []
     missed: list[tuple[str, str]] = []
 
-    def check_cover(tag: str, zero_blocks: Sequence[ZeroBlock]):
-        for blk in essential_blocks:
-            w = next((w for w in map(blk.overlap_box, zero_blocks) if w is not None), None)
+    def check_cover(tag: str, fields: Sequence[VectorField]):
+        for blk, w in zip(essential_blocks, cover_witnesses(fields, essential_blocks)):
             if w is None:
                 missed.append((tag, blk.label))
             else:
                 witnesses.append(Witness(tag, blk.label, w))
 
-    # a tracker equal to X or to an earlier tracker has the same zero set
-    isolated = {entry.field: isolation}
     for k, y in enumerate(entry.trackers):
         if y.is_zero:
             raise ValueError(f"tracker {k} of {entry.name} is the zero field")
-        if y not in isolated:
-            isolated[y] = isolate_zeros(y, entry.region, max_depth)
-        check_cover(f"Y{k}", isolated[y].blocks)
+        check_cover(f"Y{k}", [y])
     if entry.trackers:
-        algebra = LieAlgebraSpec(entry.name, entry.trackers)
-        check_cover("common", common_zeros(algebra, entry.region, max_depth))
+        check_cover("common", LieAlgebraSpec(entry.name, entry.trackers).generators)
 
     return MainTheoremReport(
         entry=entry.name,

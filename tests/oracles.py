@@ -17,7 +17,10 @@ cells and pieces against; ``fraction_boundary_loops`` reads each block
 boundary edge off the corners of its cell's box, to check the lattice
 pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
 every pair of boxes of two blocks, to check the witnesses that
-``ZeroBlock.overlap_box`` reads off cell indices.  The reference loop
+``ZeroBlock.overlap_box`` reads off cell indices; ``full_cover`` decides
+every cover of the common-zero theorem over the whole region, to check
+the window decision of ``blocks.cover_witnesses`` against.  The
+reference loop
 winding, ``fraction_loop_winding``,
 is certified atan2 angle accumulation from ``Interval`` cross and dot
 products of endpoint values: an index law independent of the library's
@@ -39,8 +42,12 @@ from typing import Optional
 
 import sympy
 
-from vfzero import BoundaryLoop, Box, Expr, Interval, VectorField, jacobian
+from vfzero import (
+    POLY_TRACKING, BoundaryLoop, Box, CertificationError, Expr, Interval, LieAlgebraSpec, VectorField,
+    block_index, common_zeros, isolate_zeros, jacobian, track_check,
+)
 from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
+from vfzero.harness import MainTheoremReport, Witness
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import (
     PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
@@ -371,6 +378,63 @@ def box_overlap(block, other) -> Optional[Box]:
     return None
 
 
+def wrap(grid, cell):
+    """A cell or vertex index reduced mod the grid size on the torus,
+    unchanged on the plane."""
+    if grid.torus:
+        return (cell[0] % grid.n, cell[1] % grid.n)
+    return cell
+
+
+def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
+    """``main_theorem_check`` with every cover decided over the whole
+    region: every tracker's zero set (once per distinct field) and the
+    common zero set are isolated at full depth, and each essential block
+    takes its witness from the first of their blocks that meets it.  The
+    whole-region check that ``blocks.cover_witnesses`` replaced with the
+    cells around each essential block."""
+    reports = [track_check(y, entry.field) for y in entry.trackers]
+    statuses = tuple(r.status for r in reports)
+    hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
+    isolation = isolate_zeros(entry.field, entry.region, max_depth)
+    for blk in isolation.blocks:
+        if blk.coarse:
+            raise CertificationError(f"coarse block {blk.label} in {entry.name}")
+    indices = tuple((blk.label, block_index(entry.field, blk).index) for blk in isolation.blocks)
+    essential = tuple(label for label, ix in indices if ix != 0)
+    essential_blocks = [blk for blk in isolation.blocks if blk.label in essential]
+    witnesses, missed = [], []
+
+    def check_cover(tag, zero_blocks):
+        for blk in essential_blocks:
+            w = next((w for w in map(blk.overlap_box, zero_blocks) if w is not None), None)
+            if w is None:
+                missed.append((tag, blk.label))
+            else:
+                witnesses.append(Witness(tag, blk.label, w))
+
+    isolated = {entry.field: isolation}
+    for k, y in enumerate(entry.trackers):
+        if y.is_zero:
+            raise ValueError(f"tracker {k} of {entry.name} is the zero field")
+        if y not in isolated:
+            isolated[y] = isolate_zeros(y, entry.region, max_depth)
+        check_cover(f"Y{k}", isolated[y].blocks)
+    if entry.trackers:
+        algebra = LieAlgebraSpec(entry.name, entry.trackers)
+        check_cover("common", common_zeros(algebra, entry.region, max_depth))
+    return MainTheoremReport(
+        entry=entry.name,
+        tracker_statuses=statuses,
+        hypotheses_ok=hypotheses_ok,
+        block_indices=indices,
+        essential_blocks=essential,
+        witnesses=tuple(witnesses),
+        missed=tuple(missed),
+        conclusion_holds=not missed,
+    )
+
+
 _LEFT = {"E": "N", "N": "W", "W": "S", "S": "E"}
 _RIGHT = {"E": "S", "S": "W", "W": "N", "N": "E"}
 
@@ -382,7 +446,7 @@ def fraction_boundary_loops(grid, comp: dict) -> tuple[tuple[Segment, ...], ...]
     ``blocks._boundary_loops`` replaced with lattice pieces."""
 
     def is_member(cell) -> bool:
-        return grid.wrap(cell) in comp
+        return wrap(grid, cell) in comp
 
     # directed edges: (from-vertex, to-vertex, direction, segment)
     edges = []
@@ -400,7 +464,7 @@ def fraction_boundary_loops(grid, comp: dict) -> tuple[tuple[Segment, ...], ...]
 
     by_from: dict = {}
     for idx, e in enumerate(edges):
-        by_from.setdefault(grid.wrap(e[0]), []).append(idx)
+        by_from.setdefault(wrap(grid, e[0]), []).append(idx)
 
     used = [False] * len(edges)
     loops = []
@@ -409,10 +473,10 @@ def fraction_boundary_loops(grid, comp: dict) -> tuple[tuple[Segment, ...], ...]
             continue
         chain = [start_idx]
         used[start_idx] = True
-        start_v = grid.wrap(edges[start_idx][0])
+        start_v = wrap(grid, edges[start_idx][0])
         cur = edges[start_idx]
-        while grid.wrap(cur[1]) != start_v:
-            v = grid.wrap(cur[1])
+        while wrap(grid, cur[1]) != start_v:
+            v = wrap(grid, cur[1])
             candidates = [k for k in by_from.get(v, ()) if not used[k]]
             if not candidates:
                 raise AssertionError("open boundary chain: inconsistent cell union")

@@ -34,6 +34,7 @@ from oracles import (
     fraction_boundary_loops,
     fraction_empty_certificate,
     fraction_subdivide,
+    wrap,
 )
 
 REGION = Box.from_corners(-1, -1, 1, 1)
@@ -193,7 +194,7 @@ class TestBoundaryStructure:
             edge_count = 0
             for (i, j) in comp:
                 for nb in ((i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)):
-                    w = grid.wrap(nb)
+                    w = wrap(grid, nb)
                     inside = torus or (0 <= nb[0] < grid.n and 0 <= nb[1] < grid.n)
                     if not (inside and w in set(comp)):
                         edge_count += 1
@@ -496,7 +497,7 @@ class TestNeighbors8:
         i, j = cell
         around = [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
         if torus:
-            expected = [grid.wrap(c) for c in around]
+            expected = [wrap(grid, c) for c in around]
         else:
             expected = [c for c in around if 0 <= c[0] < 8 and 0 <= c[1] < 8]
         assert list(grid.neighbors8(cell)) == expected

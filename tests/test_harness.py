@@ -18,10 +18,11 @@ from vfzero import (
     refine_seed,
     stability_test,
 )
+from vfzero import blocks
 from vfzero.blocks import piece_segment
 from vfzero.harness import TORUS_SQUARE, _boundary_pieces, _random_perturbation
 
-from oracles import range_on_fractions
+from oracles import full_cover, range_on_fractions
 
 
 class TestCatalog:
@@ -229,3 +230,43 @@ class TestMainTheorem:
         assert rep.hypotheses_ok
         assert set(rep.essential_blocks) == {"K0", "K1", "K2", "K3"}
         assert rep.conclusion_holds
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestCoverWindow:
+    """The covers decided on the cells around each essential block against
+    the whole-region isolation of every tracker and the common zero set."""
+
+    @pytest.mark.parametrize("depth", range(2, 10))
+    def test_same_report_as_whole_region(self, depth):
+        entries = builtin_catalog() + load_catalog((DATA / "torus-seam.cfg").read_text())
+        assert len(entries) == 20
+        for entry in entries:
+            assert main_theorem_check(entry, depth) == full_cover(entry, depth), entry.name
+
+    @pytest.mark.parametrize("depth", [6, 7])
+    def test_two_pieces_fall_back_to_whole_region(self, monkeypatch, depth):
+        # at depth 6 Y0's zeros at x = -3/32 and 3/32 lie in two pieces of
+        # the cells around K0; at depth 7 both lie outside them
+        (entry,) = load_catalog((DATA / "near-pair.cfg").read_text())
+        isolated = []
+        whole = blocks.common_zero_blocks
+
+        def recording(fields, region, max_depth):
+            isolated.append(list(fields))
+            return whole(fields, region, max_depth)
+
+        monkeypatch.setattr(blocks, "common_zero_blocks", recording)
+        rep = main_theorem_check(entry, depth)
+        assert rep == full_cover(entry, depth)
+        y0_k0 = [w.box for w in rep.witnesses if (w.tracker, w.block) == ("Y0", "K0")]
+        if depth == 6:
+            assert isolated == [[entry.trackers[0]]]
+            assert y0_k0 == [Box.from_corners(Fraction(-1, 16), Fraction(-1, 16), Fraction(-1, 16), 0)]
+            assert rep.missed == (("common", "K0"),)
+        else:
+            assert isolated == []
+            assert y0_k0 == []
+            assert rep.missed == (("Y0", "K0"), ("common", "K0"))
