@@ -21,9 +21,7 @@ from .blocks import (
     IsolationResult,
     Segment,
     ZeroBlock,
-    block_from_boxes,
     certify_isolating,
-    dilate_block,
     isolate_zeros,
     scalar_zero_blocks,
 )
@@ -40,7 +38,6 @@ from .winding import (
     index_transfer_check,
     region_boundary_loop,
     region_index,
-    scalar_factor_index_check,
     winding_number,
 )
 from .tracking import (
@@ -48,13 +45,11 @@ from .tracking import (
     POLY_TRACKING,
     RATIONAL_TRACKING,
     DepSetResult,
-    IdealReport,
     LieAlgebraSpec,
     TrackReport,
     bracket_closure_track,
     common_zeros,
     dep_set,
-    ideal_check,
     track_check,
 )
 from .flows import Trajectory, flow_integrate, rk4_convergence_ratio

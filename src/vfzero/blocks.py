@@ -31,11 +31,10 @@ retained cells (one shared ``Interval`` per distinct cell side within a
 subdivision) and an offending boundary piece.  An empty leaf is kept as
 its cell, the label of the excluding component and the excluding
 enclosure in integer form; its ``Box`` and ``Interval`` are built on first
-access to ``IsolationResult.empty_boxes`` only.  Blocks on one lattice
-meet when a cell of one is a cell of the other or one of its eight
-neighbours, which is decided on cell indices and wraps on the torus;
-blocks on different lattices are tested box by box, on the torus also
-across the seams.
+access to ``IsolationResult.empty_boxes`` only.  Two blocks on one
+lattice meet when a cell of one is a cell of the other or one of its
+eight neighbours, which is decided on cell indices and wraps on the
+torus.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -57,7 +56,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CertificationError
 from .expr import Expr
 from .fields import VectorField
 from .intervals import Box, IntRange, Interval, lattice_form, odd_denominator
@@ -253,10 +251,6 @@ def _seam_shift(i: int, k: int) -> int:
     return -1 if k - i > 1 else 1 if i - k > 1 else 0
 
 
-# period shifts of a box on the torus: none first, then across the seams
-_PERIOD_SHIFTS = ((0, 0), *_AROUND)
-
-
 def _shifted(box: Box, sx: int, sy: int) -> Box:
     return Box(Interval(box.x.lo + sx, box.x.hi + sx), Interval(box.y.lo + sy, box.y.hi + sy))
 
@@ -266,19 +260,6 @@ def _overlap(a: Box, b: Box) -> Box:
         Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
         Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
     )
-
-
-def _box_overlap(boxes: Sequence[Box], others: Sequence[Box], shifts) -> Optional[Box]:
-    """The overlap of the first meeting pair of boxes (``boxes`` outer),
-    with ``others`` shifted by the first of the ``shifts`` under which a
-    pair meets, or None."""
-    for sx, sy in shifts:
-        shifted = [_shifted(b, sx, sy) for b in others] if sx or sy else others
-        for a in boxes:
-            for b in shifted:
-                if a.intersects(b):
-                    return _overlap(a, b)
-    return None
 
 
 def _lattice_overlap(grid: Grid, cells: Sequence[Cell], boxes: Sequence[Box],
@@ -324,29 +305,22 @@ class ZeroBlock:
     def contains_point(self, p) -> bool:
         return any(b.contains_point(p) for b in self.boxes)
 
-    def intersects_block(self, other: "ZeroBlock") -> bool:
-        """Closed cell unions meet (see ``overlap_box``)."""
-        return self.overlap_box(other) is not None
-
     def overlap_box(self, other: "ZeroBlock") -> Optional[Box]:
         """A witness that the closed cell unions meet, or None when they are
         disjoint: the overlap of the first own cell, in order, that meets
         the other block with the first cell of the other block that meets
         it.
 
-        Blocks on one lattice (same region, resolution and domain) are
-        decided on cell indices: two closed cells meet when they are equal
-        or neighbours, and ``Grid.neighbors8`` wraps on the torus.  A
-        neighbour across the seam x = 0 = 1 or y = 0 = 1 is shifted by one
-        period before the overlap is taken, so the witness lies in the own
-        cell's box, inside the fundamental square.  Blocks on different
-        lattices (another resolution, or a ``block_from_boxes`` block)
-        fall back to testing every pair of boxes; on the torus the other
-        block's boxes are then also shifted by the periods, unshifted
-        first, so the witness again lies in an own box."""
+        Both blocks must lie on one lattice (same region, resolution and
+        domain), as the blocks of one ``isolate_zeros`` or
+        ``cover_witnesses`` call do; any other pair raises ``ValueError``.
+        Meeting is decided on cell indices: two closed cells meet when they
+        are equal or neighbours, and ``Grid.neighbors8`` wraps on the torus.
+        A neighbour across the seam x = 0 = 1 or y = 0 = 1 is shifted by
+        one period before the overlap is taken, so the witness lies in the
+        own cell's box, inside the fundamental square."""
         if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
-            torus = self.domain == other.domain == "torus"
-            return _box_overlap(self.boxes, other.boxes, _PERIOD_SHIFTS if torus else _PERIOD_SHIFTS[:1])
+            raise ValueError("blocks on different lattices")
         return _lattice_overlap(self.grid(), self.cells, self.boxes, other.cells, other.boxes)
 
 
@@ -743,92 +717,3 @@ def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) 
         else:
             witnesses.append(None)
     return witnesses
-
-
-def dilate_block(field: VectorField, block: ZeroBlock, extra_refine: int = 6) -> ZeroBlock:
-    """Grow the block by one layer of cells, each certified nonvanishing.
-
-    The enlarged cell union is a strictly larger isolating neighborhood for
-    the same zeros, which is what index independence tests exercise.
-    """
-    grid = block.grid()
-    members = dict(zip(block.cells, block.boxes))
-    layer: set[Cell] = set()
-    for cell in block.cells:
-        nbs = list(grid.neighbors8(cell))
-        if len(nbs) < 8:
-            raise CertificationError(
-                "dilation layer would leave the region; enlarge the region first"
-            )
-        layer.update(nb for nb in nbs if nb not in members)
-    problem = ZeroProblem(_field_parts(field))
-    certify = _cell_certifier(problem, block.region)
-    cell_box = _cell_boxes(block.region)
-    for c in sorted(layer):
-        cell = DyadicCell(*c, block.resolution)
-        if any(cert is None for _, cert in bisect(cell, certify, extra_refine)):
-            raise CertificationError(
-                f"dilation layer cell {c} could not be certified nonvanishing"
-            )
-        members[c] = cell_box(cell)
-    comp = dict(sorted(members.items()))
-    boundary = _boundary_loops(grid, list(comp), block.region)
-    cert = certify_boundary(problem, boundary)
-    if not cert.ok:
-        raise CertificationError("dilated boundary could not be certified")
-    return ZeroBlock(
-        label=block.label + "+",
-        domain=block.domain,
-        region=block.region,
-        resolution=block.resolution,
-        cells=tuple(comp),
-        boxes=tuple(comp.values()),
-        boundary=boundary,
-        coarse=False,
-        certificate=cert.per_segment,
-    )
-
-
-def block_from_boxes(domain: str, boxes: Sequence[Box]) -> ZeroBlock:
-    """Assemble a ZeroBlock, labelled "user", from congruent grid-aligned
-    boxes.
-
-    Supports hand-built isolating neighborhoods in tests and the CLI; the
-    boxes must all share the same widths and sit on the lattice generated
-    by the first box.  Plane only: wrap-around adjacency cannot be inferred
-    from a bare box list.
-    """
-    if domain == "torus":
-        raise ValueError("user-assembled blocks are supported on the plane only")
-    if not boxes:
-        raise ValueError("no boxes")
-    wx, wy = boxes[0].widths()
-    x0 = min(b.x.lo for b in boxes)
-    y0 = min(b.y.lo for b in boxes)
-    cells: dict[Cell, Box] = {}
-    for b in boxes:
-        bx, by = b.widths()
-        if (bx, by) != (wx, wy):
-            raise ValueError("boxes must be congruent")
-        ci = (b.x.lo - x0) / wx
-        cj = (b.y.lo - y0) / wy
-        if ci.denominator != 1 or cj.denominator != 1:
-            raise ValueError("boxes must be grid aligned")
-        cells[(int(ci), int(cj))] = b
-    span = max(max(i for i, _ in cells), max(j for _, j in cells)) + 1
-    depth = max(1, (span - 1).bit_length())
-    n = 1 << depth
-    region = Box(Interval(x0, x0 + n * wx), Interval(y0, y0 + n * wy))
-    comp = dict(sorted(cells.items()))
-    boundary = _boundary_loops(Grid(depth, torus=False), list(comp), region)
-    return ZeroBlock(
-        label="user",
-        domain=domain,
-        region=region,
-        resolution=depth,
-        cells=tuple(comp),
-        boxes=tuple(comp.values()),
-        boundary=boundary,
-        coarse=False,
-        certificate=None,
-    )

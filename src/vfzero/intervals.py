@@ -118,24 +118,34 @@ def _iv_from_ratios(p_lo: int, q_lo: int, p_hi: int, q_hi: int):
     return _iv.mpf([_RawMpf(a), _RawMpf(b)])
 
 
+def _exact(v: RationalLike) -> Fraction:
+    """An ``int`` endpoint as a ``Fraction``; a float would silently become
+    a nearby binary fraction, so it raises ``TypeError``."""
+    if not isinstance(v, int):
+        raise TypeError(f"endpoint {v!r} is not an int or Fraction")
+    return Fraction(v)
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints: an ``int``
+    endpoint becomes a ``Fraction``, and any other non-``Fraction`` one, a
+    float above all, raises ``TypeError``, as an ``Expr`` coefficient
+    does."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
         if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "lo", _exact(self.lo))
         if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
+            object.__setattr__(self, "hi", _exact(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     @staticmethod
     def point(v: RationalLike) -> "Interval":
-        v = Fraction(v)
         return Interval(v, v)
 
     @staticmethod
@@ -335,16 +345,13 @@ class Box:
 
     @staticmethod
     def from_corners(x0, y0, x1, y1) -> "Box":
-        return Box(Interval(Fraction(x0), Fraction(x1)), Interval(Fraction(y0), Fraction(y1)))
+        return Box(Interval(x0, x1), Interval(y0, y1))
 
     def contains_point(self, p: tuple[Fraction, Fraction]) -> bool:
         return self.x.contains(p[0]) and self.y.contains(p[1])
 
     def midpoint(self) -> tuple[Fraction, Fraction]:
         return (self.x.midpoint(), self.y.midpoint())
-
-    def widths(self) -> tuple[Fraction, Fraction]:
-        return (self.x.width(), self.y.width())
 
     def intersects(self, other: "Box") -> bool:
         return self.x.intersects(other.x) and self.y.intersects(other.y)

@@ -371,21 +371,3 @@ def common_zeros(
 ) -> list[ZeroBlock]:
     """Blocks of the simultaneous zero set of all generators."""
     return list(common_zero_blocks(algebra.generators, region, max_depth).blocks)
-
-
-@dataclass(frozen=True)
-class IdealReport:
-    algebra: str
-    reports: tuple[TrackReport, ...]
-    tracks: bool
-
-
-def ideal_check(x_field: VectorField, algebra: LieAlgebraSpec) -> IdealReport:
-    """Run track_check of every generator against X; the algebra tracks X
-    iff no generator fails the wedge condition."""
-    reports = tuple(track_check(g, x_field) for g in algebra.generators)
-    return IdealReport(
-        algebra=algebra.name,
-        reports=reports,
-        tracks=all(r.tracking for r in reports),
-    )

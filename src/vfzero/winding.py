@@ -44,7 +44,6 @@ from .blocks import (
     _boundary_loops,
     _field_parts,
     bisect,
-    certify_boundary,
     enclose,
     excludes_zero,
     isolate_zeros,
@@ -52,7 +51,6 @@ from .blocks import (
     strict_sign,
 )
 from .errors import CertificationError, FalsificationError
-from .expr import Expr
 from .fields import VectorField, dot, wedge
 from .intervals import Box
 
@@ -227,32 +225,3 @@ def index_transfer_check(
             f"transfer certified but indices differ: {ix} != {iy} (mode {mode})"
         )
     return TransferReport(mode, True, pieces, ix, iy)
-
-
-@dataclass(frozen=True)
-class ScalarFactorReport:
-    index_y: int
-    index_scaled: int
-    factor_sign_certified: bool
-
-    @property
-    def implication_holds(self) -> bool:
-        return self.index_y != 0 or self.index_scaled == 0
-
-
-def scalar_factor_index_check(y_field: VectorField, factor: Expr, block: ZeroBlock) -> ScalarFactorReport:
-    """Check the scalar-multiplier index implication on a block.
-
-    With X := factor * Y and factor certified nonvanishing on the block
-    boundary, a zero index for Y forces a zero index for X; both indices
-    are computed and the implication asserted.
-    """
-    cert = certify_boundary(ZeroProblem([("value", factor)]), block.boundary)
-    if not cert.ok:
-        raise CertificationError("factor sign could not be certified on the boundary")
-    scaled = y_field.scale(factor)
-    iy = block_index(y_field, block).index
-    ix = block_index(scaled, block).index
-    if iy == 0 and ix != 0:
-        raise FalsificationError(f"index of scaled field is {ix} despite index 0 for Y")
-    return ScalarFactorReport(index_y=iy, index_scaled=ix, factor_sign_certified=True)

@@ -17,7 +17,8 @@ cells and pieces against; ``fraction_boundary_loops`` reads each block
 boundary edge off the corners of its cell's box, to check the lattice
 pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
 every pair of boxes of two blocks, to check the witnesses that
-``ZeroBlock.overlap_box`` reads off cell indices; ``full_cover`` decides
+``ZeroBlock.overlap_box`` reads off cell indices; ``box_block`` builds
+a block of one given box, a hand-made isolating neighbourhood; ``full_cover`` decides
 every cover of the common-zero theorem over the whole region, to check
 the window decision of ``blocks.cover_witnesses`` against.  The
 reference loop
@@ -43,8 +44,8 @@ from typing import Optional
 import sympy
 
 from vfzero import (
-    POLY_TRACKING, BoundaryLoop, Box, CertificationError, Expr, Interval, LieAlgebraSpec, VectorField,
-    block_index, common_zeros, isolate_zeros, jacobian, track_check,
+    POLY_TRACKING, BoundaryLoop, Box, CertificationError, Expr, Interval, LieAlgebraSpec, VectorField, ZeroBlock,
+    block_index, common_zeros, isolate_zeros, jacobian, region_boundary_loop, track_check,
 )
 from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
 from vfzero.harness import MainTheoremReport, Witness
@@ -376,6 +377,13 @@ def box_overlap(block, other) -> Optional[Box]:
                     Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
                 )
     return None
+
+
+def box_block(box: Box) -> ZeroBlock:
+    """A hand-built plane block of one box: the box's one cell at depth 0
+    of its own lattice, bounded by ``region_boundary_loop(box)``."""
+    return ZeroBlock(label="box", domain="plane", region=box, resolution=0, cells=((0, 0),), boxes=(box,),
+                     boundary=(region_boundary_loop(box),), coarse=False, certificate=None)
 
 
 def wrap(grid, cell):

@@ -8,13 +8,10 @@ import pytest
 
 from vfzero import (
     Box,
-    CertificationError,
     Expr,
     Interval,
-    block_from_boxes,
     builtin_catalog,
     certify_isolating,
-    dilate_block,
     isolate_zeros,
     parse_expr,
     parse_field,
@@ -23,14 +20,13 @@ from vfzero import (
 from vfzero.blocks import (
     DyadicSegment, Grid, IsolationResult, ZeroProblem, _field_parts, _subdivide, common_zero_blocks, piece_segment,
 )
-from vfzero.blocks import dilate_block as _dilate
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
 
 from conftest import plane_fields, torus_polys
 from oracles import (
+    box_block,
     box_overlap,
-    fraction_bisect,
     fraction_boundary_loops,
     fraction_empty_certificate,
     fraction_subdivide,
@@ -121,7 +117,7 @@ class TestIsolateZeros:
         assert len(blocks) == 3
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
-                assert not a.intersects_block(b)
+                assert a.overlap_box(b) is None
 
 
 class TestCertifyIsolating:
@@ -133,17 +129,14 @@ class TestCertifyIsolating:
     def test_edge_through_zero_fails(self):
         # one box whose bottom-left corner passes through the only zero
         field = parse_field("(x, y)")
-        blk = block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)])
+        blk = box_block(Box.from_corners(0, 0, 1, 1))
         result = certify_isolating(field, blk, max_refine=12)
         assert not result.ok
         assert result.offending is not None
 
     def test_shrunken_user_block(self):
         field = parse_field("(x^2 - y^2, 2*x*y)")
-        blk = block_from_boxes(
-            "plane",
-            [Box.from_corners(Fraction(-1, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(1, 8))],
-        )
+        blk = box_block(Box.from_corners(Fraction(-1, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(1, 8)))
         assert certify_isolating(field, blk)
 
 
@@ -238,62 +231,19 @@ class TestLatticeBoundary:
         for blk in blocks:
             assert _segment_loops(blk.boundary) == _box_corner_loops(blk)
 
-    def test_dilation(self):
-        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
-        blk = isolate_zeros(field, Box.from_corners(0, 0, Fraction(1, 3), 1), 6).blocks[0]
-        grown = dilate_block(field, blk)
-        assert _segment_loops(grown.boundary) == _box_corner_loops(grown)
-
-    def test_block_from_boxes(self):
-        # an L of three congruent non-dyadic boxes: widths 1/3 and 1/20 from
-        # the corner (1/7, -1/9), so the region's y axis is over 2 * q
-        wx, wy = Fraction(1, 3), Fraction(1, 20)
-        x0, y0 = Fraction(1, 7), Fraction(-1, 9)
-        boxes = [Box.from_corners(x0 + i * wx, y0 + j * wy, x0 + (i + 1) * wx, y0 + (j + 1) * wy)
-                 for i, j in ((0, 0), (1, 0), (0, 1))]
-        blk = block_from_boxes("plane", boxes)
-        assert [len(lp.segments) for lp in blk.boundary] == [8]
+    def test_region_axes_over_different_powers_of_two(self):
+        # the region's x axis is over q = 315 and its y axis over 2 * q
+        # (ex = 0, ey = 1), so the boundary pieces shift x by one bit
+        field = parse_field("((x - 1/3)^2 - y^2, 2*(x - 1/3)*y)")
+        region = Box.from_corners(Fraction(1, 7), Fraction(-1, 9), Fraction(17, 21), Fraction(1, 90))
+        (blk,) = isolate_zeros(field, region, 6).blocks
+        assert len(blk.cells) == 350
         assert _segment_loops(blk.boundary) == _box_corner_loops(blk)
 
     def test_region_boundary_loop(self):
         region = Box.from_corners(0, 0, Fraction(1, 3), 1)
         assert _segment_loops([region_boundary_loop(region)]) == fraction_boundary_loops(
             Grid(0, torus=False), {(0, 0): region})
-
-
-class TestDilation:
-    def test_dilation_grows_and_certifies(self):
-        field = parse_field("(x, y)")
-        blk = isolate_zeros(field, REGION, 6).blocks[0]
-        grown = dilate_block(field, blk)
-        assert len(grown.cells) > len(blk.cells)
-        assert not grown.coarse
-
-    def test_non_dyadic_dilation_matches_fraction_cells(self):
-        # corner 1/3: the layer cells are bisected on integers over 3 * 2^e
-        field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
-        region = Box.from_corners(0, 0, Fraction(1, 3), 1)
-        blk = isolate_zeros(field, region, 6).blocks[0]
-        grown = dilate_block(field, blk)
-        problem = ZeroProblem(_field_parts(field))
-
-        def certify(box):
-            return fraction_empty_certificate(problem, box)
-
-        wx, wy = region.x.width() / 64, region.y.width() / 64
-        assert set(blk.cells) < set(grown.cells)
-        for (i, j), box in zip(grown.cells, grown.boxes):
-            assert box == Box.from_corners(i * wx, j * wy, (i + 1) * wx, (j + 1) * wy)
-            if (i, j) not in blk.cells:
-                assert all(cert for _, cert in fraction_bisect(box, certify, 6))
-
-    def test_dilation_at_region_edge_fails(self):
-        field = parse_field("(x - 1, y - 1)")
-        edge_block = block_from_boxes(
-            "plane", [Box.from_corners(0, 0, Fraction(1, 4), Fraction(1, 4))]
-        )
-        with pytest.raises(CertificationError):
-            _dilate(field, edge_block, extra_refine=2)
 
 
 class TestIntegerSubdivision:
@@ -455,38 +405,12 @@ class TestLatticeOverlap:
         assert any(box.contains_point(w.midpoint()) for box in a.boxes)
         assert b.overlap_box(a) == Box.from_corners(*(1 if t == 0 else t for t in witness))
 
-    def test_torus_seam_across_resolutions(self):
-        # the same tracker pair as above, isolated at depths 6 and 7: the
-        # blocks are on different lattices, and meet only on x = 0 = 1
-        x = "(sin2px - 1/200*cos2px, cos2py)"
-        y = "(sin2px + 1/200*cos2px, cos2py)"
-        a = next(b for b in _torus_blocks(x, 6) if b.label == "K0")
-        b = next(b for b in _torus_blocks(y, 7) if b.label == "K2")
-        assert a.cells == ((0, 15), (0, 16)) and b.cells == ((127, 31), (127, 32))
-        assert box_overlap(a, b) is None
-        assert a.overlap_box(b) == Box.from_corners(0, Fraction(31, 128), 0, Fraction(1, 4))
-        assert b.overlap_box(a) == Box.from_corners(1, Fraction(31, 128), 1, Fraction(1, 4))
-        # away from the seam, the unshifted witness is kept
-        a7 = next(b for b in _torus_blocks(x, 7) if b.label == "K0")
-        assert box_overlap(a, a7) is not None
-        assert a.overlap_box(a7) == box_overlap(a, a7)
-
-    def test_block_from_boxes_falls_back_to_boxes(self):
-        blk = isolate_zeros(parse_field("(x, y)"), REGION, 6).blocks[0]
-        near = block_from_boxes("plane", [Box.from_corners(Fraction(1, 32), 0, Fraction(1, 8), Fraction(3, 32))])
-        far = block_from_boxes("plane", [Box.from_corners(Fraction(1, 2), 0, Fraction(5, 8), Fraction(1, 8))])
-        for a, b in ((blk, near), (near, blk), (blk, far), (far, blk)):
-            assert a.overlap_box(b) == box_overlap(a, b)
-        assert blk.overlap_box(near) is not None
-        assert blk.overlap_box(far) is None
-
-    def test_dilated_block_on_the_lattice(self):
-        field = parse_field("(x, y)")
-        blk = isolate_zeros(field, REGION, 6).blocks[0]
-        grown = dilate_block(field, blk)
-        assert (grown.region, grown.resolution) == (blk.region, blk.resolution)
-        assert grown.overlap_box(blk) == box_overlap(grown, blk)
-        assert blk.overlap_box(grown) == box_overlap(blk, grown)
+    def test_different_lattices_rejected(self):
+        # the same tracker pair as above, isolated at depths 6 and 7
+        a = _torus_blocks("(sin2px - 1/200*cos2px, cos2py)", 6)[0]
+        b = _torus_blocks("(sin2px + 1/200*cos2px, cos2py)", 7)[0]
+        with pytest.raises(ValueError, match="blocks on different lattices"):
+            a.overlap_box(b)
 
 
 class TestNeighbors8:

@@ -19,9 +19,9 @@ crossings: the three ``index`` reports no longer print each loop's atan2
 the X = Y ``verify transfer`` over 0,0,1/3,1 decides its pieces from
 component signs first, so its ``pieces`` went from 12495 to 142.
 
-Six ``repr`` pins below moved when block boundaries became lattice
+Five ``repr`` pins below moved when block boundaries became lattice
 pieces: ``isolate-plane``, ``isolate-torus``, ``scalar-blocks``,
-``common-blocks``, ``dilate`` and ``boundary-pieces``.  Each boundary
+``common-blocks`` and ``boundary-pieces``.  Each boundary
 loop, each per-segment certificate and each piece of ``_boundary_pieces``
 now holds a ``DyadicSegment`` where it held a ``Segment``; with every
 piece mapped back through ``piece_segment`` each object gives its old
@@ -37,10 +37,8 @@ import pytest
 
 from vfzero import (
     Box,
-    block_from_boxes,
     builtin_catalog,
     certify_isolating,
-    dilate_block,
     isolate_zeros,
     parse_expr,
     parse_field,
@@ -58,6 +56,8 @@ from vfzero.blocks import (
 )
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces
+
+from oracles import box_block
 
 # a double zero at (1/7, 1/2), inside the region 0,0,1/3,1
 _THIRD_FIELD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
@@ -141,11 +141,6 @@ def _catalog_block(name):
     return entry.field, isolate_zeros(entry.field, entry.region, 6).blocks[0]
 
 
-def _dilated():
-    field = parse_field("(x, y)")
-    return dilate_block(field, isolate_zeros(field, _R1, 6).blocks[0])
-
-
 def _squaring_pieces():
     return _boundary_pieces(*_catalog_block("complex-squaring"))
 
@@ -162,10 +157,9 @@ FACTORIES = {
     "common-blocks":
         lambda: common_zero_blocks([parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")],
                                    _R1, 5),
-    "dilate": _dilated,
     "isolating-fails":
         lambda: certify_isolating(parse_field("(x, y)"),
-                                  block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)]),
+                                  box_block(Box.from_corners(0, 0, 1, 1)),
                                   max_refine=12),
     "boundary-pieces": lambda: sorted(repr(p) for p in _squaring_pieces()),
 }
@@ -176,7 +170,6 @@ OBJECTS = [
     ("isolate-torus", "ce67f736aed97578c858d3447825eacfc8bbb818e42e483e4e0596666ff0f5b5"),
     ("scalar-blocks", "e2536f555622670c36a8701eb32a2e0e8c65cf02ead386369f2546fa0654e949"),
     ("common-blocks", "66bea8c89f08f8d4d9ef46e5e88e8981c2fa8f2ecdba9216cfeaa0b093a821c5"),
-    ("dilate", "5a455d734a808f5f66a4678dcd62bfb49ff56b5a13b15476ad8b16cf987bc737"),
     ("isolating-fails", "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
     ("boundary-pieces", "c59991ff7c38f776cb2efef1259a7f66cad76fb08060a38608cfb7d709f4c540"),
 ]
@@ -201,13 +194,12 @@ def _as_segments(obj):
     return obj
 
 
-# The hashes the six moved pins had while boundaries held ``Segment``s.
+# The hashes the five moved pins had while boundaries held ``Segment``s.
 SEGMENT_FORMS = [
     ("isolate-plane", "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
     ("isolate-torus", "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
     ("scalar-blocks", "e2923080177a4c251dfcf1ca1663566f86569c01f59c907694d139843f1abd2d"),
     ("common-blocks", "f9206888905c65e130a94980c823333e8af081cd28823a121f4d90e07e1d8f93"),
-    ("dilate", "91d46e12e7d4240f185d0a4a1a2c95fdd44f08ad1aee05e734abe3c90aebe14e"),
     ("boundary-pieces", "5934068d43cac4ee1fafaf7493689074a1fba3e5f845cc36e5bf81e1ef81805f"),
 ]
 

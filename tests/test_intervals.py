@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import finf, fnan, fninf, from_rational, fzero, round_floor
 
-from vfzero import Interval
+from vfzero import Box, Interval, isolate_zeros, parse_field
 from vfzero.intervals import (
     PI,
     EnclosureError,
@@ -15,6 +15,26 @@ from vfzero.intervals import (
     pi_power,
     sin_2pi_range,
 )
+
+
+class TestExactEndpoints:
+    @pytest.mark.parametrize("make", [
+        lambda: Interval(0.1, 1),
+        lambda: Interval(0, 0.5),
+        lambda: Interval.point(0.5),
+        lambda: Interval("1/3", 1),
+    ], ids=["float-lo", "float-hi", "float-point", "string"])
+    def test_inexact_endpoints_raise(self, make):
+        with pytest.raises(TypeError, match="is not an int or Fraction"):
+            make()
+
+    def test_decimal_corner_is_not_rounded_to_binary(self):
+        # 0.1 as a float is 3602879701896397/2^55, just right of the zero
+        # line x = 1/10; only the exact corner keeps the zero in the region
+        field = parse_field("(x - 1/10, y)")
+        with pytest.raises(TypeError):
+            isolate_zeros(field, Box.from_corners(0.1, -1, 1, 1), 6)
+        assert isolate_zeros(field, Box.from_corners(Fraction(1, 10), -1, 1, 1), 6).blocks
 
 
 class TestRawEndpoints:

@@ -21,7 +21,6 @@ from vfzero import (
     common_zeros,
     dep_set,
     euler_field,
-    ideal_check,
     isolate_zeros,
     lie_bracket,
     parse_expr,
@@ -181,23 +180,6 @@ class TestCommonZeros:
         blocks = common_zeros(spec, REGION, 6)
         assert len(blocks) == 1
         assert blocks[0].contains_point((Fraction(0), Fraction(0)))
-
-
-class TestIdealCheck:
-    def test_euler_squaring_algebra(self):
-        rep = ideal_check(SQUARING, LieAlgebraSpec("gEX", (euler_field(), SQUARING)))
-        assert rep.tracks
-        cof = [r.cofactor for r in rep.reports]
-        assert cof[0] == Expr.const(1, "plane") and cof[1].is_zero
-
-    def test_not_tracking_reported(self):
-        rep = ideal_check(parse_field("(1, 0)"), LieAlgebraSpec("bad", (parse_field("(0, x)"),)))
-        assert not rep.tracks
-        assert rep.reports[0].status == NOT_TRACKING
-
-    def test_self_algebra(self):
-        rep = ideal_check(SQUARING, LieAlgebraSpec("self", (SQUARING,)))
-        assert rep.tracks
 
 
 class TestBackpropProperty:

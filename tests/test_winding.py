@@ -13,17 +13,14 @@ from vfzero import (
     FalsificationError,
     Segment,
     VectorField,
-    block_from_boxes,
     block_index,
     builtin_catalog,
-    dilate_block,
     index_transfer_check,
     isolate_zeros,
     parse_expr,
     parse_field,
     region_boundary_loop,
     region_index,
-    scalar_factor_index_check,
     stability_test,
     winding,
     winding_number,
@@ -33,6 +30,7 @@ from vfzero.harness import _boundary_pieces, _random_perturbation
 
 from conftest import plane_fields, torus_polys
 from oracles import (
+    box_block,
     dense_block_winding,
     dense_circle_winding,
     dense_loop_winding,
@@ -141,15 +139,19 @@ class TestBlockIndex:
             assert dense_circle_winding(field, radius=0.8) == expected
 
     def test_isolating_neighborhood_independence(self):
-        field, blk = origin_block("(x^2 - y^2, 2*x*y)")
-        grown = dilate_block(field, blk)
-        assert block_index(field, grown).index == block_index(field, blk).index
+        # the origin's block at depth 6 and the whole region at depth 2 are
+        # two isolating neighbourhoods of the same zero
+        field, fine = origin_block("(x^2 - y^2, 2*x*y)")
+        _, coarse = origin_block("(x^2 - y^2, 2*x*y)", depth=2)
+        assert fine.hull() == Box.from_corners(Fraction(-1, 16), Fraction(-1, 16), Fraction(1, 16), Fraction(1, 16))
+        assert coarse.hull() == REGION
+        assert block_index(field, fine).index == block_index(field, coarse).index == 2
 
     def test_boundary_through_zero_rejected(self):
         # the only zero sits on the block's corner, so no refinement of the
         # boundary can exclude it
         field = parse_field("(x, y)")
-        blk = block_from_boxes("plane", [Box.from_corners(0, 0, 1, 1)])
+        blk = box_block(Box.from_corners(0, 0, 1, 1))
         with pytest.raises(CertificationError, match="^zero too close to boundary: segment near "):
             block_index(field, blk)
         with pytest.raises(ValueError, match="uncertified piece"):
@@ -314,37 +316,6 @@ class TestIndexTransfer:
             assert rep.index_x == rep.index_y
 
 
-class TestScalarFactorIndex:
-    def test_two_opposite_zeros_cancel(self):
-        field = parse_field("(x^2 - 1, y)")
-        row = [
-            Box.from_corners(Fraction(-3, 2) + Fraction(k, 2), Fraction(-1, 4),
-                             Fraction(-1, 1) + Fraction(k, 2), Fraction(1, 4))
-            for k in range(6)
-        ]
-        blk = block_from_boxes("plane", row)
-        rep = scalar_factor_index_check(field, parse_expr("2 + x^2"), blk)
-        assert rep.index_y == 0
-        assert rep.index_scaled == 0
-        assert rep.implication_holds
-
-    def test_noncompact_zero_line_rejected(self):
-        # X = g*Y has the whole line {x = 0} as zeros: no bounded block is
-        # isolating, so certification must fail
-        y_field = parse_field("(1, y)")
-        blk = block_from_boxes(
-            "plane", [Box.from_corners(Fraction(-1, 4), Fraction(-1, 4),
-                                       Fraction(1, 4), Fraction(1, 4))]
-        )
-        with pytest.raises(CertificationError):
-            scalar_factor_index_check(y_field, parse_expr("x"), blk)
-
-    def test_unit_factor_identity(self):
-        field, blk = origin_block("(x, -y)")
-        rep = scalar_factor_index_check(field, parse_expr("1"), blk)
-        assert rep.index_y == rep.index_scaled == -1
-
-
 def _perturbed(field, seed):
     """The field plus a 2^-12 multiple of a derandomized perturbation of
     the kind ``stability_test`` draws."""
@@ -460,19 +431,16 @@ _THIRD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
 
 
 def _count_case(name):
-    """(field, blocks) of one piece-count case: catalog blocks, whole
-    boxes that need refinement, and a dilation."""
+    """(field, blocks) of one piece-count case: catalog blocks, or one
+    whole box whose sides need refinement."""
     entries = {e.name: e for e in builtin_catalog()}
     if name in ("complex-squaring:6", "annulus-node:4", "torus-shear:3", "torus-grid-saddle:4"):
         entry, depth = entries[name.split(":")[0]], int(name.split(":")[1])
         return entry.field, isolate_zeros(entry.field, entry.region, depth).blocks
     if name == "third-box":
         box = Box.from_corners(0, 0, Fraction(1, 3), 1)
-        return parse_field(_THIRD), [block_from_boxes("plane", [box])]
-    if name == "squaring-box":
-        return parse_field("(x^2 - y^2, 2*x*y)"), [block_from_boxes("plane", [REGION])]
-    field = parse_field("(x, y)")
-    return field, [dilate_block(field, isolate_zeros(field, REGION, 6).blocks[0])]
+        return parse_field(_THIRD), [box_block(box)]
+    return parse_field("(x^2 - y^2, 2*x*y)"), [box_block(REGION)]
 
 
 class TestPieceCounts:
@@ -489,7 +457,6 @@ class TestPieceCounts:
         "torus-grid-saddle:4": [[(8, 8, 8, 8)]] * 4,
         "third-box": [[(24, 24, 24, 214)]],
         "squaring-box": [[(16, 16, 16, 4)]],
-        "dilated": [[(16, 16, 16, 16)]],
     }
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
