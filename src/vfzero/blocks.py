@@ -25,16 +25,16 @@ come from the integer entry of the expression kernel
 once per component, leaving out identically zero components; signs are
 read off the integer numerators.  A cell's axes are computed inline from
 the region lattice, so certifying a cell is one call that runs the
-component loop.  ``Fraction``, ``Interval``, ``Box`` and ``Segment``
-objects are built only for what is returned or reported: the boxes of the
-retained cells (one shared ``Interval`` per distinct cell side within a
-subdivision) and an offending boundary piece.  An empty leaf is kept as
-its cell, the label of the excluding component and the excluding
-enclosure in integer form; its ``Box`` and ``Interval`` are built on first
-access to ``IsolationResult.empty_boxes`` only.  Two blocks on one
-lattice meet when a cell of one is a cell of the other or one of its
-eight neighbours, which is decided on cell indices and wraps on the
-torus.
+component loop.  A block is its lattice cells: ``Fraction``,
+``Interval``, ``Box`` and ``Segment`` objects are built only for what is
+reported or drawn, each ``Box`` by ``lattice_box`` from a range of cell
+indices: a block's hull, a witness, the cell boxes of
+``ZeroBlock.boxes``, and the empty leaves of
+``IsolationResult.empty_boxes``, besides an offending boundary piece.  An
+empty leaf is kept as its cell, the label of the excluding component and
+the excluding enclosure in integer form.  Two blocks on one lattice meet
+when a cell of one is a cell of the other or one of its eight
+neighbours, which is decided on cell indices and wraps on the torus.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -251,31 +251,22 @@ def _seam_shift(i: int, k: int) -> int:
     return -1 if k - i > 1 else 1 if i - k > 1 else 0
 
 
-def _shifted(box: Box, sx: int, sy: int) -> Box:
-    return Box(Interval(box.x.lo + sx, box.x.hi + sx), Interval(box.y.lo + sy, box.y.hi + sy))
-
-
-def _overlap(a: Box, b: Box) -> Box:
-    return Box(
-        Interval(max(a.x.lo, b.x.lo), min(a.x.hi, b.x.hi)),
-        Interval(max(a.y.lo, b.y.lo), min(a.y.hi, b.y.hi)),
-    )
-
-
-def _lattice_overlap(grid: Grid, cells: Sequence[Cell], boxes: Sequence[Box],
-                     other_cells: Sequence[Cell], other_boxes: Sequence[Box]) -> Optional[Box]:
+def _lattice_overlap(grid: Grid, region: Box, cells: Sequence[Cell],
+                     other_cells: Sequence[Cell]) -> Optional[Box]:
     """The overlap of the first own cell, in order, that meets one of the
     other cells (is equal to it or one of its eight neighbours on the
     grid) with the first other cell that meets it, shifted by a period
     across the torus seam, or None when no cell meets."""
     position = {c: k for k, c in enumerate(other_cells)}
-    for a, box in zip(cells, boxes):
+    n = grid.n
+    for a in cells:
         hits = [position[c] for c in (a, *grid.neighbors8(a)) if c in position]
         if hits:
-            k = min(hits)
-            (i, j), b = other_cells[k], other_boxes[k]
-            sx, sy = _seam_shift(a[0], i), _seam_shift(a[1], j)
-            return _overlap(box, _shifted(b, sx, sy) if sx or sy else b)
+            i, j = other_cells[min(hits)]
+            i += _seam_shift(a[0], i) * n
+            j += _seam_shift(a[1], j) * n
+            # the closed cells meet on [max lo, min hi] of each axis
+            return lattice_box(region, grid.depth, max(a[0], i), max(a[1], j), min(a[0], i), min(a[1], j))
     return None
 
 
@@ -289,15 +280,17 @@ class ZeroBlock:
     region: Box
     resolution: int
     cells: tuple[Cell, ...]
-    boxes: tuple[Box, ...]
     boundary: tuple[BoundaryLoop, ...]
     coarse: bool
-    certificate: Optional[tuple]
 
     def hull(self) -> Box:
-        xs = [b.x for b in self.boxes]
-        ys = [b.y for b in self.boxes]
-        return Box(Interval.hull(xs), Interval.hull(ys))
+        i, j = zip(*self.cells)
+        return lattice_box(self.region, self.resolution, min(i), min(j), max(i), max(j))
+
+    @property
+    def boxes(self) -> tuple[Box, ...]:
+        """The box of each cell, in cell order, built on every access."""
+        return tuple(lattice_box(self.region, self.resolution, i, j, i, j) for i, j in self.cells)
 
     def grid(self) -> Grid:
         return Grid(self.resolution, self.domain == "torus")
@@ -321,10 +314,10 @@ class ZeroBlock:
         own cell's box, inside the fundamental square."""
         if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
             raise ValueError("blocks on different lattices")
-        return _lattice_overlap(self.grid(), self.cells, self.boxes, other.cells, other.boxes)
+        return _lattice_overlap(self.grid(), self.region, self.cells, other.cells)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class IsolationResult:
     """The blocks of a subdivision and its certified-empty leaves, each
     kept as (cell, label of the excluding component, the excluding
@@ -339,15 +332,8 @@ class IsolationResult:
     def empty_boxes(self) -> tuple[tuple[Box, str, Interval], ...]:
         """(box, label, enclosure) of every certified-empty leaf, built on
         first access."""
-        cell_box = _cell_boxes(self.region)
-        return tuple((cell_box(cell), label, Interval.from_ints(*r)) for cell, label, r in self.empty_cells)
-
-    def __repr__(self) -> str:
-        """The dataclass repr with the empty leaves in their ``Box`` form."""
-        return (
-            f"IsolationResult(blocks={self.blocks!r}, empty_boxes={self.empty_boxes!r}, "
-            f"region={self.region!r}, max_depth={self.max_depth!r})"
-        )
+        return tuple((lattice_box(self.region, level, i, j, i, j), label, Interval.from_ints(*r))
+                     for (i, j, level), label, r in self.empty_cells)
 
     @property
     def fully_certified_empty(self) -> bool:
@@ -359,7 +345,6 @@ class CertifyResult:
     ok: bool
     pieces: int
     offending: Optional[Segment]
-    per_segment: tuple
 
     def __bool__(self) -> bool:
         return self.ok
@@ -408,24 +393,15 @@ def _region_lattice(region: Box) -> tuple[int, tuple[int, int, int], tuple[int, 
     return q, lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q)
 
 
-def _cell_boxes(region: Box):
-    """The ``Box`` of a ``DyadicCell`` of the region, built from one
-    shared ``Interval`` per distinct cell side."""
+def lattice_box(region: Box, depth: int, i0: int, j0: int, i1: int, j1: int) -> Box:
+    """The ``Box`` of the cells [i0, i1] x [j0, j1] at ``depth`` of the
+    region's lattice: from the low side of cell (i0, j0) to the high side
+    of cell (i1, j1), which is degenerate on an axis where i1 = i0 - 1."""
     q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
     wx, wy = bx - ax, by - ay
-    sides: dict[tuple[int, int, int], Interval] = {}
-
-    def side(a: int, w: int, e: int) -> Interval:
-        iv = sides.get((a, w, e))
-        if iv is None:
-            iv = sides[a, w, e] = Interval.from_ints(a, a + w, q << e)
-        return iv
-
-    def box(cell: DyadicCell) -> Box:
-        i, j, level = cell
-        return Box(side((ax << level) + i * wx, wx, ex + level), side((ay << level) + j * wy, wy, ey + level))
-
-    return box
+    x0, y0 = ax << depth, ay << depth
+    return Box(Interval.from_ints(x0 + i0 * wx, x0 + (i1 + 1) * wx, q << (ex + depth)),
+               Interval.from_ints(y0 + j0 * wy, y0 + (j1 + 1) * wy, q << (ey + depth)))
 
 
 def _cell_certifier(problem: ZeroProblem, region: Box):
@@ -451,18 +427,16 @@ def _cell_certifier(problem: ZeroProblem, region: Box):
 
 
 def _subdivide(problem, region: Box, max_depth: int):
-    """Quadtree subdivision; returns ({retained finest-depth cell: its
-    leaf box}, list of certified-empty (cell, label, integer enclosure)),
-    both in the deterministic traversal order.  The leaf boxes are the
-    block geometry; the integer cell indices only serve adjacency.  The
-    region is bisected as ``DyadicCell``s of its lattice; a ``Box`` is
-    built for each retained leaf only."""
-    retained: dict[Cell, Box] = {}
+    """Quadtree subdivision; returns (list of retained finest-depth (i, j)
+    cells, list of certified-empty (cell, label, integer enclosure)), both
+    in the deterministic traversal order.  The region is bisected as
+    ``DyadicCell``s of its lattice and no ``Box`` is built: the retained
+    cells are the block geometry."""
+    retained: list[Cell] = []
     empties: list[tuple[DyadicCell, str, IntRange]] = []
-    cell_box = _cell_boxes(region)
     for cell, cert in bisect(DyadicCell(0, 0, 0), _cell_certifier(problem, region), max_depth):
         if cert is None:
-            retained[(cell.i, cell.j)] = cell_box(cell)
+            retained.append((cell.i, cell.j))
         else:
             empties.append((cell, *cert))
     return retained, empties
@@ -566,18 +540,14 @@ def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[Bou
 
 
 def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
-    per_segment = []
-    total = 0
+    pieces = 0
     for loop in boundary:
         for seg in loop.segments:
-            pieces = 0
             for piece, cert in bisect(seg, problem.sign_certificate, max_refine):
                 if cert is None:
-                    return CertifyResult(False, total, piece_segment(piece), tuple(per_segment))
+                    return CertifyResult(False, pieces, piece_segment(piece))
                 pieces += 1
-            per_segment.append((seg, pieces))
-            total += pieces
-    return CertifyResult(True, total, None, tuple(per_segment))
+    return CertifyResult(True, pieces, None)
 
 
 def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
@@ -607,9 +577,8 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     retained, empties = _subdivide(problem, region, max_depth)
     grid = Grid(max_depth, torus)
     blocks = []
-    for k, cells in enumerate(_components(grid, list(retained))):
+    for k, cells in enumerate(_components(grid, retained)):
         boundary = _boundary_loops(grid, cells, region)
-        cert = certify_boundary(problem, boundary)
         blocks.append(
             ZeroBlock(
                 label=f"K{k}",
@@ -617,10 +586,8 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
                 region=region,
                 resolution=max_depth,
                 cells=tuple(cells),
-                boxes=tuple(retained[c] for c in cells),
                 boundary=boundary,
-                coarse=not cert.ok,
-                certificate=cert.per_segment if cert.ok else None,
+                coarse=not certify_boundary(problem, boundary).ok,
             )
         )
     return IsolationResult(tuple(blocks), tuple(empties), region, max_depth)
@@ -685,7 +652,6 @@ def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) 
     problem = _common_problem(fields)
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
     certify = _cell_certifier(problem, region)
-    cell_box = _cell_boxes(region)
     memo: dict[DyadicCell, Optional[EmptyCert]] = {}
     whole: Optional[tuple[ZeroBlock, ...]] = None
     witnesses: list[Optional[Box]] = []
@@ -712,8 +678,7 @@ def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) 
             witnesses.append(next((w for w in map(blk.overlap_box, whole) if w is not None), None))
         elif pieces:
             (piece,) = pieces
-            boxes = [cell_box(DyadicCell(i, j, depth)) for i, j in piece]
-            witnesses.append(_lattice_overlap(grid, blk.cells, blk.boxes, piece, boxes))
+            witnesses.append(_lattice_overlap(grid, region, blk.cells, piece))
         else:
             witnesses.append(None)
     return witnesses

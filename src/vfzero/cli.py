@@ -16,7 +16,6 @@ from typing import Optional
 from . import __version__
 from .blocks import isolate_zeros
 from .errors import CertificationError, FalsificationError, FlowEscapeError, SeedRefinementError
-from .expr import DomainError, ParseError
 from .fields import lie_bracket, parse_field
 from .harness import (
     _parse_region,
@@ -194,6 +193,8 @@ def _cmd_verify_main(args):
             raise UsageError(f"no catalog entry named {args.entry!r}")
     else:
         entries = [e for e in entries if e.has_tag("main") or e.has_tag("negative")]
+        if not entries:
+            raise UsageError("no catalog entry tagged main or negative; nothing to verify")
     reports = [main_theorem_check(e, args.depth) for e in entries]
     falsified = any(r.falsified for r in reports)
     results = {
@@ -394,30 +395,26 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         results, certificates, code = args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, DomainError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        payload = {
+            "command": args.command if args.command != "verify" else f"verify {args.suite}",
+            "config": _config_dict(args),
+            "results": results,
+            "certificates": certificates,
+            "seed": args.seed,
+            "version": __version__,
+        }
+        text = emit_report(payload, args.out)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except (CertificationError, SeedRefinementError, FlowEscapeError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # ParseError and DomainError are ValueErrors; an OSError comes from
+        # reading --catalog or writing --out or --svg-out
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = {
-        "command": args.command if args.command != "verify" else f"verify {args.suite}",
-        "config": _config_dict(args),
-        "results": results,
-        "certificates": certificates,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    text = emit_report(payload, args.out)
     if not args.out:
         sys.stdout.write(text)
     return code

@@ -30,6 +30,7 @@ from .blocks import (
     enclose,
     excludes_zero,
     isolate_zeros,
+    lattice_box,
 )
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
@@ -95,12 +96,19 @@ def _split_fields(text: str) -> list[str]:
 
 
 def load_catalog(text: str) -> list[CatalogEntry]:
-    """Parse catalog entries from the INI-style catalog format."""
+    """Parse catalog entries from the INI-style catalog format; a malformed
+    catalog or a section without ``x`` or ``region`` raises ``ValueError``."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed catalog: {exc}") from exc
     entries = []
     for name in cp.sections():
         sec = cp[name]
+        for key in ("x", "region"):
+            if key not in sec:
+                raise ValueError(f"catalog section [{name}] has no {key!r} key")
         domain = sec.get("domain", "plane").strip()
         field = parse_field(sec["x"], domain)
         trackers = tuple(
@@ -179,11 +187,12 @@ def refine_seed(
 
 
 def _block_seeds(field: VectorField, block: ZeroBlock, per_block: int) -> list[tuple[float, float]]:
-    n = len(block.boxes)
+    n = len(block.cells)
     take = [(n * k) // per_block for k in range(min(per_block, n))]
     seeds = []
     for k in dict.fromkeys(take):
-        cx, cy = block.boxes[k].midpoint()
+        i, j = block.cells[k]
+        cx, cy = lattice_box(block.region, block.resolution, i, j, i, j).midpoint()
         seeds.append(refine_seed(field, (float(cx), float(cy))))
     return seeds
 

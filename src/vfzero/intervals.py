@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from mpmath import iv as _iv
 from mpmath.libmp import from_rational, round_ceiling, round_floor
@@ -153,13 +153,6 @@ class Interval:
         """The interval of the integer form (lo, hi, den); the inverse of
         ``ints``."""
         return Interval(Fraction(lo, den), Fraction(hi, den))
-
-    @staticmethod
-    def hull(items: Iterable["Interval"]) -> "Interval":
-        items = list(items)
-        if not items:
-            raise ValueError("hull of no intervals")
-        return Interval(min(i.lo for i in items), max(i.hi for i in items))
 
     def __add__(self, other: "Interval") -> "Interval":
         if isinstance(other, Interval):

@@ -13,7 +13,9 @@ kept to check the compiled kernel's integer triples call for call.  The
 Fraction geometry reference bisects quadtree
 cells as ``Box``es and boundary pieces as ``Segment``s with its own
 ``fraction_bisect``, on that reference enclosure, to check the integer
-cells and pieces against; ``fraction_boundary_loops`` reads each block
+cells and pieces against, and ``fraction_cell_box`` and ``fraction_hull``
+build a cell's box and a block's hull in Fraction arithmetic, to check
+``blocks.lattice_box`` against; ``fraction_boundary_loops`` reads each block
 boundary edge off the corners of its cell's box, to check the lattice
 pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
 every pair of boxes of two blocks, to check the witnesses that
@@ -352,7 +354,8 @@ def fraction_empty_certificate(problem, box: Box):
 
 def fraction_subdivide(problem, region: Box, max_depth: int):
     """Quadtree subdivision by Fraction boxes: ({cell: leaf box}, [(box,
-    label, enclosure)]) in traversal order, as ``blocks._subdivide``."""
+    label, enclosure)]) in traversal order, the boxes of the cells and
+    leaves that ``blocks._subdivide`` returns."""
     n = 1 << max_depth
     wx, wy = region.x.width() / n, region.y.width() / n
     retained, empties = {}, []
@@ -362,6 +365,23 @@ def fraction_subdivide(problem, region: Box, max_depth: int):
         else:
             empties.append((box, *cert))
     return retained, empties
+
+
+def fraction_cell_box(region: Box, depth: int, cell) -> Box:
+    """The box of cell (i, j) at ``depth`` of the region: the region's low
+    corner plus (i, j) and (i + 1, j + 1) cell widths, in Fraction
+    arithmetic."""
+    (i, j), n = cell, 1 << depth
+    (x0, x1), (y0, y1) = (region.x.lo, region.x.hi), (region.y.lo, region.y.hi)
+    wx, wy = (x1 - x0) / n, (y1 - y0) / n
+    return Box.from_corners(x0 + i * wx, y0 + j * wy, x0 + (i + 1) * wx, y0 + (j + 1) * wy)
+
+
+def fraction_hull(boxes) -> Box:
+    """The least box that holds every given box."""
+    boxes = list(boxes)
+    return Box.from_corners(min(b.x.lo for b in boxes), min(b.y.lo for b in boxes),
+                            max(b.x.hi for b in boxes), max(b.y.hi for b in boxes))
 
 
 def box_overlap(block, other) -> Optional[Box]:
@@ -382,8 +402,8 @@ def box_overlap(block, other) -> Optional[Box]:
 def box_block(box: Box) -> ZeroBlock:
     """A hand-built plane block of one box: the box's one cell at depth 0
     of its own lattice, bounded by ``region_boundary_loop(box)``."""
-    return ZeroBlock(label="box", domain="plane", region=box, resolution=0, cells=((0, 0),), boxes=(box,),
-                     boundary=(region_boundary_loop(box),), coarse=False, certificate=None)
+    return ZeroBlock(label="box", domain="plane", region=box, resolution=0, cells=((0, 0),),
+                     boundary=(region_boundary_loop(box),), coarse=False)
 
 
 def wrap(grid, cell):

@@ -18,7 +18,8 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    DyadicSegment, Grid, IsolationResult, ZeroProblem, _field_parts, _subdivide, common_zero_blocks, piece_segment,
+    DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, common_zero_blocks,
+    lattice_box, piece_segment,
 )
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
@@ -28,7 +29,9 @@ from oracles import (
     box_block,
     box_overlap,
     fraction_boundary_loops,
+    fraction_cell_box,
     fraction_empty_certificate,
+    fraction_hull,
     fraction_subdivide,
     wrap,
 )
@@ -183,7 +186,7 @@ class TestBoundaryStructure:
         for comp in _components(grid, sorted(cells)):
             loops = _boundary_loops(grid, comp, TORUS)
             assert _segment_loops(loops) == fraction_boundary_loops(
-                grid, {c: _cell_box(grid, c) for c in comp})
+                grid, {c: fraction_cell_box(TORUS, grid.depth, c) for c in comp})
             edge_count = 0
             for (i, j) in comp:
                 for nb in ((i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)):
@@ -197,11 +200,6 @@ class TestBoundaryStructure:
                 for a, b in zip(segs, segs[1:]):
                     assert _same_vertex(grid, a.end, b.start, torus)
                 assert _same_vertex(grid, segs[-1].end, segs[0].start, torus)
-
-
-def _cell_box(grid, cell):
-    (i, j), w = cell, Fraction(1, grid.n)  # cells of [0, 1]^2
-    return Box.from_corners(i * w, j * w, (i + 1) * w, (j + 1) * w)
 
 
 def _same_vertex(grid, p, q, torus):
@@ -246,6 +244,13 @@ class TestLatticeBoundary:
             Grid(0, torus=False), {(0, 0): region})
 
 
+def _assert_fraction_hulls(blocks, retained):
+    """Each block's hull is the Fraction hull of the reference boxes of its
+    cells."""
+    for blk in blocks:
+        assert blk.hull() == fraction_hull(retained[c] for c in blk.cells)
+
+
 class TestIntegerSubdivision:
     """Quadtree cells in integer form against the Fraction box bisection."""
 
@@ -254,9 +259,12 @@ class TestIntegerSubdivision:
         problem = ZeroProblem(_field_parts(field))
         retained, empties = _subdivide(problem, region, depth)
         empty_boxes = IsolationResult((), tuple(empties), region, depth).empty_boxes
-        assert (retained, list(empty_boxes)) == fraction_subdivide(problem, region, depth)
+        boxes = {c: lattice_box(region, depth, *c, *c) for c in retained}
+        ref_retained, ref_empties = fraction_subdivide(problem, region, depth)
+        assert (list(boxes.items()), list(empty_boxes)) == (list(ref_retained.items()), ref_empties)
         for box, label, enclosure in empty_boxes:
             assert fraction_empty_certificate(problem, box) == (label, enclosure)
+        _assert_fraction_hulls(_build_blocks(problem, region, depth).blocks, ref_retained)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(plane_fields(), st.sampled_from([REGION2, TORUS]), st.integers(1, 4))
@@ -279,6 +287,7 @@ class TestIntegerSubdivision:
         retained, empties = fraction_subdivide(problem, region, 6)
         assert res.empty_boxes == tuple(empties)
         assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
+        _assert_fraction_hulls(res.blocks, retained)
         assert len(res.blocks) == 1 and not res.blocks[0].coarse
 
 
@@ -300,6 +309,7 @@ class TestZeroComponents:
         assert [label for _, label, _ in res.empty_cells] == [label for _, label, _ in empties]
         assert res.empty_boxes == tuple(empties)
         assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
+        _assert_fraction_hulls(res.blocks, retained)
         assert set(retained) == cells
 
     def test_sign_certificate_keeps_the_component_position(self):

@@ -237,6 +237,38 @@ class TestExitCodes:
         assert "region holds no zero block; nothing to verify" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("catalog, message", [
+        (None, "No such file"),
+        ("[no-region]\nx = (x, y)\ntags = main\n", "catalog section [no-region] has no 'region' key"),
+        ("[no-field]\nregion = -1, -1, 1, 1\ntags = main\n", "catalog section [no-field] has no 'x' key"),
+        ("x = (x, y)\n", "malformed catalog"),
+    ], ids=["missing-file", "no-region", "no-field", "no-section-header"])
+    def test_usage_error_bad_catalog(self, catalog, message, tmp_path, capsys):
+        path = tmp_path / "catalog.cfg"
+        if catalog is not None:
+            path.write_text(catalog)
+        assert run_command(["verify", "main", "--catalog", str(path), "--depth", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["track", "--y", "(x, y)", "--x", "(x, y)", "--out"],
+        ["plot", "--field", "(x, y)", "--depth", "3", "--svg-out"],
+    ], ids=["out", "svg-out"])
+    def test_usage_error_unwritable_output(self, argv, tmp_path, capsys):
+        assert run_command(argv + [str(tmp_path / "missing" / "file")]) == 3
+        assert "usage error" in capsys.readouterr().err
+
+    def test_usage_error_catalog_without_main_entry(self, tmp_path, capsys):
+        # a catalog with no main or negative entry used to exit 0 having
+        # checked nothing
+        cat = tmp_path / "extra.cfg"
+        cat.write_text("[user-node]\nx = (2*x, 3*y)\nregion = -1, -1, 1, 1\ntags = stability\n")
+        out = tmp_path / "report.json"
+        assert run_command(["verify", "main", "--catalog", str(cat), "--out", str(out)]) == 3
+        assert "no catalog entry tagged main or negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_falsification_exit(self, monkeypatch, tmp_path):
         import vfzero.cli as cli
         from vfzero.harness import PoincareHopfReport

@@ -27,11 +27,25 @@ now holds a ``DyadicSegment`` where it held a ``Segment``; with every
 piece mapped back through ``piece_segment`` each object gives its old
 hash, which ``test_segment_form_unchanged`` keeps checking.
 
+Six ``repr`` pins moved when a block's lattice cells became its only
+geometry: ``isolate-plane``, ``isolate-empty``, ``isolate-torus``,
+``scalar-blocks``, ``common-blocks`` and ``isolating-fails``.  A
+``ZeroBlock`` no longer holds the ``Box`` of each cell nor the per-segment
+piece counts of its boundary certificate, a ``CertifyResult`` no longer
+holds those counts, and an ``IsolationResult`` prints its empty leaves as
+cells with integer enclosures instead of as boxes.  Their new hashes are
+pinned in ``OBJECTS``.  ``_legacy`` rebuilds each old object (the boxes
+from the cells in Fraction arithmetic, the piece counts by bisecting each
+boundary segment) and ``test_legacy_form_unchanged`` checks that it gives
+the old hash; the four segment forms above are taken of these legacy
+forms.
+
 ``plot`` writes an SVG, pinned by its own hash.
 """
 
 import dataclasses
 import hashlib
+from dataclasses import make_dataclass
 
 import pytest
 
@@ -45,19 +59,22 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
+    MAX_SEG_REFINE,
     BoundaryLoop,
-    CertifyResult,
-    DyadicCell,
     DyadicSegment,
     IsolationResult,
     ZeroBlock,
+    ZeroProblem,
+    _common_problem,
+    _field_parts,
+    bisect,
     common_zero_blocks,
     piece_segment,
 )
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces
 
-from oracles import box_block
+from oracles import box_block, fraction_cell_box
 
 # a double zero at (1/7, 1/2), inside the region 0,0,1/3,1
 _THIRD_FIELD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
@@ -127,9 +144,10 @@ def test_report_bytes_unchanged(argv, sha256, tmp_path):
 
 # Object-level goldens: the reports above only count empty boxes, so these
 # pin the repr of the objects the isolation layer returns, including every
-# empty box's label and enclosure, each block's per-segment certificate and
-# the offending segment of a failed boundary certificate.  The hashes were
-# recorded before the bisection loops were merged into ``blocks.bisect``.
+# empty leaf's cell, label and integer enclosure, each block's cells and
+# boundary pieces, and the offending segment of a failed boundary
+# certificate.  ``LEGACY_FORMS`` below keeps the hashes recorded before the
+# bisection loops were merged into ``blocks.bisect``.
 
 _R1 = Box.from_corners(-1, -1, 1, 1)
 _R2 = Box.from_corners(-2, -2, 2, 2)
@@ -145,32 +163,30 @@ def _squaring_pieces():
     return _boundary_pieces(*_catalog_block("complex-squaring"))
 
 
+_CUBIC = parse_field("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)")
+_NO_ZERO = parse_field("(x^2 + y^2 - 1/4, x^2 + y^2 - 1)")
+_SINES = parse_field("(sin2px, sin2py)", "torus")
+_CIRCLE = parse_expr("x^2 + y^2 - 1")
+_PAIR = [parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")]
+_NODE_BLOCK = box_block(_TORUS)
+
 FACTORIES = {
-    "isolate-plane":
-        lambda: isolate_zeros(parse_field("(x^3 - 3*x*y^2 - x, 3*x^2*y - y^3 - y)"), _R2, 6),
-    "isolate-empty":
-        lambda: isolate_zeros(parse_field("(x^2 + y^2 - 1/4, x^2 + y^2 - 1)"), _R1, 6),
-    "isolate-torus":
-        lambda: isolate_zeros(parse_field("(sin2px, sin2py)", "torus"), _TORUS, 5),
-    "scalar-blocks":
-        lambda: scalar_zero_blocks(parse_expr("x^2 + y^2 - 1"), _R2, 5),
-    "common-blocks":
-        lambda: common_zero_blocks([parse_field("(x, y)"), parse_field("(x^2 - y^2, 2*x*y)")],
-                                   _R1, 5),
-    "isolating-fails":
-        lambda: certify_isolating(parse_field("(x, y)"),
-                                  box_block(Box.from_corners(0, 0, 1, 1)),
-                                  max_refine=12),
+    "isolate-plane": lambda: isolate_zeros(_CUBIC, _R2, 6),
+    "isolate-empty": lambda: isolate_zeros(_NO_ZERO, _R1, 6),
+    "isolate-torus": lambda: isolate_zeros(_SINES, _TORUS, 5),
+    "scalar-blocks": lambda: scalar_zero_blocks(_CIRCLE, _R2, 5),
+    "common-blocks": lambda: common_zero_blocks(_PAIR, _R1, 5),
+    "isolating-fails": lambda: certify_isolating(_PAIR[0], _NODE_BLOCK, max_refine=12),
     "boundary-pieces": lambda: sorted(repr(p) for p in _squaring_pieces()),
 }
 
 OBJECTS = [
-    ("isolate-plane", "2f989778279816bcfd302616268acb18f98076871269265e993d0610e2915162"),
-    ("isolate-empty", "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
-    ("isolate-torus", "ce67f736aed97578c858d3447825eacfc8bbb818e42e483e4e0596666ff0f5b5"),
-    ("scalar-blocks", "e2536f555622670c36a8701eb32a2e0e8c65cf02ead386369f2546fa0654e949"),
-    ("common-blocks", "66bea8c89f08f8d4d9ef46e5e88e8981c2fa8f2ecdba9216cfeaa0b093a821c5"),
-    ("isolating-fails", "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
+    ("isolate-plane", "8104609f867fbb7ee7311c9f030835b2a17f1f406ac16b5ef233f34e71880d1f"),
+    ("isolate-empty", "c249666317405db441ba148bb08ef876e44bc9209b02224d9305ec95cce0df18"),
+    ("isolate-torus", "4dffc2a01f004ef0de92b44a24a7929171ac2d068f7d7e091b00cd7ad4ca3868"),
+    ("scalar-blocks", "0e272380a660ef097d5187401dad9c65b7fbcc3078ab1ce4642c33e69b5f1052"),
+    ("common-blocks", "362442d84b76827aaa48f1f6c254e9a54e83d4cac70ac7e6cdfe2a076815eab6"),
+    ("isolating-fails", "094e09876a419cc41ebccf9491f3a066b042343f023d1f3c7d1f09341eeabfa7"),
     ("boundary-pieces", "c59991ff7c38f776cb2efef1259a7f66cad76fb08060a38608cfb7d709f4c540"),
 ]
 
@@ -180,13 +196,82 @@ def test_object_repr_unchanged(name, sha256):
     assert hashlib.sha256(repr(FACTORIES[name]()).encode()).hexdigest() == sha256
 
 
+# The six pins above that moved when blocks became their cells, with the
+# hashes they had before: a block held the Fraction box of each cell and,
+# once certified, the piece count of each boundary segment; an isolation
+# result printed its empty leaves as boxes; a failed boundary certificate
+# listed the piece count of each segment certified before the failing one.
+# Each legacy form below rebuilds that object and gives the old hash.
+LEGACY_FORMS = [
+    ("isolate-plane", "2f989778279816bcfd302616268acb18f98076871269265e993d0610e2915162"),
+    ("isolate-empty", "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
+    ("isolate-torus", "ce67f736aed97578c858d3447825eacfc8bbb818e42e483e4e0596666ff0f5b5"),
+    ("scalar-blocks", "e2536f555622670c36a8701eb32a2e0e8c65cf02ead386369f2546fa0654e949"),
+    ("common-blocks", "66bea8c89f08f8d4d9ef46e5e88e8981c2fa8f2ecdba9216cfeaa0b093a821c5"),
+    ("isolating-fails", "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
+]
+
+_LegacyBlock = make_dataclass("ZeroBlock", ["label", "domain", "region", "resolution", "cells", "boxes",
+                                            "boundary", "coarse", "certificate"], frozen=True)
+_LegacyIsolation = make_dataclass("IsolationResult", ["blocks", "empty_boxes", "region", "max_depth"],
+                                  frozen=True)
+_LegacyCertify = make_dataclass("CertifyResult", ["ok", "pieces", "offending", "per_segment"], frozen=True)
+
+# the zero problem whose sign certificates each moved pin's boundaries took
+PROBLEMS = {
+    "isolate-plane": lambda: ZeroProblem(_field_parts(_CUBIC)),
+    "isolate-empty": lambda: ZeroProblem(_field_parts(_NO_ZERO)),
+    "isolate-torus": lambda: ZeroProblem(_field_parts(_SINES)),
+    "scalar-blocks": lambda: ZeroProblem([("value", _CIRCLE)]),
+    "common-blocks": lambda: _common_problem(_PAIR),
+    "isolating-fails": lambda: ZeroProblem(_field_parts(_PAIR[0])),
+}
+
+
+def _per_segment(problem, boundary, max_refine=MAX_SEG_REFINE):
+    """(segment, number of certified pieces) of each boundary segment, in
+    order, up to the first one that ``bisect`` leaves uncertified."""
+    counts = []
+    for loop in boundary:
+        for seg in loop.segments:
+            certs = [cert for _, cert in bisect(seg, problem.sign_certificate, max_refine)]
+            if None in certs:
+                return tuple(counts)
+            counts.append((seg, len(certs)))
+    return tuple(counts)
+
+
+def _legacy_form(obj, problem):
+    if isinstance(obj, ZeroBlock):
+        boxes = tuple(fraction_cell_box(obj.region, obj.resolution, c) for c in obj.cells)
+        certificate = None if obj.coarse else _per_segment(problem, obj.boundary)
+        return _LegacyBlock(obj.label, obj.domain, obj.region, obj.resolution, obj.cells, boxes,
+                            obj.boundary, obj.coarse, certificate)
+    if isinstance(obj, IsolationResult):
+        return _LegacyIsolation(_legacy_form(obj.blocks, problem), obj.empty_boxes, obj.region, obj.max_depth)
+    return type(obj)(_legacy_form(blk, problem) for blk in obj)
+
+
+def _legacy(name):
+    """The object of a moved pin in the form it had before blocks became
+    their cells."""
+    obj, problem = FACTORIES[name](), PROBLEMS[name]()
+    if name == "isolating-fails":
+        return _LegacyCertify(obj.ok, obj.pieces, obj.offending,
+                              _per_segment(problem, _NODE_BLOCK.boundary, max_refine=12))
+    return _legacy_form(obj, problem)
+
+
+@pytest.mark.parametrize("name, sha256", LEGACY_FORMS, ids=[o[0] for o in LEGACY_FORMS])
+def test_legacy_form_unchanged(name, sha256):
+    assert hashlib.sha256(repr(_legacy(name)).encode()).hexdigest() == sha256
+
+
 def _as_segments(obj):
     """The object with every boundary piece replaced by its ``Segment``."""
     if isinstance(obj, DyadicSegment):
         return piece_segment(obj)
-    if isinstance(obj, DyadicCell):  # an empty leaf's cell holds no piece
-        return obj
-    if isinstance(obj, (BoundaryLoop, CertifyResult, IsolationResult, ZeroBlock)):
+    if isinstance(obj, (BoundaryLoop, _LegacyBlock, _LegacyIsolation)):
         return dataclasses.replace(obj, **{f.name: _as_segments(getattr(obj, f.name))
                                            for f in dataclasses.fields(obj)})
     if isinstance(obj, (tuple, list)):
@@ -194,7 +279,8 @@ def _as_segments(obj):
     return obj
 
 
-# The hashes the five moved pins had while boundaries held ``Segment``s.
+# The hashes the four moved legacy forms and the boundary pieces had while
+# boundaries held ``Segment``s.
 SEGMENT_FORMS = [
     ("isolate-plane", "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
     ("isolate-torus", "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
@@ -209,7 +295,7 @@ def test_segment_form_unchanged(name, sha256):
     if name == "boundary-pieces":
         obj = sorted(repr(_as_segments(p)) for p in _squaring_pieces())
     else:
-        obj = _as_segments(FACTORIES[name]())
+        obj = _as_segments(_legacy(name))
     assert hashlib.sha256(repr(obj).encode()).hexdigest() == sha256
 
 
