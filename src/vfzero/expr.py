@@ -258,6 +258,8 @@ class Expr:
 
     @staticmethod
     def gen(name: str, domain: str) -> "Expr":
+        if domain not in (PLANE, TORUS):
+            raise DomainError(f"unknown domain {domain!r}: expected {PLANE!r} or {TORUS!r}")
         if name == "pi":
             return Expr(domain, {_PI_KEY: 1})
         if name in _PLANE_GEN_KEYS:
@@ -599,7 +601,7 @@ class _DyadicKernel:
             for fn, on_y in self.trig:
                 # the lookups of term-by-term Fraction interval arithmetic,
                 # in its order, so the lru_cache statistics match it
-                powers.append(fn(*(ykey if on_y else xkey)).dyadic)  # mpmath endpoints and +-1 are dyadic
+                powers.append(fn(*(ykey if on_y else xkey)).dyadic)  # trig endpoints are dyadic
         for k, n in self.odd:
             a, b, s = powers[k]
             powers.append((a**n, b**n, s * n))

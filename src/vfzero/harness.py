@@ -95,9 +95,32 @@ def _split_fields(text: str) -> list[str]:
     return out
 
 
+def _catalog_value(name: str, sec, key: str, parse, allowed: str):
+    """``parse`` of a catalog key's text, or None when the key is missing
+    or empty; a ``ValueError`` from ``parse`` becomes one that names the
+    section, the key and the ``allowed`` values."""
+    text = sec.get(key)
+    if not text:
+        return None
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"catalog section [{name}] key {key!r}: {text!r} is not {allowed}") from None
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(n)
+    return n
+
+
 def load_catalog(text: str) -> list[CatalogEntry]:
     """Parse catalog entries from the INI-style catalog format; a malformed
-    catalog or a section without ``x`` or ``region`` raises ``ValueError``."""
+    catalog, a section without ``x`` or ``region``, a ``domain`` other than
+    ``plane`` or ``torus``, or an ``expected_blocks``/``expected_indices``
+    that is not an integer/a list of integers raises ``ValueError`` naming
+    the section and the key."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -110,13 +133,13 @@ def load_catalog(text: str) -> list[CatalogEntry]:
             if key not in sec:
                 raise ValueError(f"catalog section [{name}] has no {key!r} key")
         domain = sec.get("domain", "plane").strip()
+        if domain not in ("plane", "torus"):
+            raise ValueError(f"catalog section [{name}] key 'domain': {domain!r} is not 'plane' or 'torus'")
         field = parse_field(sec["x"], domain)
         trackers = tuple(
             parse_field(t.strip(), domain) for t in _split_fields(sec.get("trackers", ""))
         )
         region = _parse_region(sec["region"])
-        eb = sec.get("expected_blocks")
-        ei = sec.get("expected_indices")
         entries.append(
             CatalogEntry(
                 name=name,
@@ -124,8 +147,10 @@ def load_catalog(text: str) -> list[CatalogEntry]:
                 field=field,
                 trackers=trackers,
                 region=region,
-                expected_blocks=int(eb) if eb else None,
-                expected_indices=tuple(int(v) for v in ei.split(",")) if ei else None,
+                expected_blocks=_catalog_value(name, sec, "expected_blocks", _count, "an integer >= 0"),
+                expected_indices=_catalog_value(
+                    name, sec, "expected_indices", lambda t: tuple(int(v) for v in t.split(",")),
+                    "a comma-separated list of integers"),
                 provenance=sec.get("provenance", ""),
                 tags=frozenset(t.strip() for t in sec.get("tags", "").split(",") if t.strip()),
                 notes=sec.get("notes", ""),

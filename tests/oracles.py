@@ -283,7 +283,7 @@ class RefDyadicKernel:
                 iv = sin_2pi_range(*ykey)
             else:
                 iv = cos_2pi_range(*ykey)
-            bases[gen] = iv.dyadic  # mpmath endpoints and +-1 are dyadic
+            bases[gen] = iv.dyadic  # trig endpoints are dyadic
         powers = []
         for gen, n in self.factors:
             a, b, shift = bases[gen]

@@ -251,6 +251,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and message in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("domain", "sphere", "catalog section [bad] key 'domain': 'sphere' is not 'plane' or 'torus'"),
+        ("expected_blocks", "abc", "catalog section [bad] key 'expected_blocks': 'abc' is not an integer >= 0"),
+        ("expected_blocks", "-1", "catalog section [bad] key 'expected_blocks': '-1' is not an integer >= 0"),
+        ("expected_indices", "1, x", "catalog section [bad] key 'expected_indices': '1, x' is not "
+                                     "a comma-separated list of integers"),
+    ], ids=["domain", "blocks-word", "blocks-negative", "indices"])
+    def test_usage_error_bad_catalog_value(self, key, value, message, tmp_path, capsys):
+        # an unknown domain used to be refused as a torus generator error,
+        # and a bad count with int()'s bare message
+        path = tmp_path / "catalog.cfg"
+        path.write_text(f"[bad]\nx = (x, y)\nregion = -1, -1, 1, 1\ntags = main\n{key} = {value}\n")
+        assert run_command(["verify", "main", "--catalog", str(path), "--depth", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+
     @pytest.mark.parametrize("argv", [
         ["track", "--y", "(x, y)", "--x", "(x, y)", "--out"],
         ["plot", "--field", "(x, y)", "--depth", "3", "--svg-out"],

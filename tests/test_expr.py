@@ -543,6 +543,11 @@ class TestDomainDiscipline:
         with pytest.raises(DomainError):
             parse_expr("x") + parse_expr("sin2px", "torus")
 
+    @pytest.mark.parametrize("name", ["x", "sin2px", "pi"])
+    def test_unknown_domain_named_before_generator(self, name):
+        with pytest.raises(DomainError, match="unknown domain 'sphere': expected 'plane' or 'torus'"):
+            Expr.gen(name, "sphere")
+
     def test_divide_requires_trig_free(self):
         with pytest.raises(ValueError):
             divide_exact(parse_expr("sin2px", "torus"), parse_expr("sin2px", "torus"))

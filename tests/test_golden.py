@@ -40,6 +40,14 @@ boundary segment) and ``test_legacy_form_unchanged`` checks that it gives
 the old hash; the four segment forms above are taken of these legacy
 forms.
 
+The three ``isolate-torus`` pins moved once more when pi, sin and cos
+became integer enclosures in place of mpmath's: only the last bits of
+the empty leaves' trig enclosures changed (old hashes 4dffc2a0...,
+ce67f736... and e5bd6b19...).  ``test_torus_cells_and_labels_unchanged``
+hashes that isolation with the enclosures left out, which gives the hash
+recorded with mpmath's enclosures: the blocks, the cells and the labels
+of the empty leaves are the same.
+
 ``plot`` writes an SVG, pinned by its own hash.
 """
 
@@ -183,7 +191,7 @@ FACTORIES = {
 OBJECTS = [
     ("isolate-plane", "8104609f867fbb7ee7311c9f030835b2a17f1f406ac16b5ef233f34e71880d1f"),
     ("isolate-empty", "c249666317405db441ba148bb08ef876e44bc9209b02224d9305ec95cce0df18"),
-    ("isolate-torus", "4dffc2a01f004ef0de92b44a24a7929171ac2d068f7d7e091b00cd7ad4ca3868"),
+    ("isolate-torus", "9dac08b131b29e427f04abafb7aaf27e1aff2b52cc5feb961abc367b311796aa"),
     ("scalar-blocks", "0e272380a660ef097d5187401dad9c65b7fbcc3078ab1ce4642c33e69b5f1052"),
     ("common-blocks", "362442d84b76827aaa48f1f6c254e9a54e83d4cac70ac7e6cdfe2a076815eab6"),
     ("isolating-fails", "094e09876a419cc41ebccf9491f3a066b042343f023d1f3c7d1f09341eeabfa7"),
@@ -196,6 +204,15 @@ def test_object_repr_unchanged(name, sha256):
     assert hashlib.sha256(repr(FACTORIES[name]()).encode()).hexdigest() == sha256
 
 
+def test_torus_cells_and_labels_unchanged():
+    # recorded with mpmath's trig enclosures: every empty leaf's cell and
+    # label, without the enclosure, and every block
+    res = FACTORIES["isolate-torus"]()
+    decided = dataclasses.replace(res, empty_cells=tuple((c, label) for c, label, _ in res.empty_cells))
+    assert hashlib.sha256(repr(decided).encode()).hexdigest() == (
+        "76082e8eb16501f99dae3b6da71849457fc84450179815e38b727834afd61d47")
+
+
 # The six pins above that moved when blocks became their cells, with the
 # hashes they had before: a block held the Fraction box of each cell and,
 # once certified, the piece count of each boundary segment; an isolation
@@ -205,7 +222,7 @@ def test_object_repr_unchanged(name, sha256):
 LEGACY_FORMS = [
     ("isolate-plane", "2f989778279816bcfd302616268acb18f98076871269265e993d0610e2915162"),
     ("isolate-empty", "f31a3611eaca6dea01f910263c721e72032bd74bfdebb5dd62cb006bb0433b9b"),
-    ("isolate-torus", "ce67f736aed97578c858d3447825eacfc8bbb818e42e483e4e0596666ff0f5b5"),
+    ("isolate-torus", "717ff00ec53a84032de3e7b0549ecdc2d29747d15533daad050b8637fba6ece9"),
     ("scalar-blocks", "e2536f555622670c36a8701eb32a2e0e8c65cf02ead386369f2546fa0654e949"),
     ("common-blocks", "66bea8c89f08f8d4d9ef46e5e88e8981c2fa8f2ecdba9216cfeaa0b093a821c5"),
     ("isolating-fails", "32ba84653c5f5edfe6f26cd59ad1e3e444ef994cb239682afc3b939bbdff6d2b"),
@@ -283,7 +300,7 @@ def _as_segments(obj):
 # boundaries held ``Segment``s.
 SEGMENT_FORMS = [
     ("isolate-plane", "b04aed1197fc5d9a848ad5cf1c13f45fa5f0b95e989e516437808d0b535f4a2f"),
-    ("isolate-torus", "e5bd6b19df482af0e0d419e0c2bae7614b155b63355dc9112a809a3721cd1ed4"),
+    ("isolate-torus", "80879209a2f76a30496115b2a4d6f740596cafe05744ab754b01f0eecddd16dd"),
     ("scalar-blocks", "e2923080177a4c251dfcf1ca1663566f86569c01f59c907694d139843f1abd2d"),
     ("common-blocks", "f9206888905c65e130a94980c823333e8af081cd28823a121f4d90e07e1d8f93"),
     ("boundary-pieces", "5934068d43cac4ee1fafaf7493689074a1fba3e5f845cc36e5bf81e1ef81805f"),
