@@ -14,6 +14,14 @@ are grouped into connected blocks; the oriented boundary of each block's
 cell union is built and certified nonvanishing segment by segment.
 Everything is exact, and the geometry runs on integers.
 
+A boundary loop is bisected in one place, ``certify_loop``.  The zero
+problem computes each loop's sign certificate once
+(``ZeroProblem.loop_certificate``) and is kept on the block it isolated
+(``ZeroBlock.problem``), so the block's ``coarse`` flag, its index
+(``winding.block_index``), the stability bound and ``certify_isolating``
+all read one certificate per loop; ``field_problem`` hands it to them
+when they are asked about the field the block was isolated for.
+
 Every coordinate of a region is a numerator over q * 2^e, where q is the
 lcm of the odd parts of the denominators of its corners (q = 1 for a
 dyadic region).  A quadtree cell is a ``DyadicCell`` (i, j, level) of the
@@ -51,7 +59,7 @@ set isolated over the whole region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -91,6 +99,9 @@ class ZeroProblem:
             (k, label, expr.dyadic_kernel().range_dyadic)
             for k, (label, expr) in enumerate(self.components) if not expr.is_zero
         )
+        # id(loop) -> (loop, its certificate); the entry keeps the loop
+        # alive, so no other loop takes its id
+        self._loops: dict[int, tuple[BoundaryLoop, LoopCertificate]] = {}
 
     def sign_certificate(self, piece: DyadicSegment) -> Optional[tuple[int, int]]:
         """(k, sign) of the first component k, in order, whose enclosure on
@@ -105,6 +116,14 @@ class ZeroProblem:
             if hi < 0:
                 return (k, -1)
         return None
+
+    def loop_certificate(self, loop: BoundaryLoop) -> LoopCertificate:
+        """``certify_loop`` of ``sign_certificate`` on the loop, computed
+        once per loop object and read by every consumer of this problem."""
+        entry = self._loops.get(id(loop))
+        if entry is None:
+            entry = self._loops[id(loop)] = (loop, certify_loop(self.sign_certificate, loop))
+        return entry[1]
 
 
 def _field_parts(field: VectorField, prefix: str = "") -> tuple[tuple[str, Expr], ...]:
@@ -219,6 +238,11 @@ class BoundaryLoop:
     segments: tuple[DyadicSegment, ...]
 
 
+# A loop's certificate: the certified (piece, certificate) pairs in loop
+# order, and the first piece left uncertified, or None.
+LoopCertificate = tuple[tuple[tuple[DyadicSegment, object], ...], Optional[DyadicSegment]]
+
+
 @dataclass(frozen=True)
 class Grid:
     """The 2^depth x 2^depth cell indices of a region's finest quadtree
@@ -273,7 +297,11 @@ def _lattice_overlap(grid: Grid, region: Box, cells: Sequence[Cell],
 @dataclass(frozen=True)
 class ZeroBlock:
     """Connected union of certified cells covering one component of the
-    target zero set, with its certified boundary."""
+    target zero set, with its certified boundary.
+
+    ``problem`` is the zero problem the block was isolated for, which holds
+    the sign certificates of its boundary loops; it is None for a block
+    built by hand, and is neither printed nor compared."""
 
     label: str
     domain: str
@@ -282,6 +310,7 @@ class ZeroBlock:
     cells: tuple[Cell, ...]
     boundary: tuple[BoundaryLoop, ...]
     coarse: bool
+    problem: Optional[ZeroProblem] = dataclass_field(default=None, repr=False, compare=False)
 
     def hull(self) -> Box:
         i, j = zip(*self.cells)
@@ -539,27 +568,52 @@ def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[Bou
 # boundary certification
 
 
-def certify_boundary(problem, boundary: Sequence[BoundaryLoop], max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
+def certify_loop(certify, loop: BoundaryLoop) -> LoopCertificate:
+    """Bisect the loop's segments, in order, until ``certify`` gives every
+    piece a certificate: the certified (piece, certificate) pairs in loop
+    order, and the first piece still uncertified ``MAX_SEG_REFINE`` levels
+    down, or None."""
+    pairs = []
+    for seg in loop.segments:
+        for piece, cert in bisect(seg, certify, MAX_SEG_REFINE):
+            if cert is None:
+                return tuple(pairs), piece
+            pairs.append((piece, cert))
+    return tuple(pairs), None
+
+
+def certify_boundary(problem: ZeroProblem, boundary: Sequence[BoundaryLoop]) -> CertifyResult:
+    """The problem's loop certificates of the boundary, up to the first
+    uncertified piece, which is reported."""
     pieces = 0
     for loop in boundary:
-        for seg in loop.segments:
-            for piece, cert in bisect(seg, problem.sign_certificate, max_refine):
-                if cert is None:
-                    return CertifyResult(False, pieces, piece_segment(piece))
-                pieces += 1
+        pairs, failed = problem.loop_certificate(loop)
+        pieces += len(pairs)
+        if failed is not None:
+            return CertifyResult(False, pieces, piece_segment(failed))
     return CertifyResult(True, pieces, None)
 
 
-def certify_isolating(field: VectorField, block: ZeroBlock, max_refine: int = MAX_SEG_REFINE) -> CertifyResult:
+def field_problem(field: VectorField, block: ZeroBlock) -> ZeroProblem:
+    """The field's zero problem on the block: the one the block was
+    isolated for when it has the field's components, so that its loop
+    certificates are read again, and a new one otherwise (a perturbed
+    field, another field, a block built by hand)."""
+    parts = _field_parts(field)
+    problem = block.problem
+    return problem if problem is not None and problem.components == parts else ZeroProblem(parts)
+
+
+def certify_isolating(field: VectorField, block: ZeroBlock) -> CertifyResult:
     """Certify that the field is nonvanishing on every boundary segment of
     the block, refining segments as needed.  True means the open cell-union
     interior is an isolating neighborhood for (field, its zeros inside).
 
-    A public check with no caller inside the package: ``winding.block_index``
-    and ``winding.index_transfer_check`` take the isolating certificate
-    from the winding bisection, which certifies a strict sign of one field
-    component, and so the same, on every boundary piece."""
-    return certify_boundary(ZeroProblem(_field_parts(field)), block.boundary, max_refine)
+    A public check with no caller inside the package.  It reads the same
+    loop certificates as the isolation's ``coarse`` flag,
+    ``winding.block_index`` and the stability bound: on a block isolated
+    for the field they are bisected once, by ``isolate_zeros``."""
+    return certify_boundary(field_problem(field, block), block.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +642,7 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
                 cells=tuple(cells),
                 boundary=boundary,
                 coarse=not certify_boundary(problem, boundary).ok,
+                problem=problem,
             )
         )
     return IsolationResult(tuple(blocks), tuple(empties), region, max_depth)

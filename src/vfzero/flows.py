@@ -40,7 +40,7 @@ def flow_integrate(
     t1/n, so the trajectory lands exactly on t1.  Raises FlowEscapeError
     when a sample leaves the square |x|, |y| <= bound.
     """
-    if h <= 0:
+    if not h > 0:  # NaN fails this too
         raise ValueError("step must be positive")
     if t1 <= 0:
         raise ValueError("t1 must be positive; integrate -F for backward time")

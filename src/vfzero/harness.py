@@ -16,6 +16,7 @@ go into the catalog file, not into code.
 from __future__ import annotations
 
 import configparser
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +24,10 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .blocks import (
-    MAX_SEG_REFINE,
     ZeroBlock,
-    bisect,
     cover_witnesses,
     enclose,
-    excludes_zero,
+    field_problem,
     isolate_zeros,
     lattice_box,
 )
@@ -255,6 +254,11 @@ def invariance_test(
     The residual scales with integrator error and seed polish, not with
     the invariance statement itself, which is exact.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol}")
+    # checked here too: with no seed to flow, flow_integrate never sees h
+    if not h > 0:
+        raise ValueError("step must be positive")
     rep = track_check(y_field, x_field)
     if not rep.tracking:
         raise ValueError("precondition failed: Y does not track X")
@@ -315,21 +319,18 @@ class StabilityReport:
 
 
 def _boundary_pieces(field: VectorField, block: ZeroBlock):
-    """Refine the block boundary until the field enclosure on every piece
-    excludes the origin; returns (piece, cx enclosure, cy enclosure)."""
-
-    def certify(piece):
-        rx, ry = enclose(field.cx, piece), enclose(field.cy, piece)
-        return (rx, ry) if excludes_zero(rx) or excludes_zero(ry) else None
-
+    """(piece, cx enclosure, cy enclosure) of every piece of the field's
+    loop certificates on the block boundary (``blocks.field_problem``): one
+    component's enclosure excludes zero on each, so the field's enclosure
+    excludes the origin.  An uncertified loop raises."""
+    problem = field_problem(field, block)
     pieces = []
     for loop in block.boundary:
-        for seg in loop.segments:
-            for piece, cert in bisect(seg, certify, MAX_SEG_REFINE):
-                if cert is None:
-                    raise CertificationError("field magnitude bound not certifiable on boundary")
-                rx, ry = cert
-                pieces.append((piece, Interval.from_ints(*rx), Interval.from_ints(*ry)))
+        pairs, failed = problem.loop_certificate(loop)
+        if failed is not None:
+            raise CertificationError("field magnitude bound not certifiable on boundary")
+        pieces.extend((piece, Interval.from_ints(*enclose(field.cx, piece)),
+                       Interval.from_ints(*enclose(field.cy, piece))) for piece, _ in pairs)
     return pieces
 
 

@@ -19,9 +19,12 @@ Ratschan, Math. Comp. 2015).
 
 Boundary loops hold their pieces in integer form (``blocks.DyadicSegment``:
 numerators over q * 2^e on the region's lattice, q = 1 for a dyadic
-region), and each piece is bisected by the sign certificate of the
-field's zero problem, ``blocks.ZeroProblem.sign_certificate``, whose
-enclosures come from ``Expr.dyadic_kernel().range_dyadic``.
+region).  The signs are the loop certificate of the field's zero problem
+(``blocks.ZeroProblem.loop_certificate``: each piece bisected by
+``sign_certificate``, whose enclosures come from
+``Expr.dyadic_kernel().range_dyadic``).  On a block isolated for the
+field that is the isolation's own certificate, which also made the block
+isolating, so the index bisects nothing again.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import (
-    MAX_SEG_REFINE,
     BoundaryLoop,
     DyadicSegment,
     Grid,
@@ -43,9 +45,10 @@ from .blocks import (
     ZeroProblem,
     _boundary_loops,
     _field_parts,
-    bisect,
+    certify_loop,
     enclose,
     excludes_zero,
+    field_problem,
     isolate_zeros,
     piece_segment,
     strict_sign,
@@ -93,36 +96,37 @@ def _crossings(certs: list[tuple[int, int]]) -> int:
 
 def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
     """Exact degree of the field direction map along the closed loop."""
-    return _loop_winding(field, loop).winding
+    return _loop_winding(ZeroProblem(_field_parts(field)), loop).winding
 
 
-def _loop_winding(field: VectorField, loop: BoundaryLoop) -> LoopWinding:
-    sign_certificate = ZeroProblem(_field_parts(field)).sign_certificate
-    certs: list[tuple[int, int]] = []
-    for seg in loop.segments:
-        for piece, cert in bisect(seg, sign_certificate, MAX_SEG_REFINE):
-            if cert is None:
-                piece = piece_segment(piece)
-                raise CertificationError(
-                    "zero too close to boundary: segment near "
-                    f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
-                )
-            certs.append(cert)
-    return LoopWinding(winding=_crossings(certs), pieces=len(certs))
+def _loop_winding(problem: ZeroProblem, loop: BoundaryLoop) -> LoopWinding:
+    """The crossing count of the loop certificate of a field's zero
+    problem (components cx, cy)."""
+    pairs, failed = problem.loop_certificate(loop)
+    if failed is not None:
+        piece = piece_segment(failed)
+        raise CertificationError(
+            "zero too close to boundary: segment near "
+            f"({float(piece.x0):.6g}, {float(piece.y0):.6g})"
+        )
+    return LoopWinding(winding=_crossings([cert for _, cert in pairs]), pieces=len(pairs))
 
 
 def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
     """Certified Poincare-Hopf index of the field on the block.
 
     The index is the sum over boundary loops (interior-left orientation).
-    The winding bisection certifies a strict sign of one component on
+    Each loop's sign certificate gives a strict sign of one component on
     every boundary piece, so the field misses the origin there, which is
     the isolating certificate; a block whose boundary runs through a zero
-    of the field fails there.
+    of the field fails there.  On a block isolated for the field the
+    certificates are the isolation's own (``blocks.field_problem``), and
+    nothing is bisected again.
     """
     if block.coarse:
         raise CertificationError(f"block {block.label} is coarse; refine the isolation")
-    loops = tuple(_loop_winding(field, lp) for lp in block.boundary)
+    problem = field_problem(field, block)
+    loops = tuple(_loop_winding(problem, lp) for lp in block.boundary)
     return IndexReport(
         block=block.label,
         index=sum(lw.winding for lw in loops),
@@ -184,10 +188,11 @@ def index_transfer_check(
     on the boundary, which is exactly what makes the two indices agree.
     Both indices are computed first: ``block_index`` raises
     ``CertificationError`` when the block is coarse or not isolating for
-    either field, so ``certify_isolating`` is not called.  A piece is
+    either field, so ``certify_isolating`` is not called.  Each loop is
+    bisected by ``blocks.certify_loop`` with its own predicate: a piece is
     decided from component signs first, and only then from the enclosures
     of wedge(X, Y) and dot(X, Y).  A failed certificate reports the first
-    uncertified boundary piece.
+    uncertified boundary piece and the pieces certified before it.
     """
     if mode not in (MODE_NO_NEGATIVE_RATIO, MODE_NO_POSITIVE_RATIO):
         raise ValueError(f"unknown mode {mode!r}")
@@ -213,13 +218,10 @@ def index_transfer_check(
 
     pieces = 0
     for loop in block.boundary:
-        for seg in loop.segments:
-            certs = 0
-            for piece, cert in bisect(seg, never_ratio, MAX_SEG_REFINE):
-                if cert is None:
-                    return TransferReport(mode, False, pieces, None, None, piece_segment(piece))
-                certs += 1
-            pieces += certs
+        pairs, failed = certify_loop(never_ratio, loop)
+        pieces += len(pairs)
+        if failed is not None:
+            return TransferReport(mode, False, pieces, None, None, piece_segment(failed))
     if ix != iy:
         raise FalsificationError(
             f"transfer certified but indices differ: {ix} != {iy} (mode {mode})"

@@ -133,7 +133,7 @@ class TestCertifyIsolating:
         # one box whose bottom-left corner passes through the only zero
         field = parse_field("(x, y)")
         blk = box_block(Box.from_corners(0, 0, 1, 1))
-        result = certify_isolating(field, blk, max_refine=12)
+        result = certify_isolating(field, blk)
         assert not result.ok
         assert result.offending is not None
 

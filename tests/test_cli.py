@@ -208,6 +208,24 @@ class TestExitCodes:
         assert code == 0
         assert doc["results"]["total_index"] == 0
 
+    @pytest.mark.parametrize("field, option, message", [
+        ("(x, y)", "--tol=-1", "tol must be positive and finite"),
+        ("(x, y)", "--tol=0", "tol must be positive and finite"),
+        ("(x, y)", "--tol=nan", "tol must be positive and finite"),
+        ("(x, y)", "--tol=inf", "tol must be positive and finite"),
+        ("(x, y)", "--step=nan", "step must be positive"),
+        ("(x, y)", "--step=0", "step must be positive"),
+        # no zero in the region, so no seed is flowed
+        ("(x^2 + y^2 + 1, x)", "--step=nan", "step must be positive"),
+    ])
+    def test_usage_error_bad_invariance_number(self, field, option, message, capsys):
+        # a nonsense tolerance used to exit 1 as a falsification; a NaN step
+        # exited 3 with float's "cannot convert float NaN to integer", or 0
+        # with "step": NaN in the report when no seed was flowed
+        argv = ["verify", "invariance", "--x", field, "--y", field, "--depth", "4", option]
+        assert run_command(argv) == 3
+        assert f"usage error: {message}" in capsys.readouterr().err
+
     def test_usage_error_degenerate_region(self, capsys):
         assert run_command(["zeros", "--field", "(x, y)", "--region", "0,0,0,1"]) == 3
         assert "usage error" in capsys.readouterr().err

@@ -48,6 +48,13 @@ hashes that isolation with the enclosures left out, which gives the hash
 recorded with mpmath's enclosures: the blocks, the cells and the labels
 of the empty leaves are the same.
 
+The ``isolating-fails`` pin moved once more when ``certify_isolating``
+lost its ``max_refine`` and every boundary certificate came to bisect at
+most ``blocks.MAX_SEG_REFINE = 42`` levels: the offending piece of the
+edge through the zero is now found 42 levels down (old hash
+094e0987...).  Its legacy form rebuilds the 12-level result from
+``blocks.bisect`` and still gives the old legacy hash.
+
 ``plot`` writes an SVG, pinned by its own hash.
 """
 
@@ -69,6 +76,7 @@ from vfzero import (
 from vfzero.blocks import (
     MAX_SEG_REFINE,
     BoundaryLoop,
+    CertifyResult,
     DyadicSegment,
     IsolationResult,
     ZeroBlock,
@@ -184,7 +192,7 @@ FACTORIES = {
     "isolate-torus": lambda: isolate_zeros(_SINES, _TORUS, 5),
     "scalar-blocks": lambda: scalar_zero_blocks(_CIRCLE, _R2, 5),
     "common-blocks": lambda: common_zero_blocks(_PAIR, _R1, 5),
-    "isolating-fails": lambda: certify_isolating(_PAIR[0], _NODE_BLOCK, max_refine=12),
+    "isolating-fails": lambda: certify_isolating(_PAIR[0], _NODE_BLOCK),
     "boundary-pieces": lambda: sorted(repr(p) for p in _squaring_pieces()),
 }
 
@@ -194,7 +202,7 @@ OBJECTS = [
     ("isolate-torus", "9dac08b131b29e427f04abafb7aaf27e1aff2b52cc5feb961abc367b311796aa"),
     ("scalar-blocks", "0e272380a660ef097d5187401dad9c65b7fbcc3078ab1ce4642c33e69b5f1052"),
     ("common-blocks", "362442d84b76827aaa48f1f6c254e9a54e83d4cac70ac7e6cdfe2a076815eab6"),
-    ("isolating-fails", "094e09876a419cc41ebccf9491f3a066b042343f023d1f3c7d1f09341eeabfa7"),
+    ("isolating-fails", "a586e6650440c45f0fd731f31ac04932ff953f0239e6044726f435d3517a9073"),
     ("boundary-pieces", "c59991ff7c38f776cb2efef1259a7f66cad76fb08060a38608cfb7d709f4c540"),
 ]
 
@@ -258,6 +266,20 @@ def _per_segment(problem, boundary, max_refine=MAX_SEG_REFINE):
     return tuple(counts)
 
 
+def _certify_at(problem, boundary, max_level):
+    """The ``CertifyResult`` of a boundary certificate that bisects each
+    segment at most ``max_level`` levels, as ``certify_isolating`` did when
+    it took a ``max_refine``."""
+    pieces = 0
+    for loop in boundary:
+        for seg in loop.segments:
+            for piece, cert in bisect(seg, problem.sign_certificate, max_level):
+                if cert is None:
+                    return CertifyResult(False, pieces, piece_segment(piece))
+                pieces += 1
+    return CertifyResult(True, pieces, None)
+
+
 def _legacy_form(obj, problem):
     if isinstance(obj, ZeroBlock):
         boxes = tuple(fraction_cell_box(obj.region, obj.resolution, c) for c in obj.cells)
@@ -272,11 +294,13 @@ def _legacy_form(obj, problem):
 def _legacy(name):
     """The object of a moved pin in the form it had before blocks became
     their cells."""
-    obj, problem = FACTORIES[name](), PROBLEMS[name]()
+    problem = PROBLEMS[name]()
     if name == "isolating-fails":
+        # pinned at 12 levels, before every boundary certificate used 42
+        obj = _certify_at(problem, _NODE_BLOCK.boundary, 12)
         return _LegacyCertify(obj.ok, obj.pieces, obj.offending,
                               _per_segment(problem, _NODE_BLOCK.boundary, max_refine=12))
-    return _legacy_form(obj, problem)
+    return _legacy_form(FACTORIES[name](), problem)
 
 
 @pytest.mark.parametrize("name, sha256", LEGACY_FORMS, ids=[o[0] for o in LEGACY_FORMS])

@@ -15,6 +15,7 @@ from vfzero import (
     VectorField,
     block_index,
     builtin_catalog,
+    certify_isolating,
     index_transfer_check,
     isolate_zeros,
     parse_expr,
@@ -26,6 +27,7 @@ from vfzero import (
     winding_number,
 )
 from vfzero.blocks import ZeroProblem, _field_parts, certify_boundary, piece_segment
+from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces, _random_perturbation
 
 from conftest import plane_fields, torus_polys
@@ -220,16 +222,14 @@ class TestCrossingRule:
         field = parse_field("(2 + x, y)")
         loop = region_boundary_loop(REGION)
         assert self._loop_certificates(field, loop) == [(0, 1)] * 4
-        lw = winding._loop_winding(field, loop)
-        assert lw.winding == fraction_loop_winding(field, loop).winding == 0
+        assert winding_number(field, loop) == fraction_loop_winding(field, loop).winding == 0
         assert dense_loop_winding(field, loop) == 0
 
     def test_loop_certified_only_by_cx_negative_winds_zero(self):
         field = parse_field("(-2 - x, y)")
         loop = region_boundary_loop(REGION)
         assert self._loop_certificates(field, loop) == [(0, -1)] * 4
-        lw = winding._loop_winding(field, loop)
-        assert lw.winding == fraction_loop_winding(field, loop).winding == 0
+        assert winding_number(field, loop) == fraction_loop_winding(field, loop).winding == 0
         assert dense_loop_winding(field, loop) == 0
 
     def test_run_wrapping_the_loop_start(self):
@@ -335,10 +335,12 @@ def _check_loop_windings(field, block):
 
 
 def _record_certified_pieces(field, region, depth):
-    """Isolate and index the field's blocks, recording every boundary piece
-    that ``certify_boundary`` and the winding asked
-    ``ZeroProblem.sign_certificate`` about, and the blocks whose index was
-    certified."""
+    """Isolate the field's blocks and index them for the field and for a
+    perturbation of it, recording every boundary piece that
+    ``ZeroProblem.sign_certificate`` was asked about, and the blocks whose
+    index for the field was certified.  The isolation asks about the
+    field's pieces, and the index of the field reads its certificates;
+    the perturbed field's index bisects its own."""
     signs, indexed = [], []
     sign_certificate = ZeroProblem.sign_certificate
 
@@ -350,6 +352,10 @@ def _record_certified_pieces(field, region, depth):
     with mock.patch.object(ZeroProblem, "sign_certificate", record_sign):
         for blk in isolate_zeros(field, region, depth).blocks:
             try:
+                block_index(_perturbed(field, 1), blk)
+            except CertificationError:
+                pass
+            try:
                 block_index(field, blk)
             except CertificationError:
                 continue
@@ -359,10 +365,10 @@ def _record_certified_pieces(field, region, depth):
 
 class TestIntegerPieces:
     """Boundary pieces in integer form against the Fraction reference:
-    every sign certificate, of the isolation's boundary certificate and of
-    the winding alike, is the one the Fraction enclosures give (first
-    component first), and every certified block's loop windings equal the
-    atan2 oracle's and dense sampling's."""
+    every sign certificate, of the isolation's loop certificates and of a
+    perturbed field's winding alike, is the one the Fraction enclosures
+    give (first component first), and every certified block's loop
+    windings equal the atan2 oracle's and dense sampling's."""
 
     @staticmethod
     def _check(field, region, depth):
@@ -427,6 +433,66 @@ class TestIndexLaws:
                 _check_loop_windings(field, blk)
 
 
+def _counting_sign_certificates():
+    """(list of the pieces asked about, a patch of
+    ``ZeroProblem.sign_certificate`` that appends to it)."""
+    asked = []
+    sign_certificate = ZeroProblem.sign_certificate
+
+    def counted(problem, piece):
+        asked.append(piece)
+        return sign_certificate(problem, piece)
+
+    return asked, mock.patch.object(ZeroProblem, "sign_certificate", counted)
+
+
+class TestCertificateReuse:
+    """The isolation bisects each boundary loop once for the field it
+    isolates.  ``block_index``, the stability bound and
+    ``certify_isolating`` read those loop certificates, ask
+    ``ZeroProblem.sign_certificate`` about no piece, and give what a fresh
+    bisection gives; another field and a hand-built block still bisect."""
+
+    @pytest.mark.parametrize("name", [e.name for e in builtin_catalog()])
+    def test_catalog_blocks_read_the_isolation(self, catalog, name):
+        entry = catalog[name]
+        field = entry.field
+        depth = 6 if entry.domain == "plane" else 4
+        blocks = [b for b in isolate_zeros(field, entry.region, depth).blocks if not b.coarse]
+        assert blocks
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            read = [(block_index(field, blk), _boundary_pieces(field, blk), certify_isolating(field, blk))
+                     for blk in blocks]
+        assert asked == []
+        for blk, (rep, pieces, isolating) in zip(blocks, read):
+            fresh = tuple(winding._loop_winding(ZeroProblem(_field_parts(field)), loop)
+                          for loop in blk.boundary)
+            assert rep.loops == fresh
+            assert isolating.ok
+            assert len(pieces) == isolating.pieces == sum(lw.pieces for lw in fresh)
+
+    def test_perturbed_field_and_hand_built_block_bisect(self, catalog):
+        entry = catalog["complex-squaring"]
+        blk = isolate_zeros(entry.field, entry.region, 6).blocks[0]
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            perturbed = block_index(_perturbed(entry.field, 1), blk)
+        assert len(asked) >= sum(lw.pieces for lw in perturbed.loops) > 0
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            isolating = certify_isolating(entry.field, box_block(REGION))
+        assert isolating.ok and len(asked) >= isolating.pieces > 0
+
+    def test_verify_main_bisects_each_loop_once(self, tmp_path):
+        # 8912 while the winding bisected the isolation's pieces again
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            argv = ["verify", "main", "--depth", "10", "--seed", "7", "--out", str(tmp_path / "r.json")]
+            assert run_command(argv) == 0
+        assert len(asked) == 4456
+
+
 _THIRD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
 
 
@@ -470,7 +536,7 @@ class TestPieceCounts:
             for loop in blk.boundary:
                 one = dataclasses.replace(blk, boundary=(loop,))
                 row.append((certify_boundary(problem, (loop,)).pieces,
-                            winding._loop_winding(field, loop).pieces,
+                            winding._loop_winding(ZeroProblem(_field_parts(field)), loop).pieces,
                             len(_boundary_pieces(field, one)),
                             index_transfer_check(field, turned, one).pieces))
             counts.append(row)
