@@ -4,7 +4,7 @@ checks for exact planar and torus vector fields."""
 __version__ = "0.1.0"
 
 from .intervals import Box, Interval, Rational
-from .expr import Expr, parse_expr, divide_exact, ParseError, DomainError, ExactEvalError
+from .expr import Expr, parse_expr, divide_exact, ParseError, DomainError
 from .fields import (
     VectorField,
     JacobianMatrix,

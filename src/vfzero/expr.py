@@ -18,11 +18,17 @@ positive denominator (``_num`` and ``_den``), reduced so that
 Addition, multiplication, negation, powers and derivatives therefore run
 on ``int`` numerators only, with one gcd reduction per result.
 ``Fraction`` values are built only where coefficients are read:
-``terms()``, ``coefficient()``, ``eval_at``, printing and hashing.  Exact
-polynomial division (``divide_exact``) runs on the integer numerators as
-well.  A coefficient must be an ``int`` or a ``Fraction``; a float or a
-string raises ``TypeError``, also as the plain operand of a ring
-operation.
+``terms()``, ``coefficient()``, printing and hashing.  A coefficient must
+be an ``int`` or a ``Fraction``; a float or a string raises
+``TypeError``, also as the plain operand of a ring operation.
+
+``divide_exact`` is the one exact division, for both domains, and runs on
+the integer numerators as well: a long division in the free polynomial
+ring of the term keys.  On the torus it first multiplies dividend and
+divisor by the divisor's conjugate in each cosine it uses (the sign of
+every term with that cosine flipped), which leaves a divisor free of
+cosines, so the long division stays in normal form; the trig ring is an
+integral domain, so this changes no quotient.
 
 ``derivation_sum`` is the Lie bracket's primitive: a sum of products
 ``a * b.derive(var)`` computed as one integer sum over a common
@@ -77,19 +83,6 @@ _TORUS_GEN_KEYS = {
 }
 _PI_KEY: Key = (1, 0, 0, 0, 0, 0, 0)
 
-_SIN_QUARTER = {
-    Fraction(0): Fraction(0),
-    Fraction(1, 4): Fraction(1),
-    Fraction(1, 2): Fraction(0),
-    Fraction(3, 4): Fraction(-1),
-}
-_COS_QUARTER = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(3, 4): Fraction(0),
-}
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -99,10 +92,6 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     pass
-
-
-class ExactEvalError(ArithmeticError):
-    """The requested point has no exact rational value for this expression."""
 
 
 def _normalize(terms: dict[Key, int]) -> dict[Key, int]:
@@ -369,40 +358,6 @@ class Expr:
         return _make(self.domain, *_reduce(_normalize(_derivative(self._num, var)), self._den))
 
     # -- evaluation ----------------------------------------------------
-
-    def eval_at(self, p: tuple[Fraction, Fraction]) -> Fraction:
-        """Exact value at a rational point.
-
-        On the torus this is only defined on the quarter grid (coordinates
-        that are multiples of 1/4 mod 1), where sin and cos of 2*pi*t take
-        values in {-1, 0, 1}; elsewhere use range_on with a degenerate box.
-        """
-        px, py = Fraction(p[0]), Fraction(p[1])
-        total = 0  # the numerator over _den
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
-            if kpi:
-                raise ExactEvalError("pi power has no exact rational value")
-            v = coeff
-            if ex:
-                v *= px**ex
-            if ey:
-                v *= py**ey
-            if s1 or c1 or s2 or c2:
-                rx, ry = px % 1, py % 1
-                if rx not in _SIN_QUARTER or ry not in _SIN_QUARTER:
-                    raise ExactEvalError(
-                        f"no exact trig value at ({px}, {py}); use interval evaluation"
-                    )
-                if s1:
-                    v *= _SIN_QUARTER[rx] ** s1
-                if c1:
-                    v *= _COS_QUARTER[rx] ** c1
-                if s2:
-                    v *= _SIN_QUARTER[ry] ** s2
-                if c2:
-                    v *= _COS_QUARTER[ry] ** c2
-            total += v
-        return Fraction(total, self._den)
 
     def eval_float(self, x: float, y: float) -> float:
         """Fast float evaluation (flow integration, plotting, oracles)."""
@@ -813,20 +768,40 @@ def _long_divide(a: dict[tuple, int], b: dict[tuple, int]) -> Optional[tuple[dic
 
 
 def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
-    """Exact quotient a/b in the polynomial term ring, or None.
+    """The exact quotient a/b as an Expr of the same domain, or None when
+    b does not divide a.  The one exact division, for the plane and the
+    torus; pi is one more formal variable (it is transcendental).
 
     Long division by the leading monomial in lexicographic order; with a
-    single divisor, a zero remainder occurs iff b divides a exactly.
-    Intended for pure polynomials (trig-free expressions); pi is treated
-    as one more formal variable.  The division runs on the integer
-    numerators (``_long_divide``), so no ``Fraction`` is built.
+    single divisor, a zero remainder occurs iff b divides a exactly in the
+    free polynomial ring of the term keys.  That ring is the normal-form
+    ring as long as b has no cosine, which is always so on the plane.
+
+    On the torus, each cosine that b uses (cos2px, then cos2py) is first
+    cleared: a and b are both multiplied by b's conjugate b', which is b
+    with the sign flipped on every term that has that cosine.
+
+    * b * b' has no term with that cosine: with b = P + c*Q for P, Q free
+      of the cosine c, b * b' = P^2 - (1 - s^2)*Q^2.  The conjugation is
+      the automorphism x -> 1/2 - x (resp. y), under which sin(2*pi*x) is
+      fixed and cos(2*pi*x) changes sign, so b' != 0.
+    * The divisor is then free of cosines, so quotient times divisor never
+      makes a cos^2, and the long division stays in normal form.
+    * The trig ring is a ring of functions on the connected torus, so it
+      is an integral domain: the quotient is unique, and f*(b*b') == a*b'
+      holds exactly when f*b == a.
+
+    The division runs on the integer numerators (``_long_divide``), so no
+    ``Fraction`` is built.
     """
     if a.domain != b.domain:
         raise DomainError("domain mismatch")
-    if a.has_trig() or b.has_trig():
-        raise ValueError("divide_exact requires trig-free expressions")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero expression")
+    for slot in (4, 6):  # cos2px, cos2py
+        if any(k[slot] for k in b._num):
+            conj = _make(b.domain, {k: -c if k[slot] else c for k, c in b._num.items()}, b._den)
+            a, b = a * conj, b * conj
     out = _long_divide(a._num, b._num)
     if out is None:
         return None

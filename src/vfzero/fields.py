@@ -8,10 +8,8 @@ operations; ``wedge`` and ``dot`` stay compositions of ring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import DomainError, Expr, derivation_sum, parse_expr
-from .intervals import Box, Interval
 
 
 @dataclass(frozen=True)
@@ -50,15 +48,8 @@ class VectorField:
         """Multiply both components by a scalar Expr or rational."""
         return VectorField(self.cx * g, self.cy * g)
 
-    def eval_at(self, p) -> tuple[Fraction, Fraction]:
-        return (self.cx.eval_at(p), self.cy.eval_at(p))
-
     def eval_float(self, x: float, y: float) -> tuple[float, float]:
         return (self.cx.eval_float(x, y), self.cy.eval_float(x, y))
-
-    def range_on(self, box: Box) -> tuple[Interval, Interval]:
-        """Component-wise certified enclosures over the box."""
-        return (self.cx.range_on(box), self.cy.range_on(box))
 
     def __str__(self) -> str:
         return f"({self.cx}, {self.cy})"

@@ -252,7 +252,9 @@ def invariance_test(
     drift off the invariant set.
 
     The residual scales with integrator error and seed polish, not with
-    the invariance statement itself, which is exact.
+    the invariance statement itself, which is exact.  A region without a
+    block raises ``ValueError``; an identically dependent pair needs no
+    flow and gives a report without seeds.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol}")
@@ -273,6 +275,8 @@ def invariance_test(
         residual_expr = ds.wedge
     else:
         raise ValueError("target must be 'zeros' or 'dependency'")
+    if not blocks:
+        raise ValueError("region holds no zero block; nothing to verify")
 
     def residual(px: float, py: float) -> float:
         if residual_expr is not None:

@@ -180,10 +180,6 @@ class Interval:
             return Fraction(0)
         return min(abs(self.lo), abs(self.hi))
 
-    def mag(self) -> Fraction:
-        """Maximum of |t| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -457,13 +453,6 @@ class Box:
 
     def intersects(self, other: "Box") -> bool:
         return self.x.intersects(other.x) and self.y.intersects(other.y)
-
-    def sample(self, tx: Fraction, ty: Fraction) -> tuple[Fraction, Fraction]:
-        """Point at barycentric coordinates (tx, ty) in [0,1]^2."""
-        return (
-            self.x.lo + tx * self.x.width(),
-            self.y.lo + ty * self.y.width(),
-        )
 
     def __str__(self) -> str:
         return f"[{self.x.lo}, {self.x.hi}] x [{self.y.lo}, {self.y.hi}]"

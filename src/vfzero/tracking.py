@@ -8,6 +8,11 @@ certified.  The necessary condition is exact: [Y, X] wedge X must vanish
 identically, otherwise the pair is NOT_TRACKING and the wedge residual is
 the counterexample witness.
 
+The polynomial cofactor is one exact division of a bracket component by
+the matching component of X, ``expr.divide_exact``, on the plane and on
+the torus alike; on the torus it first clears the divisor's cosines by
+multiplying with its conjugates (see its docstring).
+
 A rational cofactor num/den is reduced by the gcd of the two polynomials,
 computed here on their integer numerators by content/primitive-part
 Euclid in Z[pi][y][x] and made monic in the lexicographic order
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .blocks import ZeroBlock, common_zero_blocks, scalar_zero_blocks
@@ -65,100 +69,6 @@ class LieAlgebraSpec:
     @property
     def domain(self) -> str:
         return self.generators[0].domain
-
-
-def _try_divide(a: Expr, b: Expr) -> Optional[Expr]:
-    """Exact quotient a/b, via polynomial long division when trig-free and
-    a bounded-support linear solve in the trig ring otherwise."""
-    if b.is_zero:
-        return None
-    if a.is_zero:
-        return Expr.zero(a.domain)
-    if not (a.has_trig() or b.has_trig()):
-        return divide_exact(a, b)
-    return _solve_quotient_trig(a, b)
-
-
-def _per_variable_degrees(e: Expr) -> tuple[int, int, int]:
-    """(pi degree, x-pair degree, y-pair degree) of a torus expression."""
-    kp = dx = dy = 0
-    for (kpi, ex, ey, s1, c1, s2, c2), _ in e.terms():
-        kp = max(kp, kpi)
-        dx = max(dx, ex + s1 + c1)
-        dy = max(dy, ey + s2 + c2)
-    return kp, dx, dy
-
-
-def _solve_quotient_trig(a: Expr, b: Expr) -> Optional[Expr]:
-    """Exact division in the trig normal-form ring by linear algebra.
-
-    Per-variable trig degree is additive under multiplication (leading
-    Fourier harmonics cannot cancel), so the quotient's support is bounded
-    and the coefficients solve an exact linear system.
-    """
-    ka, dxa, dya = _per_variable_degrees(a)
-    kb, dxb, dyb = _per_variable_degrees(b)
-    if ka < kb or dxa < dxb or dya < dyb:
-        return None
-    kf, dxf, dyf = ka - kb, dxa - dxb, dya - dyb
-    candidates = []
-    for kpi in range(kf + 1):
-        for c1 in (0, 1):
-            for s1 in range(dxf - c1 + 1):
-                for c2 in (0, 1):
-                    for s2 in range(dyf - c2 + 1):
-                        candidates.append((kpi, 0, 0, s1, c1, s2, c2))
-    if len(candidates) > 4000:
-        return None
-    basis = [Expr(a.domain, {key: Fraction(1)}) * b for key in candidates]
-    rows: dict[tuple, int] = {}
-    for prod in basis:
-        for key, _ in prod.terms():
-            rows.setdefault(key, len(rows))
-    for key, _ in a.terms():
-        rows.setdefault(key, len(rows))
-    m, n = len(rows), len(candidates)
-    mat = [[Fraction(0)] * (n + 1) for _ in range(m)]
-    for col, prod in enumerate(basis):
-        for key, coeff in prod.terms():
-            mat[rows[key]][col] = coeff
-    for key, coeff in a.terms():
-        mat[rows[key]][n] = coeff
-    sol = _solve_exact(mat, n)
-    if sol is None:
-        return None
-    f = Expr(a.domain, {key: c for key, c in zip(candidates, sol) if c != 0})
-    return f if f * b == a else None
-
-
-def _solve_exact(mat: list[list[Fraction]], n: int) -> Optional[list[Fraction]]:
-    """Gaussian elimination over the rationals for an (m x n | rhs) system;
-    returns a solution or None when inconsistent.  Free columns get zero."""
-    m = len(mat)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                fac = mat[i][c]
-                mat[i] = [vi - fac * vr for vi, vr in zip(mat[i], mat[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(m):
-        if all(v == 0 for v in mat[i][:n]) and mat[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for c, pr in pivot_of_col.items():
-        sol[c] = mat[pr][n]
-    return sol
 
 
 # -- integer polynomial gcd ---------------------------------------------
@@ -294,7 +204,7 @@ def track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
     ):
         if x_i.is_zero:
             continue
-        f = _try_divide(b_i, x_i)
+        f = divide_exact(b_i, x_i)
         if f is not None and b_j == f * x_j:
             return TrackReport(POLY_TRACKING, bracket, residual, cofactor=f)
     # rational cofactor with gcd reduction (plane polynomials only)

@@ -30,8 +30,12 @@ products of endpoint values: an index law independent of the library's
 count of axis crossings.  The reference ring is the original
 ``Fraction`` implementation of the ``Expr`` ring operations, kept to check
 the integer-numerator ones term by term; after it come the cofactor gcd
-through sympy's ``Poly.gcd`` and the ``Fraction`` long division, kept to
-check the integer gcd and division.  The reference Lie bracket is the
+through sympy's ``Poly.gcd``, the ``Fraction`` long division and the
+``Fraction`` linear solve for torus quotients (``ref_trig_quotient``),
+kept to check the integer gcd and the one integer division of both
+domains.  ``exact_value`` evaluates a pi-free expression exactly at a
+rational point (a torus one on the quarter grid), to check enclosures
+against.  The reference Lie bracket is the
 bracket composed of ``Expr`` ring operations (``derive``, ``*``, ``+``,
 ``-``), kept to check the fused integer bracket.
 """
@@ -193,6 +197,28 @@ def range_on_fractions(e: Expr, box: Box) -> Interval:
                 cy = cos_2pi_range(*fraction_trig_key(box.y))
             v = v * cy.int_pow(c2)
         total = total + v
+    return total
+
+
+# sin and cos of 2*pi*t at the quarter grid t = 0, 1/4, 1/2, 3/4
+_SIN_QUARTER = {Fraction(0): 0, Fraction(1, 4): 1, Fraction(1, 2): 0, Fraction(3, 4): -1}
+_COS_QUARTER = {Fraction(0): 1, Fraction(1, 4): 0, Fraction(1, 2): -1, Fraction(3, 4): 0}
+
+
+def exact_value(e: Expr, p: tuple[Fraction, Fraction]) -> Fraction:
+    """The exact value of the pi-free ``e`` at the rational point ``p``;
+    trig generators only on the quarter grid, where sin and cos of
+    2*pi*t are -1, 0 or 1."""
+    px, py = Fraction(p[0]), Fraction(p[1])
+    total = Fraction(0)
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in e.terms():
+        assert not kpi, "pi has no exact rational value"
+        v = coeff * px**ex * py**ey
+        if s1 or c1 or s2 or c2:
+            rx, ry = px % 1, py % 1
+            v *= _SIN_QUARTER[rx] ** s1 * _COS_QUARTER[rx] ** c1
+            v *= _SIN_QUARTER[ry] ** s2 * _COS_QUARTER[ry] ** c2
+        total += v
     return total
 
 
@@ -855,6 +881,93 @@ def ref_divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
             else:
                 rem[key] = acc
     return Expr(a.domain, quo)
+
+
+def ref_trig_quotient(a: Expr, b: Expr) -> Optional[Expr]:
+    """Exact quotient a/b of torus expressions, b nonzero, or None: the
+    first torus division, a bounded-support linear solve in the trig
+    normal-form ring.
+
+    Per-variable trig degree is additive under multiplication (leading
+    Fourier harmonics cannot cancel), so the quotient's support is bounded
+    and the coefficients solve an exact linear system.  It gives up (None)
+    past 4000 candidate terms.
+    """
+    if a.is_zero:
+        return Expr.zero(a.domain)
+    ka, dxa, dya = _per_variable_degrees(a)
+    kb, dxb, dyb = _per_variable_degrees(b)
+    if ka < kb or dxa < dxb or dya < dyb:
+        return None
+    kf, dxf, dyf = ka - kb, dxa - dxb, dya - dyb
+    candidates = []
+    for kpi in range(kf + 1):
+        for c1 in (0, 1):
+            for s1 in range(dxf - c1 + 1):
+                for c2 in (0, 1):
+                    for s2 in range(dyf - c2 + 1):
+                        candidates.append((kpi, 0, 0, s1, c1, s2, c2))
+    if len(candidates) > 4000:
+        return None
+    basis = [Expr(a.domain, {key: Fraction(1)}) * b for key in candidates]
+    rows: dict[tuple, int] = {}
+    for prod in basis:
+        for key, _ in prod.terms():
+            rows.setdefault(key, len(rows))
+    for key, _ in a.terms():
+        rows.setdefault(key, len(rows))
+    m, n = len(rows), len(candidates)
+    mat = [[Fraction(0)] * (n + 1) for _ in range(m)]
+    for col, prod in enumerate(basis):
+        for key, coeff in prod.terms():
+            mat[rows[key]][col] = coeff
+    for key, coeff in a.terms():
+        mat[rows[key]][n] = coeff
+    sol = _solve_exact(mat, n)
+    if sol is None:
+        return None
+    f = Expr(a.domain, {key: c for key, c in zip(candidates, sol) if c != 0})
+    return f if f * b == a else None
+
+
+def _per_variable_degrees(e: Expr) -> tuple[int, int, int]:
+    """(pi degree, x-pair degree, y-pair degree) of a torus expression."""
+    kp = dx = dy = 0
+    for (kpi, ex, ey, s1, c1, s2, c2), _ in e.terms():
+        kp = max(kp, kpi)
+        dx = max(dx, ex + s1 + c1)
+        dy = max(dy, ey + s2 + c2)
+    return kp, dx, dy
+
+
+def _solve_exact(mat: list[list[Fraction]], n: int) -> Optional[list[Fraction]]:
+    """Gaussian elimination over the rationals for an (m x n | rhs) system;
+    returns a solution or None when inconsistent.  Free columns get zero."""
+    m = len(mat)
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] != 0:
+                fac = mat[i][c]
+                mat[i] = [vi - fac * vr for vi, vr in zip(mat[i], mat[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == m:
+            break
+    for i in range(m):
+        if all(v == 0 for v in mat[i][:n]) and mat[i][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for c, pr in pivot_of_col.items():
+        sol[c] = mat[pr][n]
+    return sol
 
 
 def same_expr(got: Optional[Expr], ref: Optional[Expr]) -> bool:

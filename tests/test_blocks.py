@@ -87,8 +87,12 @@ class TestIsolateZeros:
         rng = random.Random(7)
         for box, _, _ in res.empty_boxes:
             for _ in range(100):
-                p = box.sample(Fraction(rng.randint(0, 32), 32), Fraction(rng.randint(0, 32), 32))
-                assert field.eval_at(p) != (0, 0)
+                tx, ty = Fraction(rng.randint(0, 32), 32), Fraction(rng.randint(0, 32), 32)
+                px, py = box.x.lo + tx * box.x.width(), box.y.lo + ty * box.y.width()
+                # the enclosure of a plane polynomial over a point box is
+                # its exact value
+                point = Box(Interval.point(px), Interval.point(py))
+                assert field.cx.range_on(point).excludes_zero() or field.cy.range_on(point).excludes_zero()
 
     def test_completeness_at_known_zeros(self):
         cases = [

@@ -247,6 +247,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x^2 + y^2 + 1, x)"],
         ["transfer", "--x", "(x^2 + y^2 + 1, x)", "--y", "(1, 0)"],
+        ["invariance", "--x", "(x^2 + y^2 + 1, x)", "--y", "(x^2 + y^2 + 1, x)"],
+        # X and Y are independent everywhere: the dependency set is empty
+        ["invariance", "--target", "dependency", "--x", "(1, 0)", "--y", "(0, 1)"],
     ])
     def test_usage_error_no_block_to_verify(self, suite, tmp_path, capsys):
         # a region without a zero block used to pass with an empty report list

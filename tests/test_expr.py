@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vfzero import (
     Box,
     DomainError,
-    ExactEvalError,
     Expr,
     Interval,
     ParseError,
@@ -22,6 +21,7 @@ from vfzero.intervals import cos_2pi_range, lattice_form, odd_denominator, sin_2
 from conftest import NO_SHRINK, boxes, pi_polys, plane_polys, plane_terms, torus_polys, torus_terms
 from oracles import (
     RefDyadicKernel,
+    exact_value,
     range_on_fractions,
     ref_add,
     ref_derive,
@@ -34,6 +34,7 @@ from oracles import (
     ref_pow,
     ref_str,
     ref_sub,
+    ref_trig_quotient,
     same_expr,
 )
 
@@ -176,7 +177,7 @@ class TestParse:
         assert e == Expr.const(1, "torus")
 
     def test_ratio_literals(self):
-        assert parse_expr("1/3 + 1/6").eval_at((0, 0)) == Fraction(1, 2)
+        assert parse_expr("1/3 + 1/6") == Expr.const(Fraction(1, 2), "plane")
 
     def test_unary_minus_binds_looser_than_power(self):
         assert parse_expr("-x^2") == -parse_expr("x^2")
@@ -206,33 +207,6 @@ class TestParse:
             assert parse_expr(str(e), domain) == e
 
 
-class TestEval:
-    def test_polynomial_value(self):
-        e = parse_expr("x^2 - y^2")
-        assert e.eval_at((Fraction(3), Fraction(2))) == 5
-
-    def test_zero_expr_everywhere(self):
-        z = Expr.zero("plane")
-        assert z.eval_at((Fraction(7, 3), Fraction(-1, 2))) == 0
-
-    def test_exact_trig_grid(self):
-        s = parse_expr("sin2px", "torus")
-        assert s.eval_at((Fraction(1, 4), Fraction(0))) == 1
-        assert s.eval_at((Fraction(3, 4), Fraction(0))) == -1
-        c = parse_expr("cos2py", "torus")
-        assert c.eval_at((Fraction(0), Fraction(1, 2))) == -1
-
-    def test_off_grid_trig_raises(self):
-        s = parse_expr("sin2px", "torus")
-        with pytest.raises(ExactEvalError):
-            s.eval_at((Fraction(1, 3), Fraction(0)))
-
-    def test_pi_power_raises(self):
-        d = parse_expr("sin2px", "torus").derive("x")
-        with pytest.raises(ExactEvalError):
-            d.eval_at((Fraction(0), Fraction(0)))
-
-
 class TestIntervalEval:
     def test_coordinate_exact(self):
         r = parse_expr("x").range_on(Box.from_corners(2, 0, 3, 1))
@@ -259,12 +233,12 @@ class TestIntervalEval:
         for _ in range(100):
             tx = Fraction(rng.randint(0, 64), 64)
             ty = Fraction(rng.randint(0, 64), 64)
-            p = box.sample(tx, ty)
-            assert enc.contains(e.eval_at(p))
+            p = (box.x.lo + tx * box.x.width(), box.y.lo + ty * box.y.width())
+            assert enc.contains(exact_value(e, p))
             # a point box encloses a polynomial exactly: winding vertex
             # values rely on this
             point = Box(Interval.point(p[0]), Interval.point(p[1]))
-            assert e.range_on(point) == Interval.point(e.eval_at(p))
+            assert e.range_on(point) == Interval.point(exact_value(e, p))
 
     @settings(max_examples=30, deadline=None)
     @given(torus_polys())
@@ -278,11 +252,11 @@ class TestIntervalEval:
                 enc = e.range_on(box)
                 for px in (x0, x0 + Fraction(1, 4)):
                     for py in (y0, y0 + Fraction(1, 4)):
-                        assert enc.contains(e.eval_at((px % 1, py % 1)))
+                        assert enc.contains(exact_value(e, (px, py)))
                 # the point-box enclosure goes through the 128-bit trig
                 # enclosures even where the exact value exists
                 point = Box(Interval.point(x0), Interval.point(y0))
-                assert e.range_on(point).contains(e.eval_at((x0, y0)))
+                assert e.range_on(point).contains(exact_value(e, (x0, y0)))
 
 
 class TestDyadicKernel:
@@ -548,9 +522,33 @@ class TestDomainDiscipline:
         with pytest.raises(DomainError, match="unknown domain 'sphere': expected 'plane' or 'torus'"):
             Expr.gen(name, "sphere")
 
-    def test_divide_requires_trig_free(self):
-        with pytest.raises(ValueError):
-            divide_exact(parse_expr("sin2px", "torus"), parse_expr("sin2px", "torus"))
+    def test_divide_domain_mismatch(self):
+        with pytest.raises(DomainError):
+            divide_exact(parse_expr("x"), parse_expr("sin2px", "torus"))
+
+
+class TestTorusDivision:
+    """``divide_exact`` on the torus, which clears the divisor's cosines
+    with its conjugates, against the ``Fraction`` linear solve of
+    ``oracles``."""
+
+    def test_cosine_divisor(self):
+        a, b = parse_expr("sin2px*(2 + cos2py)", "torus"), parse_expr("2 + cos2py", "torus")
+        assert divide_exact(a, b) == parse_expr("sin2px", "torus")
+
+    def test_not_divisible(self):
+        assert divide_exact(Expr.const(1, "torus"), parse_expr("2 + cos2px", "torus")) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(torus_polys(), pi_polys(domain="torus")),
+           st.one_of(torus_polys(), pi_polys(domain="torus")),
+           st.one_of(torus_polys(max_deg=1), pi_polys(max_deg=1, domain="torus")))
+    def test_matches_linear_solve(self, a, b, c):
+        # a*b is always divisible by b; a*b + c mostly is not
+        if b.is_zero:
+            return
+        for num in (a * b, a * b + c):
+            assert divide_exact(num, b) == ref_trig_quotient(num, b)
 
 
 class TestIntegerDivision:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfzero import (
-    Box,
     DomainError,
     Expr,
     VectorField,
@@ -170,17 +169,3 @@ class TestWedge:
 
     def test_unit_frame(self):
         assert wedge(parse_field("(1, 0)"), parse_field("(0, 1)")) == parse_expr("1")
-
-
-class TestFieldEnclosure:
-    def test_identity_field_box(self):
-        rx, ry = parse_field("(x, y)").range_on(Box.from_corners(1, 1, 2, 2))
-        assert (rx.lo, rx.hi) == (1, 2) and (ry.lo, ry.hi) == (1, 2)
-
-    def test_zero_field(self):
-        rx, ry = VectorField.zero("plane").range_on(Box.from_corners(-1, -1, 1, 1))
-        assert rx.lo == rx.hi == 0 and ry.lo == ry.hi == 0
-
-    def test_positive_component(self):
-        rx, _ = parse_field("(x^2 + y^2 + 1, x)").range_on(Box.from_corners(-1, -1, 1, 1))
-        assert rx.lo >= 1

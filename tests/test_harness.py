@@ -164,8 +164,8 @@ class TestStabilityScale:
         boxes = [piece_segment(piece).box() for piece, _, _ in _boundary_pieces(e.field, blk)]
 
         def sup(field, box):
-            return max(range_on_fractions(field.cx, box).mag(),
-                       range_on_fractions(field.cy, box).mag())
+            ranges = [range_on_fractions(c, box) for c in (field.cx, field.cy)]
+            return max(max(abs(r.lo), abs(r.hi)) for r in ranges)
 
         x_low = [max(range_on_fractions(e.field.cx, b).mig(),
                      range_on_fractions(e.field.cy, b).mig()) for b in boxes]

@@ -20,6 +20,7 @@ from vfzero import (
     bracket_closure_track,
     common_zeros,
     dep_set,
+    divide_exact,
     euler_field,
     isolate_zeros,
     lie_bracket,
@@ -77,12 +78,19 @@ class TestTrackCheck:
     @settings(max_examples=25, deadline=None)
     @given(torus_polys(max_deg=2), torus_polys(max_deg=2))
     def test_trig_quotient_reconstruction(self, a, b):
-        from vfzero.tracking import _try_divide
-
         if b.is_zero:
             return
-        q = _try_divide(a * b, b)
+        q = divide_exact(a * b, b)
         assert q is not None and q * b == a * b
+
+    def test_high_degree_torus_tracker(self):
+        # a bounded-support linear solve (oracles.ref_trig_quotient) would
+        # set up 4418 candidate terms here and give up past 4000
+        base = parse_field("(sin2px, sin2py)", "torus")
+        g = parse_expr("sin2px^22*sin2py^22", "torus")
+        rep = track_check(base.scale(g), base)
+        assert rep.status == POLY_TRACKING
+        assert rep.cofactor == -(base.cx * g.derive("x") + base.cy * g.derive("y"))
 
     @settings(max_examples=25, deadline=None)
     @given(plane_polys(max_deg=2, coeff=3))
