@@ -22,6 +22,7 @@ from .blocks import (
     Segment,
     ZeroBlock,
     certify_isolating,
+    common_zero_blocks,
     isolate_zeros,
     scalar_zero_blocks,
 )
@@ -45,10 +46,8 @@ from .tracking import (
     POLY_TRACKING,
     RATIONAL_TRACKING,
     DepSetResult,
-    LieAlgebraSpec,
     TrackReport,
     bracket_closure_track,
-    common_zeros,
     dep_set,
     track_check,
 )

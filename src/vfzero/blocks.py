@@ -48,13 +48,16 @@ Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
 
 Whether a zero set meets a block, and with which witness, is decided on
-a window (``cover_witnesses``): the block's cells and their eight
-neighbours.  One ``bisect`` from the root cell, with every branch that
-holds no window cell out of scope, finds the retained window cells.  None
-means a miss; one 8-connected piece lies in the one block of the zero set
-that meets the block, and gives the witness; two or more pieces leave the
-choice to the block order of the whole region, so only then is the zero
-set isolated over the whole region.
+a window: the block's cells and their eight neighbours.  ``window_cells``
+finds the retained window cells of one field's zero set with one
+``bisect`` from the root cell, with every branch that holds no window cell
+out of scope.  The common zero set of several fields retains a cell
+exactly when each field does, so its window cells are the intersection of
+theirs and are never bisected.  ``cover_witnesses`` decides from the
+cells: none means a miss; one 8-connected piece lies in the one block of
+the zero set that meets the block, and gives the witness; two or more
+pieces leave the choice to the block order of the whole region, so only
+then is the zero set isolated over the whole region.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .expr import Expr
 from .fields import VectorField
@@ -471,7 +474,7 @@ def _subdivide(problem, region: Box, max_depth: int):
     return retained, empties
 
 
-def _components(grid: Grid, cells: list[Cell]) -> list[list[Cell]]:
+def _components(grid: Grid, cells: Collection[Cell]) -> list[list[Cell]]:
     members = set(cells)
     seen: set[Cell] = set()
     comps: list[list[Cell]] = []
@@ -676,6 +679,8 @@ def common_zero_blocks(fields: Sequence[VectorField], region: Box, max_depth: in
 def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
     if not fields:
         raise ValueError("no generators")
+    if len({f.domain for f in fields}) != 1:
+        raise ValueError("generators live on different domains")
     return ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
 
 
@@ -683,11 +688,9 @@ def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
 _OUT_OF_SCOPE = ("out of scope", None)
 
 
-def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) -> list[Optional[Box]]:
-    """For each block, the witness that the common zero set of the fields
-    meets it, or None: exactly the first ``overlap_box`` that is not None
-    over the blocks of ``common_zero_blocks(fields, region, resolution)``,
-    decided on the cells around the block instead of the whole region.
+def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Cell]]:
+    """For each block, the cells of its window that a subdivision of the
+    field's zero set over the blocks' region and resolution retains.
 
     The blocks share one region, resolution and domain, as the blocks of
     one isolation do.  A block's window is its cells and their
@@ -695,21 +698,13 @@ def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) 
     quadtree ancestor of it survive the emptiness certificate, which is
     what a whole-region subdivision retains.  One ``bisect`` from the root
     cell reaches the window cells, with every cell that is no ancestor of
-    one out of scope; the certificates are memoized across the blocks.
-    No retained window cell: the block is missed.  The retained window
-    cells 8-connected inside the window: they lie in one block of the
-    zero set, the only one meeting this block, and the witness is read
-    off them as ``overlap_box`` reads it.  Two or more pieces: the block
-    order of the whole region decides which one gives the witness, so the
-    zero set is isolated over the whole region, once per call."""
+    one out of scope; the certificates are memoized across the blocks."""
     if not blocks:
         return []
-    problem = _common_problem(fields)
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
-    certify = _cell_certifier(problem, region)
+    certify = _cell_certifier(ZeroProblem(_field_parts(field)), region)
     memo: dict[DyadicCell, Optional[EmptyCert]] = {}
-    whole: Optional[tuple[ZeroBlock, ...]] = None
-    witnesses: list[Optional[Box]] = []
+    kept: list[set[Cell]] = []
     for blk in blocks:
         window = set(blk.cells).union(*map(grid.neighbors8, blk.cells))
         scope: set[tuple[int, int, int]] = set()
@@ -725,15 +720,35 @@ def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock]) 
                 memo[cell] = certify(cell)
             return memo[cell]
 
-        found = [(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None]
-        pieces = _components(grid, found)
+        kept.append({(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None})
+    return kept
+
+
+def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock],
+                    kept: Sequence[set[Cell]]) -> list[Optional[Box]]:
+    """For each block, the witness that the common zero set of the fields
+    meets it, or None, decided from ``kept``, the retained cells of each
+    block's window (``window_cells`` of one field; for several fields the
+    intersection of theirs, since the common zero set retains a cell
+    exactly when every field does): exactly the first ``overlap_box`` that
+    is not None over the blocks of ``common_zero_blocks(fields, region,
+    resolution)``.  No cell: a miss.  One 8-connected piece: it lies in the
+    one block of the zero set that meets this block, and the witness is
+    read off it as ``overlap_box`` reads it.  Two or more pieces: only then
+    is the zero set isolated over the whole region, once per call, and its
+    block order decides."""
+    whole: Optional[tuple[ZeroBlock, ...]] = None
+    witnesses: list[Optional[Box]] = []
+    for blk, cells in zip(blocks, kept):
+        grid = blk.grid()
+        pieces = _components(grid, cells)
         if len(pieces) > 1:
             if whole is None:
-                whole = common_zero_blocks(fields, region, depth).blocks
+                whole = common_zero_blocks(fields, blk.region, blk.resolution).blocks
             witnesses.append(next((w for w in map(blk.overlap_box, whole) if w is not None), None))
         elif pieces:
             (piece,) = pieces
-            witnesses.append(_lattice_overlap(grid, region, blk.cells, piece))
+            witnesses.append(_lattice_overlap(grid, blk.region, blk.cells, piece))
         else:
             witnesses.append(None)
     return witnesses

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .blocks import isolate_zeros
+from .blocks import common_zero_blocks, isolate_zeros
 from .errors import CertificationError, FalsificationError, FlowEscapeError, SeedRefinementError
 from .fields import lie_bracket, parse_field
 from .harness import (
@@ -29,7 +29,7 @@ from .harness import (
 from .intervals import Box
 from .report import emit_report
 from .svg import phase_portrait_svg
-from .tracking import LieAlgebraSpec, bracket_closure_track, common_zeros, dep_set, track_check
+from .tracking import bracket_closure_track, dep_set, track_check
 from .winding import block_index, index_transfer_check
 
 EXIT_OK = 0
@@ -159,8 +159,7 @@ def _cmd_dep(args):
 
 def _cmd_common(args):
     fields = [parse_field(t, args.domain) for t in args.field]
-    algebra = LieAlgebraSpec("cli", tuple(fields))
-    blocks = common_zeros(algebra, _region(args), args.depth)
+    blocks = common_zero_blocks(fields, _region(args), args.depth).blocks
     coarse = any(b.coarse for b in blocks)
     results = {
         "blocks": [_block_summary(b) for b in blocks],

@@ -20,7 +20,6 @@ class Trajectory:
     times: tuple[float, ...]
     points: tuple[tuple[float, float], ...]
     step: float
-    integrator: str = "rk4"
 
     @property
     def endpoint(self) -> tuple[float, float]:

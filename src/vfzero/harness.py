@@ -30,6 +30,7 @@ from .blocks import (
     field_problem,
     isolate_zeros,
     lattice_box,
+    window_cells,
 )
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
@@ -38,7 +39,6 @@ from .flows import flow_integrate
 from .intervals import Box, Interval
 from .tracking import (
     POLY_TRACKING,
-    LieAlgebraSpec,
     TrackReport,
     dep_set,
     track_check,
@@ -167,12 +167,13 @@ def builtin_catalog() -> list[CatalogEntry]:
 # seed refinement (float Gauss-Newton onto the zero set)
 
 
-def refine_seed(
-    field: VectorField,
-    p0: tuple[float, float],
-    tol: float = 1e-11,
-    max_iter: int = 80,
-) -> tuple[float, float]:
+# seed refinement stops once max(|F_x|, |F_y|) < SEED_TOL, and gives up
+# after SEED_MAX_ITER Gauss-Newton steps
+SEED_TOL = 1e-11
+SEED_MAX_ITER = 80
+
+
+def refine_seed(field: VectorField, p0: tuple[float, float]) -> tuple[float, float]:
     """Polish a point onto Z(field) by damped Gauss-Newton on |F|^2.
 
     Works for zero manifolds as well as isolated zeros (the normal
@@ -181,9 +182,9 @@ def refine_seed(
     """
     jac = jacobian(field)
     x, y = float(p0[0]), float(p0[1])
-    for _ in range(max_iter):
+    for _ in range(SEED_MAX_ITER):
         fx, fy = field.eval_float(x, y)
-        if max(abs(fx), abs(fy)) < tol:
+        if max(abs(fx), abs(fy)) < SEED_TOL:
             return (x, y)
         a = jac.dxx.eval_float(x, y)
         b = jac.dxy.eval_float(x, y)
@@ -203,7 +204,7 @@ def refine_seed(
         sy = (-(g2) * (m11 + lam) + g1 * m12) / det
         x, y = x + sx, y + sy
     fx, fy = field.eval_float(x, y)
-    if max(abs(fx), abs(fy)) < tol:
+    if max(abs(fx), abs(fy)) < SEED_TOL:
         return (x, y)
     raise SeedRefinementError(
         f"seed refinement stalled at ({x:.6g}, {y:.6g}), residual {max(abs(fx), abs(fy)):.3g}"
@@ -298,8 +299,8 @@ def invariance_test(
 
 
 def _scalar_gradient_field(e: Expr) -> VectorField:
-    # refine seeds of a scalar zero set by flowing against grad(e)*e; the
-    # Gauss-Newton polish only needs a field vanishing exactly on {e = 0}
+    # the field (e, 0), which vanishes exactly on {e = 0}, so that the
+    # Gauss-Newton polish of refine_seed takes seeds onto the scalar zero set
     return VectorField(e, Expr.zero(e.domain))
 
 
@@ -478,7 +479,9 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     tracker's zero set, and of the common zero set of all trackers, meets
     every essential block's cover, emitting witness boxes.  Each cover is
     decided by ``blocks.cover_witnesses`` on the cells around the
-    essential blocks; a zero set is isolated over the whole region only
+    essential blocks: ``blocks.window_cells`` bisects them once per
+    tracker, and the common zero set's cells are the intersection of the
+    trackers' cells.  A zero set is isolated over the whole region only
     when its retained cells next to a block fall into two or more pieces.
     When a tracker fails the tracking hypothesis the conclusion is still
     evaluated and reported (negative controls).
@@ -498,19 +501,21 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     witnesses: list[Witness] = []
     missed: list[tuple[str, str]] = []
 
-    def check_cover(tag: str, fields: Sequence[VectorField]):
-        for blk, w in zip(essential_blocks, cover_witnesses(fields, essential_blocks)):
+    def check_cover(tag: str, fields: Sequence[VectorField], cells):
+        for blk, w in zip(essential_blocks, cover_witnesses(fields, essential_blocks, cells)):
             if w is None:
                 missed.append((tag, blk.label))
             else:
                 witnesses.append(Witness(tag, blk.label, w))
 
+    kept = []
     for k, y in enumerate(entry.trackers):
         if y.is_zero:
             raise ValueError(f"tracker {k} of {entry.name} is the zero field")
-        check_cover(f"Y{k}", [y])
+        kept.append(window_cells(y, essential_blocks))
+        check_cover(f"Y{k}", [y], kept[-1])
     if entry.trackers:
-        check_cover("common", LieAlgebraSpec(entry.name, entry.trackers).generators)
+        check_cover("common", entry.trackers, [set.intersection(*cells) for cells in zip(*kept)])
 
     return MainTheoremReport(
         entry=entry.name,

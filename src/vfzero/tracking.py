@@ -1,4 +1,4 @@
-"""Tracking relations, cofactor extraction, dependency and common zero sets.
+"""Tracking relations, cofactor extraction and dependency sets.
 
 Y tracks X when [Y, X] = f*X for a continuous scalar f.  The decidable
 certificates here are symbolic: a polynomial (or trig-polynomial) cofactor
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import ZeroBlock, common_zero_blocks, scalar_zero_blocks
+from .blocks import ZeroBlock, scalar_zero_blocks
 from .errors import FalsificationError
 from .expr import Expr, _long_divide, _make, _reduce, divide_exact
 from .fields import VectorField, lie_bracket, wedge
@@ -52,23 +52,6 @@ class TrackReport:
     @property
     def tracking(self) -> bool:
         return self.status != NOT_TRACKING
-
-
-@dataclass(frozen=True)
-class LieAlgebraSpec:
-    name: str
-    generators: tuple[VectorField, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("a Lie algebra spec needs at least one generator")
-        domains = {g.domain for g in self.generators}
-        if len(domains) != 1:
-            raise ValueError("generators live on different domains")
-
-    @property
-    def domain(self) -> str:
-        return self.generators[0].domain
 
 
 # -- integer polynomial gcd ---------------------------------------------
@@ -184,7 +167,14 @@ def _poly_gcd(a: Expr, b: Expr) -> Expr:
 
 
 def track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
-    """Classify whether Y tracks X, extracting a cofactor when possible."""
+    """Classify whether Y tracks X, extracting a cofactor when possible.
+
+    Once the wedge of B = [Y, X] with X vanishes, B = f*X as soon as one
+    component divides: X is nonzero and the (trig-)polynomials are an
+    integral domain, so x_i*f = b_i gives b_j*x_i = b_i*x_j = f*x_i*x_j and
+    b_j = f*x_j.  The first nonzero component x_i of X decides, and b_i is
+    nonzero when the division fails; the rational cofactor is b_i / x_i,
+    reduced by their gcd on plane polynomials."""
     if x_field.is_zero:
         raise ValueError("tracking against the zero field is undefined")
     if y_field.domain != x_field.domain:
@@ -193,49 +183,17 @@ def track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
     residual = wedge(bracket, x_field)
     if not residual.is_zero:
         return TrackReport(NOT_TRACKING, bracket, residual)
-    if bracket.is_zero:
-        return TrackReport(
-            POLY_TRACKING, bracket, residual, cofactor=Expr.zero(x_field.domain)
-        )
-    # polynomial cofactor: divide on a nonzero component pair, cross-check the other
-    for b_i, x_i, b_j, x_j in (
-        (bracket.cx, x_field.cx, bracket.cy, x_field.cy),
-        (bracket.cy, x_field.cy, bracket.cx, x_field.cx),
-    ):
-        if x_i.is_zero:
-            continue
-        f = divide_exact(b_i, x_i)
-        if f is not None and b_j == f * x_j:
-            return TrackReport(POLY_TRACKING, bracket, residual, cofactor=f)
-    # rational cofactor with gcd reduction (plane polynomials only)
-    for b_i, x_i in ((bracket.cx, x_field.cx), (bracket.cy, x_field.cy)):
-        if x_i.is_zero or b_i.is_zero:
-            continue
-        if b_i.has_trig() or x_i.has_trig():
-            num, den = b_i, x_i
-        else:
-            g = _poly_gcd(b_i, x_i)
-            num = divide_exact(b_i, g)
-            den = divide_exact(x_i, g)
-        if num is None or den is None:
-            num, den = b_i, x_i
-        # identity check: bracket * den == num * X
-        if bracket.cx * den == num * x_field.cx and bracket.cy * den == num * x_field.cy:
-            return TrackReport(
-                RATIONAL_TRACKING,
-                bracket,
-                residual,
-                cofactor_num=num,
-                cofactor_den=den,
-                caveat=_RATIONAL_CAVEAT,
-            )
-    # wedge vanished but no usable quotient representation was found
-    return TrackReport(
-        RATIONAL_TRACKING,
-        bracket,
-        residual,
-        caveat=_RATIONAL_CAVEAT + "; no reduced quotient representation found",
-    )
+    b_i, x_i = (bracket.cx, x_field.cx) if not x_field.cx.is_zero else (bracket.cy, x_field.cy)
+    f = divide_exact(b_i, x_i)
+    if f is not None:
+        return TrackReport(POLY_TRACKING, bracket, residual, cofactor=f)
+    if b_i.has_trig() or x_i.has_trig():
+        num, den = b_i, x_i
+    else:
+        g = _poly_gcd(b_i, x_i)
+        num, den = divide_exact(b_i, g), divide_exact(x_i, g)
+    return TrackReport(RATIONAL_TRACKING, bracket, residual, cofactor_num=num, cofactor_den=den,
+                       caveat=_RATIONAL_CAVEAT)
 
 
 def bracket_closure_track(
@@ -275,9 +233,3 @@ def dep_set(
         return DepSetResult(w, (), True)
     return DepSetResult(w, tuple(scalar_zero_blocks(w, region, max_depth)), False)
 
-
-def common_zeros(
-    algebra: LieAlgebraSpec, region: Box, max_depth: int
-) -> list[ZeroBlock]:
-    """Blocks of the simultaneous zero set of all generators."""
-    return list(common_zero_blocks(algebra.generators, region, max_depth).blocks)

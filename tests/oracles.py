@@ -33,7 +33,9 @@ the integer-numerator ones term by term; after it come the cofactor gcd
 through sympy's ``Poly.gcd``, the ``Fraction`` long division and the
 ``Fraction`` linear solve for torus quotients (``ref_trig_quotient``),
 kept to check the integer gcd and the one integer division of both
-domains.  ``exact_value`` evaluates a pi-free expression exactly at a
+domains, and ``ref_track_check``, the tracking classification that tried
+both components and re-proved the cofactor identities, kept to check
+the one-division ``track_check``.  ``exact_value`` evaluates a pi-free expression exactly at a
 rational point (a torus one on the quarter grid), to check enclosures
 against.  The reference Lie bracket is the
 bracket composed of ``Expr`` ring operations (``derive``, ``*``, ``+``,
@@ -50,11 +52,13 @@ from typing import Optional
 import sympy
 
 from vfzero import (
-    POLY_TRACKING, BoundaryLoop, Box, CertificationError, Expr, Interval, LieAlgebraSpec, VectorField, ZeroBlock,
-    block_index, common_zeros, isolate_zeros, jacobian, region_boundary_loop, track_check,
+    NOT_TRACKING, POLY_TRACKING, RATIONAL_TRACKING, BoundaryLoop, Box, CertificationError, Expr, Interval,
+    TrackReport, VectorField, ZeroBlock, block_index, common_zero_blocks, divide_exact, isolate_zeros, jacobian,
+    lie_bracket, region_boundary_loop, track_check, wedge,
 )
 from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
 from vfzero.harness import MainTheoremReport, Witness
+from vfzero.tracking import _RATIONAL_CAVEAT, _poly_gcd
 from vfzero.expr import DomainError, Key, _gens_string
 from vfzero.intervals import (
     PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
@@ -446,7 +450,8 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
     common zero set are isolated at full depth, and each essential block
     takes its witness from the first of their blocks that meets it.  The
     whole-region check that ``blocks.cover_witnesses`` replaced with the
-    cells around each essential block."""
+    cells around each essential block, and that the intersection of the
+    trackers' window cells replaced for the common zero set."""
     reports = [track_check(y, entry.field) for y in entry.trackers]
     statuses = tuple(r.status for r in reports)
     hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
@@ -475,8 +480,7 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
             isolated[y] = isolate_zeros(y, entry.region, max_depth)
         check_cover(f"Y{k}", isolated[y].blocks)
     if entry.trackers:
-        algebra = LieAlgebraSpec(entry.name, entry.trackers)
-        check_cover("common", common_zeros(algebra, entry.region, max_depth))
+        check_cover("common", common_zero_blocks(entry.trackers, entry.region, max_depth).blocks)
     return MainTheoremReport(
         entry=entry.name,
         tracker_statuses=statuses,
@@ -976,3 +980,63 @@ def same_expr(got: Optional[Expr], ref: Optional[Expr]) -> bool:
     if ref is None:
         return got is None
     return got == ref and list(got._num.items()) == list(ref._num.items())
+
+
+# ---------------------------------------------------------------------------
+# reference tracking classification: both component pairs tried, with the
+# identities B = f*X and B*den = num*X checked at run time
+
+
+def ref_track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
+    """Classify whether Y tracks X, extracting a cofactor when possible."""
+    if x_field.is_zero:
+        raise ValueError("tracking against the zero field is undefined")
+    if y_field.domain != x_field.domain:
+        raise ValueError("domain mismatch")
+    bracket = lie_bracket(y_field, x_field)
+    residual = wedge(bracket, x_field)
+    if not residual.is_zero:
+        return TrackReport(NOT_TRACKING, bracket, residual)
+    if bracket.is_zero:
+        return TrackReport(
+            POLY_TRACKING, bracket, residual, cofactor=Expr.zero(x_field.domain)
+        )
+    # polynomial cofactor: divide on a nonzero component pair, cross-check the other
+    for b_i, x_i, b_j, x_j in (
+        (bracket.cx, x_field.cx, bracket.cy, x_field.cy),
+        (bracket.cy, x_field.cy, bracket.cx, x_field.cx),
+    ):
+        if x_i.is_zero:
+            continue
+        f = divide_exact(b_i, x_i)
+        if f is not None and b_j == f * x_j:
+            return TrackReport(POLY_TRACKING, bracket, residual, cofactor=f)
+    # rational cofactor with gcd reduction (plane polynomials only)
+    for b_i, x_i in ((bracket.cx, x_field.cx), (bracket.cy, x_field.cy)):
+        if x_i.is_zero or b_i.is_zero:
+            continue
+        if b_i.has_trig() or x_i.has_trig():
+            num, den = b_i, x_i
+        else:
+            g = _poly_gcd(b_i, x_i)
+            num = divide_exact(b_i, g)
+            den = divide_exact(x_i, g)
+        if num is None or den is None:
+            num, den = b_i, x_i
+        # identity check: bracket * den == num * X
+        if bracket.cx * den == num * x_field.cx and bracket.cy * den == num * x_field.cy:
+            return TrackReport(
+                RATIONAL_TRACKING,
+                bracket,
+                residual,
+                cofactor_num=num,
+                cofactor_den=den,
+                caveat=_RATIONAL_CAVEAT,
+            )
+    # wedge vanished but no usable quotient representation was found
+    return TrackReport(
+        RATIONAL_TRACKING,
+        bracket,
+        residual,
+        caveat=_RATIONAL_CAVEAT + "; no reduced quotient representation found",
+    )

@@ -113,6 +113,19 @@ class TestBasicCommands:
         assert code == 0
         assert doc["results"]["ok"] is True
 
+    def test_verify_invariance_dependency(self, tmp_path):
+        # X wedge Y = -2xy: the dependency set is the axes, one block, whose
+        # seeds are polished onto {xy = 0} through the field (-2xy, 0)
+        code, doc, _ = run_json(
+            ["verify", "invariance", "--target", "dependency", "--x", "(x, y)", "--y", "(x, -y)"], tmp_path
+        )
+        assert code == 0
+        rep = doc["results"]["report"]
+        assert doc["results"]["ok"] is True and rep["target"] == "dependency"
+        assert len(rep["seeds"]) == 4
+        assert all(min(abs(px), abs(py)) < 1e-10 for px, py in rep["seeds"])
+        assert rep["max_residual"] < 1e-12
+
     def test_verify_invariance_depth_reaches_isolation(self, tmp_path, monkeypatch):
         import vfzero.cli
 

@@ -6,19 +6,19 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vfzero import (
     Box,
     Expr,
     FalsificationError,
-    LieAlgebraSpec,
     NOT_TRACKING,
     POLY_TRACKING,
     RATIONAL_TRACKING,
+    VectorField,
     bracket_closure_track,
-    common_zeros,
+    common_zero_blocks,
     dep_set,
     divide_exact,
     euler_field,
@@ -31,8 +31,8 @@ from vfzero import (
 )
 from vfzero.tracking import _poly_gcd
 
-from conftest import pi_polys, plane_polys, rationals, torus_polys
-from oracles import ref_poly_gcd, same_expr
+from conftest import NO_SHRINK, pi_polys, plane_fields, plane_polys, rationals, torus_polys
+from oracles import ref_poly_gcd, ref_track_check, same_expr
 
 REGION = Box.from_corners(-1, -1, 1, 1)
 SQUARING = parse_field("(x^2 - y^2, 2*x*y)")
@@ -62,8 +62,6 @@ class TestTrackCheck:
         assert rep.caveat is not None
 
     def test_zero_x_rejected(self):
-        from vfzero import VectorField
-
         with pytest.raises(ValueError):
             track_check(euler_field(), VectorField.zero("plane"))
 
@@ -109,6 +107,45 @@ class TestTrackCheck:
         assert (rep.status == NOT_TRACKING) == (not rep.wedge_residual.is_zero)
         if rep.status != NOT_TRACKING:
             assert wedge(rep.bracket, SQUARING).is_zero
+
+
+def _torus_fields(max_deg: int = 1):
+    return st.tuples(torus_polys(max_deg), torus_polys(max_deg)).map(lambda t: VectorField(*t))
+
+
+class TestOneDivision:
+    """``track_check`` against ``oracles.ref_track_check``, which tried both
+    component pairs and re-proved the cofactor identities, on tracking
+    pairs Y = p*V + r*X, X = q*V: [Y, X] is a multiple of V, and its
+    cofactor is rational whenever q does not divide p*V(q) - q*V(p)."""
+
+    @staticmethod
+    def _check(y, x):
+        assume(not x.is_zero)
+        rep, ref = track_check(y, x), ref_track_check(y, x)
+        assert rep == ref
+        for name in ("cofactor", "cofactor_num", "cofactor_den"):
+            assert same_expr(getattr(rep, name), getattr(ref, name)), name
+        assert rep.status != NOT_TRACKING
+        b = rep.bracket
+        if rep.status == POLY_TRACKING:
+            assert (b.cx, b.cy) == (rep.cofactor * x.cx, rep.cofactor * x.cy)
+        elif x.domain == "plane":
+            den, num = rep.cofactor_den, rep.cofactor_num
+            assert (b.cx * den, b.cy * den) == (num * x.cx, num * x.cy)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(plane_fields(max_deg=2, coeff=3), plane_polys(max_deg=1, coeff=3),
+           plane_polys(max_deg=1, coeff=3), plane_polys(max_deg=1, coeff=3))
+    def test_plane_multiples(self, v, p, q, r):
+        x = v.scale(q)
+        self._check(v.scale(p) + x.scale(r), x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(_torus_fields(), torus_polys(max_deg=1), torus_polys(max_deg=1), torus_polys(max_deg=1))
+    def test_torus_multiples(self, v, p, q, r):
+        x = v.scale(q)
+        self._check(v.scale(p) + x.scale(r), x)
 
 
 class TestBracketClosure:
@@ -175,19 +212,30 @@ class TestDepSet:
 
 class TestCommonZeros:
     def test_single_generator(self):
-        blocks = common_zeros(LieAlgebraSpec("g", (parse_field("(x, y)"),)), REGION, 6)
+        blocks = common_zero_blocks([parse_field("(x, y)")], REGION, 6).blocks
         assert len(blocks) == 1
         assert blocks[0].contains_point((Fraction(0), Fraction(0)))
 
     def test_disjoint_zero_sets(self):
-        spec = LieAlgebraSpec("g", (parse_field("(x, y)"), parse_field("(x - 1, y)")))
-        assert common_zeros(spec, Box.from_corners(-2, -2, 2, 2), 6) == []
+        fields = [parse_field("(x, y)"), parse_field("(x - 1, y)")]
+        assert common_zero_blocks(fields, Box.from_corners(-2, -2, 2, 2), 6).blocks == ()
 
     def test_squaring_and_euler(self):
-        spec = LieAlgebraSpec("g", (SQUARING, euler_field()))
-        blocks = common_zeros(spec, REGION, 6)
+        blocks = common_zero_blocks([SQUARING, euler_field()], REGION, 6).blocks
         assert len(blocks) == 1
         assert blocks[0].contains_point((Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("torus_first", [False, True])
+    def test_mixed_domains_rejected(self, torus_first):
+        fields = [parse_field("(x, y)"), parse_field("(sin2px, sin2py)", "torus")]
+        if torus_first:
+            fields.reverse()
+        with pytest.raises(ValueError, match="generators live on different domains"):
+            common_zero_blocks(fields, Box.from_corners(0, 0, 1, 1), 4)
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="no generators"):
+            common_zero_blocks([], REGION, 4)
 
 
 class TestBackpropProperty:
