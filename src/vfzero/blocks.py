@@ -49,15 +49,17 @@ the closed unions of distinct blocks are genuinely disjoint.
 
 Whether a zero set meets a block, and with which witness, is decided on
 a window: the block's cells and their eight neighbours.  ``window_cells``
-finds the retained window cells of one field's zero set with one
-``bisect`` from the root cell, with every branch that holds no window cell
-out of scope.  The common zero set of several fields retains a cell
-exactly when each field does, so its window cells are the intersection of
-theirs and are never bisected.  ``cover_witnesses`` decides from the
-cells: none means a miss; one 8-connected piece lies in the one block of
-the zero set that meets the block, and gives the witness; two or more
-pieces leave the choice to the block order of the whole region, so only
-then is the zero set isolated over the whole region.
+finds the retained window cells of one field's zero set.  For the field
+the blocks were isolated for they are the blocks' own cells; for any
+other field one ``bisect`` from the root cell reaches the cells of all
+windows, with every branch that holds no window cell out of scope.  The
+common zero set of several fields retains a cell exactly when each field
+does, so its window cells are the intersection of theirs and are never
+bisected.  ``cover_witnesses`` decides from the cells: none means a
+miss; one 8-connected piece lies in the one block of the zero set that
+meets the block, and gives the witness; two or more pieces leave the
+choice to the block order of the whole region, so only then is the zero
+set isolated over the whole region.
 """
 
 from __future__ import annotations
@@ -696,39 +698,40 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     one isolation do.  A block's window is its cells and their
     ``Grid.neighbors8``; a window cell is retained when the cell and every
     quadtree ancestor of it survive the emptiness certificate, which is
-    what a whole-region subdivision retains.  One ``bisect`` from the root
-    cell reaches the window cells, with every cell that is no ancestor of
-    one out of scope; the certificates are memoized across the blocks."""
-    if not blocks:
-        return []
+    what a whole-region subdivision retains.
+
+    When every block was isolated for the field, its own cells are the
+    answer and nothing is bisected: a block is an 8-connected component of
+    the field's retained cells, so a retained window cell, being next to
+    the block, is one of its cells.  Otherwise one ``bisect`` from the root
+    cell reaches the cells of all windows, with every cell that is no
+    quadtree ancestor of a window cell out of scope; whether a window cell
+    is retained does not depend on the other cells in scope."""
+    parts = _field_parts(field)
+    if all(blk.problem is not None and blk.problem.components == parts for blk in blocks):
+        return [set(blk.cells) for blk in blocks]
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
-    certify = _cell_certifier(ZeroProblem(_field_parts(field)), region)
-    memo: dict[DyadicCell, Optional[EmptyCert]] = {}
-    kept: list[set[Cell]] = []
-    for blk in blocks:
-        window = set(blk.cells).union(*map(grid.neighbors8, blk.cells))
-        scope: set[tuple[int, int, int]] = set()
-        level_cells = window
-        for level in range(depth, -1, -1):
-            scope.update((i, j, level) for i, j in level_cells)
-            level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
+    windows = [set(blk.cells).union(*map(grid.neighbors8, blk.cells)) for blk in blocks]
+    scope: set[tuple[int, int, int]] = set()
+    level_cells = set().union(*windows)
+    for level in range(depth, -1, -1):
+        scope.update((i, j, level) for i, j in level_cells)
+        level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
+    certify = _cell_certifier(ZeroProblem(parts), region)
 
-        def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
-            if cell not in scope:
-                return _OUT_OF_SCOPE
-            if cell not in memo:
-                memo[cell] = certify(cell)
-            return memo[cell]
+    def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
+        return certify(cell) if cell in scope else _OUT_OF_SCOPE
 
-        kept.append({(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None})
-    return kept
+    retained = {(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None}
+    return [window & retained for window in windows]
 
 
 def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock],
                     kept: Sequence[set[Cell]]) -> list[Optional[Box]]:
     """For each block, the witness that the common zero set of the fields
     meets it, or None, decided from ``kept``, the retained cells of each
-    block's window (``window_cells`` of one field; for several fields the
+    block's window (``window_cells`` of one field, which are the block's
+    own cells for the field it was isolated for; for several fields the
     intersection of theirs, since the common zero set retains a cell
     exactly when every field does): exactly the first ``overlap_box`` that
     is not None over the blocks of ``common_zero_blocks(fields, region,

@@ -18,6 +18,7 @@ from .blocks import common_zero_blocks, isolate_zeros
 from .errors import CertificationError, FalsificationError, FlowEscapeError, SeedRefinementError
 from .fields import lie_bracket, parse_field
 from .harness import (
+    TORUS_SQUARE,
     _parse_region,
     builtin_catalog,
     invariance_test,
@@ -27,7 +28,7 @@ from .harness import (
     stability_test,
 )
 from .intervals import Box
-from .report import emit_report
+from .report import emit_report, jsonable
 from .svg import phase_portrait_svg
 from .tracking import bracket_closure_track, dep_set, track_check
 from .winding import block_index, index_transfer_check
@@ -70,21 +71,6 @@ def _block_summary(blk) -> dict:
     }
 
 
-def _index_summary(rep) -> dict:
-    return {
-        "block": rep.block,
-        "index": rep.index,
-        "loops": [
-            {
-                "winding": lw.winding,
-                "pieces": lw.pieces,
-            }
-            for lw in rep.loops
-        ],
-        "method": rep.method,
-    }
-
-
 # ---------------------------------------------------------------------------
 # handlers: return (results, certificates, exit_code)
 
@@ -113,9 +99,7 @@ def _cmd_index(args):
         )
     reports = [block_index(field, b) for b in res.blocks]
     results = {
-        "blocks": [
-            {**_block_summary(b), **_index_summary(r)} for b, r in zip(res.blocks, reports)
-        ],
+        "blocks": [{**_block_summary(b), **jsonable(r)} for b, r in zip(res.blocks, reports)],
         "total_index": sum(r.index for r in reports),
         "coarse": False,
     }
@@ -170,6 +154,8 @@ def _cmd_common(args):
 
 
 def _cmd_verify_ph(args):
+    if args.region is not None and _parse_region(args.region) != TORUS_SQUARE:
+        raise UsageError("verify ph sums the indices over the whole torus; --region must be 0,0,1,1")
     field = parse_field(args.field, args.domain)
     rep = poincare_hopf_check(field, args.depth)
     results = {
@@ -181,6 +167,8 @@ def _cmd_verify_ph(args):
 
 
 def _cmd_verify_main(args):
+    if args.region is not None:
+        raise UsageError("verify main takes each entry's region from the catalog; --region is not allowed")
     if args.catalog:
         with open(args.catalog) as fh:
             entries = load_catalog(fh.read())
@@ -197,22 +185,7 @@ def _cmd_verify_main(args):
     reports = [main_theorem_check(e, args.depth) for e in entries]
     falsified = any(r.falsified for r in reports)
     results = {
-        "entries": [
-            {
-                "entry": r.entry,
-                "tracker_statuses": list(r.tracker_statuses),
-                "hypotheses_ok": r.hypotheses_ok,
-                "block_indices": [list(t) for t in r.block_indices],
-                "essential_blocks": list(r.essential_blocks),
-                "witnesses": [
-                    {"tracker": w.tracker, "block": w.block, "box": w.box} for w in r.witnesses
-                ],
-                "missed": [list(t) for t in r.missed],
-                "conclusion_holds": r.conclusion_holds,
-                "falsified": r.falsified,
-            }
-            for r in reports
-        ],
+        "entries": [{**jsonable(r), "falsified": r.falsified} for r in reports],
         "falsified": falsified,
     }
     return results, {}, (EXIT_FALSIFIED if falsified else EXIT_OK)

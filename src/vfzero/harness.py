@@ -67,7 +67,10 @@ class CatalogEntry:
 
 
 def _parse_region(text: str) -> Box:
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    try:
+        parts = [Fraction(p.strip()) for p in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"region has a zero denominator: {text!r}") from None
     if len(parts) != 4:
         raise ValueError(f"region needs 4 comma-separated rationals, got {text!r}")
     x0, y0, x1, y1 = parts
@@ -116,10 +119,11 @@ def _count(text: str) -> int:
 
 def load_catalog(text: str) -> list[CatalogEntry]:
     """Parse catalog entries from the INI-style catalog format; a malformed
-    catalog, a section without ``x`` or ``region``, a ``domain`` other than
-    ``plane`` or ``torus``, or an ``expected_blocks``/``expected_indices``
-    that is not an integer/a list of integers raises ``ValueError`` naming
-    the section and the key."""
+    catalog, a section without ``x`` or ``region``, or a key that does not
+    parse (``x``, ``trackers``, ``region``, a ``domain`` other than
+    ``plane`` or ``torus``, an ``expected_blocks``/``expected_indices`` that
+    is not an integer/a list of integers) raises ``ValueError`` naming the
+    section and the key."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -129,23 +133,21 @@ def load_catalog(text: str) -> list[CatalogEntry]:
     for name in cp.sections():
         sec = cp[name]
         for key in ("x", "region"):
-            if key not in sec:
+            if not sec.get(key):
                 raise ValueError(f"catalog section [{name}] has no {key!r} key")
         domain = sec.get("domain", "plane").strip()
         if domain not in ("plane", "torus"):
             raise ValueError(f"catalog section [{name}] key 'domain': {domain!r} is not 'plane' or 'torus'")
-        field = parse_field(sec["x"], domain)
-        trackers = tuple(
-            parse_field(t.strip(), domain) for t in _split_fields(sec.get("trackers", ""))
-        )
-        region = _parse_region(sec["region"])
         entries.append(
             CatalogEntry(
                 name=name,
                 domain=domain,
-                field=field,
-                trackers=trackers,
-                region=region,
+                field=_catalog_value(name, sec, "x", lambda t: parse_field(t, domain),
+                                     f"a {domain} field '(ex, ey)'"),
+                trackers=_catalog_value(
+                    name, sec, "trackers", lambda t: tuple(parse_field(f.strip(), domain) for f in _split_fields(t)),
+                    f"a ';'-separated list of {domain} fields") or (),
+                region=_catalog_value(name, sec, "region", _parse_region, "a region 'x0, y0, x1, y1' of rationals"),
                 expected_blocks=_catalog_value(name, sec, "expected_blocks", _count, "an integer >= 0"),
                 expected_indices=_catalog_value(
                     name, sec, "expected_indices", lambda t: tuple(int(v) for v in t.split(",")),
@@ -479,7 +481,8 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     tracker's zero set, and of the common zero set of all trackers, meets
     every essential block's cover, emitting witness boxes.  Each cover is
     decided by ``blocks.cover_witnesses`` on the cells around the
-    essential blocks: ``blocks.window_cells`` bisects them once per
+    essential blocks: ``blocks.window_cells`` reads a tracker equal to X
+    off the blocks' own cells and bisects the windows once for any other
     tracker, and the common zero set's cells are the intersection of the
     trackers' cells.  A zero set is isolated over the whole region only
     when its retained cells next to a block fall into two or more pieces.

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,14 @@ from vfzero import (
     builtin_catalog,
     certify_isolating,
     isolate_zeros,
+    load_catalog,
     parse_expr,
     parse_field,
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, common_zero_blocks,
-    lattice_box, piece_segment,
+    DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, bisect,
+    common_zero_blocks, lattice_box, piece_segment, window_cells,
 )
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
@@ -439,3 +442,71 @@ class TestNeighbors8:
         else:
             expected = [c for c in around if 0 <= c[0] < 8 and 0 <= c[1] < 8]
         assert list(grid.neighbors8(cell)) == expected
+
+
+def _window_entries():
+    data = Path(__file__).parent / "data"
+    return builtin_catalog() + [e for name in ("near-pair", "torus-seam")
+                                for e in load_catalog((data / f"{name}.cfg").read_text())]
+
+
+class TestWindowCells:
+    """``window_cells`` against the window cells of a whole-region
+    subdivision, on blocks that keep their isolation's problem and on the
+    same blocks without it."""
+
+    @staticmethod
+    def _isolated(entry, depth):
+        """X's blocks, and the same blocks with no problem, which must take
+        the bisection."""
+        blks = isolate_zeros(entry.field, entry.region, depth).blocks
+        return blks, [dataclasses.replace(b, problem=None) for b in blks]
+
+    @pytest.mark.parametrize("depth", range(2, 9))
+    def test_matches_whole_region_subdivision(self, depth):
+        for entry in _window_entries():
+            blks, bare = self._isolated(entry, depth)
+            grid = Grid(depth, entry.domain == "torus")
+            windows = [set(b.cells).union(*map(grid.neighbors8, b.cells)) for b in blks]
+            for field in dict.fromkeys((entry.field, *entry.trackers)):
+                retained = set(_subdivide(ZeroProblem(_field_parts(field)), entry.region, depth)[0])
+                expected = [window & retained for window in windows]
+                assert window_cells(field, blks) == expected, (entry.name, str(field))
+                assert window_cells(field, bare) == expected, (entry.name, str(field))
+            # X retains exactly its blocks' cells in their windows
+            assert window_cells(entry.field, blks) == [set(b.cells) for b in blks]
+
+    @pytest.mark.parametrize("depth", [4, 6, 8])
+    def test_one_traversal_per_call_equals_one_per_block(self, depth):
+        several = 0
+        for entry in _window_entries():
+            blks, bare = self._isolated(entry, depth)
+            if len(blks) < 2:
+                continue
+            several += 1
+            for field in dict.fromkeys((entry.field, *entry.trackers)):
+                for group in (blks, bare):
+                    assert window_cells(field, group) == [window_cells(field, [b])[0] for b in group]
+        assert several >= 5
+
+    def test_bisects_at_most_once(self, catalog, monkeypatch):
+        calls = []
+
+        def counting(piece, certify, max_level):
+            calls.append(piece)
+            return bisect(piece, certify, max_level)
+
+        monkeypatch.setattr("vfzero.blocks.bisect", counting)
+        entry = catalog["torus-grid-node"]
+        blks, bare = self._isolated(entry, 5)
+        assert len(blks) == 4
+        for field, group, expected in [
+            (entry.field, blks, 0),  # X's own cells
+            (entry.field, bare, 1),
+            (entry.field, [blks[0], bare[1]], 1),
+            (entry.trackers[0], blks, 1),
+            (entry.field, [], 0),
+        ]:
+            calls.clear()
+            window_cells(field, group)
+            assert len(calls) == expected, (str(field), len(group))

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from vfzero import Box, isolate_zeros, parse_field
-from vfzero.cli import run_command
+from vfzero.cli import _block_summary, run_command
+from vfzero.harness import MainTheoremReport, Witness
+from vfzero.winding import IndexReport, LoopWinding
 
 from oracles import dense_loop_winding, fraction_loop_winding
 
@@ -181,16 +184,59 @@ class TestArtifacts:
         for blk in doc["results"]["blocks"]:
             assert sum(lp["winding"] for lp in blk["loops"]) == blk["index"]
 
+    def test_reports_serialize_the_dataclasses(self, tmp_path):
+        # each verify main entry is a MainTheoremReport with its falsified
+        # flag, and each index block a block summary with its IndexReport
+        _, doc, _ = run_json(["verify", "main", "--entry", "torus-grid-node", "--depth", "5"], tmp_path)
+        entry = doc["results"]["entries"][0]
+        assert set(entry) == _field_names(MainTheoremReport) | {"falsified"}
+        assert entry["witnesses"] and all(set(w) == _field_names(Witness) for w in entry["witnesses"])
+        _, doc, _ = run_json(["index", "--field", "(x, y)", "--region", "-1,-1,1,1", "--depth", "4"],
+                             tmp_path, "index.json")
+        (blk,) = isolate_zeros(parse_field("(x, y)"), Box.from_corners(-1, -1, 1, 1), 4).blocks
+        (summary,) = doc["results"]["blocks"]
+        assert set(summary) == set(_block_summary(blk)) | _field_names(IndexReport)
+        assert summary["loops"] and all(set(lp) == _field_names(LoopWinding) for lp in summary["loops"])
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
 
 class TestExitCodes:
     def test_usage_error_bad_expression(self, capsys):
         assert run_command(["index", "--field", "(x, ++)"]) == 3
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("region", ["1,2,3", "1,1,0,0"])
+    # a zero denominator used to escape as a ZeroDivisionError, exit 1
+    @pytest.mark.parametrize("region", ["1,2,3", "1,1,0,0", "0,0,1/0,1"])
     def test_usage_error_bad_region(self, region, capsys):
         assert run_command(["index", "--field", "(x, y)", "--region", region]) == 3
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ph", "--field", "(sin2px, sin2py)", "--domain", "torus", "--region", "0,0,1/2,1"],
+         "verify ph sums the indices over the whole torus; --region must be 0,0,1,1"),
+        (["main", "--entry", "linear-node", "--region", "5,5,6,6"],
+         "verify main takes each entry's region from the catalog; --region is not allowed"),
+        (["main", "--entry", "linear-node", "--region", "-1,-1,1,1"],
+         "verify main takes each entry's region from the catalog; --region is not allowed"),
+    ], ids=["ph-half-torus", "main-elsewhere", "main-catalog-region"])
+    def test_usage_error_ignored_region(self, argv, message, tmp_path, capsys):
+        # both used to exit 0 on a region of their own, printing the given
+        # one in the report's config
+        out = tmp_path / "report.json"
+        assert run_command(["verify", *argv, "--depth", "4", "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_ph_whole_torus_region(self, tmp_path):
+        code, doc, _ = run_json(
+            ["verify", "ph", "--field", "(sin2px, sin2py)", "--domain", "torus",
+             "--region", "0, 0, 2/2, 1", "--depth", "4"], tmp_path
+        )
+        assert code == 0
+        assert len(doc["results"]["blocks"]) == 4
 
     def test_usage_error_unknown_option(self, capsys):
         assert run_command(["index", "--nope", "1"]) == 3
@@ -291,12 +337,22 @@ class TestExitCodes:
         ("expected_blocks", "-1", "catalog section [bad] key 'expected_blocks': '-1' is not an integer >= 0"),
         ("expected_indices", "1, x", "catalog section [bad] key 'expected_indices': '1, x' is not "
                                      "a comma-separated list of integers"),
-    ], ids=["domain", "blocks-word", "blocks-negative", "indices"])
+        ("x", "(x, y", "catalog section [bad] key 'x': '(x, y' is not a plane field '(ex, ey)'"),
+        ("trackers", "(x, y) ; (z, y)", "catalog section [bad] key 'trackers': '(x, y) ; (z, y)' is not "
+                                        "a ';'-separated list of plane fields"),
+        ("region", "a, 0, 1, 1", "catalog section [bad] key 'region': 'a, 0, 1, 1' is not "
+                                 "a region 'x0, y0, x1, y1' of rationals"),
+        ("region", "0, 0, 1/0, 1", "catalog section [bad] key 'region': '0, 0, 1/0, 1' is not "
+                                   "a region 'x0, y0, x1, y1' of rationals"),
+    ], ids=["domain", "blocks-word", "blocks-negative", "indices", "field", "trackers", "region",
+            "region-zero-denominator"])
     def test_usage_error_bad_catalog_value(self, key, value, message, tmp_path, capsys):
         # an unknown domain used to be refused as a torus generator error,
-        # and a bad count with int()'s bare message
+        # a bad count with int()'s bare message, and a bad field, tracker
+        # or region with the parser's message, which named no section
+        sec = {"x": "(x, y)", "region": "-1, -1, 1, 1", "tags": "main", key: value}
         path = tmp_path / "catalog.cfg"
-        path.write_text(f"[bad]\nx = (x, y)\nregion = -1, -1, 1, 1\ntags = main\n{key} = {value}\n")
+        path.write_text("[bad]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items()))
         assert run_command(["verify", "main", "--catalog", str(path), "--depth", "4"]) == 3
         err = capsys.readouterr().err
         assert "usage error" in err and message in err
