@@ -60,6 +60,13 @@ miss; one 8-connected piece lies in the one block of the zero set that
 meets the block, and gives the witness; two or more pieces leave the
 choice to the block order of the whole region, so only then is the zero
 set isolated over the whole region.
+
+Blocks are built from given cells by ``cell_blocks``: the 8-connected
+components of a whole-region subdivision's retained cells, or of the
+retained window cells of another field's blocks, which is how
+``harness.main_theorem_check`` builds X's blocks around the zeros of
+V = X / g only.  ``sign_change_leaf`` finds an empty leaf away from every
+block on whose edges a scalar changes sign.
 """
 
 from __future__ import annotations
@@ -634,23 +641,33 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     if region.x.width() <= 0 or region.y.width() <= 0:
         raise ValueError("region must have positive width and height")
     retained, empties = _subdivide(problem, region, max_depth)
-    grid = Grid(max_depth, torus)
+    blocks = cell_blocks(problem, region, max_depth, retained)
+    return IsolationResult(blocks, tuple(empties), region, max_depth)
+
+
+def cell_blocks(problem: ZeroProblem, region: Box, depth: int,
+                cells: Collection[Cell]) -> tuple[ZeroBlock, ...]:
+    """The blocks of the problem whose cells are the 8-connected
+    components of the given cells at ``depth`` of the region's lattice,
+    labelled K0, K1, ... in ``_components`` order, each with its boundary
+    loops and the ``coarse`` flag of the problem's loop certificates."""
+    grid = Grid(depth, problem.domain == "torus")
     blocks = []
-    for k, cells in enumerate(_components(grid, retained)):
-        boundary = _boundary_loops(grid, cells, region)
+    for k, comp in enumerate(_components(grid, cells)):
+        boundary = _boundary_loops(grid, comp, region)
         blocks.append(
             ZeroBlock(
                 label=f"K{k}",
                 domain=problem.domain,
                 region=region,
-                resolution=max_depth,
-                cells=tuple(cells),
+                resolution=depth,
+                cells=tuple(comp),
                 boundary=boundary,
                 coarse=not certify_boundary(problem, boundary).ok,
                 problem=problem,
             )
         )
-    return IsolationResult(tuple(blocks), tuple(empties), region, max_depth)
+    return tuple(blocks)
 
 
 def isolate_zeros(field: VectorField, region: Box, max_depth: int) -> IsolationResult:
@@ -684,6 +701,33 @@ def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
     if len({f.domain for f in fields}) != 1:
         raise ValueError("generators live on different domains")
     return ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
+
+
+def sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicCell]:
+    """The first certified-empty leaf of a plane isolation, in traversal
+    order, whose closed box shares no point with any block's closed cells
+    and at two of whose corners the expression's enclosures have opposite
+    strict signs, or None.  The continuous expression then vanishes on the
+    leaf's edges, outside every block."""
+    region, depth = isolation.region, isolation.max_depth
+    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
+    wx, wy = bx - ax, by - ay
+    kernel = expr.dyadic_kernel().range_dyadic
+    block_cells = [c for blk in isolation.blocks for c in blk.cells]
+    for (i, j, level), _, _ in isolation.empty_cells:
+        # the leaf's cells at ``depth`` run over [i0, i1] x [j0, j1]; a
+        # closed cell meets the closed leaf when it is one of them or next
+        # to one
+        s = depth - level
+        i0, j0, i1, j1 = i << s, j << s, ((i + 1) << s) - 1, ((j + 1) << s) - 1
+        if any(i0 - 1 <= a <= i1 + 1 and j0 - 1 <= b <= j1 + 1 for a, b in block_cells):
+            continue
+        x0, y0 = (ax << level) + i * wx, (ay << level) + j * wy
+        signs = {strict_sign(kernel((x, x, ex + level), (y, y, ey + level), q))
+                 for x in (x0, x0 + wx) for y in (y0, y0 + wy)}
+        if {-1, 1} <= signs:
+            return DyadicCell(i, j, level)
+    return None
 
 
 # ``bisect``'s certificate for a cell that is no ancestor of a window cell

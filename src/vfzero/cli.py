@@ -169,6 +169,8 @@ def _cmd_verify_ph(args):
 def _cmd_verify_main(args):
     if args.region is not None:
         raise UsageError("verify main takes each entry's region from the catalog; --region is not allowed")
+    if args.domain != "plane":
+        raise UsageError("verify main takes each entry's domain from the catalog; --domain is not allowed")
     if args.catalog:
         with open(args.catalog) as fh:
             entries = load_catalog(fh.read())

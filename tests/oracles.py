@@ -22,7 +22,9 @@ every pair of boxes of two blocks, to check the witnesses that
 ``ZeroBlock.overlap_box`` reads off cell indices; ``box_block`` builds
 a block of one given box, a hand-made isolating neighbourhood; ``full_cover`` decides
 every cover of the common-zero theorem over the whole region, to check
-the window decision of ``blocks.cover_witnesses`` against.  The
+the window decision of ``blocks.cover_witnesses`` against, and
+``factor_cover`` maps its report to the factored form, to check the
+factored path of ``main_theorem_check`` against.  The
 reference loop
 winding, ``fraction_loop_winding``,
 is certified atan2 angle accumulation from ``Interval`` cross and dot
@@ -44,6 +46,7 @@ bracket composed of ``Expr`` ring operations (``derive``, ``*``, ``+``,
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -490,6 +493,36 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
         witnesses=tuple(witnesses),
         missed=tuple(missed),
         conclusion_holds=not missed,
+    )
+
+
+def factor_cover(entry, report: MainTheoremReport, max_depth: int = 8) -> MainTheoremReport:
+    """A whole-region report (``full_cover``) in the form that the
+    factored path of ``main_theorem_check`` gives: with V = X / g for the
+    gcd g of X's components (sympy's, through ``ref_poly_gcd``), every
+    whole-region block of X that shares no cell with a block of V's
+    isolation must have index 0 and is dropped, ("G", 0) goes first, and
+    the other blocks are relabelled K0, K1, ... in order, in
+    ``essential_blocks``, ``witnesses`` and ``missed`` too."""
+    f = entry.field
+    g = ref_poly_gcd(f.cx, f.cy)
+    v = VectorField(ref_divide_exact(f.cx, g), ref_divide_exact(f.cy, g))
+    v_cells = {c for blk in isolate_zeros(v, entry.region, max_depth).blocks for c in blk.cells}
+    relabel = {}
+    for blk, (label, ix) in zip(isolate_zeros(f, entry.region, max_depth).blocks, report.block_indices,
+                                strict=True):
+        assert blk.label == label
+        if v_cells.isdisjoint(blk.cells):
+            assert ix == 0, (entry.name, label, ix)
+        else:
+            relabel[label] = f"K{len(relabel)}"
+    return dataclasses.replace(
+        report,
+        block_indices=(("G", 0),) + tuple((relabel[label], ix) for label, ix in report.block_indices
+                                          if label in relabel),
+        essential_blocks=tuple(relabel[label] for label in report.essential_blocks),
+        witnesses=tuple(Witness(w.tracker, relabel[w.block], w.box) for w in report.witnesses),
+        missed=tuple((tag, relabel[label]) for tag, label in report.missed),
     )
 
 

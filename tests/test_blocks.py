@@ -22,7 +22,7 @@ from vfzero import (
 )
 from vfzero.blocks import (
     DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, bisect,
-    common_zero_blocks, lattice_box, piece_segment, window_cells,
+    cell_blocks, common_zero_blocks, lattice_box, piece_segment, sign_change_leaf, window_cells,
 )
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
@@ -31,6 +31,7 @@ from conftest import plane_fields, torus_polys
 from oracles import (
     box_block,
     box_overlap,
+    exact_value,
     fraction_boundary_loops,
     fraction_cell_box,
     fraction_empty_certificate,
@@ -510,3 +511,37 @@ class TestWindowCells:
             calls.clear()
             window_cells(field, group)
             assert len(calls) == expected, (str(field), len(group))
+
+
+class TestSignChangeLeaf:
+    """``sign_change_leaf``: an empty leaf away from every block with
+    corners of opposite sign, checked on exact corner values."""
+
+    @pytest.mark.parametrize("depth", [4, 6, 10])
+    def test_leaf_off_the_blocks_with_a_sign_change(self, depth):
+        iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
+        g = parse_expr("x^2 + y^2 - 1")
+        i, j, level = sign_change_leaf(g, iso)
+        box = lattice_box(REGION2, level, i, j, i, j)
+        assert (i, j, level) in [cell for cell, _, _ in iso.empty_cells]
+        for blk in iso.blocks:
+            hull = blk.hull()
+            assert (box.x.hi < hull.x.lo or hull.x.hi < box.x.lo
+                    or box.y.hi < hull.y.lo or hull.y.hi < box.y.lo)
+        signs = {exact_value(g, (x, y)) > 0 for x in (box.x.lo, box.x.hi) for y in (box.y.lo, box.y.hi)}
+        assert signs == {True, False}
+
+    def test_no_sign_change(self):
+        iso = isolate_zeros(parse_field("(x, y)"), REGION2, 6)
+        assert sign_change_leaf(parse_expr("x^2 + y^2 + 1"), iso) is None
+        # the circle of radius 1/64 lies inside the block's cells and their ring
+        assert sign_change_leaf(parse_expr("x^2 + y^2 - 1/4096"), iso) is None
+
+
+class TestCellBlocks:
+    def test_whole_region_cells_give_the_isolation(self, catalog):
+        for entry in catalog.values():
+            iso = isolate_zeros(entry.field, entry.region, 6)
+            cells = [c for blk in iso.blocks for c in blk.cells]
+            problem = ZeroProblem(_field_parts(entry.field))
+            assert cell_blocks(problem, entry.region, 6, cells) == iso.blocks, entry.name

@@ -221,10 +221,15 @@ class TestExitCodes:
          "verify main takes each entry's region from the catalog; --region is not allowed"),
         (["main", "--entry", "linear-node", "--region", "-1,-1,1,1"],
          "verify main takes each entry's region from the catalog; --region is not allowed"),
-    ], ids=["ph-half-torus", "main-elsewhere", "main-catalog-region"])
+        (["main", "--domain", "torus"],
+         "verify main takes each entry's domain from the catalog; --domain is not allowed"),
+        (["main", "--entry", "torus-grid-node", "--domain", "torus"],
+         "verify main takes each entry's domain from the catalog; --domain is not allowed"),
+    ], ids=["ph-half-torus", "main-elsewhere", "main-catalog-region", "main-torus-domain",
+            "main-torus-entry-domain"])
     def test_usage_error_ignored_region(self, argv, message, tmp_path, capsys):
-        # both used to exit 0 on a region of their own, printing the given
-        # one in the report's config
+        # each used to exit 0 on a region or domain of its own, printing the
+        # given one in the report's config
         out = tmp_path / "report.json"
         assert run_command(["verify", *argv, "--depth", "4", "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
@@ -444,6 +449,14 @@ class TestCustomCatalog:
         entry = doc["results"]["entries"][0]
         assert entry["entry"] == "user-node"
         assert entry["hypotheses_ok"] and entry["conclusion_holds"]
+
+    @pytest.mark.parametrize("name", ["cross", "through"])
+    def test_factor_curve_on_region_boundary(self, name, capsys):
+        # g vanishes on the region boundary, so Z(X) is isolated over the
+        # whole region, whose block K0 runs into that boundary: exit 2
+        cat = Path(__file__).parent / "data" / "factor-edges.cfg"
+        assert run_command(["verify", "main", "--catalog", str(cat), "--entry", name, "--depth", "8"]) == 2
+        assert f"coarse block K0 in {name}" in capsys.readouterr().err
 
     def test_torus_seam_catalog(self, tmp_path):
         # the essential blocks K0 and K1 meet the tracker's blocks only

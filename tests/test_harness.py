@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +21,10 @@ from vfzero import (
 )
 from vfzero import blocks
 from vfzero.blocks import piece_segment
-from vfzero.harness import TORUS_SQUARE, _boundary_pieces, _random_perturbation
+from vfzero.cli import run_command
+from vfzero.harness import FACTOR_REST, TORUS_SQUARE, _boundary_pieces, _random_perturbation
 
-from oracles import full_cover, range_on_fractions
+from oracles import factor_cover, full_cover, range_on_fractions
 
 
 class TestCatalog:
@@ -241,10 +243,21 @@ class TestCoverWindow:
 
     @pytest.mark.parametrize("depth", range(2, 10))
     def test_same_report_as_whole_region(self, depth):
-        entries = builtin_catalog() + load_catalog((DATA / "torus-seam.cfg").read_text())
-        assert len(entries) == 20
+        # a factored report, which starts with ("G", 0), is the whole-region
+        # one without the blocks away from V's zeros, all of index 0
+        edges = [e for e in load_catalog((DATA / "factor-edges.cfg").read_text())
+                 if e.name not in ("cross", "through")]
+        entries = builtin_catalog() + load_catalog((DATA / "torus-seam.cfg").read_text()) + edges
+        assert len(entries) == 23
+        factored = set()
         for entry in entries:
-            assert main_theorem_check(entry, depth) == full_cover(entry, depth), entry.name
+            rep = main_theorem_check(entry, depth)
+            whole = full_cover(entry, depth)
+            if rep.block_indices[:1] == (FACTOR_REST,):
+                factored.add(entry.name)
+                whole = factor_cover(entry, whole, depth)
+            assert rep == whole, entry.name
+        assert factored == ({"annulus-node", "two-circles"} if depth >= 5 else set())
 
     @pytest.mark.parametrize("depth", [6, 7])
     def test_two_pieces_fall_back_to_whole_region(self, monkeypatch, depth):
@@ -270,3 +283,61 @@ class TestCoverWindow:
             assert isolated == []
             assert y0_k0 == []
             assert rep.missed == (("Y0", "K0"), ("common", "K0"))
+
+
+class TestFactoredPath:
+    """``main_theorem_check`` on X = g*V with a nonconstant gcd g of X's
+    components: X's blocks only around V's zeros and the rest of Z(X) as
+    ("G", 0), or the whole-region isolation when a rule fails
+    (``tests/data/factor-edges.cfg``)."""
+
+    @pytest.fixture(scope="class")
+    def edges(self):
+        return {e.name: e for e in load_catalog((DATA / "factor-edges.cfg").read_text())}
+
+    @pytest.mark.parametrize("name", ["cross", "through"])
+    def test_factor_curve_on_region_boundary_stays_coarse(self, edges, name):
+        # g vanishes on the region boundary; without that rule "cross" would
+        # pass, with its circle reported as part of G
+        with pytest.raises(CertificationError, match=f"^coarse block K0 in {name}$"):
+            main_theorem_check(edges[name], 8)
+
+    @pytest.mark.parametrize("depth, sha256", [
+        (6, "6c222d52ed553d8d9a791d65cba3bfdd755742c349f3b13efc8fe26b1892b87a"),
+        (10, "5254c563e9a36b66c23063ece55b13f0bbc5713c83fd1d29d827009c328075a7"),
+    ])
+    def test_factor_without_real_zero_keeps_report(self, monkeypatch, tmp_path, depth, sha256):
+        # g = x^2 + y^2 + 1 changes sign nowhere: the report recorded before
+        # the factored path existed
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "report.json"
+        argv = ["verify", "main", "--catalog", "factor-edges.cfg", "--entry", "nozero", "--depth", str(depth)]
+        assert run_command(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("depth", [6, 8, 10])
+    def test_two_circles(self, edges, depth):
+        entry = edges["two-circles"]
+        rep = main_theorem_check(entry, depth)
+        whole = full_cover(entry, depth)
+        assert rep.block_indices == (("G", 0), ("K0", 1))
+        assert whole.block_indices == ((("K0", 0), ("K1", 1)) if depth == 6 else
+                                       (("K0", 0), ("K1", 0), ("K2", 1)))
+        assert [(w.tracker, w.box) for w in rep.witnesses] == [(w.tracker, w.box) for w in whole.witnesses]
+        assert rep.missed == ()
+
+    def test_circle_through_zero_of_v(self, edges):
+        # X's retained cells run out of V's block along the circle, so the
+        # whole-region isolation decides: one block of index 1
+        entry = edges["ring-through"]
+        for depth in (4, 8):
+            rep = main_theorem_check(entry, depth)
+            assert rep == full_cover(entry, depth)
+            assert rep.block_indices == (("K0", 1),)
+
+    def test_annulus_deep(self, catalog):
+        rep = main_theorem_check(catalog["annulus-node"], 13)
+        assert rep.block_indices == (("G", 0), ("K0", 1))
+        assert rep.essential_blocks == ("K0",) and rep.missed == ()
+        corner = Fraction(-1, 2048)
+        assert {w.box for w in rep.witnesses} == {Box.from_corners(corner, corner, 0, 0)}
