@@ -61,12 +61,10 @@ meets the block, and gives the witness; two or more pieces leave the
 choice to the block order of the whole region, so only then is the zero
 set isolated over the whole region.
 
-Blocks are built from given cells by ``cell_blocks``: the 8-connected
-components of a whole-region subdivision's retained cells, or of the
-retained window cells of another field's blocks, which is how
-``harness.main_theorem_check`` builds X's blocks around the zeros of
-V = X / g only.  ``sign_change_leaf`` finds an empty leaf away from every
-block on whose edges a scalar changes sign.
+Two scalar checks on an isolation serve the factored path of
+``harness.main_theorem_check``: ``sign_change_leaf`` finds an empty leaf
+away from every block on whose edges a scalar changes sign, and
+``excludes_zero_on`` certifies that a scalar has no zero on the blocks.
 """
 
 from __future__ import annotations
@@ -641,33 +639,23 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     if region.x.width() <= 0 or region.y.width() <= 0:
         raise ValueError("region must have positive width and height")
     retained, empties = _subdivide(problem, region, max_depth)
-    blocks = cell_blocks(problem, region, max_depth, retained)
-    return IsolationResult(blocks, tuple(empties), region, max_depth)
-
-
-def cell_blocks(problem: ZeroProblem, region: Box, depth: int,
-                cells: Collection[Cell]) -> tuple[ZeroBlock, ...]:
-    """The blocks of the problem whose cells are the 8-connected
-    components of the given cells at ``depth`` of the region's lattice,
-    labelled K0, K1, ... in ``_components`` order, each with its boundary
-    loops and the ``coarse`` flag of the problem's loop certificates."""
-    grid = Grid(depth, problem.domain == "torus")
+    grid = Grid(max_depth, torus)
     blocks = []
-    for k, comp in enumerate(_components(grid, cells)):
+    for k, comp in enumerate(_components(grid, retained)):
         boundary = _boundary_loops(grid, comp, region)
         blocks.append(
             ZeroBlock(
                 label=f"K{k}",
                 domain=problem.domain,
                 region=region,
-                resolution=depth,
+                resolution=max_depth,
                 cells=tuple(comp),
                 boundary=boundary,
                 coarse=not certify_boundary(problem, boundary).ok,
                 problem=problem,
             )
         )
-    return tuple(blocks)
+    return IsolationResult(tuple(blocks), tuple(empties), region, max_depth)
 
 
 def isolate_zeros(field: VectorField, region: Box, max_depth: int) -> IsolationResult:
@@ -730,6 +718,15 @@ def sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicC
     return None
 
 
+def excludes_zero_on(expr: Expr, isolation: IsolationResult) -> bool:
+    """Whether the expression's enclosure excludes zero on every cell of
+    every block of the isolation, so that it has no zero on the blocks'
+    closed cell unions."""
+    certify = _cell_certifier(ZeroProblem([("value", expr)]), isolation.region)
+    return all(certify(DyadicCell(i, j, isolation.max_depth)) is not None
+               for blk in isolation.blocks for i, j in blk.cells)
+
+
 # ``bisect``'s certificate for a cell that is no ancestor of a window cell
 _OUT_OF_SCOPE = ("out of scope", None)
 
@@ -751,8 +748,8 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     cell reaches the cells of all windows, with every cell that is no
     quadtree ancestor of a window cell out of scope; whether a window cell
     is retained does not depend on the other cells in scope."""
-    parts = _field_parts(field)
-    if all(blk.problem is not None and blk.problem.components == parts for blk in blocks):
+    problems = [field_problem(field, blk) for blk in blocks]
+    if all(problem is blk.problem for problem, blk in zip(problems, blocks)):
         return [set(blk.cells) for blk in blocks]
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
     windows = [set(blk.cells).union(*map(grid.neighbors8, blk.cells)) for blk in blocks]
@@ -761,7 +758,7 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     for level in range(depth, -1, -1):
         scope.update((i, j, level) for i, j in level_cells)
         level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
-    certify = _cell_certifier(ZeroProblem(parts), region)
+    certify = _cell_certifier(problems[0], region)
 
     def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
         return certify(cell) if cell in scope else _OUT_OF_SCOPE

@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 from .blocks import (
     ZeroBlock,
     ZeroProblem,
-    _field_parts,
-    cell_blocks,
     cover_witnesses,
     enclose,
+    excludes_zero_on,
     field_problem,
     isolate_zeros,
     lattice_box,
@@ -470,7 +469,8 @@ class MainTheoremReport:
     order.  On the factored path (``main_theorem_check``) it starts with
     ("G", 0): the rest of Z(X), all of it on Z(g), away from Z(V) and
     outside the reported blocks, with total index 0; the blocks K0, K1, ...
-    that follow are X's blocks around the zeros of V."""
+    that follow are the blocks of V = X / g, on which X has V's zeros and
+    V's indices."""
 
     entry: str
     tracker_statuses: tuple[str, ...]
@@ -490,23 +490,22 @@ class MainTheoremReport:
 FACTOR_REST = ("G", 0)
 
 
-def _factored_blocks(field: VectorField, region: Box, max_depth: int) -> Optional[tuple[ZeroBlock, ...]]:
-    """X's blocks around the zeros of V = X / g, for the gcd g of a plane
+def _factored_blocks(field: VectorField, region: Box,
+                     max_depth: int) -> Optional[tuple[VectorField, tuple[ZeroBlock, ...]]]:
+    """V = X / g and the blocks of V's isolation, for the gcd g of a plane
     X's components when g is not constant in x and y, or None when the
     whole-region isolation must decide.
 
     Where V is nonzero, X = g V winds as V does on any loop where X is
     nonzero (g has one sign there), so every block of Z(X) away from Z(V)
-    has index 0.  The blocks returned are those of a whole-region
-    isolation of X that meet V's blocks, relabelled K0, K1, ...; the
-    rest of Z(X) is reported as one index-0 part.  Taken only when
-    1. g is certified nonzero on the region boundary, so Z(g) stays
-       off it and the index-0 argument holds for every part of Z(g);
+    has index 0, and on a closed cell union where g is nonzero Z(X) is
+    Z(V) and X's index is V's: V's blocks are X's blocks around the zeros
+    of V, and the rest of Z(X) is one index-0 part.  Taken only when
+    1. g is certified nonzero on the region boundary, so Z(g) stays off it
+       and the index-0 argument holds for every part of Z(g);
     2. V's isolation at ``max_depth`` has no coarse block;
-    3. X's retained window cells (``window_cells``) of every V block are
-       the block's own cells, so X's retained cells next to a V block lie
-       in it, and each 8-connected component of them is a whole-region
-       block of X;
+    3. g's enclosure excludes zero on every cell of V's blocks
+       (``excludes_zero_on``);
     4. a certified-empty leaf of V's isolation away from V's blocks has
        corners where g has opposite signs (``sign_change_leaf``), so the
        rest of Z(X) is not empty."""
@@ -520,13 +519,10 @@ def _factored_blocks(field: VectorField, region: Box, max_depth: int) -> Optiona
         return None
     v = VectorField(divide_exact(field.cx, g), divide_exact(field.cy, g))
     v_isolation = isolate_zeros(v, region, max_depth)
-    v_blocks = v_isolation.blocks
-    if any(blk.coarse for blk in v_blocks) or sign_change_leaf(g, v_isolation) is None:
+    if (any(blk.coarse for blk in v_isolation.blocks) or sign_change_leaf(g, v_isolation) is None
+            or not excludes_zero_on(g, v_isolation)):
         return None
-    kept = window_cells(field, v_blocks)
-    if any(not cells <= set(blk.cells) for blk, cells in zip(v_blocks, kept)):
-        return None
-    return cell_blocks(ZeroProblem(_field_parts(field)), region, max_depth, set().union(*kept))
+    return v, v_isolation.blocks
 
 
 def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremReport:
@@ -538,36 +534,35 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     every essential block's cover, emitting witness boxes.
 
     Z(X) is isolated over the whole region unless X is a plane field whose
-    components have a gcd g that is not constant in x and y.  Then X's
-    blocks are built only around the zeros of V = X / g when the four
-    rules of ``_factored_blocks`` hold, and ``block_indices`` starts with
-    ("G", 0), the rest of Z(X): it lies on Z(g) away from Z(V), where X
-    winds as V does, so its index is 0 and it holds no essential block.
-    The blocks around V's zeros have the cells, indices and witnesses of
-    a whole-region isolation.
+    components have a gcd g that is not constant in x and y.  Then, when
+    the four rules of ``_factored_blocks`` hold, X's blocks are those of
+    V = X / g, with V's indices (read off V's loop certificates), X is
+    never enclosed, and ``block_indices`` starts with ("G", 0), the rest
+    of Z(X): it lies on Z(g) away from Z(V), where X winds as V does, so
+    its index is 0 and it holds no essential block.
 
     Each cover is decided by ``blocks.cover_witnesses`` on the cells
     around the essential blocks: ``blocks.window_cells`` reads a tracker
-    equal to X off the blocks' own cells and bisects the windows once for
-    any other tracker, and the common zero set's cells are the
-    intersection of the trackers' cells.  A zero set is isolated over the
-    whole region only when its retained cells next to a block fall into
-    two or more pieces.  When a tracker fails the tracking hypothesis the
+    equal to the field the blocks were isolated for (X, or V) off the
+    blocks' own cells and bisects the windows once for any other tracker,
+    and the common zero set's cells are the intersection of the trackers'
+    cells.  A zero set is isolated over the whole region only when its
+    retained cells next to a block fall into two or more pieces.  When a tracker fails the tracking hypothesis the
     conclusion is still evaluated and reported (negative controls).
     """
     reports: list[TrackReport] = [track_check(y, entry.field) for y in entry.trackers]
     statuses = tuple(r.status for r in reports)
     hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
 
-    x_blocks = _factored_blocks(entry.field, entry.region, max_depth)
-    if x_blocks is None:
-        rest, x_blocks = (), isolate_zeros(entry.field, entry.region, max_depth).blocks
+    factored = _factored_blocks(entry.field, entry.region, max_depth)
+    if factored is None:
+        rest, v, x_blocks = (), entry.field, isolate_zeros(entry.field, entry.region, max_depth).blocks
     else:
-        rest = (FACTOR_REST,)
+        rest, (v, x_blocks) = (FACTOR_REST,), factored
     for blk in x_blocks:
         if blk.coarse:
             raise CertificationError(f"coarse block {blk.label} in {entry.name}")
-    indices = rest + tuple((blk.label, block_index(entry.field, blk).index) for blk in x_blocks)
+    indices = rest + tuple((blk.label, block_index(v, blk).index) for blk in x_blocks)
     essential = tuple(label for label, ix in indices if ix != 0)
     essential_blocks = [blk for blk in x_blocks if blk.label in essential]
 

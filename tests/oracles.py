@@ -24,7 +24,10 @@ a block of one given box, a hand-made isolating neighbourhood; ``full_cover`` de
 every cover of the common-zero theorem over the whole region, to check
 the window decision of ``blocks.cover_witnesses`` against, and
 ``factor_cover`` maps its report to the factored form, to check the
-factored path of ``main_theorem_check`` against.  The
+factored path of ``main_theorem_check`` against; ``v_cover`` decides the
+same covers on the blocks of V = X / g's isolation, with X's indices on
+them from X's own loop certificates, for the depths where the
+whole-region isolation of X merges a curve of g with a zero of V.  The
 reference loop
 winding, ``fraction_loop_winding``,
 is certified atan2 angle accumulation from ``Interval`` cross and dot
@@ -455,16 +458,39 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
     whole-region check that ``blocks.cover_witnesses`` replaced with the
     cells around each essential block, and that the intersection of the
     trackers' window cells replaced for the common zero set."""
-    reports = [track_check(y, entry.field) for y in entry.trackers]
-    statuses = tuple(r.status for r in reports)
-    hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
     isolation = isolate_zeros(entry.field, entry.region, max_depth)
     for blk in isolation.blocks:
         if blk.coarse:
             raise CertificationError(f"coarse block {blk.label} in {entry.name}")
     indices = tuple((blk.label, block_index(entry.field, blk).index) for blk in isolation.blocks)
+    return _whole_region_covers(entry, isolation.blocks, indices, max_depth, {entry.field: isolation})
+
+
+def v_cover(entry, max_depth: int = 8) -> MainTheoremReport:
+    """``full_cover``'s covers on the blocks of V = X / g, for the gcd g
+    of X's components (sympy's, through ``ref_poly_gcd``), in the form of
+    the factored path: ("G", 0) first, then each of V's blocks with X's
+    index on it, computed from a new zero problem of X and not from V's
+    loop certificates."""
+    f = entry.field
+    g = ref_poly_gcd(f.cx, f.cy)
+    v = VectorField(ref_divide_exact(f.cx, g), ref_divide_exact(f.cy, g))
+    v_blocks = isolate_zeros(v, entry.region, max_depth).blocks
+    indices = (("G", 0),) + tuple(
+        (blk.label, block_index(f, dataclasses.replace(blk, problem=None)).index) for blk in v_blocks)
+    return _whole_region_covers(entry, v_blocks, indices, max_depth, {})
+
+
+def _whole_region_covers(entry, blocks, indices, max_depth: int, isolated: dict) -> MainTheoremReport:
+    """The report of ``main_theorem_check`` with the given blocks of Z(X)
+    and their (label, index) pairs, each cover decided from the blocks of
+    a whole-region isolation; ``isolated`` maps fields to isolations
+    already at hand."""
+    reports = [track_check(y, entry.field) for y in entry.trackers]
+    statuses = tuple(r.status for r in reports)
+    hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
     essential = tuple(label for label, ix in indices if ix != 0)
-    essential_blocks = [blk for blk in isolation.blocks if blk.label in essential]
+    essential_blocks = [blk for blk in blocks if blk.label in essential]
     witnesses, missed = [], []
 
     def check_cover(tag, zero_blocks):
@@ -475,7 +501,6 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
             else:
                 witnesses.append(Witness(tag, blk.label, w))
 
-    isolated = {entry.field: isolation}
     for k, y in enumerate(entry.trackers):
         if y.is_zero:
             raise ValueError(f"tracker {k} of {entry.name} is the zero field")

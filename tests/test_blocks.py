@@ -22,7 +22,7 @@ from vfzero import (
 )
 from vfzero.blocks import (
     DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, bisect,
-    cell_blocks, common_zero_blocks, lattice_box, piece_segment, sign_change_leaf, window_cells,
+    common_zero_blocks, excludes_zero_on, lattice_box, piece_segment, sign_change_leaf, window_cells,
 )
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
@@ -538,10 +538,30 @@ class TestSignChangeLeaf:
         assert sign_change_leaf(parse_expr("x^2 + y^2 - 1/4096"), iso) is None
 
 
-class TestCellBlocks:
-    def test_whole_region_cells_give_the_isolation(self, catalog):
-        for entry in catalog.values():
-            iso = isolate_zeros(entry.field, entry.region, 6)
-            cells = [c for blk in iso.blocks for c in blk.cells]
-            problem = ZeroProblem(_field_parts(entry.field))
-            assert cell_blocks(problem, entry.region, 6, cells) == iso.blocks, entry.name
+class TestExcludesZeroOn:
+    """``excludes_zero_on``: a scalar's enclosure excludes zero on every
+    cell of an isolation's blocks, checked against the exact value at each
+    cell's corners and centre."""
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    def test_factor_through_zero_of_v(self, depth):
+        # g = x^2 - 2x + y^2 vanishes at the origin, in V = (x, y)'s block
+        edges = load_catalog((Path(__file__).parent / "data" / "factor-edges.cfg").read_text())
+        (entry,) = [e for e in edges if e.name == "ring-through"]
+        iso = isolate_zeros(parse_field("(x, y)"), entry.region, depth)
+        assert not excludes_zero_on(parse_expr("x^2 - 2*x + y^2"), iso)
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    def test_factor_away_from_zero_of_v(self, depth):
+        iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
+        g = parse_expr("x^2 + y^2 - 1")
+        assert excludes_zero_on(g, iso)
+        for blk in iso.blocks:
+            for box in blk.boxes:
+                (cx, cy) = box.midpoint()
+                points = [(x, y) for x in (box.x.lo, box.x.hi) for y in (box.y.lo, box.y.hi)] + [(cx, cy)]
+                assert {exact_value(g, p) < 0 for p in points} == {True}
+
+    def test_no_block(self):
+        # V = (1, y) has no zero in the region
+        assert excludes_zero_on(parse_expr("x"), isolate_zeros(parse_field("(1, y)"), REGION2, 4))

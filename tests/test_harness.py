@@ -24,7 +24,7 @@ from vfzero.blocks import piece_segment
 from vfzero.cli import run_command
 from vfzero.harness import FACTOR_REST, TORUS_SQUARE, _boundary_pieces, _random_perturbation
 
-from oracles import factor_cover, full_cover, range_on_fractions
+from oracles import factor_cover, full_cover, range_on_fractions, v_cover
 
 
 class TestCatalog:
@@ -237,6 +237,21 @@ class TestMainTheorem:
 DATA = Path(__file__).parent / "data"
 
 
+def _cover_entries():
+    edges = [e for e in load_catalog((DATA / "factor-edges.cfg").read_text())
+             if e.name not in ("cross", "through")]
+    return builtin_catalog() + load_catalog((DATA / "torus-seam.cfg").read_text()) + edges
+
+
+def _whole_region_block_is_not_v_block(name: str, depth: int) -> bool:
+    """Whether the factored report of the entry at this depth is checked
+    against V's isolation (``oracles.v_cover``) instead of the whole-region
+    one: there the whole-region isolation of X merges a curve of g with the
+    zero of V, or, for near-ring, retains more cells around that zero than
+    V's block, from the enclosure of the expanded product."""
+    return name == "near-ring" or (name, depth) in {("annulus-node", 4), ("two-circles", 4)}
+
+
 class TestCoverWindow:
     """The covers decided on the cells around each essential block against
     the whole-region isolation of every tracker and the common zero set."""
@@ -245,19 +260,31 @@ class TestCoverWindow:
     def test_same_report_as_whole_region(self, depth):
         # a factored report, which starts with ("G", 0), is the whole-region
         # one without the blocks away from V's zeros, all of index 0
-        edges = [e for e in load_catalog((DATA / "factor-edges.cfg").read_text())
-                 if e.name not in ("cross", "through")]
-        entries = builtin_catalog() + load_catalog((DATA / "torus-seam.cfg").read_text()) + edges
-        assert len(entries) == 23
+        entries = _cover_entries()
+        assert len(entries) == 25
         factored = set()
         for entry in entries:
             rep = main_theorem_check(entry, depth)
-            whole = full_cover(entry, depth)
             if rep.block_indices[:1] == (FACTOR_REST,):
                 factored.add(entry.name)
-                whole = factor_cover(entry, whole, depth)
+                if _whole_region_block_is_not_v_block(entry.name, depth):
+                    assert rep == v_cover(entry, depth), entry.name
+                    continue
+                whole = factor_cover(entry, full_cover(entry, depth), depth)
+            else:
+                whole = full_cover(entry, depth)
             assert rep == whole, entry.name
-        assert factored == ({"annulus-node", "two-circles"} if depth >= 5 else set())
+        assert factored == ({"annulus-node", "two-circles"} if depth >= 4 else set()) | {"near-ring"}
+
+    @pytest.mark.parametrize("depth", range(2, 10))
+    def test_factored_indices_from_x_itself(self, depth):
+        # each index read off V's loop certificates is X's own index on the
+        # block, certified with a new zero problem of X (``oracles.v_cover``)
+        for entry in _cover_entries():
+            rep = main_theorem_check(entry, depth)
+            if rep.block_indices[:1] != (FACTOR_REST,):
+                continue
+            assert rep.block_indices == v_cover(entry, depth).block_indices, (entry.name, depth)
 
     @pytest.mark.parametrize("depth", [6, 7])
     def test_two_pieces_fall_back_to_whole_region(self, monkeypatch, depth):
@@ -327,13 +354,29 @@ class TestFactoredPath:
         assert rep.missed == ()
 
     def test_circle_through_zero_of_v(self, edges):
-        # X's retained cells run out of V's block along the circle, so the
-        # whole-region isolation decides: one block of index 1
+        # g vanishes on V's cell at the origin, so the whole-region
+        # isolation decides: one block of index 1
         entry = edges["ring-through"]
         for depth in (4, 8):
             rep = main_theorem_check(entry, depth)
             assert rep == full_cover(entry, depth)
             assert rep.block_indices == (("K0", 1),)
+
+    @pytest.mark.parametrize("depth", [2, 6, 12])
+    def test_loose_product_enclosure_factors(self, edges, depth):
+        # the expanded X retains every cell around V's block, but g's own
+        # enclosure excludes zero on it: the circle is G at every depth
+        rep = main_theorem_check(edges["near-ring"], depth)
+        assert rep.block_indices == (("G", 0), ("K0", 1))
+        assert rep.hypotheses_ok and rep.missed == ()
+
+    def test_factor_zeros_inside_one_leaf(self, edges):
+        # V = (0, 1) is isolated as the one root leaf, on whose corners g
+        # has one sign: the whole-region isolation decides
+        entry = edges["inside-leaf"]
+        rep = main_theorem_check(entry, 6)
+        assert rep == full_cover(entry, 6)
+        assert rep.block_indices == (("K0", 0),)
 
     def test_annulus_deep(self, catalog):
         rep = main_theorem_check(catalog["annulus-node"], 13)

@@ -485,14 +485,15 @@ class TestCertificateReuse:
         assert isolating.ok and len(asked) >= isolating.pieces > 0
 
     def test_verify_main_bisects_each_loop_once(self, tmp_path):
-        # 8912 while the winding bisected the isolation's pieces again, and
+        # 8912 while the winding bisected the isolation's pieces again,
         # 4456 while annulus-node's unit circle was isolated as a block of
-        # its own; 4 of the 372 are the region loop of its factor g
+        # its own, and 372 while X's own loop around its K0 was certified
+        # beside V's; 4 of the 364 are the region loop of its factor g
         asked, counting = _counting_sign_certificates()
         with counting:
             argv = ["verify", "main", "--depth", "10", "--seed", "7", "--out", str(tmp_path / "r.json")]
             assert run_command(argv) == 0
-        assert len(asked) == 372
+        assert len(asked) == 364
 
 
 _THIRD = "((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))"
