@@ -40,9 +40,10 @@ indices: a block's hull, a witness, the cell boxes of
 ``ZeroBlock.boxes``, and the empty leaves of
 ``IsolationResult.empty_boxes``, besides an offending boundary piece.  An
 empty leaf is kept as its cell, the label of the excluding component and
-the excluding enclosure in integer form.  Two blocks on one lattice meet
-when a cell of one is a cell of the other or one of its eight
-neighbours, which is decided on cell indices and wraps on the torus.
+the excluding enclosure in integer form.  A block meets a set of cells
+of its lattice when one of them is a cell of the block or one of its
+eight neighbours, which is decided on cell indices and wraps on the
+torus.
 
 Cells touching only at a corner are treated as adjacent when grouping, so
 the closed unions of distinct blocks are genuinely disjoint.
@@ -55,11 +56,9 @@ other field one ``bisect`` from the root cell reaches the cells of all
 windows, with every branch that holds no window cell out of scope.  The
 common zero set of several fields retains a cell exactly when each field
 does, so its window cells are the intersection of theirs and are never
-bisected.  ``cover_witnesses`` decides from the cells: none means a
-miss; one 8-connected piece lies in the one block of the zero set that
-meets the block, and gives the witness; two or more pieces leave the
-choice to the block order of the whole region, so only then is the zero
-set isolated over the whole region.
+bisected.  ``cover_witnesses`` decides from the cells alone: none means
+a miss, and otherwise the witness is the overlap of the block's first
+cell that meets a retained window cell with the least such cell.
 
 Two scalar checks on an isolation serve the factored path of
 ``harness.main_theorem_check``: ``sign_change_leaf`` finds an empty leaf
@@ -285,22 +284,21 @@ def _seam_shift(i: int, k: int) -> int:
     return -1 if k - i > 1 else 1 if i - k > 1 else 0
 
 
-def _lattice_overlap(grid: Grid, region: Box, cells: Sequence[Cell],
-                     other_cells: Sequence[Cell]) -> Optional[Box]:
-    """The overlap of the first own cell, in order, that meets one of the
-    other cells (is equal to it or one of its eight neighbours on the
-    grid) with the first other cell that meets it, shifted by a period
-    across the torus seam, or None when no cell meets."""
-    position = {c: k for k, c in enumerate(other_cells)}
-    n = grid.n
-    for a in cells:
-        hits = [position[c] for c in (a, *grid.neighbors8(a)) if c in position]
+def _witness(block: ZeroBlock, cells: Collection[Cell]) -> Optional[Box]:
+    """The overlap of the block's first cell, in order, that meets one of
+    the cells (is equal to it or one of its eight neighbours on the grid)
+    with the least cell that meets it, shifted by a period across the
+    torus seam, or None when no cell meets."""
+    grid = block.grid()
+    for a in block.cells:
+        hits = [c for c in (a, *grid.neighbors8(a)) if c in cells]
         if hits:
-            i, j = other_cells[min(hits)]
-            i += _seam_shift(a[0], i) * n
-            j += _seam_shift(a[1], j) * n
+            i, j = min(hits)
+            i += _seam_shift(a[0], i) * grid.n
+            j += _seam_shift(a[1], j) * grid.n
             # the closed cells meet on [max lo, min hi] of each axis
-            return lattice_box(region, grid.depth, max(a[0], i), max(a[1], j), min(a[0], i), min(a[1], j))
+            return lattice_box(block.region, grid.depth,
+                               max(a[0], i), max(a[1], j), min(a[0], i), min(a[1], j))
     return None
 
 
@@ -336,24 +334,6 @@ class ZeroBlock:
 
     def contains_point(self, p) -> bool:
         return any(b.contains_point(p) for b in self.boxes)
-
-    def overlap_box(self, other: "ZeroBlock") -> Optional[Box]:
-        """A witness that the closed cell unions meet, or None when they are
-        disjoint: the overlap of the first own cell, in order, that meets
-        the other block with the first cell of the other block that meets
-        it.
-
-        Both blocks must lie on one lattice (same region, resolution and
-        domain), as the blocks of one ``isolate_zeros`` or
-        ``cover_witnesses`` call do; any other pair raises ``ValueError``.
-        Meeting is decided on cell indices: two closed cells meet when they
-        are equal or neighbours, and ``Grid.neighbors8`` wraps on the torus.
-        A neighbour across the seam x = 0 = 1 or y = 0 = 1 is shifted by
-        one period before the overlap is taken, so the witness lies in the
-        own cell's box, inside the fundamental square."""
-        if (self.region, self.resolution, self.domain) != (other.region, other.resolution, other.domain):
-            raise ValueError("blocks on different lattices")
-        return _lattice_overlap(self.grid(), self.region, self.cells, other.cells)
 
 
 @dataclass(frozen=True)
@@ -630,16 +610,21 @@ def certify_isolating(field: VectorField, block: ZeroBlock) -> CertifyResult:
 # block construction
 
 
-def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
-    torus = problem.domain == "torus"
-    if torus and (region.x.lo != 0 or region.x.hi != 1 or region.y.lo != 0 or region.y.hi != 1):
+def check_lattice(domain: str, region: Box, max_depth: int) -> None:
+    """Raise ``ValueError`` unless an isolation of a zero set on the domain
+    can run over the region to the depth."""
+    if domain == "torus" and (region.x.lo != 0 or region.x.hi != 1 or region.y.lo != 0 or region.y.hi != 1):
         raise ValueError("torus isolation runs on the fundamental square [0,1]^2")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if region.x.width() <= 0 or region.y.width() <= 0:
         raise ValueError("region must have positive width and height")
+
+
+def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
+    check_lattice(problem.domain, region, max_depth)
     retained, empties = _subdivide(problem, region, max_depth)
-    grid = Grid(max_depth, torus)
+    grid = Grid(max_depth, problem.domain == "torus")
     blocks = []
     for k, comp in enumerate(_components(grid, retained)):
         boundary = _boundary_loops(grid, comp, region)
@@ -767,32 +752,16 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     return [window & retained for window in windows]
 
 
-def cover_witnesses(fields: Sequence[VectorField], blocks: Sequence[ZeroBlock],
-                    kept: Sequence[set[Cell]]) -> list[Optional[Box]]:
-    """For each block, the witness that the common zero set of the fields
-    meets it, or None, decided from ``kept``, the retained cells of each
-    block's window (``window_cells`` of one field, which are the block's
-    own cells for the field it was isolated for; for several fields the
-    intersection of theirs, since the common zero set retains a cell
-    exactly when every field does): exactly the first ``overlap_box`` that
-    is not None over the blocks of ``common_zero_blocks(fields, region,
-    resolution)``.  No cell: a miss.  One 8-connected piece: it lies in the
-    one block of the zero set that meets this block, and the witness is
-    read off it as ``overlap_box`` reads it.  Two or more pieces: only then
-    is the zero set isolated over the whole region, once per call, and its
-    block order decides."""
-    whole: Optional[tuple[ZeroBlock, ...]] = None
-    witnesses: list[Optional[Box]] = []
-    for blk, cells in zip(blocks, kept):
-        grid = blk.grid()
-        pieces = _components(grid, cells)
-        if len(pieces) > 1:
-            if whole is None:
-                whole = common_zero_blocks(fields, blk.region, blk.resolution).blocks
-            witnesses.append(next((w for w in map(blk.overlap_box, whole) if w is not None), None))
-        elif pieces:
-            (piece,) = pieces
-            witnesses.append(_lattice_overlap(grid, blk.region, blk.cells, piece))
-        else:
-            witnesses.append(None)
-    return witnesses
+def cover_witnesses(blocks: Sequence[ZeroBlock], kept: Sequence[set[Cell]]) -> list[Optional[Box]]:
+    """For each block, the witness that a zero set meets it, or None,
+    decided from ``kept``, the zero set's retained cells of each block's
+    window (``window_cells`` of one field, which are the block's own cells
+    for the field it was isolated for; for several fields the intersection
+    of theirs, since the common zero set retains a cell exactly when every
+    field does).  The witness is the overlap of the first block cell, in
+    cell order, that meets a retained cell (is equal to it or one of its
+    ``Grid.neighbors8``) with the least such cell, shifted by a period
+    across the torus seam so that it lies in the block's cell, inside the
+    fundamental square.  Any retained cells next to the block may be
+    given: the window holds all of them."""
+    return [_witness(blk, cells) for blk, cells in zip(blocks, kept)]

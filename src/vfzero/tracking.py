@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import ZeroBlock, scalar_zero_blocks
+from .blocks import ZeroBlock, check_lattice, scalar_zero_blocks
 from .errors import FalsificationError
 from .expr import Expr, _long_divide, _make, _reduce, divide_exact
 from .fields import VectorField, lie_bracket, wedge
@@ -227,8 +227,12 @@ class DepSetResult:
 def dep_set(
     x_field: VectorField, y_field: VectorField, region: Box, max_depth: int
 ) -> DepSetResult:
-    """Dependency set {X wedge Y = 0} as certified scalar zero blocks."""
+    """Dependency set {X wedge Y = 0} as certified scalar zero blocks.
+
+    The region and depth are checked as for any isolation, also when the
+    wedge vanishes identically and nothing is isolated."""
     w = wedge(x_field, y_field)
+    check_lattice(w.domain, region, max_depth)
     if w.is_zero:
         return DepSetResult(w, (), True)
     return DepSetResult(w, tuple(scalar_zero_blocks(w, region, max_depth)), False)

@@ -19,10 +19,11 @@ build a cell's box and a block's hull in Fraction arithmetic, to check
 boundary edge off the corners of its cell's box, to check the lattice
 pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
 every pair of boxes of two blocks, to check the witnesses that
-``ZeroBlock.overlap_box`` reads off cell indices; ``box_block`` builds
+``blocks.cover_witnesses`` reads off cell indices; ``box_block`` builds
 a block of one given box, a hand-made isolating neighbourhood; ``full_cover`` decides
-every cover of the common-zero theorem over the whole region, to check
-the window decision of ``blocks.cover_witnesses`` against, and
+every cover of the common-zero theorem from whole-region isolations, to
+check the window cells of ``blocks.window_cells`` and their intersection
+for the common zero set against, and
 ``factor_cover`` maps its report to the factored form, to check the
 factored path of ``main_theorem_check`` against; ``v_cover`` decides the
 same covers on the blocks of V = X / g's isolation, with X's indices on
@@ -62,7 +63,7 @@ from vfzero import (
     TrackReport, VectorField, ZeroBlock, block_index, common_zero_blocks, divide_exact, isolate_zeros, jacobian,
     lie_bracket, region_boundary_loop, track_check, wedge,
 )
-from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment
+from vfzero.blocks import MAX_SEG_REFINE, Segment, cover_witnesses, piece_segment
 from vfzero.harness import MainTheoremReport, Witness
 from vfzero.tracking import _RATIONAL_CAVEAT, _poly_gcd
 from vfzero.expr import DomainError, Key, _gens_string
@@ -423,7 +424,7 @@ def fraction_hull(boxes) -> Box:
 def box_overlap(block, other) -> Optional[Box]:
     """The overlap of the first meeting pair of boxes of two blocks (own
     boxes outer), or None when no pair of closed boxes meets: the all-pairs
-    box test that ``ZeroBlock.overlap_box`` replaced with cell indices.  It
+    box test that ``blocks.cover_witnesses`` replaced with cell indices.  It
     does not wrap on the torus."""
     for a in block.boxes:
         for b in other.boxes:
@@ -454,10 +455,11 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
     """``main_theorem_check`` with every cover decided over the whole
     region: every tracker's zero set (once per distinct field) and the
     common zero set are isolated at full depth, and each essential block
-    takes its witness from the first of their blocks that meets it.  The
-    whole-region check that ``blocks.cover_witnesses`` replaced with the
-    cells around each essential block, and that the intersection of the
-    trackers' window cells replaced for the common zero set."""
+    takes its witness from ``blocks.cover_witnesses`` on all of their
+    blocks' cells.  The whole-region check that ``blocks.window_cells``
+    replaced with the cells around each essential block, and that the
+    intersection of the trackers' window cells replaced for the common
+    zero set."""
     isolation = isolate_zeros(entry.field, entry.region, max_depth)
     for blk in isolation.blocks:
         if blk.coarse:
@@ -483,9 +485,10 @@ def v_cover(entry, max_depth: int = 8) -> MainTheoremReport:
 
 def _whole_region_covers(entry, blocks, indices, max_depth: int, isolated: dict) -> MainTheoremReport:
     """The report of ``main_theorem_check`` with the given blocks of Z(X)
-    and their (label, index) pairs, each cover decided from the blocks of
-    a whole-region isolation; ``isolated`` maps fields to isolations
-    already at hand."""
+    and their (label, index) pairs, each cover decided from the cells of
+    the blocks of a whole-region isolation, which hold the retained cells
+    of every window; ``isolated`` maps fields to isolations already at
+    hand."""
     reports = [track_check(y, entry.field) for y in entry.trackers]
     statuses = tuple(r.status for r in reports)
     hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
@@ -494,8 +497,9 @@ def _whole_region_covers(entry, blocks, indices, max_depth: int, isolated: dict)
     witnesses, missed = [], []
 
     def check_cover(tag, zero_blocks):
+        cells = {c for zero_blk in zero_blocks for c in zero_blk.cells}
         for blk in essential_blocks:
-            w = next((w for w in map(blk.overlap_box, zero_blocks) if w is not None), None)
+            (w,) = cover_witnesses([blk], [cells])
             if w is None:
                 missed.append((tag, blk.label))
             else:

@@ -21,8 +21,9 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    DyadicSegment, Grid, IsolationResult, ZeroProblem, _build_blocks, _field_parts, _subdivide, bisect,
-    common_zero_blocks, excludes_zero_on, lattice_box, piece_segment, sign_change_leaf, window_cells,
+    DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _field_parts, _subdivide,
+    bisect, common_zero_blocks, cover_witnesses, excludes_zero_on, lattice_box, piece_segment,
+    sign_change_leaf, window_cells,
 )
 from vfzero.cli import run_command
 from vfzero.winding import region_boundary_loop
@@ -128,7 +129,7 @@ class TestIsolateZeros:
         assert len(blocks) == 3
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
-                assert a.overlap_box(b) is None
+                assert cover_witnesses([a], [set(b.cells)]) == [None]
 
 
 class TestCertifyIsolating:
@@ -370,9 +371,16 @@ def _torus_blocks(text, depth):
     return isolate_zeros(parse_field(text, "torus"), TORUS, depth).blocks
 
 
+def _witness(a, b):
+    """The witness ``cover_witnesses`` reads off block a for the cells of
+    block b."""
+    (w,) = cover_witnesses([a], [set(b.cells)])
+    return w
+
+
 class TestLatticeOverlap:
-    """Witnesses read off cell indices against the all-pairs box test of
-    ``oracles.box_overlap``."""
+    """Witnesses read off cell indices by ``cover_witnesses`` against the
+    all-pairs box test of ``oracles.box_overlap``."""
 
     @staticmethod
     def _pairs(entry, depth):
@@ -390,7 +398,7 @@ class TestLatticeOverlap:
         pairs = self._pairs(catalog[name], 7)
         assert pairs
         for a, b in pairs:
-            assert a.overlap_box(b) == box_overlap(a, b)
+            assert _witness(a, b) == box_overlap(a, b)
 
     @pytest.mark.parametrize("name", [e.name for e in builtin_catalog() if e.domain == "torus"])
     def test_torus_agrees_where_boxes_meet(self, catalog, name):
@@ -399,7 +407,7 @@ class TestLatticeOverlap:
             w = box_overlap(a, b)
             if w is not None:
                 met += 1
-                assert a.overlap_box(b) == w
+                assert _witness(a, b) == w
         assert met
 
     @pytest.mark.parametrize("x, y, own, other, witness", [
@@ -417,18 +425,23 @@ class TestLatticeOverlap:
         a = next(b for b in _torus_blocks(x, 6) if b.cells[0] == own)
         b = next(b for b in _torus_blocks(y, 6) if b.cells[0] == other)
         assert box_overlap(a, b) is None
-        w = a.overlap_box(b)
+        w = _witness(a, b)
         assert w == Box.from_corners(*witness)
         # the witness lies in the own block, inside the fundamental square
         assert any(box.contains_point(w.midpoint()) for box in a.boxes)
-        assert b.overlap_box(a) == Box.from_corners(*(1 if t == 0 else t for t in witness))
+        assert _witness(b, a) == Box.from_corners(*(1 if t == 0 else t for t in witness))
 
-    def test_different_lattices_rejected(self):
-        # the same tracker pair as above, isolated at depths 6 and 7
-        a = _torus_blocks("(sin2px - 1/200*cos2px, cos2py)", 6)[0]
-        b = _torus_blocks("(sin2px + 1/200*cos2px, cos2py)", 7)[0]
-        with pytest.raises(ValueError, match="blocks on different lattices"):
-            a.overlap_box(b)
+    def test_first_block_cell_decides_between_pieces(self):
+        # cells of width 1: the piece {(2, 5)} meets only the block's second
+        # cell (3, 4), the piece {(4, 2)} only its first cell (3, 3).  The
+        # first piece comes first in block order, so the whole-region block
+        # order would take its witness, the point (3, 5); the block's cell
+        # order takes the second piece's, the point (4, 3).
+        blk = ZeroBlock(label="K0", domain="plane", region=Box.from_corners(0, 0, 8, 8), resolution=3,
+                        cells=((3, 3), (3, 4)), boundary=(), coarse=False)
+        first = dataclasses.replace(blk, cells=((2, 5),))
+        assert box_overlap(blk, first) == Box.from_corners(3, 5, 3, 5)
+        assert cover_witnesses([blk], [{(2, 5), (4, 2)}]) == [Box.from_corners(4, 3, 4, 3)]
 
 
 class TestNeighbors8:

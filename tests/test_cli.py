@@ -294,6 +294,23 @@ class TestExitCodes:
         assert run_command(["zeros", "--field", "(x, y)", "--region", "0,0,0,1"]) == 3
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["dep"], ["verify", "invariance", "--target", "dependency"]])
+    @pytest.mark.parametrize("domain, field, option, message", [
+        ("plane", "(x, y)", "--depth=0", "max_depth must be >= 1"),
+        ("plane", "(x, y)", "--region=0,0,0,1", "region must have positive width and height"),
+        ("torus", "(sin2px, sin2py)", "--region=0,0,1/2,1",
+         "torus isolation runs on the fundamental square [0,1]^2"),
+    ], ids=["depth-0", "zero-width", "half-torus"])
+    def test_usage_error_identically_dependent(self, command, domain, field, option, message, tmp_path,
+                                               capsys):
+        # X wedge Y vanishes identically, so nothing is isolated; the region
+        # and depth used to go unchecked and the run exited 0
+        out = tmp_path / "report.json"
+        argv = [*command, "--domain", domain, "--x", field, "--y", field, option, "--out", str(out)]
+        assert run_command(argv) == 3
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_usage_error_no_trials(self, trials, capsys):
         argv = ["verify", "stability", "--field", "(x, -y)", "--trials", trials]

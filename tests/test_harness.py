@@ -19,7 +19,7 @@ from vfzero import (
     refine_seed,
     stability_test,
 )
-from vfzero import blocks
+from vfzero import blocks, harness
 from vfzero.blocks import piece_segment
 from vfzero.cli import run_command
 from vfzero.harness import FACTOR_REST, TORUS_SQUARE, _boundary_pieces, _random_perturbation
@@ -252,20 +252,45 @@ def _whole_region_block_is_not_v_block(name: str, depth: int) -> bool:
     return name == "near-ring" or (name, depth) in {("annulus-node", 4), ("two-circles", 4)}
 
 
+def _isolating(monkeypatch, entry, depth):
+    """``main_theorem_check``'s report on the entry at the depth, and the
+    zero sets it isolates over the whole region: the field of each
+    ``isolate_zeros`` call and the field list of each
+    ``blocks.common_zero_blocks`` call."""
+    isolated = []
+    whole, common = harness.isolate_zeros, blocks.common_zero_blocks
+    with monkeypatch.context() as m:
+        m.setattr(harness, "isolate_zeros", lambda f, r, d: isolated.append(f) or whole(f, r, d))
+        m.setattr(blocks, "common_zero_blocks",
+                  lambda fs, r, d: isolated.append(list(fs)) or common(fs, r, d))
+        return main_theorem_check(entry, depth), isolated
+
+
+# the entries whose X has a gcd g that is not constant and nonzero on the
+# region boundary, so that ``main_theorem_check`` isolates V = X / g
+_SPLIT_TRIED = {"annulus-node", "two-circles", "near-ring", "ring-through", "nozero", "inside-leaf"}
+
+
 class TestCoverWindow:
     """The covers decided on the cells around each essential block against
     the whole-region isolation of every tracker and the common zero set."""
 
     @pytest.mark.parametrize("depth", range(2, 10))
-    def test_same_report_as_whole_region(self, depth):
+    def test_same_report_as_whole_region(self, monkeypatch, depth):
         # a factored report, which starts with ("G", 0), is the whole-region
         # one without the blocks away from V's zeros, all of index 0
         entries = _cover_entries()
         assert len(entries) == 25
         factored = set()
         for entry in entries:
-            rep = main_theorem_check(entry, depth)
-            if rep.block_indices[:1] == (FACTOR_REST,):
+            rep, isolated = _isolating(monkeypatch, entry, depth)
+            is_factored = rep.block_indices[:1] == (FACTOR_REST,)
+            # no tracker's zero set and not the common one is isolated over
+            # the whole region: only V's on the factored path, and X's
+            # otherwise, after V's when a rule of the factor split fails
+            assert len(isolated) == 1 + (entry.name in _SPLIT_TRIED and not is_factored), entry.name
+            assert (isolated[-1] == entry.field) != is_factored, entry.name
+            if is_factored:
                 factored.add(entry.name)
                 if _whole_region_block_is_not_v_block(entry.name, depth):
                     assert rep == v_cover(entry, depth), entry.name
@@ -287,27 +312,19 @@ class TestCoverWindow:
             assert rep.block_indices == v_cover(entry, depth).block_indices, (entry.name, depth)
 
     @pytest.mark.parametrize("depth", [6, 7])
-    def test_two_pieces_fall_back_to_whole_region(self, monkeypatch, depth):
+    def test_two_pieces_decided_on_window(self, monkeypatch, depth):
         # at depth 6 Y0's zeros at x = -3/32 and 3/32 lie in two pieces of
-        # the cells around K0; at depth 7 both lie outside them
+        # the cells around K0, and K0's first cell meeting one of them gives
+        # the witness; at depth 7 both lie outside them
         (entry,) = load_catalog((DATA / "near-pair.cfg").read_text())
-        isolated = []
-        whole = blocks.common_zero_blocks
-
-        def recording(fields, region, max_depth):
-            isolated.append(list(fields))
-            return whole(fields, region, max_depth)
-
-        monkeypatch.setattr(blocks, "common_zero_blocks", recording)
-        rep = main_theorem_check(entry, depth)
+        rep, isolated = _isolating(monkeypatch, entry, depth)
+        assert isolated == [entry.field]
         assert rep == full_cover(entry, depth)
         y0_k0 = [w.box for w in rep.witnesses if (w.tracker, w.block) == ("Y0", "K0")]
         if depth == 6:
-            assert isolated == [[entry.trackers[0]]]
             assert y0_k0 == [Box.from_corners(Fraction(-1, 16), Fraction(-1, 16), Fraction(-1, 16), 0)]
             assert rep.missed == (("common", "K0"),)
         else:
-            assert isolated == []
             assert y0_k0 == []
             assert rep.missed == (("Y0", "K0"), ("common", "K0"))
 
