@@ -24,6 +24,7 @@ from .blocks import (
     certify_isolating,
     common_zero_blocks,
     isolate_zeros,
+    region_boundary_loop,
     scalar_zero_blocks,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .winding import (
     TransferReport,
     block_index,
     index_transfer_check,
-    region_boundary_loop,
     region_index,
     winding_number,
 )

@@ -60,10 +60,13 @@ bisected.  ``cover_witnesses`` decides from the cells alone: none means
 a miss, and otherwise the witness is the overlap of the block's first
 cell that meets a retained window cell with the least such cell.
 
-Two scalar checks on an isolation serve the factored path of
-``harness.main_theorem_check``: ``sign_change_leaf`` finds an empty leaf
-away from every block on whose edges a scalar changes sign, and
-``excludes_zero_on`` certifies that a scalar has no zero on the blocks.
+``index_blocks`` is the isolation whose blocks ``verify main`` indexes.
+For a plane field X = g V with a scalar factor g (``expr.poly_gcd`` of
+its components) it isolates V and, when g's zeros are certified to stay
+off the region boundary and V's blocks and to hold a sign change, returns
+V's blocks with V as the field that indexes them and the rest of Z(X)
+as one index-0 record, ``FACTOR_REST``; otherwise it isolates X over the
+whole region.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Collection, NamedTuple, Optional, Sequence
 
-from .expr import Expr
+from .expr import Expr, divide_exact, poly_gcd
 from .fields import VectorField
 from .intervals import Box, IntRange, Interval, lattice_form, odd_denominator
 
@@ -135,7 +138,7 @@ class ZeroProblem:
         return entry[1]
 
 
-def _field_parts(field: VectorField, prefix: str = "") -> tuple[tuple[str, Expr], ...]:
+def field_parts(field: VectorField, prefix: str = "") -> tuple[tuple[str, Expr], ...]:
     return ((prefix + "cx", field.cx), (prefix + "cy", field.cy))
 
 
@@ -554,6 +557,12 @@ def _boundary_loops(grid: Grid, cells: Sequence[Cell], region: Box) -> tuple[Bou
     return tuple(loops)
 
 
+def region_boundary_loop(region: Box) -> BoundaryLoop:
+    """Counterclockwise rectangle boundary of the region: the boundary of
+    its one cell at depth 0."""
+    return _boundary_loops(Grid(0, torus=False), [(0, 0)], region)[0]
+
+
 # ---------------------------------------------------------------------------
 # boundary certification
 
@@ -589,7 +598,7 @@ def field_problem(field: VectorField, block: ZeroBlock) -> ZeroProblem:
     isolated for when it has the field's components, so that its loop
     certificates are read again, and a new one otherwise (a perturbed
     field, another field, a block built by hand)."""
-    parts = _field_parts(field)
+    parts = field_parts(field)
     problem = block.problem
     return problem if problem is not None and problem.components == parts else ZeroProblem(parts)
 
@@ -653,7 +662,7 @@ def isolate_zeros(field: VectorField, region: Box, max_depth: int) -> IsolationR
     """
     if field.is_zero:
         raise ValueError("the zero field vanishes everywhere; nothing to isolate")
-    return _build_blocks(ZeroProblem(_field_parts(field)), region, max_depth)
+    return _build_blocks(ZeroProblem(field_parts(field)), region, max_depth)
 
 
 def scalar_zero_blocks(expr: Expr, region: Box, max_depth: int) -> list[ZeroBlock]:
@@ -673,10 +682,50 @@ def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
         raise ValueError("no generators")
     if len({f.domain for f in fields}) != 1:
         raise ValueError("generators live on different domains")
-    return ZeroProblem([part for k, f in enumerate(fields) for part in _field_parts(f, f"gen{k}.")])
+    return ZeroProblem([part for k, f in enumerate(fields) for part in field_parts(f, f"gen{k}.")])
 
 
-def sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicCell]:
+# the (label, index) record of the rest of Z(X) on the factored path of
+# ``index_blocks``
+FACTOR_REST = ("G", 0)
+
+
+def index_blocks(field: VectorField, region: Box,
+                 max_depth: int) -> tuple[tuple[tuple[str, int], ...], VectorField, tuple[ZeroBlock, ...]]:
+    """(rest, W, blocks): the blocks of Z(field) in the region, W, the
+    field whose loop certificates give their indices
+    (``winding.block_index`` of W), and the (label, index) records of the
+    rest of Z(field), outside the blocks.
+
+    For a plane X = g V, with g the gcd of X's components
+    (``expr.poly_gcd``) not constant in x and y, the factor split gives
+    rest = (``FACTOR_REST``,), W = V and the blocks of V's isolation.
+    Where V is nonzero, X winds as V does on any loop where X is nonzero
+    (g has one sign there), so every part of Z(X) away from Z(V) has index
+    0, and on a closed cell union where g is nonzero Z(X) is Z(V) and X's
+    index is V's.  The split is taken only when
+    1. g is certified nonzero on the region boundary, so Z(g) stays off it
+       and the index-0 argument holds for every part of Z(g);
+    2. V's isolation at ``max_depth`` has no coarse block;
+    3. g's enclosure excludes zero on every cell of V's blocks
+       (``_excludes_zero_on``);
+    4. a certified-empty leaf of V's isolation away from V's blocks has
+       corners where g has opposite signs (``_sign_change_leaf``), so the
+       rest of Z(X) is not empty.
+    Otherwise X is isolated over the whole region: rest = () and W = X."""
+    g = poly_gcd(field.cx, field.cy) if field.domain == "plane" else None  # no trig gcd
+    if g is not None and not (g.derive("x").is_zero and g.derive("y").is_zero):
+        g_problem = ZeroProblem([("g", g)])  # rules 1 and 3
+        if g_problem.loop_certificate(region_boundary_loop(region))[1] is None:
+            v = VectorField(divide_exact(field.cx, g), divide_exact(field.cy, g))
+            isolation = isolate_zeros(v, region, max_depth)
+            if not (any(blk.coarse for blk in isolation.blocks) or _sign_change_leaf(g, isolation) is None
+                    or not _excludes_zero_on(g_problem, isolation)):
+                return (FACTOR_REST,), v, isolation.blocks
+    return (), field, isolate_zeros(field, region, max_depth).blocks
+
+
+def _sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicCell]:
     """The first certified-empty leaf of a plane isolation, in traversal
     order, whose closed box shares no point with any block's closed cells
     and at two of whose corners the expression's enclosures have opposite
@@ -703,11 +752,11 @@ def sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicC
     return None
 
 
-def excludes_zero_on(expr: Expr, isolation: IsolationResult) -> bool:
-    """Whether the expression's enclosure excludes zero on every cell of
-    every block of the isolation, so that it has no zero on the blocks'
-    closed cell unions."""
-    certify = _cell_certifier(ZeroProblem([("value", expr)]), isolation.region)
+def _excludes_zero_on(problem: ZeroProblem, isolation: IsolationResult) -> bool:
+    """Whether the problem's emptiness certificate holds on every cell of
+    every block of the isolation: for a scalar's problem, it has no zero
+    on the blocks' closed cell unions."""
+    certify = _cell_certifier(problem, isolation.region)
     return all(certify(DyadicCell(i, j, isolation.max_depth)) is not None
                for blk in isolation.blocks for i, j in blk.cells)
 

@@ -19,11 +19,11 @@ from .errors import CertificationError, FalsificationError, FlowEscapeError, See
 from .fields import lie_bracket, parse_field
 from .harness import (
     TORUS_SQUARE,
-    _parse_region,
     builtin_catalog,
     invariance_test,
     load_catalog,
     main_theorem_check,
+    parse_region,
     poincare_hopf_check,
     stability_test,
 )
@@ -57,7 +57,7 @@ def _region(args) -> Box:
     text = args.region
     if text is None:
         text = "0, 0, 1, 1" if args.domain == "torus" else "-2, -2, 2, 2"
-    return _parse_region(text)
+    return parse_region(text)
 
 
 def _block_summary(blk) -> dict:
@@ -154,7 +154,7 @@ def _cmd_common(args):
 
 
 def _cmd_verify_ph(args):
-    if args.region is not None and _parse_region(args.region) != TORUS_SQUARE:
+    if args.region is not None and parse_region(args.region) != TORUS_SQUARE:
         raise UsageError("verify ph sums the indices over the whole torus; --region must be 0,0,1,1")
     field = parse_field(args.field, args.domain)
     rep = poincare_hopf_check(field, args.depth)

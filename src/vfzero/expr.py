@@ -30,6 +30,14 @@ every term with that cosine flipped), which leaves a divisor free of
 cosines, so the long division stays in normal form; the trig ring is an
 integral domain, so this changes no quotient.
 
+``poly_gcd``, next to it, is the gcd of two trig-free expressions, on
+the integer numerators too: content/primitive-part Euclid in
+Z[pi][y][x], made monic in the lexicographic order x > y > pi (sympy's
+normalization, which the tests check it against; the package does not
+use sympy).  It reduces a rational tracking cofactor
+(``tracking.track_check``) and splits the scalar factor off a plane
+field (``blocks.index_blocks``).
+
 ``derivation_sum`` is the Lie bracket's primitive: a sum of products
 ``a * b.derive(var)`` computed as one integer sum over a common
 denominator and normalized once.  It shares its product loop
@@ -723,7 +731,7 @@ def parse_expr(text: str, domain: str = PLANE) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial division
+# exact polynomial division and gcd
 
 
 def _long_divide(a: dict[tuple, int], b: dict[tuple, int]) -> Optional[tuple[dict, int]]:
@@ -810,3 +818,115 @@ def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
     quo, m = out
     db = b._den
     return _make(a.domain, *_reduce({k: c * db for k, c in reversed(quo.items())}, m * a._den))
+
+
+# The gcd's polynomials are dicts {exponent tuple: int}; the first
+# exponent is the main variable, and the rest are the coefficient ring's
+# variables.
+
+
+def _mul(f: dict, g: dict) -> dict:
+    out: dict[tuple, int] = {}
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            key = tuple(a + b for a, b in zip(kf, kg))
+            out[key] = out.get(key, 0) + cf * cg
+    return {k: c for k, c in out.items() if c}
+
+
+def _sub(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for k, c in g.items():
+        acc = out.get(k, 0) - c
+        if acc:
+            out[k] = acc
+        else:
+            del out[k]
+    return out
+
+
+def _coeffs(f: dict) -> dict[int, dict]:
+    """``f`` as a polynomial in its main variable: {degree: coefficient}."""
+    out: dict[int, dict] = {}
+    for (e, *rest), c in f.items():
+        out.setdefault(e, {})[tuple(rest)] = c
+    return out
+
+
+def _lift(c: dict, e: int) -> dict:
+    """The coefficient ``c`` times the main variable to the power ``e``."""
+    return {(e, *k): v for k, v in c.items()}
+
+
+def _is_unit(c: dict) -> bool:
+    """Whether ``c`` is the constant 1 or -1."""
+    if len(c) != 1:
+        return False
+    (k, v), = c.items()
+    return abs(v) == 1 and not any(k)
+
+
+def _content_pp(f: dict) -> tuple[dict, dict]:
+    """Content (a gcd of the coefficients in the main variable) and
+    primitive part of ``f``."""
+    coeffs = iter(_coeffs(f).values())
+    cont = next(coeffs)
+    for c in coeffs:
+        if _is_unit(cont):
+            break
+        cont = _gcd(cont, c)
+    if _is_unit(cont):
+        return cont, f
+    return cont, _long_divide(f, _lift(cont, 0))[0]  # exact over Z
+
+
+def _gcd(f: dict, g: dict) -> dict:
+    """A gcd of the nonzero ``f`` and ``g`` in Z[v1, ..., vn], up to sign:
+    content/primitive-part Euclid in the main variable, with the contents'
+    gcd taken recursively in the remaining variables (Brown, 1971)."""
+    if not next(iter(f)):
+        # no variables left: integers
+        return {(): math.gcd(f[()], g[()])}
+    cf, f = _content_pp(f)
+    cg, g = _content_pp(g)
+    cont = _gcd(cf, cg)
+    if max(k[0] for k in f) < max(k[0] for k in g):
+        f, g = g, f
+    while True:
+        # pseudo-remainder of f by g: lc(g) * r - lc(r) * x^k * g cancels the
+        # leading term of r; the powers of lc(g) it leaves are content and
+        # drop out with the primitive part
+        dg = max(k[0] for k in g)
+        lg = _lift(_coeffs(g)[dg], 0)
+        r = f
+        while r:
+            dr = max(k[0] for k in r)
+            if dr < dg:
+                break
+            lr = _lift(_coeffs(r)[dr], dr - dg)
+            r = _sub(_mul(lg, r), _mul(lr, g))
+        if not r:
+            return _mul(_lift(cont, 0), g)
+        f, g = g, _content_pp(r)[1]
+
+
+def poly_gcd(a: Expr, b: Expr) -> Expr:
+    """Multivariate gcd over the rationals of trig-free ``a`` and ``b``,
+    as sympy's ``Poly(..., x, y, pi, domain="QQ").gcd`` gives it: monic
+    in the lexicographic order x > y > pi.
+
+    The integer numerators are taken as polynomials in Z[pi][y][x]
+    (denominators only scale them, which a gcd over the rationals
+    ignores), their gcd comes from ``_gcd``, and it is divided by its
+    leading coefficient.
+    """
+    f = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in a._num.items()}
+    g = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in b._num.items()}
+    h = _gcd(f, g) if f and g else f or g
+    if not h:
+        return Expr.zero(a.domain)
+    lead = h[max(h)]
+    sign = 1 if lead > 0 else -1
+    # increasing (x, y, pi) order, the order Expr() stores sympy's terms in
+    num = {(kpi, ex, ey, 0, 0, 0, 0): sign * h[ex, ey, kpi] for ex, ey, kpi in sorted(h)}
+    return _make(a.domain, *_reduce(num, abs(lead)))

@@ -25,29 +25,21 @@ from typing import Optional
 
 from .blocks import (
     ZeroBlock,
-    ZeroProblem,
     cover_witnesses,
     enclose,
-    excludes_zero_on,
     field_problem,
+    index_blocks,
     isolate_zeros,
     lattice_box,
-    sign_change_leaf,
     window_cells,
 )
 from .errors import CertificationError, SeedRefinementError
-from .expr import Expr, divide_exact
+from .expr import Expr
 from .fields import VectorField, jacobian, parse_field
 from .flows import flow_integrate
 from .intervals import Box, Interval
-from .tracking import (
-    POLY_TRACKING,
-    TrackReport,
-    _poly_gcd,
-    dep_set,
-    track_check,
-)
-from .winding import block_index, region_boundary_loop
+from .tracking import POLY_TRACKING, TrackReport, dep_set, track_check
+from .winding import block_index
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -70,7 +62,7 @@ class CatalogEntry:
         return tag in self.tags
 
 
-def _parse_region(text: str) -> Box:
+def parse_region(text: str) -> Box:
     try:
         parts = [Fraction(p.strip()) for p in text.split(",")]
     except ZeroDivisionError:
@@ -151,7 +143,7 @@ def load_catalog(text: str) -> list[CatalogEntry]:
                 trackers=_catalog_value(
                     name, sec, "trackers", lambda t: tuple(parse_field(f.strip(), domain) for f in _split_fields(t)),
                     f"a ';'-separated list of {domain} fields") or (),
-                region=_catalog_value(name, sec, "region", _parse_region, "a region 'x0, y0, x1, y1' of rationals"),
+                region=_catalog_value(name, sec, "region", parse_region, "a region 'x0, y0, x1, y1' of rationals"),
                 expected_blocks=_catalog_value(name, sec, "expected_blocks", _count, "an integer >= 0"),
                 expected_indices=_catalog_value(
                     name, sec, "expected_indices", lambda t: tuple(int(v) for v in t.split(",")),
@@ -465,12 +457,9 @@ class Witness:
 class MainTheoremReport:
     """The common-zero check of one catalog entry.
 
-    ``block_indices`` holds (label, index) of each block of Z(X) in label
-    order.  On the factored path (``main_theorem_check``) it starts with
-    ("G", 0): the rest of Z(X), all of it on Z(g), away from Z(V) and
-    outside the reported blocks, with total index 0; the blocks K0, K1, ...
-    that follow are the blocks of V = X / g, on which X has V's zeros and
-    V's indices."""
+    ``block_indices`` holds the records of ``blocks.index_blocks``: the
+    rest of Z(X) outside the blocks (("G", 0) on its factored path), then
+    (label, index) of each block in label order."""
 
     entry: str
     tracker_statuses: tuple[str, ...]
@@ -486,45 +475,6 @@ class MainTheoremReport:
         return self.hypotheses_ok and not self.conclusion_holds
 
 
-# the block_indices entry of the rest of Z(X) on the factored path
-FACTOR_REST = ("G", 0)
-
-
-def _factored_blocks(field: VectorField, region: Box,
-                     max_depth: int) -> Optional[tuple[VectorField, tuple[ZeroBlock, ...]]]:
-    """V = X / g and the blocks of V's isolation, for the gcd g of a plane
-    X's components when g is not constant in x and y, or None when the
-    whole-region isolation must decide.
-
-    Where V is nonzero, X = g V winds as V does on any loop where X is
-    nonzero (g has one sign there), so every block of Z(X) away from Z(V)
-    has index 0, and on a closed cell union where g is nonzero Z(X) is
-    Z(V) and X's index is V's: V's blocks are X's blocks around the zeros
-    of V, and the rest of Z(X) is one index-0 part.  Taken only when
-    1. g is certified nonzero on the region boundary, so Z(g) stays off it
-       and the index-0 argument holds for every part of Z(g);
-    2. V's isolation at ``max_depth`` has no coarse block;
-    3. g's enclosure excludes zero on every cell of V's blocks
-       (``excludes_zero_on``);
-    4. a certified-empty leaf of V's isolation away from V's blocks has
-       corners where g has opposite signs (``sign_change_leaf``), so the
-       rest of Z(X) is not empty."""
-    if field.domain != "plane":
-        return None  # no trig gcd
-    g = _poly_gcd(field.cx, field.cy)
-    if g.derive("x").is_zero and g.derive("y").is_zero:
-        return None
-    _, failed = ZeroProblem([("g", g)]).loop_certificate(region_boundary_loop(region))
-    if failed is not None:
-        return None
-    v = VectorField(divide_exact(field.cx, g), divide_exact(field.cy, g))
-    v_isolation = isolate_zeros(v, region, max_depth)
-    if (any(blk.coarse for blk in v_isolation.blocks) or sign_change_leaf(g, v_isolation) is None
-            or not excludes_zero_on(g, v_isolation)):
-        return None
-    return v, v_isolation.blocks
-
-
 def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremReport:
     """Check the common-zero conclusion on one catalog entry.
 
@@ -533,17 +483,14 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     tracker's zero set, and of the common zero set of all trackers, meets
     every essential block's cover, emitting witness boxes.
 
-    Z(X) is isolated over the whole region unless X is a plane field whose
-    components have a gcd g that is not constant in x and y.  Then, when
-    the four rules of ``_factored_blocks`` hold, X's blocks are those of
-    V = X / g, with V's indices (read off V's loop certificates), X is
-    never enclosed, and ``block_indices`` starts with ("G", 0), the rest
-    of Z(X): it lies on Z(g) away from Z(V), where X winds as V does, so
-    its index is 0 and it holds no essential block.
+    X's blocks, the field W whose loop certificates give their indices,
+    and the index-0 rest of Z(X) come from ``blocks.index_blocks``: the
+    whole-region isolation of X, or the blocks of V = X / g for a scalar
+    factor g of X, which leave X itself unenclosed.
 
     Each cover is decided by ``blocks.cover_witnesses`` on the cells
     around the essential blocks: ``blocks.window_cells`` reads a tracker
-    equal to the field the blocks were isolated for (X, or V) off the
+    equal to W, the field the blocks were isolated for, off the
     blocks' own cells and bisects the windows once for any other tracker,
     and the common zero set's cells are the intersection of the trackers'
     cells.  No tracker's zero set, and not the common one, is isolated
@@ -554,15 +501,11 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     statuses = tuple(r.status for r in reports)
     hypotheses_ok = bool(reports) and all(r.status == POLY_TRACKING for r in reports)
 
-    factored = _factored_blocks(entry.field, entry.region, max_depth)
-    if factored is None:
-        rest, v, x_blocks = (), entry.field, isolate_zeros(entry.field, entry.region, max_depth).blocks
-    else:
-        rest, (v, x_blocks) = (FACTOR_REST,), factored
+    rest, w, x_blocks = index_blocks(entry.field, entry.region, max_depth)
     for blk in x_blocks:
         if blk.coarse:
             raise CertificationError(f"coarse block {blk.label} in {entry.name}")
-    indices = rest + tuple((blk.label, block_index(v, blk).index) for blk in x_blocks)
+    indices = rest + tuple((blk.label, block_index(w, blk).index) for blk in x_blocks)
     essential = tuple(label for label, ix in indices if ix != 0)
     essential_blocks = [blk for blk in x_blocks if blk.label in essential]
 

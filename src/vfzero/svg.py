@@ -85,21 +85,25 @@ def phase_portrait_svg(
                 f'<circle cx="{_fmt(x2)}" cy="{_fmt(y2)}" r="1.4" fill="#444444"/>'
             )
 
-    # certified boundary loops
+    # certified boundary loops, one polyline per run of segments whose ends
+    # meet: a loop across the torus seam leaves the square on one side and
+    # comes back on the other
     for blk in blocks:
         for loop in blk.boundary:
-            segs = [piece_segment(piece) for piece in loop.segments]
-            pts = []
-            for seg in segs:
-                px, py = m.to_svg(float(seg.x0), float(seg.y0))
-                pts.append(f"{_fmt(px)},{_fmt(py)}")
-            if segs:
-                px, py = m.to_svg(float(segs[-1].x1), float(segs[-1].y1))
-                pts.append(f"{_fmt(px)},{_fmt(py)}")
-            parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="#1f6fb4" stroke-width="1.6"/>'
-            )
+            runs = []  # the points of each run
+            for seg in map(piece_segment, loop.segments):
+                if not runs or runs[-1][-1] != seg.start:
+                    runs.append([seg.start])
+                runs[-1].append(seg.end)
+            for run in runs:
+                pts = []
+                for x, y in run:
+                    px, py = m.to_svg(float(x), float(y))
+                    pts.append(f"{_fmt(px)},{_fmt(py)}")
+                parts.append(
+                    f'<polyline points="{" ".join(pts)}" fill="none" '
+                    f'stroke="#1f6fb4" stroke-width="1.6"/>'
+                )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -39,18 +39,17 @@ from typing import Optional
 from .blocks import (
     BoundaryLoop,
     DyadicSegment,
-    Grid,
     Segment,
     ZeroBlock,
     ZeroProblem,
-    _boundary_loops,
-    _field_parts,
     certify_loop,
     enclose,
     excludes_zero,
+    field_parts,
     field_problem,
     isolate_zeros,
     piece_segment,
+    region_boundary_loop,
     strict_sign,
 )
 from .errors import CertificationError, FalsificationError
@@ -96,12 +95,15 @@ def _crossings(certs: list[tuple[int, int]]) -> int:
 
 def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
     """Exact degree of the field direction map along the closed loop."""
-    return _loop_winding(ZeroProblem(_field_parts(field)), loop).winding
+    return _loop_winding(ZeroProblem(field_parts(field)), loop).winding
 
 
 def _loop_winding(problem: ZeroProblem, loop: BoundaryLoop) -> LoopWinding:
     """The crossing count of the loop certificate of a field's zero
-    problem (components cx, cy)."""
+    problem (components cx, cy).  The zero field, whose problem has no
+    component to certify a piece with, raises ``ValueError``."""
+    if not problem.kernels:
+        raise ValueError("the zero field vanishes everywhere; it has no winding number")
     pairs, failed = problem.loop_certificate(loop)
     if failed is not None:
         piece = piece_segment(failed)
@@ -121,7 +123,8 @@ def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
     the isolating certificate; a block whose boundary runs through a zero
     of the field fails there.  On a block isolated for the field the
     certificates are the isolation's own (``blocks.field_problem``), and
-    nothing is bisected again.
+    nothing is bisected again.  The zero field, which vanishes on every
+    piece, raises ``ValueError``.
     """
     if block.coarse:
         raise CertificationError(f"block {block.label} is coarse; refine the isolation")
@@ -132,12 +135,6 @@ def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
         index=sum(lw.winding for lw in loops),
         loops=loops,
     )
-
-
-def region_boundary_loop(region: Box) -> BoundaryLoop:
-    """Counterclockwise rectangle boundary of the region: the boundary of
-    its one cell at depth 0."""
-    return _boundary_loops(Grid(0, torus=False), [(0, 0)], region)[0]
 
 
 def region_index(field: VectorField, region: Box, max_depth: int) -> int:

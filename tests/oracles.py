@@ -65,8 +65,8 @@ from vfzero import (
 )
 from vfzero.blocks import MAX_SEG_REFINE, Segment, cover_witnesses, piece_segment
 from vfzero.harness import MainTheoremReport, Witness
-from vfzero.tracking import _RATIONAL_CAVEAT, _poly_gcd
-from vfzero.expr import DomainError, Key, _gens_string
+from vfzero.tracking import _RATIONAL_CAVEAT
+from vfzero.expr import DomainError, Key, _gens_string, poly_gcd
 from vfzero.intervals import (
     PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
 )
@@ -1080,7 +1080,7 @@ def ref_track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
         if b_i.has_trig() or x_i.has_trig():
             num, den = b_i, x_i
         else:
-            g = _poly_gcd(b_i, x_i)
+            g = poly_gcd(b_i, x_i)
             num = divide_exact(b_i, g)
             den = divide_exact(x_i, g)
         if num is None or den is None:

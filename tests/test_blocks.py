@@ -21,12 +21,11 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _field_parts, _subdivide,
-    bisect, common_zero_blocks, cover_witnesses, excludes_zero_on, lattice_box, piece_segment,
-    sign_change_leaf, window_cells,
+    DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _excludes_zero_on,
+    _sign_change_leaf, _subdivide, bisect, common_zero_blocks, cover_witnesses, field_parts, lattice_box,
+    piece_segment, region_boundary_loop, window_cells,
 )
 from vfzero.cli import run_command
-from vfzero.winding import region_boundary_loop
 
 from conftest import plane_fields, torus_polys
 from oracles import (
@@ -265,7 +264,7 @@ class TestIntegerSubdivision:
 
     @staticmethod
     def _check(field, region, depth):
-        problem = ZeroProblem(_field_parts(field))
+        problem = ZeroProblem(field_parts(field))
         retained, empties = _subdivide(problem, region, depth)
         empty_boxes = IsolationResult((), tuple(empties), region, depth).empty_boxes
         boxes = {c: lattice_box(region, depth, *c, *c) for c in retained}
@@ -292,7 +291,7 @@ class TestIntegerSubdivision:
         field = parse_field("((x - 1/7)^2 - (y - 1/2)^2, 2*(x - 1/7)*(y - 1/2))")
         region = Box.from_corners(0, 0, Fraction(1, 3), 1)
         res = isolate_zeros(field, region, 6)
-        problem = ZeroProblem(_field_parts(field))
+        problem = ZeroProblem(field_parts(field))
         retained, empties = fraction_subdivide(problem, region, 6)
         assert res.empty_boxes == tuple(empties)
         assert {c: b for blk in res.blocks for c, b in zip(blk.cells, blk.boxes)} == retained
@@ -311,7 +310,7 @@ class TestZeroComponents:
     ])
     def test_isolation_matches_fraction_bisection(self, text, cells):
         field = parse_field(text, "torus")
-        problem = ZeroProblem(_field_parts(field))
+        problem = ZeroProblem(field_parts(field))
         assert len(problem.kernels) == 1
         res = isolate_zeros(field, TORUS, 6)
         retained, empties = fraction_subdivide(problem, TORUS, 6)
@@ -344,7 +343,7 @@ class TestLazyEmptyBoxes:
         field = parse_field(text, domain)
         res = isolate_zeros(field, region, depth)
         assert "empty_boxes" not in res.__dict__
-        _, empties = fraction_subdivide(ZeroProblem(_field_parts(field)), region, depth)
+        _, empties = fraction_subdivide(ZeroProblem(field_parts(field)), region, depth)
         assert len(res.empty_boxes) == len(res.empty_cells) == len(empties)
         assert res.empty_boxes == tuple(empties)
         assert res.empty_boxes is res.empty_boxes
@@ -483,7 +482,7 @@ class TestWindowCells:
             grid = Grid(depth, entry.domain == "torus")
             windows = [set(b.cells).union(*map(grid.neighbors8, b.cells)) for b in blks]
             for field in dict.fromkeys((entry.field, *entry.trackers)):
-                retained = set(_subdivide(ZeroProblem(_field_parts(field)), entry.region, depth)[0])
+                retained = set(_subdivide(ZeroProblem(field_parts(field)), entry.region, depth)[0])
                 expected = [window & retained for window in windows]
                 assert window_cells(field, blks) == expected, (entry.name, str(field))
                 assert window_cells(field, bare) == expected, (entry.name, str(field))
@@ -527,14 +526,14 @@ class TestWindowCells:
 
 
 class TestSignChangeLeaf:
-    """``sign_change_leaf``: an empty leaf away from every block with
+    """``blocks._sign_change_leaf``: an empty leaf away from every block with
     corners of opposite sign, checked on exact corner values."""
 
     @pytest.mark.parametrize("depth", [4, 6, 10])
     def test_leaf_off_the_blocks_with_a_sign_change(self, depth):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
         g = parse_expr("x^2 + y^2 - 1")
-        i, j, level = sign_change_leaf(g, iso)
+        i, j, level = _sign_change_leaf(g, iso)
         box = lattice_box(REGION2, level, i, j, i, j)
         assert (i, j, level) in [cell for cell, _, _ in iso.empty_cells]
         for blk in iso.blocks:
@@ -546,15 +545,19 @@ class TestSignChangeLeaf:
 
     def test_no_sign_change(self):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, 6)
-        assert sign_change_leaf(parse_expr("x^2 + y^2 + 1"), iso) is None
+        assert _sign_change_leaf(parse_expr("x^2 + y^2 + 1"), iso) is None
         # the circle of radius 1/64 lies inside the block's cells and their ring
-        assert sign_change_leaf(parse_expr("x^2 + y^2 - 1/4096"), iso) is None
+        assert _sign_change_leaf(parse_expr("x^2 + y^2 - 1/4096"), iso) is None
+
+
+def _scalar_problem(text: str) -> ZeroProblem:
+    return ZeroProblem([("g", parse_expr(text))])
 
 
 class TestExcludesZeroOn:
-    """``excludes_zero_on``: a scalar's enclosure excludes zero on every
-    cell of an isolation's blocks, checked against the exact value at each
-    cell's corners and centre."""
+    """``blocks._excludes_zero_on``: a scalar's enclosure excludes zero on
+    every cell of an isolation's blocks, checked against the exact value
+    at each cell's corners and centre."""
 
     @pytest.mark.parametrize("depth", [4, 8])
     def test_factor_through_zero_of_v(self, depth):
@@ -562,13 +565,13 @@ class TestExcludesZeroOn:
         edges = load_catalog((Path(__file__).parent / "data" / "factor-edges.cfg").read_text())
         (entry,) = [e for e in edges if e.name == "ring-through"]
         iso = isolate_zeros(parse_field("(x, y)"), entry.region, depth)
-        assert not excludes_zero_on(parse_expr("x^2 - 2*x + y^2"), iso)
+        assert not _excludes_zero_on(_scalar_problem("x^2 - 2*x + y^2"), iso)
 
     @pytest.mark.parametrize("depth", [4, 8])
     def test_factor_away_from_zero_of_v(self, depth):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
         g = parse_expr("x^2 + y^2 - 1")
-        assert excludes_zero_on(g, iso)
+        assert _excludes_zero_on(ZeroProblem([("g", g)]), iso)
         for blk in iso.blocks:
             for box in blk.boxes:
                 (cx, cy) = box.midpoint()
@@ -577,4 +580,4 @@ class TestExcludesZeroOn:
 
     def test_no_block(self):
         # V = (1, y) has no zero in the region
-        assert excludes_zero_on(parse_expr("x"), isolate_zeros(parse_field("(1, y)"), REGION2, 4))
+        assert _excludes_zero_on(_scalar_problem("x"), isolate_zeros(parse_field("(1, y)"), REGION2, 4))

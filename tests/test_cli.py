@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,14 @@ class TestExitCodes:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_usage_error_zero_field_index(self, capsys):
+        # the zero Y was bisected 42 levels on a boundary piece and the run
+        # exited 2 with "zero too close to boundary"
+        argv = ["verify", "transfer", "--x", "(x, y)", "--y", "(0, 0)", "--depth", "3",
+                "--region", "-1,-1,1,1"]
+        assert run_command(argv) == 3
+        assert "usage error: the zero field vanishes everywhere; it has no winding number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_usage_error_no_trials(self, trials, capsys):
         argv = ["verify", "stability", "--field", "(x, -y)", "--trials", trials]
@@ -437,6 +446,19 @@ class TestTorusPlot:
         )
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_plot_torus_lines_stay_on_the_loops(self, tmp_path):
+        # K0's boundary at depth 3 runs from (0, 1/8) across the seam to
+        # (1, 1/8); one polyline per loop joined the two with a line across
+        # the whole plot (the square is 600 px wide, a cell edge 75 px)
+        svg = tmp_path / "torus.svg"
+        argv = ["plot", "--field", "(sin2px, sin2py)", "--domain", "torus", "--depth", "3"]
+        assert run_command(argv + ["--svg-out", str(svg), "--out", str(tmp_path / "t.json")]) == 0
+        lines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+        assert len(lines) > 4
+        for line in lines:
+            pts = [tuple(map(float, p.split(","))) for p in line.split()]
+            assert max(abs(a - c) + abs(b - d) for (a, b), (c, d) in zip(pts, pts[1:])) <= 75
 
     def test_version_flag(self, capsys):
         import pytest as _pytest

@@ -90,9 +90,9 @@ from vfzero.blocks import (
     ZeroBlock,
     ZeroProblem,
     _common_problem,
-    _field_parts,
     bisect,
     common_zero_blocks,
+    field_parts,
     piece_segment,
 )
 from vfzero.cli import run_command
@@ -252,12 +252,12 @@ _LegacyCertify = make_dataclass("CertifyResult", ["ok", "pieces", "offending", "
 
 # the zero problem whose sign certificates each moved pin's boundaries took
 PROBLEMS = {
-    "isolate-plane": lambda: ZeroProblem(_field_parts(_CUBIC)),
-    "isolate-empty": lambda: ZeroProblem(_field_parts(_NO_ZERO)),
-    "isolate-torus": lambda: ZeroProblem(_field_parts(_SINES)),
+    "isolate-plane": lambda: ZeroProblem(field_parts(_CUBIC)),
+    "isolate-empty": lambda: ZeroProblem(field_parts(_NO_ZERO)),
+    "isolate-torus": lambda: ZeroProblem(field_parts(_SINES)),
     "scalar-blocks": lambda: ZeroProblem([("value", _CIRCLE)]),
     "common-blocks": lambda: _common_problem(_PAIR),
-    "isolating-fails": lambda: ZeroProblem(_field_parts(_PAIR[0])),
+    "isolating-fails": lambda: ZeroProblem(field_parts(_PAIR[0])),
 }
 
 
@@ -352,7 +352,7 @@ PLOTS = [
     ("plot-squaring", ["plot", "--field", "(x^2 - y^2, 2*x*y)"],
      "8a910c29fe4b8e751fbfe2feea2257080ce64e597311d4bb1150108776fa58f5"),
     ("plot-torus", ["plot", "--field", "(sin2px, sin2py)", "--domain", "torus"],
-     "24c068c7609df729e13ef40f9955c46733f95f4140869d0610afd98bf2252a81"),
+     "d6ccfbf4ba7bf3a8f719a1a61cc4717e54ee1617022fccccb69f8a7e5917909c"),
 ]
 
 

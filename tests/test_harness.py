@@ -19,12 +19,12 @@ from vfzero import (
     refine_seed,
     stability_test,
 )
-from vfzero import blocks, harness
-from vfzero.blocks import piece_segment
+from vfzero import VectorField, blocks
+from vfzero.blocks import FACTOR_REST, index_blocks, piece_segment
 from vfzero.cli import run_command
-from vfzero.harness import FACTOR_REST, TORUS_SQUARE, _boundary_pieces, _random_perturbation
+from vfzero.harness import TORUS_SQUARE, _boundary_pieces, _random_perturbation
 
-from oracles import factor_cover, full_cover, range_on_fractions, v_cover
+from oracles import factor_cover, full_cover, range_on_fractions, ref_divide_exact, ref_poly_gcd, v_cover
 
 
 class TestCatalog:
@@ -255,15 +255,21 @@ def _whole_region_block_is_not_v_block(name: str, depth: int) -> bool:
 def _isolating(monkeypatch, entry, depth):
     """``main_theorem_check``'s report on the entry at the depth, and the
     zero sets it isolates over the whole region: the field of each
-    ``isolate_zeros`` call and the field list of each
+    ``blocks.isolate_zeros`` call and the field list of each
     ``blocks.common_zero_blocks`` call."""
     isolated = []
-    whole, common = harness.isolate_zeros, blocks.common_zero_blocks
+    whole, common = blocks.isolate_zeros, blocks.common_zero_blocks
     with monkeypatch.context() as m:
-        m.setattr(harness, "isolate_zeros", lambda f, r, d: isolated.append(f) or whole(f, r, d))
+        m.setattr(blocks, "isolate_zeros", lambda f, r, d: isolated.append(f) or whole(f, r, d))
         m.setattr(blocks, "common_zero_blocks",
                   lambda fs, r, d: isolated.append(list(fs)) or common(fs, r, d))
         return main_theorem_check(entry, depth), isolated
+
+
+def _factored(depth: int) -> set[str]:
+    """The entries of ``_cover_entries`` that take the factored path at
+    the depth."""
+    return ({"annulus-node", "two-circles"} if depth >= 4 else set()) | {"near-ring"}
 
 
 # the entries whose X has a gcd g that is not constant and nonzero on the
@@ -299,7 +305,25 @@ class TestCoverWindow:
             else:
                 whole = full_cover(entry, depth)
             assert rep == whole, entry.name
-        assert factored == ({"annulus-node", "two-circles"} if depth >= 4 else set()) | {"near-ring"}
+        assert factored == _factored(depth)
+
+    @pytest.mark.parametrize("depth", range(2, 10))
+    def test_index_blocks(self, depth):
+        # the factored entries get ("G", 0), exactly V = X / g (sympy's gcd)
+        # and V's isolation; every other one, the torus entries and nozero
+        # among them, X's whole-region isolation
+        entries = _cover_entries()
+        assert {"nozero", "torus-seam", "torus-grid-node"} <= {e.name for e in entries}
+        for entry in entries:
+            f = entry.field
+            rest, w, blks = index_blocks(f, entry.region, depth)
+            if entry.name in _factored(depth):
+                g = ref_poly_gcd(f.cx, f.cy)
+                assert rest == (("G", 0),), entry.name
+                assert w == VectorField(ref_divide_exact(f.cx, g), ref_divide_exact(f.cy, g)), entry.name
+            else:
+                assert rest == () and w is f, entry.name
+            assert blks == isolate_zeros(w, entry.region, depth).blocks, entry.name
 
     @pytest.mark.parametrize("depth", range(2, 10))
     def test_factored_indices_from_x_itself(self, depth):

@@ -26,7 +26,7 @@ from vfzero import (
     winding,
     winding_number,
 )
-from vfzero.blocks import ZeroProblem, _field_parts, certify_boundary, piece_segment
+from vfzero.blocks import ZeroProblem, certify_boundary, field_parts, piece_segment
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces, _random_perturbation
 
@@ -80,6 +80,16 @@ class TestWindingNumber:
         loop = region_boundary_loop(Box.from_corners(0, 0, 1, 1))
         with pytest.raises(CertificationError):
             winding_number(field, loop)
+
+    def test_zero_field_refused(self):
+        # every piece used to be bisected 42 levels deep and the zero field
+        # reported as "zero too close to boundary"
+        zero = parse_field("(0, 0)")
+        _, blk = origin_block("(x, y)")
+        for call in (lambda: winding_number(zero, region_boundary_loop(REGION)),
+                     lambda: region_index(zero, REGION, 3), lambda: block_index(zero, blk)):
+            with pytest.raises(ValueError, match="^the zero field vanishes everywhere; it has no winding number$"):
+                call()
 
 
 class TestBlockIndex:
@@ -215,7 +225,7 @@ class TestCrossingRule:
 
     @staticmethod
     def _loop_certificates(field, loop):
-        return [ZeroProblem(_field_parts(field)).sign_certificate(seg) for seg in loop.segments]
+        return [ZeroProblem(field_parts(field)).sign_certificate(seg) for seg in loop.segments]
 
     def test_loop_certified_only_by_cx_positive_winds_zero(self):
         # cy changes sign twice along the loop, inside the run of cx > 0
@@ -466,7 +476,7 @@ class TestCertificateReuse:
                      for blk in blocks]
         assert asked == []
         for blk, (rep, pieces, isolating) in zip(blocks, read):
-            fresh = tuple(winding._loop_winding(ZeroProblem(_field_parts(field)), loop)
+            fresh = tuple(winding._loop_winding(ZeroProblem(field_parts(field)), loop)
                           for loop in blk.boundary)
             assert rep.loops == fresh
             assert isolating.ok
@@ -532,14 +542,14 @@ class TestPieceCounts:
     def test_pieces_per_loop(self, name):
         field, blocks = _count_case(name)
         turned = VectorField(-field.cy, field.cx)
-        problem = ZeroProblem(_field_parts(field))
+        problem = ZeroProblem(field_parts(field))
         counts = []
         for blk in blocks:
             row = []
             for loop in blk.boundary:
                 one = dataclasses.replace(blk, boundary=(loop,))
                 row.append((certify_boundary(problem, (loop,)).pieces,
-                            winding._loop_winding(ZeroProblem(_field_parts(field)), loop).pieces,
+                            winding._loop_winding(ZeroProblem(field_parts(field)), loop).pieces,
                             len(_boundary_pieces(field, one)),
                             index_transfer_check(field, turned, one).pieces))
             counts.append(row)
