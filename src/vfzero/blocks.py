@@ -63,10 +63,11 @@ cell that meets a retained window cell with the least such cell.
 ``index_blocks`` is the isolation whose blocks ``verify main`` indexes.
 For a plane field X = g V with a scalar factor g (``expr.poly_gcd`` of
 its components) it isolates V and, when g's zeros are certified to stay
-off the region boundary and V's blocks and to hold a sign change, returns
-V's blocks with V as the field that indexes them and the rest of Z(X)
-as one index-0 record, ``FACTOR_REST``; otherwise it isolates X over the
-whole region.
+off the region boundary and V's blocks, returns V's blocks with V as the
+field that indexes them.  g's signs on V's empty leaves then say the
+rest: opposite signs anywhere put a zero of g in the rest of Z(X), which
+is one index-0 record, ``FACTOR_REST``, and g certified nonzero on every
+leaf leaves no rest.  Otherwise it isolates X over the whole region.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .expr import Expr, divide_exact, poly_gcd
 from .fields import VectorField
@@ -699,66 +700,67 @@ def index_blocks(field: VectorField, region: Box,
 
     For a plane X = g V, with g the gcd of X's components
     (``expr.poly_gcd``) not constant in x and y, the factor split gives
-    rest = (``FACTOR_REST``,), W = V and the blocks of V's isolation.
-    Where V is nonzero, X winds as V does on any loop where X is nonzero
-    (g has one sign there), so every part of Z(X) away from Z(V) has index
-    0, and on a closed cell union where g is nonzero Z(X) is Z(V) and X's
-    index is V's.  The split is taken only when
+    W = V and the blocks of V's isolation.  Where V is nonzero, X winds
+    as V does on any loop where X is nonzero (g has one sign there), so
+    every part of Z(X) away from Z(V) has index 0, and on a closed cell
+    union where g is nonzero Z(X) is Z(V) and X's index is V's.  The
+    split is taken only when
     1. g is certified nonzero on the region boundary, so Z(g) stays off it
        and the index-0 argument holds for every part of Z(g);
     2. V's isolation at ``max_depth`` has no coarse block;
     3. g's enclosure excludes zero on every cell of V's blocks
        (``_excludes_zero_on``);
-    4. a certified-empty leaf of V's isolation away from V's blocks has
-       corners where g has opposite signs (``_sign_change_leaf``), so the
-       rest of Z(X) is not empty.
-    Otherwise X is isolated over the whole region: rest = () and W = X."""
+    and then rest = (``FACTOR_REST``,) when g has opposite strict signs
+    at two of the points read on V's certified-empty leaves
+    (``_sign_change_on_leaves``): the closed region is connected and, by
+    rules 1 and 3, the zero of g between them lies in the rest of Z(X).
+    With no such pair, rest = () when g's enclosure also excludes zero on
+    every empty leaf, so that g has no zero in the closed region and
+    Z(X) = Z(V).  Otherwise X is isolated over the whole region: rest = ()
+    and W = X."""
     g = poly_gcd(field.cx, field.cy) if field.domain == "plane" else None  # no trig gcd
     if g is not None and not (g.derive("x").is_zero and g.derive("y").is_zero):
-        g_problem = ZeroProblem([("g", g)])  # rules 1 and 3
+        g_problem = ZeroProblem([("g", g)])  # rules 1 and 3, and the empty rest
         if g_problem.loop_certificate(region_boundary_loop(region))[1] is None:
             v = VectorField(divide_exact(field.cx, g), divide_exact(field.cy, g))
             isolation = isolate_zeros(v, region, max_depth)
-            if not (any(blk.coarse for blk in isolation.blocks) or _sign_change_leaf(g, isolation) is None
-                    or not _excludes_zero_on(g_problem, isolation)):
-                return (FACTOR_REST,), v, isolation.blocks
+            block_cells = [DyadicCell(i, j, max_depth) for blk in isolation.blocks for i, j in blk.cells]
+            if not any(blk.coarse for blk in isolation.blocks) and _excludes_zero_on(g_problem, region, block_cells):
+                if _sign_change_on_leaves(g, isolation):
+                    return (FACTOR_REST,), v, isolation.blocks
+                if _excludes_zero_on(g_problem, region, [cell for cell, _, _ in isolation.empty_cells]):
+                    return (), v, isolation.blocks
     return (), field, isolate_zeros(field, region, max_depth).blocks
 
 
-def _sign_change_leaf(expr: Expr, isolation: IsolationResult) -> Optional[DyadicCell]:
-    """The first certified-empty leaf of a plane isolation, in traversal
-    order, whose closed box shares no point with any block's closed cells
-    and at two of whose corners the expression's enclosures have opposite
-    strict signs, or None.  The continuous expression then vanishes on the
-    leaf's edges, outside every block."""
-    region, depth = isolation.region, isolation.max_depth
-    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(region)
+def _sign_change_on_leaves(expr: Expr, isolation: IsolationResult) -> bool:
+    """Whether the expression's enclosures have opposite strict signs at
+    two of the points read, the four corners and the centre of each
+    certified-empty leaf of a plane isolation, in traversal order up to
+    the first opposite pair.  The continuous expression then vanishes in
+    the closed region, which is connected."""
+    q, (ax, bx, ex), (ay, by, ey) = _region_lattice(isolation.region)
     wx, wy = bx - ax, by - ay
     kernel = expr.dyadic_kernel().range_dyadic
-    block_cells = [c for blk in isolation.blocks for c in blk.cells]
+    signs = set()
     for (i, j, level), _, _ in isolation.empty_cells:
-        # the leaf's cells at ``depth`` run over [i0, i1] x [j0, j1]; a
-        # closed cell meets the closed leaf when it is one of them or next
-        # to one
-        s = depth - level
-        i0, j0, i1, j1 = i << s, j << s, ((i + 1) << s) - 1, ((j + 1) << s) - 1
-        if any(i0 - 1 <= a <= i1 + 1 and j0 - 1 <= b <= j1 + 1 for a, b in block_cells):
-            continue
-        x0, y0 = (ax << level) + i * wx, (ay << level) + j * wy
-        signs = {strict_sign(kernel((x, x, ex + level), (y, y, ey + level), q))
-                 for x in (x0, x0 + wx) for y in (y0, y0 + wy)}
-        if {-1, 1} <= signs:
-            return DyadicCell(i, j, level)
-    return None
+        # the leaf's corners, over q * 2^(e + level + 1) so that the centre
+        # has an integer numerator too
+        x0, y0 = ((ax << level) + i * wx) << 1, ((ay << level) + j * wy) << 1
+        x1, y1 = x0 + 2 * wx, y0 + 2 * wy
+        for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1), (x0 + wx, y0 + wy)):
+            signs.add(strict_sign(kernel((x, x, ex + level + 1), (y, y, ey + level + 1), q)))
+            if {-1, 1} <= signs:
+                return True
+    return False
 
 
-def _excludes_zero_on(problem: ZeroProblem, isolation: IsolationResult) -> bool:
-    """Whether the problem's emptiness certificate holds on every cell of
-    every block of the isolation: for a scalar's problem, it has no zero
-    on the blocks' closed cell unions."""
-    certify = _cell_certifier(problem, isolation.region)
-    return all(certify(DyadicCell(i, j, isolation.max_depth)) is not None
-               for blk in isolation.blocks for i, j in blk.cells)
+def _excludes_zero_on(problem: ZeroProblem, region: Box, cells: Iterable[DyadicCell]) -> bool:
+    """Whether the problem's emptiness certificate holds on every one of
+    the cells of the region: for a scalar's problem, it has no zero on
+    their closed union."""
+    certify = _cell_certifier(problem, region)
+    return all(certify(cell) is not None for cell in cells)
 
 
 # ``bisect``'s certificate for a cell that is no ancestor of a window cell

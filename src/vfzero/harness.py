@@ -74,23 +74,10 @@ def parse_region(text: str) -> Box:
 
 
 def _split_fields(text: str) -> list[str]:
-    out = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return out
+    """The ';'-separated pieces of a field list, without an empty last
+    piece (a trailing ';'); the expression grammar has no ';'."""
+    pieces = text.split(";")
+    return pieces if pieces[-1].strip() else pieces[:-1]
 
 
 def _catalog_value(name: str, sec, key: str, parse, allowed: str):

@@ -21,13 +21,13 @@ from vfzero import (
     scalar_zero_blocks,
 )
 from vfzero.blocks import (
-    DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _excludes_zero_on,
-    _sign_change_leaf, _subdivide, bisect, common_zero_blocks, cover_witnesses, field_parts, lattice_box,
+    DyadicCell, DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _excludes_zero_on,
+    _sign_change_on_leaves, _subdivide, bisect, common_zero_blocks, cover_witnesses, field_parts, lattice_box,
     piece_segment, region_boundary_loop, window_cells,
 )
 from vfzero.cli import run_command
 
-from conftest import plane_fields, torus_polys
+from conftest import plane_fields, plane_polys, torus_polys
 from oracles import (
     box_block,
     box_overlap,
@@ -525,39 +525,64 @@ class TestWindowCells:
             assert len(calls) == expected, (str(field), len(group))
 
 
+def _leaf_points(iso):
+    """The four corners and the centre of each certified-empty leaf of the
+    isolation, in traversal order."""
+    for box, _, _ in iso.empty_boxes:
+        yield from ((x, y) for x in (box.x.lo, box.x.hi) for y in (box.y.lo, box.y.hi))
+        yield box.midpoint()
+
+
 class TestSignChangeLeaf:
-    """``blocks._sign_change_leaf``: an empty leaf away from every block with
-    corners of opposite sign, checked on exact corner values."""
+    """``blocks._sign_change_on_leaves``: opposite strict signs of a
+    scalar at two of the corners and centres of an isolation's empty
+    leaves, checked on exact values."""
 
     @pytest.mark.parametrize("depth", [4, 6, 10])
     def test_leaf_off_the_blocks_with_a_sign_change(self, depth):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
         g = parse_expr("x^2 + y^2 - 1")
-        i, j, level = _sign_change_leaf(g, iso)
-        box = lattice_box(REGION2, level, i, j, i, j)
-        assert (i, j, level) in [cell for cell, _, _ in iso.empty_cells]
-        for blk in iso.blocks:
-            hull = blk.hull()
-            assert (box.x.hi < hull.x.lo or hull.x.hi < box.x.lo
-                    or box.y.hi < hull.y.lo or hull.y.hi < box.y.lo)
-        signs = {exact_value(g, (x, y)) > 0 for x in (box.x.lo, box.x.hi) for y in (box.y.lo, box.y.hi)}
-        assert signs == {True, False}
+        assert _sign_change_on_leaves(g, iso)
+        assert {exact_value(g, p) > 0 for p in _leaf_points(iso)} == {True, False}
 
     def test_no_sign_change(self):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, 6)
-        assert _sign_change_leaf(parse_expr("x^2 + y^2 + 1"), iso) is None
-        # the circle of radius 1/64 lies inside the block's cells and their ring
-        assert _sign_change_leaf(parse_expr("x^2 + y^2 - 1/4096"), iso) is None
+        assert not _sign_change_on_leaves(parse_expr("x^2 + y^2 + 1"), iso)
+        # the circle of radius 1/64 lies inside the block's cells
+        assert not _sign_change_on_leaves(parse_expr("x^2 + y^2 - 1/4096"), iso)
+
+    @pytest.mark.parametrize("depth", [1, 4, 12])
+    def test_sign_change_at_a_centre(self, depth):
+        # V = (0, 1) is isolated as the one root leaf: g is 7 at its four
+        # corners and -1 at its centre
+        iso = isolate_zeros(parse_field("(0, 1)"), REGION2, depth)
+        assert [cell for cell, _, _ in iso.empty_cells] == [(0, 0, 0)]
+        assert _sign_change_on_leaves(parse_expr("x^2 + y^2 - 1"), iso)
+        assert not _sign_change_on_leaves(parse_expr("(x^2 + y^2 - 1)^2"), iso)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(plane_polys(), st.integers(1, 5))
+    def test_exact_signs(self, g, depth):
+        # the point enclosures are exact, so the answer is whether the exact
+        # values at the points read have both strict signs
+        iso = isolate_zeros(parse_field("(x - 1/3, y + 1/5)"), REGION2, depth)
+        signs = {(v > 0) - (v < 0) for v in (exact_value(g, p) for p in _leaf_points(iso))}
+        assert _sign_change_on_leaves(g, iso) == ({-1, 1} <= signs)
 
 
 def _scalar_problem(text: str) -> ZeroProblem:
     return ZeroProblem([("g", parse_expr(text))])
 
 
+def _block_cells(iso):
+    return [DyadicCell(i, j, iso.max_depth) for blk in iso.blocks for i, j in blk.cells]
+
+
 class TestExcludesZeroOn:
     """``blocks._excludes_zero_on``: a scalar's enclosure excludes zero on
-    every cell of an isolation's blocks, checked against the exact value
-    at each cell's corners and centre."""
+    every given cell, here the cells of an isolation's blocks or its empty
+    leaves, checked against the exact value at each cell's corners and
+    centre."""
 
     @pytest.mark.parametrize("depth", [4, 8])
     def test_factor_through_zero_of_v(self, depth):
@@ -565,13 +590,13 @@ class TestExcludesZeroOn:
         edges = load_catalog((Path(__file__).parent / "data" / "factor-edges.cfg").read_text())
         (entry,) = [e for e in edges if e.name == "ring-through"]
         iso = isolate_zeros(parse_field("(x, y)"), entry.region, depth)
-        assert not _excludes_zero_on(_scalar_problem("x^2 - 2*x + y^2"), iso)
+        assert not _excludes_zero_on(_scalar_problem("x^2 - 2*x + y^2"), iso.region, _block_cells(iso))
 
     @pytest.mark.parametrize("depth", [4, 8])
     def test_factor_away_from_zero_of_v(self, depth):
         iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
         g = parse_expr("x^2 + y^2 - 1")
-        assert _excludes_zero_on(ZeroProblem([("g", g)]), iso)
+        assert _excludes_zero_on(ZeroProblem([("g", g)]), iso.region, _block_cells(iso))
         for blk in iso.blocks:
             for box in blk.boxes:
                 (cx, cy) = box.midpoint()
@@ -580,4 +605,14 @@ class TestExcludesZeroOn:
 
     def test_no_block(self):
         # V = (1, y) has no zero in the region
-        assert _excludes_zero_on(_scalar_problem("x"), isolate_zeros(parse_field("(1, y)"), REGION2, 4))
+        iso = isolate_zeros(parse_field("(1, y)"), REGION2, 4)
+        assert _excludes_zero_on(_scalar_problem("x"), iso.region, _block_cells(iso))
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_empty_leaves(self, depth):
+        # g = x^2 + y^2 + 1 has no real zero; x^2 + y^2 - 1 vanishes on a
+        # leaf of V = (x, y)'s isolation, where the exact values change sign
+        iso = isolate_zeros(parse_field("(x, y)"), REGION2, depth)
+        leaves = [cell for cell, _, _ in iso.empty_cells]
+        assert _excludes_zero_on(_scalar_problem("x^2 + y^2 + 1"), iso.region, leaves)
+        assert not _excludes_zero_on(_scalar_problem("x^2 + y^2 - 1"), iso.region, leaves)

@@ -226,11 +226,12 @@ class TestExitCodes:
          "verify main takes each entry's domain from the catalog; --domain is not allowed"),
         (["main", "--entry", "torus-grid-node", "--domain", "torus"],
          "verify main takes each entry's domain from the catalog; --domain is not allowed"),
+        (["main", "--entry", "no-such-entry"], "no catalog entry named 'no-such-entry'"),
     ], ids=["ph-half-torus", "main-elsewhere", "main-catalog-region", "main-torus-domain",
-            "main-torus-entry-domain"])
+            "main-torus-entry-domain", "main-unknown-entry"])
     def test_usage_error_ignored_region(self, argv, message, tmp_path, capsys):
-        # each used to exit 0 on a region or domain of its own, printing the
-        # given one in the report's config
+        # each but the unknown entry used to exit 0 on a region or domain of
+        # its own, printing the given one in the report's config
         out = tmp_path / "report.json"
         assert run_command(["verify", *argv, "--depth", "4", "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
@@ -248,13 +249,16 @@ class TestExitCodes:
         assert run_command(["index", "--nope", "1"]) == 3
 
     def test_coarse_region_boundary_zero(self, tmp_path):
-        # zero sits on the region boundary: block cannot be certified
-        code, doc, _ = run_json(
-            ["zeros", "--field", "(x, y)", "--region", "0,0,1,1", "--depth", "4"],
-            tmp_path,
-        )
-        assert code == 2
-        assert doc["results"]["coarse"] is True
+        # zero sits on the region boundary: block cannot be certified, and
+        # index reports the coarse block without an index
+        for command in ("zeros", "index"):
+            code, doc, _ = run_json(
+                [command, "--field", "(x, y)", "--region", "0,0,1,1", "--depth", "4"],
+                tmp_path, f"{command}.json",
+            )
+            assert code == 2, command
+            assert doc["results"]["coarse"] is True, command
+            assert len(doc["results"]["blocks"]) == 1 and "index" not in doc["results"]["blocks"][0], command
 
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x, y)"],
@@ -371,12 +375,14 @@ class TestExitCodes:
         ("x", "(x, y", "catalog section [bad] key 'x': '(x, y' is not a plane field '(ex, ey)'"),
         ("trackers", "(x, y) ; (z, y)", "catalog section [bad] key 'trackers': '(x, y) ; (z, y)' is not "
                                         "a ';'-separated list of plane fields"),
+        ("trackers", "(x; y)", "catalog section [bad] key 'trackers': '(x; y)' is not "
+                               "a ';'-separated list of plane fields"),
         ("region", "a, 0, 1, 1", "catalog section [bad] key 'region': 'a, 0, 1, 1' is not "
                                  "a region 'x0, y0, x1, y1' of rationals"),
         ("region", "0, 0, 1/0, 1", "catalog section [bad] key 'region': '0, 0, 1/0, 1' is not "
                                    "a region 'x0, y0, x1, y1' of rationals"),
-    ], ids=["domain", "blocks-word", "blocks-negative", "indices", "field", "trackers", "region",
-            "region-zero-denominator"])
+    ], ids=["domain", "blocks-word", "blocks-negative", "indices", "field", "trackers", "trackers-parenthesis",
+            "region", "region-zero-denominator"])
     def test_usage_error_bad_catalog_value(self, key, value, message, tmp_path, capsys):
         # an unknown domain used to be refused as a torus generator error,
         # a bad count with int()'s bare message, and a bad field, tracker

@@ -70,6 +70,9 @@ tags = main
         entries = load_catalog(text)
         assert entries[0].name == "tiny"
         assert entries[0].has_tag("main")
+        # a trailing ';' ends the tracker list
+        (entry,) = load_catalog(text.replace("trackers = (x, y)", "trackers = (x, y); (-y, x);"))
+        assert entry.trackers == (parse_field("(x, y)"), parse_field("(-y, x)"))
 
 
 class TestSeedRefinement:
@@ -249,7 +252,7 @@ def _whole_region_block_is_not_v_block(name: str, depth: int) -> bool:
     one: there the whole-region isolation of X merges a curve of g with the
     zero of V, or, for near-ring, retains more cells around that zero than
     V's block, from the enclosure of the expanded product."""
-    return name == "near-ring" or (name, depth) in {("annulus-node", 4), ("two-circles", 4)}
+    return name == "near-ring" or (name, depth) in {("annulus-node", 3), ("annulus-node", 4), ("two-circles", 4)}
 
 
 def _isolating(monkeypatch, entry, depth):
@@ -268,13 +271,25 @@ def _isolating(monkeypatch, entry, depth):
 
 def _factored(depth: int) -> set[str]:
     """The entries of ``_cover_entries`` that take the factored path at
-    the depth."""
-    return ({"annulus-node", "two-circles"} if depth >= 4 else set()) | {"near-ring"}
+    the depth, with the rest of Z(X) as ("G", 0)."""
+    return (({"annulus-node"} if depth >= 3 else set()) | ({"two-circles"} if depth >= 4 else set())
+            | {"near-ring", "inside-leaf"})
 
 
-# the entries whose X has a gcd g that is not constant and nonzero on the
-# region boundary, so that ``main_theorem_check`` isolates V = X / g
-_SPLIT_TRIED = {"annulus-node", "two-circles", "near-ring", "ring-through", "nozero", "inside-leaf"}
+def _v_blocks(depth: int) -> set[str]:
+    """The entries of ``_cover_entries`` whose blocks are V's at the depth:
+    the factored ones, and nozero, whose g has no zero in the region."""
+    return _factored(depth) | {"nozero"}
+
+
+def _isolated_twice(depth: int) -> set[str]:
+    """The entries of ``_cover_entries`` whose V = X / g is isolated and
+    thrown away at the depth, because g's enclosure does not exclude zero
+    on V's blocks (rule 3): g vanishes on V's cell at the origin for
+    ring-through, and the shallow V blocks of annulus-node and
+    two-circles reach g's circles."""
+    return {"ring-through"} | ({"annulus-node"} if depth == 2 else set()) | (
+        {"two-circles"} if depth <= 3 else set())
 
 
 class TestCoverWindow:
@@ -292,10 +307,10 @@ class TestCoverWindow:
             rep, isolated = _isolating(monkeypatch, entry, depth)
             is_factored = rep.block_indices[:1] == (FACTOR_REST,)
             # no tracker's zero set and not the common one is isolated over
-            # the whole region: only V's on the factored path, and X's
-            # otherwise, after V's when a rule of the factor split fails
-            assert len(isolated) == 1 + (entry.name in _SPLIT_TRIED and not is_factored), entry.name
-            assert (isolated[-1] == entry.field) != is_factored, entry.name
+            # the whole region: only V's when the factor split holds, and
+            # X's otherwise, after V's when rule 2 or 3 of the split fails
+            assert len(isolated) == 1 + (entry.name in _isolated_twice(depth)), entry.name
+            assert (isolated[-1] == entry.field) != (entry.name in _v_blocks(depth)), entry.name
             if is_factored:
                 factored.add(entry.name)
                 if _whole_region_block_is_not_v_block(entry.name, depth):
@@ -310,16 +325,16 @@ class TestCoverWindow:
     @pytest.mark.parametrize("depth", range(2, 10))
     def test_index_blocks(self, depth):
         # the factored entries get ("G", 0), exactly V = X / g (sympy's gcd)
-        # and V's isolation; every other one, the torus entries and nozero
-        # among them, X's whole-region isolation
+        # and V's isolation, and nozero the same without ("G", 0); every
+        # other one, the torus entries among them, X's whole-region isolation
         entries = _cover_entries()
         assert {"nozero", "torus-seam", "torus-grid-node"} <= {e.name for e in entries}
         for entry in entries:
             f = entry.field
             rest, w, blks = index_blocks(f, entry.region, depth)
-            if entry.name in _factored(depth):
+            if entry.name in _v_blocks(depth):
                 g = ref_poly_gcd(f.cx, f.cy)
-                assert rest == (("G", 0),), entry.name
+                assert rest == ((("G", 0),) if entry.name in _factored(depth) else ()), entry.name
                 assert w == VectorField(ref_divide_exact(f.cx, g), ref_divide_exact(f.cy, g)), entry.name
             else:
                 assert rest == () and w is f, entry.name
@@ -375,8 +390,8 @@ class TestFactoredPath:
         (10, "5254c563e9a36b66c23063ece55b13f0bbc5713c83fd1d29d827009c328075a7"),
     ])
     def test_factor_without_real_zero_keeps_report(self, monkeypatch, tmp_path, depth, sha256):
-        # g = x^2 + y^2 + 1 changes sign nowhere: the report recorded before
-        # the factored path existed
+        # g = x^2 + y^2 + 1 has no zero, so X's blocks and indices are V's:
+        # the report recorded before the factored path existed
         monkeypatch.chdir(DATA)
         out = tmp_path / "report.json"
         argv = ["verify", "main", "--catalog", "factor-edges.cfg", "--entry", "nozero", "--depth", str(depth)]
@@ -411,13 +426,29 @@ class TestFactoredPath:
         assert rep.block_indices == (("G", 0), ("K0", 1))
         assert rep.hypotheses_ok and rep.missed == ()
 
-    def test_factor_zeros_inside_one_leaf(self, edges):
+    def test_factor_zeros_inside_one_leaf(self, monkeypatch, edges):
         # V = (0, 1) is isolated as the one root leaf, on whose corners g
-        # has one sign: the whole-region isolation decides
+        # is 7 and at whose centre it is -1: the unit circle is G, and X
+        # is not isolated
         entry = edges["inside-leaf"]
-        rep = main_theorem_check(entry, 6)
+        rep, isolated = _isolating(monkeypatch, entry, 6)
+        assert isolated == [parse_field("(0, 1)")]
+        assert rep == factor_cover(entry, full_cover(entry, 6), 6)
+        assert rep.block_indices == (("G", 0),)
+
+    def test_factor_without_sign_change_isolates_x(self, monkeypatch):
+        # g = (x^2 + y^2 - 1)^2 vanishes on the unit circle without changing
+        # sign, so no pair of opposite signs is found and g's enclosure
+        # meets zero on the leaves around the circle: X is isolated after V
+        (entry,) = load_catalog(
+            "[squared]\n"
+            "domain = plane\n"
+            "x = ((x^2 + y^2 - 1)^2*x, (x^2 + y^2 - 1)^2*y)\n"
+            "trackers = (-y, x)\n"
+            "region = -2, -2, 2, 2\n")
+        rep, isolated = _isolating(monkeypatch, entry, 6)
+        assert len(isolated) == 2 and isolated[-1] == entry.field
         assert rep == full_cover(entry, 6)
-        assert rep.block_indices == (("K0", 0),)
 
     def test_annulus_deep(self, catalog):
         rep = main_theorem_check(catalog["annulus-node"], 13)
