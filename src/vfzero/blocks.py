@@ -50,15 +50,16 @@ the closed unions of distinct blocks are genuinely disjoint.
 
 Whether a zero set meets a block, and with which witness, is decided on
 a window: the block's cells and their eight neighbours.  ``window_cells``
-finds the retained window cells of one field's zero set.  For the field
-the blocks were isolated for they are the blocks' own cells; for any
-other field one ``bisect`` from the root cell reaches the cells of all
-windows, with every branch that holds no window cell out of scope.  The
-common zero set of several fields retains a cell exactly when each field
-does, so its window cells are the intersection of theirs and are never
-bisected.  ``cover_witnesses`` decides from the cells alone: none means
-a miss, and otherwise the witness is the overlap of the block's first
-cell that meets a retained window cell with the least such cell.
+finds one set of retained cells of one field's zero set, which holds
+those of every block's window.  For the field the blocks were isolated
+for it is the blocks' own cells; for any other field one ``bisect`` from
+the root cell reaches the cells of all windows, with every branch that
+holds no window cell out of scope.  The common zero set of several fields
+retains a cell exactly when each field does, so its set is the
+intersection of theirs and is never bisected.  ``witness`` decides one
+block from one such set alone: no retained cell in the window means a
+miss, and otherwise the witness is the overlap of the block's first cell
+that meets a retained cell with the least such cell.
 
 ``index_blocks`` is the isolation whose blocks ``verify main`` indexes.
 For a plane field X = g V with a scalar factor g (``expr.poly_gcd`` of
@@ -288,11 +289,13 @@ def _seam_shift(i: int, k: int) -> int:
     return -1 if k - i > 1 else 1 if i - k > 1 else 0
 
 
-def _witness(block: ZeroBlock, cells: Collection[Cell]) -> Optional[Box]:
-    """The overlap of the block's first cell, in order, that meets one of
-    the cells (is equal to it or one of its eight neighbours on the grid)
-    with the least cell that meets it, shifted by a period across the
-    torus seam, or None when no cell meets."""
+def witness(block: ZeroBlock, cells: Collection[Cell]) -> Optional[Box]:
+    """The witness that a zero set with the retained cells ``cells`` meets
+    the block, or None: the overlap of the block's first cell, in cell
+    order, that meets one of them (is equal to it or one of its
+    ``Grid.neighbors8``) with the least such cell, shifted by a period
+    across the torus seam so that it lies in the block's cell.  Only the
+    block's window is read, so one set serves every block."""
     grid = block.grid()
     for a in block.cells:
         hits = [c for c in (a, *grid.neighbors8(a)) if c in cells]
@@ -767,9 +770,9 @@ def _excludes_zero_on(problem: ZeroProblem, region: Box, cells: Iterable[DyadicC
 _OUT_OF_SCOPE = ("out of scope", None)
 
 
-def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Cell]]:
-    """For each block, the cells of its window that a subdivision of the
-    field's zero set over the blocks' region and resolution retains.
+def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> set[Cell]:
+    """The cells of the blocks' windows that a subdivision of the field's
+    zero set over the blocks' region and resolution retains.
 
     The blocks share one region, resolution and domain, as the blocks of
     one isolation do.  A block's window is its cells and their
@@ -777,20 +780,20 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     quadtree ancestor of it survive the emptiness certificate, which is
     what a whole-region subdivision retains.
 
-    When every block was isolated for the field, its own cells are the
+    When every block was isolated for the field, their own cells are the
     answer and nothing is bisected: a block is an 8-connected component of
     the field's retained cells, so a retained window cell, being next to
     the block, is one of its cells.  Otherwise one ``bisect`` from the root
     cell reaches the cells of all windows, with every cell that is no
-    quadtree ancestor of a window cell out of scope; whether a window cell
-    is retained does not depend on the other cells in scope."""
+    quadtree ancestor of a window cell out of scope, so every cell it
+    retains is a window cell; whether a window cell is retained does not
+    depend on the other cells in scope."""
     problems = [field_problem(field, blk) for blk in blocks]
     if all(problem is blk.problem for problem, blk in zip(problems, blocks)):
-        return [set(blk.cells) for blk in blocks]
+        return {c for blk in blocks for c in blk.cells}
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
-    windows = [set(blk.cells).union(*map(grid.neighbors8, blk.cells)) for blk in blocks]
     scope: set[tuple[int, int, int]] = set()
-    level_cells = set().union(*windows)
+    level_cells = {c for blk in blocks for a in blk.cells for c in (a, *grid.neighbors8(a))}
     for level in range(depth, -1, -1):
         scope.update((i, j, level) for i, j in level_cells)
         level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
@@ -799,20 +802,4 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> list[set[Ce
     def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
         return certify(cell) if cell in scope else _OUT_OF_SCOPE
 
-    retained = {(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None}
-    return [window & retained for window in windows]
-
-
-def cover_witnesses(blocks: Sequence[ZeroBlock], kept: Sequence[set[Cell]]) -> list[Optional[Box]]:
-    """For each block, the witness that a zero set meets it, or None,
-    decided from ``kept``, the zero set's retained cells of each block's
-    window (``window_cells`` of one field, which are the block's own cells
-    for the field it was isolated for; for several fields the intersection
-    of theirs, since the common zero set retains a cell exactly when every
-    field does).  The witness is the overlap of the first block cell, in
-    cell order, that meets a retained cell (is equal to it or one of its
-    ``Grid.neighbors8``) with the least such cell, shifted by a period
-    across the torus seam so that it lies in the block's cell, inside the
-    fundamental square.  Any retained cells next to the block may be
-    given: the window holds all of them."""
-    return [_witness(blk, cells) for blk, cells in zip(blocks, kept)]
+    return {(c.i, c.j) for c, cert in bisect(DyadicCell(0, 0, 0), scoped, depth) if cert is None}

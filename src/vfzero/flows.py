@@ -37,10 +37,11 @@ def flow_integrate(
 
     The step count is n = round(t1/h) (at least 1) and the effective step
     t1/n, so the trajectory lands exactly on t1.  Raises FlowEscapeError
-    when a sample leaves the square |x|, |y| <= bound.
+    when a sample is not finite or, on the plane, leaves the square
+    |x|, |y| <= bound, and when a stage overflows.
     """
-    if not h > 0:  # NaN fails this too
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:  # NaN fails this too
+        raise ValueError(f"step must be positive and finite, not {h}")
     if t1 <= 0:
         raise ValueError("t1 must be positive; integrate -F for backward time")
     n = max(1, round(t1 / h))
@@ -53,16 +54,19 @@ def flow_integrate(
     points = [(x, y)]
     f = field.eval_float
     for k in range(1, n + 1):
-        k1x, k1y = f(x, y)
-        k2x, k2y = f(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-        k3x, k3y = f(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-        k4x, k4y = f(x + dt * k3x, y + dt * k3y)
+        try:
+            k1x, k1y = f(x, y)
+            k2x, k2y = f(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
+            k3x, k3y = f(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
+            k4x, k4y = f(x + dt * k3x, y + dt * k3y)
+        except OverflowError:  # a float power past the float range
+            raise FlowEscapeError(f"trajectory escaped at t={k * dt:g}") from None
         x += dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
         y += dt * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+        if not (math.isfinite(x) and math.isfinite(y)) or not wrap and (abs(x) > bound or abs(y) > bound):
+            raise FlowEscapeError(f"trajectory escaped at t={k * dt:g}")
         if wrap:
             x, y = x % 1.0, y % 1.0
-        elif abs(x) > bound or abs(y) > bound:
-            raise FlowEscapeError(f"trajectory escaped at t={k * dt:g}")
         times.append(k * dt)
         points.append((x, y))
     return Trajectory(tuple(times), tuple(points), dt)

@@ -25,13 +25,13 @@ from typing import Optional
 
 from .blocks import (
     ZeroBlock,
-    cover_witnesses,
     enclose,
     field_problem,
     index_blocks,
     isolate_zeros,
     lattice_box,
     window_cells,
+    witness,
 )
 from .errors import CertificationError, SeedRefinementError
 from .expr import Expr
@@ -245,8 +245,8 @@ def invariance_test(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol}")
     # checked here too: with no seed to flow, flow_integrate never sees h
-    if not h > 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, not {h}")
     rep = track_check(y_field, x_field)
     if not rep.tracking:
         raise ValueError("precondition failed: Y does not track X")
@@ -475,14 +475,15 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     whole-region isolation of X, or the blocks of V = X / g for a scalar
     factor g of X, which leave X itself unenclosed.
 
-    Each cover is decided by ``blocks.cover_witnesses`` on the cells
-    around the essential blocks: ``blocks.window_cells`` reads a tracker
-    equal to W, the field the blocks were isolated for, off the
-    blocks' own cells and bisects the windows once for any other tracker,
-    and the common zero set's cells are the intersection of the trackers'
-    cells.  No tracker's zero set, and not the common one, is isolated
-    over the whole region.  When a tracker fails the tracking hypothesis
-    the conclusion is still evaluated and reported (negative controls).
+    Each zero set gives one set of retained cells around the essential
+    blocks, and ``blocks.witness`` decides each essential block from it:
+    ``blocks.window_cells`` reads a tracker equal to W, the field the
+    blocks were isolated for, off the blocks' own cells and bisects the
+    windows once for any other tracker, and the common zero set's cells
+    are the intersection of the trackers' sets.  No tracker's zero set,
+    and not the common one, is isolated over the whole region.  When a
+    tracker fails the tracking hypothesis the conclusion is still
+    evaluated and reported (negative controls).
     """
     reports: list[TrackReport] = [track_check(y, entry.field) for y in entry.trackers]
     statuses = tuple(r.status for r in reports)
@@ -500,11 +501,12 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
     missed: list[tuple[str, str]] = []
 
     def check_cover(tag: str, cells):
-        for blk, w in zip(essential_blocks, cover_witnesses(essential_blocks, cells)):
-            if w is None:
+        for blk in essential_blocks:
+            box = witness(blk, cells)
+            if box is None:
                 missed.append((tag, blk.label))
             else:
-                witnesses.append(Witness(tag, blk.label, w))
+                witnesses.append(Witness(tag, blk.label, box))
 
     kept = []
     for k, y in enumerate(entry.trackers):
@@ -513,7 +515,7 @@ def main_theorem_check(entry: CatalogEntry, max_depth: int = 8) -> MainTheoremRe
         kept.append(window_cells(y, essential_blocks))
         check_cover(f"Y{k}", kept[-1])
     if entry.trackers:
-        check_cover("common", [set.intersection(*cells) for cells in zip(*kept)])
+        check_cover("common", set.intersection(*kept))
 
     return MainTheoremReport(
         entry=entry.name,

@@ -19,7 +19,7 @@ build a cell's box and a block's hull in Fraction arithmetic, to check
 boundary edge off the corners of its cell's box, to check the lattice
 pieces of ``blocks._boundary_loops`` against; ``box_overlap`` tests
 every pair of boxes of two blocks, to check the witnesses that
-``blocks.cover_witnesses`` reads off cell indices; ``box_block`` builds
+``blocks.witness`` reads off cell indices; ``box_block`` builds
 a block of one given box, a hand-made isolating neighbourhood; ``full_cover`` decides
 every cover of the common-zero theorem from whole-region isolations, to
 check the window cells of ``blocks.window_cells`` and their intersection
@@ -63,7 +63,7 @@ from vfzero import (
     TrackReport, VectorField, ZeroBlock, block_index, common_zero_blocks, divide_exact, isolate_zeros, jacobian,
     lie_bracket, region_boundary_loop, track_check, wedge,
 )
-from vfzero.blocks import MAX_SEG_REFINE, Segment, cover_witnesses, piece_segment
+from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment, witness
 from vfzero.harness import MainTheoremReport, Witness
 from vfzero.tracking import _RATIONAL_CAVEAT
 from vfzero.expr import DomainError, Key, _gens_string, poly_gcd
@@ -424,7 +424,7 @@ def fraction_hull(boxes) -> Box:
 def box_overlap(block, other) -> Optional[Box]:
     """The overlap of the first meeting pair of boxes of two blocks (own
     boxes outer), or None when no pair of closed boxes meets: the all-pairs
-    box test that ``blocks.cover_witnesses`` replaced with cell indices.  It
+    box test that ``blocks.witness`` replaced with cell indices.  It
     does not wrap on the torus."""
     for a in block.boxes:
         for b in other.boxes:
@@ -455,7 +455,7 @@ def full_cover(entry, max_depth: int = 8) -> MainTheoremReport:
     """``main_theorem_check`` with every cover decided over the whole
     region: every tracker's zero set (once per distinct field) and the
     common zero set are isolated at full depth, and each essential block
-    takes its witness from ``blocks.cover_witnesses`` on all of their
+    takes its witness from ``blocks.witness`` on all of their
     blocks' cells.  The whole-region check that ``blocks.window_cells``
     replaced with the cells around each essential block, and that the
     intersection of the trackers' window cells replaced for the common
@@ -499,7 +499,7 @@ def _whole_region_covers(entry, blocks, indices, max_depth: int, isolated: dict)
     def check_cover(tag, zero_blocks):
         cells = {c for zero_blk in zero_blocks for c in zero_blk.cells}
         for blk in essential_blocks:
-            (w,) = cover_witnesses([blk], [cells])
+            w = witness(blk, cells)
             if w is None:
                 missed.append((tag, blk.label))
             else:

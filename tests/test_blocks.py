@@ -22,8 +22,8 @@ from vfzero import (
 )
 from vfzero.blocks import (
     DyadicCell, DyadicSegment, Grid, IsolationResult, ZeroBlock, ZeroProblem, _build_blocks, _excludes_zero_on,
-    _sign_change_on_leaves, _subdivide, bisect, common_zero_blocks, cover_witnesses, field_parts, lattice_box,
-    piece_segment, region_boundary_loop, window_cells,
+    _sign_change_on_leaves, _subdivide, bisect, common_zero_blocks, field_parts, lattice_box,
+    piece_segment, region_boundary_loop, window_cells, witness,
 )
 from vfzero.cli import run_command
 
@@ -128,7 +128,7 @@ class TestIsolateZeros:
         assert len(blocks) == 3
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
-                assert cover_witnesses([a], [set(b.cells)]) == [None]
+                assert witness(a, set(b.cells)) is None
 
 
 class TestCertifyIsolating:
@@ -371,14 +371,12 @@ def _torus_blocks(text, depth):
 
 
 def _witness(a, b):
-    """The witness ``cover_witnesses`` reads off block a for the cells of
-    block b."""
-    (w,) = cover_witnesses([a], [set(b.cells)])
-    return w
+    """The witness ``witness`` reads off block a for the cells of block b."""
+    return witness(a, set(b.cells))
 
 
 class TestLatticeOverlap:
-    """Witnesses read off cell indices by ``cover_witnesses`` against the
+    """Witnesses read off cell indices by ``witness`` against the
     all-pairs box test of ``oracles.box_overlap``."""
 
     @staticmethod
@@ -440,7 +438,7 @@ class TestLatticeOverlap:
                         cells=((3, 3), (3, 4)), boundary=(), coarse=False)
         first = dataclasses.replace(blk, cells=((2, 5),))
         assert box_overlap(blk, first) == Box.from_corners(3, 5, 3, 5)
-        assert cover_witnesses([blk], [{(2, 5), (4, 2)}]) == [Box.from_corners(4, 3, 4, 3)]
+        assert witness(blk, {(2, 5), (4, 2)}) == Box.from_corners(4, 3, 4, 3)
 
 
 class TestNeighbors8:
@@ -483,11 +481,11 @@ class TestWindowCells:
             windows = [set(b.cells).union(*map(grid.neighbors8, b.cells)) for b in blks]
             for field in dict.fromkeys((entry.field, *entry.trackers)):
                 retained = set(_subdivide(ZeroProblem(field_parts(field)), entry.region, depth)[0])
-                expected = [window & retained for window in windows]
+                expected = set().union(*windows) & retained
                 assert window_cells(field, blks) == expected, (entry.name, str(field))
                 assert window_cells(field, bare) == expected, (entry.name, str(field))
             # X retains exactly its blocks' cells in their windows
-            assert window_cells(entry.field, blks) == [set(b.cells) for b in blks]
+            assert window_cells(entry.field, blks) == {c for b in blks for c in b.cells}
 
     @pytest.mark.parametrize("depth", [4, 6, 8])
     def test_one_traversal_per_call_equals_one_per_block(self, depth):
@@ -499,7 +497,7 @@ class TestWindowCells:
             several += 1
             for field in dict.fromkeys((entry.field, *entry.trackers)):
                 for group in (blks, bare):
-                    assert window_cells(field, group) == [window_cells(field, [b])[0] for b in group]
+                    assert window_cells(field, group) == set().union(*(window_cells(field, [b]) for b in group))
         assert several >= 5
 
     def test_bisects_at_most_once(self, catalog, monkeypatch):

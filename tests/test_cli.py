@@ -260,6 +260,22 @@ class TestExitCodes:
             assert doc["results"]["coarse"] is True, command
             assert len(doc["results"]["blocks"]) == 1 and "index" not in doc["results"]["blocks"][0], command
 
+    def test_seed_refinement_stall(self, capsys):
+        # F has no real zero, but its enclosure keeps one block on the
+        # diagonal, where Gauss-Newton stalls at the residual 1e-6: exit 2
+        field = "(x^2 - 2*x*y + y^2 + 1/1000000, x - y)"
+        assert run_command(["verify", "invariance", "--x", field, "--y", field, "--depth", "6"]) == 2
+        assert ("certification failure: seed refinement stalled at (-1.96875, -1.96875), residual 1e-06"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("y", ["(x^2, 0)", "(x^17, 0)"])
+    def test_escaping_flow(self, y, capsys):
+        # Y tracks X = (y, 0), since [Y, X] = 0, and its flow from the seeds
+        # on the line y = 0 blows up before t = 1: an escape (exit 2), also
+        # where a float power overflows inside an RK4 stage
+        assert run_command(["verify", "invariance", "--x", "(y, 0)", "--y", y]) == 2
+        assert "certification failure: trajectory escaped at t=" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x, y)"],
         ["transfer", "--x", "(x, y)", "--y", "(x, y)"],
@@ -284,6 +300,7 @@ class TestExitCodes:
         ("(x, y)", "--tol=inf", "tol must be positive and finite"),
         ("(x, y)", "--step=nan", "step must be positive"),
         ("(x, y)", "--step=0", "step must be positive"),
+        ("(x, y)", "--step=inf", "step must be positive and finite"),
         # no zero in the region, so no seed is flowed
         ("(x^2 + y^2 + 1, x)", "--step=nan", "step must be positive"),
     ])
@@ -315,6 +332,16 @@ class TestExitCodes:
         assert run_command(argv) == 3
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_identically_dependent_invariance(self, tmp_path):
+        # X wedge Y vanishes identically: the dependency set is everything,
+        # so no seed is flowed and the check holds
+        code, doc, _ = run_json(["verify", "invariance", "--target", "dependency",
+                                 "--x", "(x, y)", "--y", "(2*x, 2*y)"], tmp_path)
+        assert code == 0
+        assert doc["results"]["ok"] is True
+        report = doc["results"]["report"]
+        assert report["seeds"] == [] and report["max_residual"] == 0.0
 
     def test_usage_error_zero_field_index(self, capsys):
         # the zero Y was bisected 42 levels on a boundary piece and the run
@@ -494,6 +521,13 @@ class TestCustomCatalog:
         entry = doc["results"]["entries"][0]
         assert entry["entry"] == "user-node"
         assert entry["hypotheses_ok"] and entry["conclusion_holds"]
+
+    def test_zero_tracker(self, tmp_path, capsys):
+        # the zero field vanishes everywhere: a usage error (exit 3)
+        cat = tmp_path / "zero.cfg"
+        cat.write_text("[z]\ndomain = plane\nx = (x, y)\ntrackers = (0, 0)\nregion = -1, -1, 1, 1\ntags = main\n")
+        assert run_command(["verify", "main", "--catalog", str(cat), "--depth", "4"]) == 3
+        assert "usage error: tracker 0 of z is the zero field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["cross", "through"])
     def test_factor_curve_on_region_boundary(self, name, capsys):

@@ -183,9 +183,16 @@ class TestParse:
         assert parse_expr("-x^2") == -parse_expr("x^2")
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_expr("x + * y")
-        assert err.value.position == 4
+        for text, position in [
+            ("x + * y", 4),
+            ("x $ y", 2),  # unexpected character
+            ("(x + y", 6),  # expected ), found the end
+            ("x y", 2),  # unexpected trailing input
+            ("1/0", 2),  # zero denominator in a ratio literal
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_expr(text)
+            assert err.value.position == position, text
 
     def test_torus_generator_rejected_on_plane(self):
         with pytest.raises(ParseError):

@@ -45,6 +45,10 @@ class TestFlowIntegrate:
         field = parse_field("(x, y)")
         with pytest.raises(FlowEscapeError):
             flow_integrate(field, (1.0, 1.0), 30.0, 1e-2, bound=1e4)
+        # x' = x^17 blows up near t = 0.049: x^17 of an RK4 stage point
+        # overflows the float range before a sample leaves the bound
+        with pytest.raises(FlowEscapeError):
+            flow_integrate(parse_field("(x^17, 0)"), (1.015625, 0.0), 1.0, 1e-3)
 
     def test_torus_wrap(self):
         field = parse_field("(1 + 0*sin2px, 0)", "torus")
