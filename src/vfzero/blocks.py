@@ -14,13 +14,11 @@ are grouped into connected blocks; the oriented boundary of each block's
 cell union is built and certified nonvanishing segment by segment.
 Everything is exact, and the geometry runs on integers.
 
-A boundary loop is bisected in one place, ``certify_loop``.  The zero
-problem computes each loop's sign certificate once
-(``ZeroProblem.loop_certificate``) and is kept on the block it isolated
-(``ZeroBlock.problem``), so the block's ``coarse`` flag, its index
+A boundary loop is bisected in one place, ``certify_loop``.  The
+isolation certifies each block loop once and the loop carries the result
+(``BoundaryLoop.certificate``), so the block's ``coarse`` flag, its index
 (``winding.block_index``), the stability bound and ``certify_isolating``
-all read one certificate per loop; ``field_problem`` hands it to them
-when they are asked about the field the block was isolated for.
+read one certificate per loop, through ``loop_certificates``.
 
 Every coordinate of a region is a numerator over q * 2^e, where q is the
 lcm of the odd parts of the denominators of its corners (q = 1 for a
@@ -76,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .expr import Expr, divide_exact, poly_gcd
 from .fields import VectorField
@@ -113,9 +111,6 @@ class ZeroProblem:
             (k, label, expr.dyadic_kernel().range_dyadic)
             for k, (label, expr) in enumerate(self.components) if not expr.is_zero
         )
-        # id(loop) -> (loop, its certificate); the entry keeps the loop
-        # alive, so no other loop takes its id
-        self._loops: dict[int, tuple[BoundaryLoop, LoopCertificate]] = {}
 
     def sign_certificate(self, piece: DyadicSegment) -> Optional[tuple[int, int]]:
         """(k, sign) of the first component k, in order, whose enclosure on
@@ -130,14 +125,6 @@ class ZeroProblem:
             if hi < 0:
                 return (k, -1)
         return None
-
-    def loop_certificate(self, loop: BoundaryLoop) -> LoopCertificate:
-        """``certify_loop`` of ``sign_certificate`` on the loop, computed
-        once per loop object and read by every consumer of this problem."""
-        entry = self._loops.get(id(loop))
-        if entry is None:
-            entry = self._loops[id(loop)] = (loop, certify_loop(self.sign_certificate, loop))
-        return entry[1]
 
 
 def field_parts(field: VectorField, prefix: str = "") -> tuple[tuple[str, Expr], ...]:
@@ -247,9 +234,13 @@ class DyadicCell(NamedTuple):
 class BoundaryLoop:
     """One closed boundary curve, oriented with the block interior on its
     left (outer loops run counterclockwise, hole loops clockwise); each
-    segment is one cell edge on the region's lattice."""
+    segment is one cell edge on the region's lattice.  ``certificate`` is
+    the isolation's, for the zero problem ``problem``: both are None on a
+    hand-built or uncertified loop, and neither is printed or compared."""
 
     segments: tuple[DyadicSegment, ...]
+    certificate: Optional[LoopCertificate] = dataclass_field(default=None, repr=False, compare=False)
+    problem: Optional[ZeroProblem] = dataclass_field(default=None, repr=False, compare=False)
 
 
 # A loop's certificate: the certified (piece, certificate) pairs in loop
@@ -314,9 +305,8 @@ class ZeroBlock:
     """Connected union of certified cells covering one component of the
     target zero set, with its certified boundary.
 
-    ``problem`` is the zero problem the block was isolated for, which holds
-    the sign certificates of its boundary loops; it is None for a block
-    built by hand, and is neither printed nor compared."""
+    ``problem`` is the zero problem the block was isolated for; it is None
+    for a block built by hand, and is neither printed nor compared."""
 
     label: str
     domain: str
@@ -585,26 +575,35 @@ def certify_loop(certify, loop: BoundaryLoop) -> LoopCertificate:
     return tuple(pairs), None
 
 
-def certify_boundary(problem: ZeroProblem, boundary: Sequence[BoundaryLoop]) -> CertifyResult:
-    """The problem's loop certificates of the boundary, up to the first
+def certify_boundary(certificates: Iterable[LoopCertificate]) -> CertifyResult:
+    """The loop certificates of a boundary, read up to the first
     uncertified piece, which is reported."""
     pieces = 0
-    for loop in boundary:
-        pairs, failed = problem.loop_certificate(loop)
+    for pairs, failed in certificates:
         pieces += len(pairs)
         if failed is not None:
             return CertifyResult(False, pieces, piece_segment(failed))
     return CertifyResult(True, pieces, None)
 
 
-def field_problem(field: VectorField, block: ZeroBlock) -> ZeroProblem:
-    """The field's zero problem on the block: the one the block was
-    isolated for when it has the field's components, so that its loop
-    certificates are read again, and a new one otherwise (a perturbed
-    field, another field, a block built by hand)."""
-    parts = field_parts(field)
-    problem = block.problem
-    return problem if problem is not None and problem.components == parts else ZeroProblem(parts)
+def _made_for(problem: Optional[ZeroProblem], field: VectorField) -> bool:
+    """Whether the zero problem of an isolation is the field's."""
+    return problem is not None and problem.components == field_parts(field)
+
+
+def loop_certificates(field: VectorField, block: ZeroBlock) -> Iterator[LoopCertificate]:
+    """The field's certificate of each boundary loop of the block, made as
+    it is read: the loop's own when the isolation certified it for the
+    field, and otherwise ``certify_loop`` of a new zero problem's
+    ``sign_certificate`` (another field, a loop built by hand or moved
+    from another isolation)."""
+    fresh = None
+    for loop in block.boundary:
+        if loop.certificate is not None and _made_for(loop.problem, field):
+            yield loop.certificate
+        else:
+            fresh = fresh or ZeroProblem(field_parts(field))
+            yield certify_loop(fresh.sign_certificate, loop)
 
 
 def certify_isolating(field: VectorField, block: ZeroBlock) -> CertifyResult:
@@ -612,11 +611,10 @@ def certify_isolating(field: VectorField, block: ZeroBlock) -> CertifyResult:
     the block, refining segments as needed.  True means the open cell-union
     interior is an isolating neighborhood for (field, its zeros inside).
 
-    A public check with no caller inside the package.  It reads the same
-    loop certificates as the isolation's ``coarse`` flag,
-    ``winding.block_index`` and the stability bound: on a block isolated
-    for the field they are bisected once, by ``isolate_zeros``."""
-    return certify_boundary(field_problem(field, block), block.boundary)
+    A public check with no caller inside the package: ``certify_boundary``
+    of ``loop_certificates``, which bisect nothing again on a block
+    isolated for the field."""
+    return certify_boundary(loop_certificates(field, block))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +638,11 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
     grid = Grid(max_depth, problem.domain == "torus")
     blocks = []
     for k, comp in enumerate(_components(grid, retained)):
-        boundary = _boundary_loops(grid, comp, region)
+        boundary = list(_boundary_loops(grid, comp, region))
+        for i, loop in enumerate(boundary):  # as far as ``certify_boundary`` reads
+            boundary[i] = BoundaryLoop(loop.segments, certify_loop(problem.sign_certificate, loop), problem)
+            if boundary[i].certificate[1] is not None:
+                break
         blocks.append(
             ZeroBlock(
                 label=f"K{k}",
@@ -648,8 +650,8 @@ def _build_blocks(problem, region: Box, max_depth: int) -> IsolationResult:
                 region=region,
                 resolution=max_depth,
                 cells=tuple(comp),
-                boundary=boundary,
-                coarse=not certify_boundary(problem, boundary).ok,
+                boundary=tuple(boundary),
+                coarse=not certify_boundary(lp.certificate for lp in boundary).ok,
                 problem=problem,
             )
         )
@@ -724,7 +726,7 @@ def index_blocks(field: VectorField, region: Box,
     g = poly_gcd(field.cx, field.cy) if field.domain == "plane" else None  # no trig gcd
     if g is not None and not (g.derive("x").is_zero and g.derive("y").is_zero):
         g_problem = ZeroProblem([("g", g)])  # rules 1 and 3, and the empty rest
-        if g_problem.loop_certificate(region_boundary_loop(region))[1] is None:
+        if certify_loop(g_problem.sign_certificate, region_boundary_loop(region))[1] is None:
             v = VectorField(divide_exact(field.cx, g), divide_exact(field.cy, g))
             isolation = isolate_zeros(v, region, max_depth)
             block_cells = [DyadicCell(i, j, max_depth) for blk in isolation.blocks for i, j in blk.cells]
@@ -788,8 +790,7 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> set[Cell]:
     quadtree ancestor of a window cell out of scope, so every cell it
     retains is a window cell; whether a window cell is retained does not
     depend on the other cells in scope."""
-    problems = [field_problem(field, blk) for blk in blocks]
-    if all(problem is blk.problem for problem, blk in zip(problems, blocks)):
+    if all(_made_for(blk.problem, field) for blk in blocks):
         return {c for blk in blocks for c in blk.cells}
     region, depth, grid = blocks[0].region, blocks[0].resolution, blocks[0].grid()
     scope: set[tuple[int, int, int]] = set()
@@ -797,7 +798,7 @@ def window_cells(field: VectorField, blocks: Sequence[ZeroBlock]) -> set[Cell]:
     for level in range(depth, -1, -1):
         scope.update((i, j, level) for i, j in level_cells)
         level_cells = {(i >> 1, j >> 1) for i, j in level_cells}
-    certify = _cell_certifier(problems[0], region)
+    certify = _cell_certifier(ZeroProblem(field_parts(field)), region)
 
     def scoped(cell: DyadicCell) -> Optional[EmptyCert]:
         return certify(cell) if cell in scope else _OUT_OF_SCOPE

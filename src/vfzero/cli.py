@@ -3,7 +3,8 @@
 Subcommands: zeros | index | bracket | track | dep | common | verify | plot.
 Every run prints (or writes with --out) one JSON report whose exact values
 are string-encoded rationals.  Exit codes: 0 success, 1 falsification of a
-checked statement, 2 certification failure, 3 usage error.
+checked statement, 2 certification failure, 3 usage error, 4 internal
+error (any other exception, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_CERTIFICATION = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -389,6 +391,14 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         # reading --catalog or writing --out or --svg-out
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault of the program, not a verdict: never the falsification
+        # code; traceback is imported here, as it adds to every start-up
+        import traceback
+
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     if not args.out:
         sys.stdout.write(text)
     return code

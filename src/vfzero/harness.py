@@ -26,10 +26,10 @@ from typing import Optional
 from .blocks import (
     ZeroBlock,
     enclose,
-    field_problem,
     index_blocks,
     isolate_zeros,
     lattice_box,
+    loop_certificates,
     window_cells,
     witness,
 )
@@ -163,32 +163,36 @@ def refine_seed(field: VectorField, p0: tuple[float, float]) -> tuple[float, flo
 
     Works for zero manifolds as well as isolated zeros (the normal
     equations are regularized, so rank-deficient Jacobians descend to the
-    nearest zero curve instead of diverging).
+    nearest zero curve instead of diverging).  A value past the float
+    range, from a coefficient or a power, raises ``SeedRefinementError``.
     """
     jac = jacobian(field)
     x, y = float(p0[0]), float(p0[1])
-    for _ in range(SEED_MAX_ITER):
+    try:
+        for _ in range(SEED_MAX_ITER):
+            fx, fy = field.eval_float(x, y)
+            if max(abs(fx), abs(fy)) < SEED_TOL:
+                return (x, y)
+            a = jac.dxx.eval_float(x, y)
+            b = jac.dxy.eval_float(x, y)
+            c = jac.dyx.eval_float(x, y)
+            d = jac.dyy.eval_float(x, y)
+            # normal equations J^T J s = -J^T F with Levenberg damping
+            g1 = a * fx + c * fy
+            g2 = b * fx + d * fy
+            m11 = a * a + c * c
+            m12 = a * b + c * d
+            m22 = b * b + d * d
+            lam = 1e-12 + 1e-8 * (m11 + m22)
+            det = (m11 + lam) * (m22 + lam) - m12 * m12
+            if det == 0:
+                raise SeedRefinementError(f"singular refinement system at ({x:.6g}, {y:.6g})")
+            sx = (-(g1) * (m22 + lam) + g2 * m12) / det
+            sy = (-(g2) * (m11 + lam) + g1 * m12) / det
+            x, y = x + sx, y + sy
         fx, fy = field.eval_float(x, y)
-        if max(abs(fx), abs(fy)) < SEED_TOL:
-            return (x, y)
-        a = jac.dxx.eval_float(x, y)
-        b = jac.dxy.eval_float(x, y)
-        c = jac.dyx.eval_float(x, y)
-        d = jac.dyy.eval_float(x, y)
-        # normal equations J^T J s = -J^T F with Levenberg damping
-        g1 = a * fx + c * fy
-        g2 = b * fx + d * fy
-        m11 = a * a + c * c
-        m12 = a * b + c * d
-        m22 = b * b + d * d
-        lam = 1e-12 + 1e-8 * (m11 + m22)
-        det = (m11 + lam) * (m22 + lam) - m12 * m12
-        if det == 0:
-            raise SeedRefinementError(f"singular refinement system at ({x:.6g}, {y:.6g})")
-        sx = (-(g1) * (m22 + lam) + g2 * m12) / det
-        sy = (-(g2) * (m11 + lam) + g1 * m12) / det
-        x, y = x + sx, y + sy
-    fx, fy = field.eval_float(x, y)
+    except OverflowError:
+        raise SeedRefinementError(f"field value past the float range at ({x:.6g}, {y:.6g})") from None
     if max(abs(fx), abs(fy)) < SEED_TOL:
         return (x, y)
     raise SeedRefinementError(
@@ -310,13 +314,11 @@ class StabilityReport:
 
 def _boundary_pieces(field: VectorField, block: ZeroBlock):
     """(piece, cx enclosure, cy enclosure) of every piece of the field's
-    loop certificates on the block boundary (``blocks.field_problem``): one
-    component's enclosure excludes zero on each, so the field's enclosure
-    excludes the origin.  An uncertified loop raises."""
-    problem = field_problem(field, block)
+    loop certificates on the block boundary (``blocks.loop_certificates``):
+    one component's enclosure excludes zero on each, so the field's
+    enclosure excludes the origin.  An uncertified loop raises."""
     pieces = []
-    for loop in block.boundary:
-        pairs, failed = problem.loop_certificate(loop)
+    for pairs, failed in loop_certificates(field, block):
         if failed is not None:
             raise CertificationError("field magnitude bound not certifiable on boundary")
         pieces.extend((piece, Interval.from_ints(*enclose(field.cx, piece)),

@@ -19,12 +19,12 @@ Ratschan, Math. Comp. 2015).
 
 Boundary loops hold their pieces in integer form (``blocks.DyadicSegment``:
 numerators over q * 2^e on the region's lattice, q = 1 for a dyadic
-region).  The signs are the loop certificate of the field's zero problem
-(``blocks.ZeroProblem.loop_certificate``: each piece bisected by
-``sign_certificate``, whose enclosures come from
+region).  The signs are the field's loop certificates
+(``blocks.loop_certificates``: each piece bisected by
+``ZeroProblem.sign_certificate``, whose enclosures come from
 ``Expr.dyadic_kernel().range_dyadic``).  On a block isolated for the
-field that is the isolation's own certificate, which also made the block
-isolating, so the index bisects nothing again.
+field they are the certificates its loops carry from the isolation, which
+also made the block isolating, so the index bisects nothing again.
 
 The index of a block is the sum of the winding numbers of its boundary
 loops taken with the interior-on-the-left orientation, which makes hole
@@ -40,14 +40,15 @@ from .blocks import (
     BoundaryLoop,
     DyadicSegment,
     Segment,
+    LoopCertificate,
     ZeroBlock,
     ZeroProblem,
     certify_loop,
     enclose,
     excludes_zero,
     field_parts,
-    field_problem,
     isolate_zeros,
+    loop_certificates,
     piece_segment,
     region_boundary_loop,
     strict_sign,
@@ -95,16 +96,16 @@ def _crossings(certs: list[tuple[int, int]]) -> int:
 
 def winding_number(field: VectorField, loop: BoundaryLoop) -> int:
     """Exact degree of the field direction map along the closed loop."""
-    return _loop_winding(ZeroProblem(field_parts(field)), loop).winding
+    return _loop_winding(field, certify_loop(ZeroProblem(field_parts(field)).sign_certificate, loop)).winding
 
 
-def _loop_winding(problem: ZeroProblem, loop: BoundaryLoop) -> LoopWinding:
-    """The crossing count of the loop certificate of a field's zero
-    problem (components cx, cy).  The zero field, whose problem has no
-    component to certify a piece with, raises ``ValueError``."""
-    if not problem.kernels:
+def _loop_winding(field: VectorField, certificate: LoopCertificate) -> LoopWinding:
+    """The crossing count of the field's certificate of one loop.  The
+    zero field, which has no component to certify a piece with, raises
+    ``ValueError``."""
+    if field.is_zero:
         raise ValueError("the zero field vanishes everywhere; it has no winding number")
-    pairs, failed = problem.loop_certificate(loop)
+    pairs, failed = certificate
     if failed is not None:
         piece = piece_segment(failed)
         raise CertificationError(
@@ -122,14 +123,13 @@ def block_index(field: VectorField, block: ZeroBlock) -> IndexReport:
     every boundary piece, so the field misses the origin there, which is
     the isolating certificate; a block whose boundary runs through a zero
     of the field fails there.  On a block isolated for the field the
-    certificates are the isolation's own (``blocks.field_problem``), and
-    nothing is bisected again.  The zero field, which vanishes on every
+    certificates are the ones its loops carry (``blocks.loop_certificates``),
+    and nothing is bisected again.  The zero field, which vanishes on every
     piece, raises ``ValueError``.
     """
     if block.coarse:
         raise CertificationError(f"block {block.label} is coarse; refine the isolation")
-    problem = field_problem(field, block)
-    loops = tuple(_loop_winding(problem, lp) for lp in block.boundary)
+    loops = tuple(_loop_winding(field, cert) for cert in loop_certificates(field, block))
     return IndexReport(
         block=block.label,
         index=sum(lw.winding for lw in loops),

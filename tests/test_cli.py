@@ -276,6 +276,34 @@ class TestExitCodes:
         assert run_command(["verify", "invariance", "--x", "(y, 0)", "--y", y]) == 2
         assert "certification failure: trajectory escaped at t=" in capsys.readouterr().err
 
+    def test_seed_past_the_float_range(self, capsys):
+        # the coefficient 10^400 overflows a float in the seed refinement,
+        # which exited 1 with an OverflowError traceback: exit 2
+        assert run_command(["verify", "invariance", "--x", "(10^400*x, y)", "--y", "(x, y)"]) == 2
+        assert "certification failure: field value past the float range at" in capsys.readouterr().err
+
+    def test_internal_error(self, monkeypatch, capsys):
+        # an exception that is no verdict and no usage error exits 4, with
+        # its traceback, not 1, the falsification code
+        from vfzero.expr import Expr
+
+        def broken(expr):
+            raise RuntimeError("broken kernel")
+
+        monkeypatch.setattr(Expr, "dyadic_kernel", broken)
+        assert run_command(["zeros", "--field", "(x, y)", "--depth", "3"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error\nTraceback (most recent call last):")
+        assert err.endswith("RuntimeError: broken kernel\n")
+
+    def test_plot_past_the_float_range(self, tmp_path, capsys):
+        # the portrait's glyphs evaluate the field in floats, and 10^400
+        # overflows: an internal error (exit 4), and no SVG is written
+        svg = tmp_path / "p.svg"
+        assert run_command(["plot", "--field", "(10^400*x, y)", "--svg-out", str(svg)]) == 4
+        assert capsys.readouterr().err.startswith("internal error\n")
+        assert not svg.exists()
+
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x, y)"],
         ["transfer", "--x", "(x, y)", "--y", "(x, y)"],

@@ -8,6 +8,7 @@ import pytest
 from vfzero import (
     Box,
     CertificationError,
+    SeedRefinementError,
     block_index,
     builtin_catalog,
     invariance_test,
@@ -85,6 +86,12 @@ class TestSeedRefinement:
         field = parse_field("((x^2 + y^2 - 1)*x, (x^2 + y^2 - 1)*y)")
         x, y = refine_seed(field, (1.02, 0.1))
         assert abs(x * x + y * y - 1) < 1e-9
+
+    def test_value_past_the_float_range(self):
+        # 10^400 does not fit a float: the refinement gives up, as a flow
+        # that overflows escapes, instead of raising OverflowError
+        with pytest.raises(SeedRefinementError, match=r"^field value past the float range at \(0\.1, 0\.2\)$"):
+            refine_seed(parse_field("(10^400*x, y)"), (0.1, 0.2))
 
 
 class TestInvariance:

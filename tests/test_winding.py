@@ -26,7 +26,7 @@ from vfzero import (
     winding,
     winding_number,
 )
-from vfzero.blocks import ZeroProblem, certify_boundary, field_parts, piece_segment
+from vfzero.blocks import ZeroProblem, certify_boundary, certify_loop, field_parts, piece_segment
 from vfzero.cli import run_command
 from vfzero.harness import _boundary_pieces, _random_perturbation
 
@@ -456,12 +456,18 @@ def _counting_sign_certificates():
     return asked, mock.patch.object(ZeroProblem, "sign_certificate", counted)
 
 
+def _fresh_certificate(field, loop):
+    """The field's certificate of the loop, bisected by a new zero problem."""
+    return certify_loop(ZeroProblem(field_parts(field)).sign_certificate, loop)
+
+
 class TestCertificateReuse:
     """The isolation bisects each boundary loop once for the field it
     isolates.  ``block_index``, the stability bound and
     ``certify_isolating`` read those loop certificates, ask
     ``ZeroProblem.sign_certificate`` about no piece, and give what a fresh
-    bisection gives; another field and a hand-built block still bisect."""
+    bisection gives; another field, a hand-built block and a hand-built
+    loop on an isolated block still bisect."""
 
     @pytest.mark.parametrize("name", [e.name for e in builtin_catalog()])
     def test_catalog_blocks_read_the_isolation(self, catalog, name):
@@ -476,7 +482,7 @@ class TestCertificateReuse:
                      for blk in blocks]
         assert asked == []
         for blk, (rep, pieces, isolating) in zip(blocks, read):
-            fresh = tuple(winding._loop_winding(ZeroProblem(field_parts(field)), loop)
+            fresh = tuple(winding._loop_winding(field, _fresh_certificate(field, loop))
                           for loop in blk.boundary)
             assert rep.loops == fresh
             assert isolating.ok
@@ -493,6 +499,38 @@ class TestCertificateReuse:
         with counting:
             isolating = certify_isolating(entry.field, box_block(REGION))
         assert isolating.ok and len(asked) >= isolating.pieces > 0
+
+    @pytest.mark.parametrize("corners", [(-1, -1, 1, 1), (Fraction(1, 4), Fraction(1, 4), 1, 1)])
+    def test_hand_built_loop_in_an_isolated_block_is_certified_fresh(self, catalog, corners):
+        # the block was isolated for the field, but the loop put on it by
+        # hand carries no certificate: it is bisected for the field, and
+        # the index is its winding number, 2 around the double zero and 0
+        # off it, whatever the block's own loops wind
+        entry = catalog["complex-squaring"]
+        blk = isolate_zeros(entry.field, entry.region, 6).blocks[0]
+        loop = region_boundary_loop(Box.from_corners(*corners))
+        hand = dataclasses.replace(blk, boundary=(loop,))
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            rep = block_index(entry.field, hand)
+        assert rep.index == winding_number(entry.field, loop) == (2 if corners[0] < 0 else 0)
+        assert len(asked) >= rep.loops[0].pieces > 0
+
+    def test_loop_from_another_isolation_is_certified_fresh(self):
+        # the loops carry the certificates of G's isolation, around G's
+        # zero (1/2, 1/2): read for G, and bisected again for the squaring
+        # field, which winds 0 there and not G's 1
+        field, other = parse_field("(x^2 - y^2, 2*x*y)"), parse_field("(x - 1/2, y - 1/2)")
+        (blk,) = isolate_zeros(field, REGION, 6).blocks
+        (g_blk,) = isolate_zeros(other, REGION, 6).blocks
+        moved = dataclasses.replace(blk, boundary=g_blk.boundary)
+        asked, counting = _counting_sign_certificates()
+        with counting:
+            assert block_index(other, moved).index == 1
+        assert asked == []
+        with counting:
+            assert block_index(field, moved).index == winding_number(field, g_blk.boundary[0]) == 0
+        assert asked
 
     def test_verify_main_bisects_each_loop_once(self, tmp_path):
         # 8912 while the winding bisected the isolation's pieces again,
@@ -548,8 +586,8 @@ class TestPieceCounts:
             row = []
             for loop in blk.boundary:
                 one = dataclasses.replace(blk, boundary=(loop,))
-                row.append((certify_boundary(problem, (loop,)).pieces,
-                            winding._loop_winding(ZeroProblem(field_parts(field)), loop).pieces,
+                row.append((certify_boundary([certify_loop(problem.sign_certificate, loop)]).pieces,
+                            winding._loop_winding(field, _fresh_certificate(field, loop)).pieces,
                             len(_boundary_pieces(field, one)),
                             index_transfer_check(field, turned, one).pieces))
             counts.append(row)
