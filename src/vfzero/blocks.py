@@ -688,6 +688,8 @@ def _common_problem(fields: Sequence[VectorField]) -> ZeroProblem:
         raise ValueError("no generators")
     if len({f.domain for f in fields}) != 1:
         raise ValueError("generators live on different domains")
+    if all(f.is_zero for f in fields):
+        raise ValueError("every generator is the zero field; nothing to isolate")
     return ZeroProblem([part for k, f in enumerate(fields) for part in field_parts(f, f"gen{k}.")])
 
 

@@ -19,7 +19,6 @@ from .blocks import common_zero_blocks, isolate_zeros
 from .errors import CertificationError, FalsificationError, FlowEscapeError, SeedRefinementError
 from .fields import lie_bracket, parse_field
 from .harness import (
-    TORUS_SQUARE,
     builtin_catalog,
     invariance_test,
     load_catalog,
@@ -156,9 +155,7 @@ def _cmd_common(args):
 
 
 def _cmd_verify_ph(args):
-    if args.region is not None and parse_region(args.region) != TORUS_SQUARE:
-        raise UsageError("verify ph sums the indices over the whole torus; --region must be 0,0,1,1")
-    field = parse_field(args.field, args.domain)
+    field = parse_field(args.field, "torus")
     rep = poincare_hopf_check(field, args.depth)
     results = {
         "blocks": [{"block": label, "index": ix} for label, ix in rep.indices],
@@ -169,10 +166,6 @@ def _cmd_verify_ph(args):
 
 
 def _cmd_verify_main(args):
-    if args.region is not None:
-        raise UsageError("verify main takes each entry's region from the catalog; --region is not allowed")
-    if args.domain != "plane":
-        raise UsageError("verify main takes each entry's domain from the catalog; --domain is not allowed")
     if args.catalog:
         with open(args.catalog) as fh:
             entries = load_catalog(fh.read())
@@ -257,12 +250,17 @@ def _cmd_plot(args):
 # parser assembly
 
 
-def _add_common(p, region_default=True):
-    p.add_argument("--domain", choices=["plane", "torus"], default="plane")
-    if region_default:
-        p.add_argument("--region", default=None, help="x0,y0,x1,y1 (rationals)")
-        p.add_argument("--depth", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
+_SHARED = {  # the options several commands share; each names those it reads
+    "domain": dict(choices=["plane", "torus"], default="plane"),
+    "region": dict(default=None, help="x0,y0,x1,y1 (rationals)"),
+    "depth": dict(type=int, default=7),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_shared(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -273,35 +271,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zeros", help="isolate certified zero blocks")
     p.add_argument("--field", required=True)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_zeros)
 
     p = sub.add_parser("index", help="certified block indices via winding numbers")
     p.add_argument("--field", required=True)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_index)
 
     p = sub.add_parser("bracket", help="Lie bracket [Y, X]")
     p.add_argument("--y", required=True)
     p.add_argument("--x", required=True)
-    _add_common(p, region_default=False)
+    _add_shared(p, "domain")
     p.set_defaults(handler=_cmd_bracket)
 
     p = sub.add_parser("track", help="tracking classification with cofactor")
     p.add_argument("--y", required=True)
     p.add_argument("--x", required=True)
-    _add_common(p, region_default=False)
+    _add_shared(p, "domain")
     p.set_defaults(handler=_cmd_track)
 
     p = sub.add_parser("dep", help="dependency set of two fields")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_dep)
 
     p = sub.add_parser("common", help="common zero blocks of several fields")
     p.add_argument("--field", action="append", required=True)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_common)
 
     pv = sub.add_parser("verify", help="theorem harnesses")
@@ -309,19 +307,20 @@ def build_parser() -> _Parser:
 
     p = vsub.add_parser("ph", help="index sum on the torus")
     p.add_argument("--field", required=True)
-    _add_common(p)
+    _add_shared(p, "depth")
     p.set_defaults(handler=_cmd_verify_ph)
 
     p = vsub.add_parser("main", help="common-zero conclusion over the catalog")
     p.add_argument("--catalog", default=None)
     p.add_argument("--entry", default=None)
-    _add_common(p)
+    # it draws nothing at random, but perfbench/workloads.py passes a seed
+    _add_shared(p, "depth", "seed")
     p.set_defaults(handler=_cmd_verify_main)
 
     p = vsub.add_parser("stability", help="index stability under certified perturbations")
     p.add_argument("--field", required=True)
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth", "seed")
     p.set_defaults(handler=_cmd_verify_stability)
 
     p = vsub.add_parser("invariance", help="flow invariance of zero/dependency sets")
@@ -330,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=["zeros", "dependency"], default="zeros")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_verify_invariance)
 
     p = vsub.add_parser("transfer", help="index transfer between never-antiparallel fields")
@@ -338,27 +337,27 @@ def build_parser() -> _Parser:
     p.add_argument("--y", required=True)
     p.add_argument("--mode", choices=["no-negative-ratio", "no-positive-ratio"],
                    default="no-negative-ratio")
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_verify_transfer)
 
     p = vsub.add_parser("closure", help="bracket of two trackers still tracks")
     p.add_argument("--y", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--x", required=True)
-    _add_common(p, region_default=False)
+    _add_shared(p, "domain")
     p.set_defaults(handler=_cmd_verify_closure)
 
     p = sub.add_parser("plot", help="SVG phase portrait with zero blocks")
     p.add_argument("--field", required=True)
     p.add_argument("--svg-out", required=True)
-    _add_common(p)
+    _add_shared(p, "domain", "region", "depth")
     p.set_defaults(handler=_cmd_plot)
 
     return parser
 
 
 def _config_dict(args) -> dict:
-    skip = {"handler", "out"}
+    skip = {"handler", "out", "command", "suite"}  # command and suite give the report's "command"
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -376,7 +375,6 @@ def run_command(argv: Optional[list[str]] = None) -> int:
             "config": _config_dict(args),
             "results": results,
             "certificates": certificates,
-            "seed": args.seed,
             "version": __version__,
         }
         text = emit_report(payload, args.out)

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from .errors import FlowEscapeError
 from .fields import VectorField
 
+# a plane trajectory past this coordinate has escaped
+ESCAPE_BOUND = 1e9
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -31,14 +34,13 @@ def flow_integrate(
     p0: tuple[float, float],
     t1: float,
     h: float,
-    bound: float = 1e9,
 ) -> Trajectory:
     """Integrate the field flow from p0 over [0, t1] with fixed step h.
 
     The step count is n = round(t1/h) (at least 1) and the effective step
     t1/n, so the trajectory lands exactly on t1.  Raises FlowEscapeError
     when a sample is not finite or, on the plane, leaves the square
-    |x|, |y| <= bound, and when a stage overflows.
+    |x|, |y| <= ESCAPE_BOUND, and when a stage overflows.
     """
     if not 0 < h < math.inf:  # NaN fails this too
         raise ValueError(f"step must be positive and finite, not {h}")
@@ -63,7 +65,7 @@ def flow_integrate(
             raise FlowEscapeError(f"trajectory escaped at t={k * dt:g}") from None
         x += dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
         y += dt * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
-        if not (math.isfinite(x) and math.isfinite(y)) or not wrap and (abs(x) > bound or abs(y) > bound):
+        if not (math.isfinite(x) and math.isfinite(y)) or not wrap and max(abs(x), abs(y)) > ESCAPE_BOUND:
             raise FlowEscapeError(f"trajectory escaped at t={k * dt:g}")
         if wrap:
             x, y = x % 1.0, y % 1.0

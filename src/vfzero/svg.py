@@ -65,8 +65,13 @@ def phase_portrait_svg(
         for j in range(_GLYPH_GRID):
             cx = float(region.x.lo) + (i + 0.5) * wx
             cy = float(region.y.lo) + (j + 0.5) * wy
-            fx, fy = field.eval_float(cx, cy)
+            try:
+                fx, fy = field.eval_float(cx, cy)
+            except OverflowError:  # a coefficient or power past the float range
+                continue
             norm = math.hypot(fx, fy)
+            if not math.isfinite(norm):
+                continue
             px, py = m.to_svg(cx, cy)
             if norm < 1e-12:
                 parts.append(

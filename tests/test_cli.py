@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -6,11 +7,39 @@ from pathlib import Path
 import pytest
 
 from vfzero import Box, isolate_zeros, parse_field
-from vfzero.cli import _block_summary, run_command
+from vfzero.cli import _block_summary, build_parser, run_command
 from vfzero.harness import MainTheoremReport, Witness
 from vfzero.winding import IndexReport, LoopWinding
 
 from oracles import dense_loop_winding, fraction_loop_winding
+
+
+# the commands that draw nothing at random, with their required options
+_SEEDLESS = [
+    ["zeros", "--field", "(x, y)"],
+    ["index", "--field", "(x, y)"],
+    ["bracket", "--y", "(x, y)", "--x", "(x, y)"],
+    ["track", "--y", "(x, y)", "--x", "(x, y)"],
+    ["dep", "--x", "(x, y)", "--y", "(-y, x)"],
+    ["common", "--field", "(x, y)"],
+    ["verify", "ph", "--field", "(sin2px, sin2py)"],
+    ["verify", "invariance", "--x", "(x, y)", "--y", "(x, y)"],
+    ["verify", "transfer", "--x", "(x, y)", "--y", "(x, y)"],
+    ["verify", "closure", "--y", "(x, y)", "--z", "(x, y)", "--x", "(x, y)"],
+    ["plot", "--field", "(x, y)", "--svg-out", "p.svg"],
+]
+
+
+def _options(parser, prefix="") -> dict[str, set[str]]:
+    """Each command's option strings, keyed by the name its report gives it."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for name, p in sub.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            found.update(_options(p, f"{name} "))
+        else:
+            found[prefix + name] = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+    return found
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -38,8 +67,7 @@ class TestBasicCommands:
 
     def test_verify_ph(self, tmp_path):
         code, doc, _ = run_json(
-            ["verify", "ph", "--field", "(sin2px, sin2py)", "--domain", "torus",
-             "--depth", "5"], tmp_path
+            ["verify", "ph", "--field", "(sin2px, sin2py)", "--depth", "5"], tmp_path
         )
         assert code == 0
         assert doc["results"]["sum"] == 0
@@ -216,34 +244,51 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["ph", "--field", "(sin2px, sin2py)", "--domain", "torus", "--region", "0,0,1/2,1"],
-         "verify ph sums the indices over the whole torus; --region must be 0,0,1,1"),
-        (["main", "--entry", "linear-node", "--region", "5,5,6,6"],
-         "verify main takes each entry's region from the catalog; --region is not allowed"),
-        (["main", "--entry", "linear-node", "--region", "-1,-1,1,1"],
-         "verify main takes each entry's region from the catalog; --region is not allowed"),
-        (["main", "--domain", "torus"],
-         "verify main takes each entry's domain from the catalog; --domain is not allowed"),
-        (["main", "--entry", "torus-grid-node", "--domain", "torus"],
-         "verify main takes each entry's domain from the catalog; --domain is not allowed"),
-        (["main", "--entry", "no-such-entry"], "no catalog entry named 'no-such-entry'"),
-    ], ids=["ph-half-torus", "main-elsewhere", "main-catalog-region", "main-torus-domain",
-            "main-torus-entry-domain", "main-unknown-entry"])
-    def test_usage_error_ignored_region(self, argv, message, tmp_path, capsys):
-        # each but the unknown entry used to exit 0 on a region or domain of
-        # its own, printing the given one in the report's config
+        *[([*command, "--seed", "3"], "unrecognized arguments: --seed 3") for command in _SEEDLESS],
+        (["verify", "ph", "--field", "(sin2px, sin2py)", "--domain", "torus"],
+         "unrecognized arguments: --domain torus"),
+        (["verify", "ph", "--field", "(sin2px, sin2py)", "--region", "0,0,1/2,1"],
+         "unrecognized arguments: --region 0,0,1/2,1"),
+        (["verify", "main", "--entry", "linear-node", "--region", "5,5,6,6"],
+         "unrecognized arguments: --region 5,5,6,6"),
+        (["verify", "main", "--entry", "linear-node", "--region", "-1,-1,1,1"],
+         "unrecognized arguments: --region -1,-1,1,1"),
+        (["verify", "main", "--domain", "torus"], "unrecognized arguments: --domain torus"),
+        (["verify", "main", "--entry", "torus-grid-node", "--domain", "torus"],
+         "unrecognized arguments: --domain torus"),
+        (["verify", "main", "--entry", "no-such-entry"], "no catalog entry named 'no-such-entry'"),
+    ], ids=[f"seed-{'-'.join(c[:2] if c[0] == 'verify' else c[:1])}" for c in _SEEDLESS]
+        + ["ph-torus-domain", "ph-half-torus", "main-elsewhere", "main-catalog-region", "main-torus-domain",
+           "main-torus-entry-domain", "main-unknown-entry"])
+    def test_usage_error_ignored_region(self, argv, message, tmp_path, monkeypatch, capsys):
+        # a command takes only the options it reads: a seed, region or
+        # domain it would ignore is refused, where verify ph and verify
+        # main once exited 0 with the ignored value in the report's config
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "report.json"
-        assert run_command(["verify", *argv, "--depth", "4", "--out", str(out)]) == 3
-        assert message in capsys.readouterr().err
+        assert run_command([*argv, "--out", str(out)]) == 3
+        assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_verify_ph_whole_torus_region(self, tmp_path):
-        code, doc, _ = run_json(
-            ["verify", "ph", "--field", "(sin2px, sin2py)", "--domain", "torus",
-             "--region", "0, 0, 2/2, 1", "--depth", "4"], tmp_path
-        )
-        assert code == 0
-        assert len(doc["results"]["blocks"]) == 4
+    def test_options_are_those_read(self):
+        # each command's options; a re-added option that no handler reads
+        # fails here
+        assert _options(build_parser()) == {
+            "zeros": {"--field", "--domain", "--region", "--depth", "--out"},
+            "index": {"--field", "--domain", "--region", "--depth", "--out"},
+            "bracket": {"--y", "--x", "--domain", "--out"},
+            "track": {"--y", "--x", "--domain", "--out"},
+            "dep": {"--x", "--y", "--domain", "--region", "--depth", "--out"},
+            "common": {"--field", "--domain", "--region", "--depth", "--out"},
+            "verify ph": {"--field", "--depth", "--out"},
+            "verify main": {"--catalog", "--entry", "--depth", "--seed", "--out"},
+            "verify stability": {"--field", "--trials", "--domain", "--region", "--depth", "--seed", "--out"},
+            "verify invariance": {"--x", "--y", "--target", "--tol", "--step", "--domain", "--region",
+                                  "--depth", "--out"},
+            "verify transfer": {"--x", "--y", "--mode", "--domain", "--region", "--depth", "--out"},
+            "verify closure": {"--y", "--z", "--x", "--domain", "--out"},
+            "plot": {"--field", "--svg-out", "--domain", "--region", "--depth", "--out"},
+        }
 
     def test_usage_error_unknown_option(self, capsys):
         assert run_command(["index", "--nope", "1"]) == 3
@@ -296,13 +341,18 @@ class TestExitCodes:
         assert err.startswith("internal error\nTraceback (most recent call last):")
         assert err.endswith("RuntimeError: broken kernel\n")
 
-    def test_plot_past_the_float_range(self, tmp_path, capsys):
+    def test_plot_past_the_float_range(self, tmp_path):
         # the portrait's glyphs evaluate the field in floats, and 10^400
-        # overflows: an internal error (exit 4), and no SVG is written
+        # overflows on each of them: the glyphs are left out, which exited 4
+        # with no SVG, and the exactly certified block is drawn
         svg = tmp_path / "p.svg"
-        assert run_command(["plot", "--field", "(10^400*x, y)", "--svg-out", str(svg)]) == 4
-        assert capsys.readouterr().err.startswith("internal error\n")
-        assert not svg.exists()
+        code, doc, _ = run_json(["plot", "--field", "(10^400*x, y)", "--svg-out", str(svg)], tmp_path)
+        assert code == 0
+        (blk,) = doc["results"]["blocks"]
+        assert blk["coarse"] is False
+        text = svg.read_text()
+        assert "<line" not in text
+        assert text.count('fill="#f4a742"') == blk["cell_count"] and "<polyline" in text
 
     @pytest.mark.parametrize("suite", [
         ["stability", "--field", "(x, y)"],
@@ -370,6 +420,14 @@ class TestExitCodes:
         assert doc["results"]["ok"] is True
         report = doc["results"]["report"]
         assert report["seeds"] == [] and report["max_residual"] == 0.0
+
+    def test_usage_error_zero_common_fields(self, tmp_path, capsys):
+        # every component was left out of the boundary certificate, whose
+        # region edge was bisected 42 levels down: exit 2 as coarse
+        out = tmp_path / "report.json"
+        assert run_command(["common", "--field", "(0, 0)", "--depth", "3", "--out", str(out)]) == 3
+        assert "usage error: every generator is the zero field" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_zero_field_index(self, capsys):
         # the zero Y was bisected 42 levels on a boundary piece and the run
@@ -476,8 +534,7 @@ class TestExitCodes:
             lambda field, depth: PoincareHopfReport((("K0", 1),), 1),
         )
         code = run_command(
-            ["verify", "ph", "--field", "(sin2px, sin2py)", "--domain", "torus",
-             "--out", str(tmp_path / "ph.json")]
+            ["verify", "ph", "--field", "(sin2px, sin2py)", "--out", str(tmp_path / "ph.json")]
         )
         assert code == 1
 

@@ -43,8 +43,9 @@ class TestFlowIntegrate:
 
     def test_escape_raises(self):
         field = parse_field("(x, y)")
-        with pytest.raises(FlowEscapeError):
-            flow_integrate(field, (1.0, 1.0), 30.0, 1e-2, bound=1e4)
+        # x = e^t leaves the square |x|, |y| <= 1e9 near t = ln(1e9) = 20.7
+        with pytest.raises(FlowEscapeError, match=r"escaped at t=20\.7"):
+            flow_integrate(field, (1.0, 1.0), 30.0, 1e-2)
         # x' = x^17 blows up near t = 0.049: x^17 of an RK4 stage point
         # overflows the float range before a sample leaves the bound
         with pytest.raises(FlowEscapeError):

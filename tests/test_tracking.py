@@ -237,6 +237,15 @@ class TestCommonZeros:
         with pytest.raises(ValueError, match="no generators"):
             common_zero_blocks([], REGION, 4)
 
+    def test_zero_generators_rejected(self):
+        # nothing is left to certify a boundary with: every region edge was
+        # bisected 42 levels down and its block reported coarse
+        zero = VectorField.zero("plane")
+        with pytest.raises(ValueError, match="every generator is the zero field"):
+            common_zero_blocks([zero, zero], REGION, 4)
+        (blk,) = common_zero_blocks([zero, parse_field("(x, y)")], REGION, 6).blocks
+        assert not blk.coarse and blk.contains_point((Fraction(0), Fraction(0)))
+
 
 class TestBackpropProperty:
     def test_generated_tracker_pairs_never_falsify(self):
