@@ -12,6 +12,17 @@ so every stored term has cosine exponents 0 or 1; with that convention two
 expressions are equal as functions on their domain iff their normal forms
 are identical.
 
+A term's key is its exponent tuple ``(kpi, ex, ey, s1, c1, s2, c2)``
+packed into one ``int``: seven 32-bit fields, ``kpi`` most significant,
+so the order of the ints is the lexicographic order of the tuples.  Every
+stored exponent is below ``EXP_BOUND`` = 2^30, so the key of a product
+is the sum of its factors' keys with no carry between fields, the
+cos^2 test is one mask, and the long division's divisibility test is one
+subtraction against a guard bit per field.  A result with an exponent
+past the bound raises ``DomainError``.  Only this module reads packed
+keys: the constructor, ``terms()``, ``coefficient()``, hashing and
+printing take and give the tuples.
+
 The coefficients are stored as integer numerators over one shared
 positive denominator (``_num`` and ``_den``), reduced so that
 ``gcd(_den, *_num.values()) == 1``; the zero expression has ``_den == 1``.
@@ -41,7 +52,7 @@ field (``blocks.index_blocks``).
 ``derivation_sum`` is the Lie bracket's primitive: a sum of products
 ``a * b.derive(var)`` computed as one integer sum over a common
 denominator and normalized once.  It shares its product loop
-(``_add_product``) with ``*`` and its derivative rule (``_derivative``)
+(``_products``) with ``*`` and its derivative rule (``_derivative``)
 with ``derive``; since the normal form is unique its result is ``==`` to
 the composition of those operations, with the terms in another order.
 
@@ -67,7 +78,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import (
     Box, IntRange, Interval, cos_2pi_range, imul, lattice_form, odd_denominator, pi_power,
@@ -77,7 +88,8 @@ from .intervals import (
 PLANE = "plane"
 TORUS = "torus"
 
-# term key: (kpi, ex, ey, s1, c1, s2, c2)
+# the exponent tuple of a term, as the constructor, terms() and
+# coefficient() take and give it: (kpi, ex, ey, s1, c1, s2, c2)
 Key = tuple[int, int, int, int, int, int, int]
 
 _ONE_KEY: Key = (0, 0, 0, 0, 0, 0, 0)
@@ -91,6 +103,21 @@ _TORUS_GEN_KEYS = {
 }
 _PI_KEY: Key = (1, 0, 0, 0, 0, 0, 0)
 
+# The packed key: exponent e of field i (0 = kpi ... 6 = c2) is
+# e << 32 * (6 - i).  Exponents below EXP_BOUND leave bits 30 and 31 of
+# every field clear, so a sum of two keys cannot carry into the next field.
+EXP_BOUND = 1 << 30
+_FIELD = (1 << 32) - 1
+_PI, _X, _Y, _S1, _C1, _S2, _C2 = (1 << 32 * (6 - i) for i in range(7))
+_TRIG = (1 << 128) - 1  # the fields s1, c1, s2, c2
+_OVER = sum(3 << 30 << 32 * i for i in range(7))  # an exponent >= EXP_BOUND
+_GUARD = sum(1 << 31 << 32 * i for i in range(7))
+_COS2 = (_FIELD - 1) * (_C1 | _C2)  # a cosine exponent >= 2
+# derive(var): (shift of var's exponent, shift of its sine, var's unit,
+# the step d/dvar sin -> 2 pi cos, the step d/dvar cos -> -2 pi sin)
+_DERIVE = {"x": (160, 96, _X, _PI + _C1 - _S1, _PI + _S1 - _C1),
+           "y": (128, 32, _Y, _PI + _C2 - _S2, _PI + _S2 - _C2)}
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -102,41 +129,70 @@ class DomainError(ValueError):
     pass
 
 
-def _normalize(terms: dict[Key, int]) -> dict[Key, int]:
-    """Combine like terms and rewrite cos^2 -> 1 - sin^2 until cosine
-    exponents are at most 1.
+def _pack(key: Key, plane: bool) -> int:
+    """The packed form of the exponent tuple ``key``: seven nonnegative
+    ints below ``EXP_BOUND``, with no trig exponent on the plane."""
+    try:
+        kpi, ex, ey, s1, c1, s2, c2 = key
+        if 0 <= (kpi | ex | ey | s1 | c1 | s2 | c2) < EXP_BOUND and not (plane and s1 | c1 | s2 | c2):
+            return kpi << 192 | ex << 160 | ey << 128 | s1 << 96 | c1 << 64 | s2 << 32 | c2
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"term key {key!r} is not 7 exponents in [0, 2^30)"
+                      + (" without a trig exponent on the plane" if plane else ""))
 
-    The coefficients are numerators over a denominator the caller keeps.
-    Terms leave in stack order (the input order reversed when nothing is
-    rewritten), which is the order ``eval_float`` sums in.
+
+def _unpack(key: int) -> Key:
+    return (key >> 192, key >> 160 & _FIELD, key >> 128 & _FIELD, key >> 96 & _FIELD,
+            key >> 64 & _FIELD, key >> 32 & _FIELD, key & _FIELD)
+
+
+def _normalize(terms: dict[int, int]) -> dict[int, int]:
+    """Combine like terms and rewrite cos^2 -> 1 - sin^2 until cosine
+    exponents are at most 1; raise ``DomainError`` when a term's exponent
+    reaches ``EXP_BOUND``.
+
+    The coefficients are numerators over a denominator the caller keeps,
+    and the keys of ``terms`` are distinct.  Terms leave in stack order:
+    the input order reversed, zeros dropped, when nothing is rewritten
+    (always so on the plane).  That is the order ``eval_float`` sums in.
     """
-    out: dict[Key, int] = {}
+    for key in terms:
+        if key & (_COS2 | _OVER):
+            break
+    else:
+        return {k: c for k, c in reversed(terms.items()) if c}
+    out: dict[int, int] = {}
     get = out.get
     stack = [(k, c) for k, c in terms.items() if c]
     while stack:
         key, coeff = stack.pop()
-        if key[4] >= 2 or key[6] >= 2:
-            kpi, ex, ey, s1, c1, s2, c2 = key
+        if key & _COS2:
+            # cos^(2m + r) = (1 - sin^2)^m cos^r, in c1 first
+            c1 = key >> 64 & _FIELD
             if c1 >= 2:
-                m, r = divmod(c1, 2)
-                for j in range(m + 1):
-                    cj = coeff * math.comb(m, j) * (-1) ** j
-                    stack.append(((kpi, ex, ey, s1 + 2 * j, r, s2, c2), cj))
+                m = c1 // 2
+                key -= 2 * m * _C1
+                step = 2 * _S1
             else:
-                m, r = divmod(c2, 2)
-                for j in range(m + 1):
-                    cj = coeff * math.comb(m, j) * (-1) ** j
-                    stack.append(((kpi, ex, ey, s1, c1, s2 + 2 * j, r), cj))
+                m = (key & _FIELD) // 2
+                key -= 2 * m * _C2
+                step = 2 * _S2
+            for j in range(m + 1):
+                stack.append((key + j * step, coeff * math.comb(m, j) * (-1) ** j))
             continue
         acc = get(key, 0) + coeff
         if acc:
             out[key] = acc
         else:
             out.pop(key, None)
+    for key in out:
+        if key & _OVER:
+            raise DomainError(f"exponent past the bound 2^30 - 1 in term {_unpack(key)}")
     return out
 
 
-def _reduce(num: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+def _reduce(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """Divide the common factor out of numerators ``num`` over ``den`` > 0
     (no numerators leave ``den == 1``)."""
     if den != 1:
@@ -146,44 +202,46 @@ def _reduce(num: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
     return num, den
 
 
-def _add_product(out: dict[Key, int], a: dict[Key, int], b: dict[Key, int], scale: int) -> None:
-    """Add ``scale * a * b`` to the numerators ``out``, term by term in the
-    order of ``a``, then of ``b``; the result is left unnormalized."""
+def _products(triples: Iterable[tuple[dict[int, int], dict[int, int], int]]) -> dict[int, int]:
+    """The sum of ``scale * a * b`` over the triples ``(a, b, scale)`` of
+    numerator dicts, unnormalized: terms in the order of the triples, then
+    of ``a``, then of ``b``."""
+    out: dict[int, int] = {}
     get = out.get
-    items2 = b.items()
-    for (a0, a1, a2, a3, a4, a5, a6), c1 in a.items():
-        c1 *= scale
-        for (b0, b1, b2, b3, b4, b5, b6), c2 in items2:
-            key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
-            out[key] = get(key, 0) + c1 * c2
+    for a, b, scale in triples:
+        items = b.items()
+        for ka, ca in a.items():
+            ca *= scale
+            for kb, cb in items:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+    return out
 
 
-def _derivative(num: dict[Key, int], var: str) -> dict[Key, int]:
+def _derivative(num: dict[int, int], var: str) -> dict[int, int]:
     """Partial derivative in ``var`` ('x' or 'y') of the numerators ``num``,
     over the same denominator and unnormalized: a cosine exponent may reach
     2 and a combined coefficient may be 0."""
-    if var not in ("x", "y"):
-        raise ValueError("var must be 'x' or 'y'")
-    out: dict[Key, int] = {}
-
-    def acc(key: Key, c: int):
-        out[key] = out.get(key, 0) + c
-
-    for (kpi, ex, ey, s1, c1, s2, c2), coeff in num.items():
-        if var == "x":
-            if ex:
-                acc((kpi, ex - 1, ey, s1, c1, s2, c2), coeff * ex)
-            if s1:
-                acc((kpi + 1, ex, ey, s1 - 1, c1 + 1, s2, c2), coeff * s1 * 2)
-            if c1:
-                acc((kpi + 1, ex, ey, s1 + 1, c1 - 1, s2, c2), -coeff * c1 * 2)
-        else:
-            if ey:
-                acc((kpi, ex, ey - 1, s1, c1, s2, c2), coeff * ey)
-            if s2:
-                acc((kpi + 1, ex, ey, s1, c1, s2 - 1, c2 + 1), coeff * s2 * 2)
-            if c2:
-                acc((kpi + 1, ex, ey, s1, c1, s2 + 1, c2 - 1), -coeff * c2 * 2)
+    try:
+        shift, sin_shift, unit, sin_step, cos_step = _DERIVE[var]
+    except KeyError:
+        raise ValueError("var must be 'x' or 'y'") from None
+    out: dict[int, int] = {}
+    get = out.get
+    for key, coeff in num.items():
+        e = key >> shift & _FIELD
+        if e:
+            k = key - unit
+            out[k] = get(k, 0) + coeff * e
+        if key & _TRIG:
+            e = key >> sin_shift & _FIELD
+            if e:
+                k = key + sin_step
+                out[k] = get(k, 0) + coeff * e * 2
+            e = key >> sin_shift - 32 & _FIELD
+            if e:
+                k = key + cos_step
+                out[k] = get(k, 0) - coeff * e * 2
     return out
 
 
@@ -194,9 +252,11 @@ def derivation_sum(terms: Sequence[tuple[int, "Expr", "Expr", str]]) -> "Expr":
 
     One integer sum of products: each derivative is taken on ``b``'s
     numerators without normalizing, each product is scaled to the lcm of
-    the ``a._den * b._den``, and the sum is normalized and reduced once.
-    The normal form is unique, so the result is ``==`` to the composition
-    of ``derive``, ``*``, ``+`` and ``-``; its terms are in another order.
+    the ``a._den * b._den``, and one pass of the product loop
+    (``_products``) sums them all; the sum is normalized and reduced once.
+    A product key is the sum of two packed keys.  The normal form is
+    unique, so the result is ``==`` to the composition of ``derive``,
+    ``*``, ``+`` and ``-``; its terms are in another order.
     """
     domain = terms[0][1].domain
     dens = []
@@ -205,27 +265,30 @@ def derivation_sum(terms: Sequence[tuple[int, "Expr", "Expr", str]]) -> "Expr":
             raise DomainError("domain mismatch")
         dens.append(a._den * b._den)
     den = math.lcm(*dens)
-    out: dict[Key, int] = {}
-    for (sign, a, b, var), d in zip(terms, dens):
-        _add_product(out, a._num, _derivative(b._num, var), sign * (den // d))
+    out = _products([(a._num, _derivative(b._num, var), sign * (den // d))
+                     for (sign, a, b, var), d in zip(terms, dens)])
     return _make(domain, *_reduce(_normalize(out), den))
 
 
 class Expr:
     """Immutable normal-form expression tied to a domain.
 
-    The coefficient of the term with key ``k`` is ``_num[k] / _den``: the
-    numerators are nonzero ints over one positive denominator, and
-    ``gcd(_den, *_num.values()) == 1``, so equal expressions have equal
-    ``_num`` and ``_den``.
+    The coefficient of the term with packed key ``k`` is
+    ``_num[k] / _den``: the numerators are nonzero ints over one positive
+    denominator, and ``gcd(_den, *_num.values()) == 1``, so equal
+    expressions have equal ``_num`` and ``_den``.
     """
 
-    # _hash and _kernel are set on first use only (see _DyadicKernel), so
-    # construction and ring operations never pay for them
-    __slots__ = ("domain", "_num", "_den", "_hash", "_kernel")
+    # _hash, _kernel and _float are set on first use only (see
+    # _DyadicKernel and eval_float), so construction and ring operations
+    # never pay for them
+    __slots__ = ("domain", "_num", "_den", "_hash", "_kernel", "_float")
 
     def __init__(self, domain: str, terms: dict[Key, Fraction]):
-        """``terms`` maps keys to rationals (``Fraction`` or ``int``)."""
+        """``terms`` maps exponent tuples ``(kpi, ex, ey, s1, c1, s2, c2)``
+        to rationals (``Fraction`` or ``int``).  Each exponent is an int in
+        [0, ``EXP_BOUND``), and a plane key has no trig exponent; any other
+        key raises ``DomainError``."""
         if domain not in (PLANE, TORUS):
             raise DomainError(f"unknown domain {domain!r}")
         try:
@@ -233,9 +296,9 @@ class Expr:
         except AttributeError:
             key, c = next((k, c) for k, c in terms.items() if not hasattr(c, "denominator"))
             raise TypeError(f"coefficient {c!r} of term {key} is not an int or Fraction") from None
-        num, den = _reduce(
-            _normalize({k: c.numerator * (den // c.denominator) for k, c in terms.items()}), den
-        )
+        plane = domain == PLANE
+        num, den = _reduce(_normalize(
+            {_pack(k, plane): c.numerator * (den // c.denominator) for k, c in terms.items()}), den)
         _set_domain(self, domain)
         _set_num(self, num)
         _set_den(self, den)
@@ -310,8 +373,7 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = self._coerce(other)
-        out: dict[Key, int] = {}
-        _add_product(out, self._num, other._num, 1)
+        out = _products(((self._num, other._num, 1),))
         return _make(self.domain, *_reduce(_normalize(out), self._den * other._den))
 
     __rmul__ = __mul__
@@ -324,8 +386,9 @@ class Expr:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- predicates and views -----------------------------------------
@@ -335,14 +398,22 @@ class Expr:
         return not self._num
 
     def has_trig(self) -> bool:
-        return any(k[3] or k[4] or k[5] or k[6] for k in self._num)
+        return any(k & _TRIG for k in self._num)
 
     def terms(self) -> Iterator[tuple[Key, Fraction]]:
-        den = self._den
-        return ((k, Fraction(self._num[k], den)) for k in sorted(self._num, reverse=True))
+        """The terms as (exponent tuple, coefficient), the largest tuple
+        first."""
+        num, den = self._num, self._den
+        return ((_unpack(k), Fraction(num[k], den)) for k in sorted(num, reverse=True))
 
     def coefficient(self, key: Key) -> Fraction:
-        return Fraction(self._num.get(key, 0), self._den)
+        """The coefficient of the exponent tuple ``key``; 0 for a key this
+        domain cannot hold."""
+        try:
+            packed = _pack(key, self.domain == PLANE)
+        except DomainError:
+            return Fraction(0)
+        return Fraction(self._num.get(packed, 0), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
@@ -355,7 +426,8 @@ class Expr:
             return self._hash
         except AttributeError:
             den = self._den
-            h = hash((self.domain, frozenset((k, Fraction(c, den)) for k, c in self._num.items())))
+            h = hash((self.domain,
+                      frozenset((_unpack(k), Fraction(c, den)) for k, c in self._num.items())))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -368,14 +440,19 @@ class Expr:
     # -- evaluation ----------------------------------------------------
 
     def eval_float(self, x: float, y: float) -> float:
-        """Fast float evaluation (flow integration, plotting, oracles)."""
-        # n / den is the correctly rounded float(Fraction(n, den))
-        den = self._den
+        """Fast float evaluation (flow integration, plotting, oracles).
+
+        Term by term in stored order: the coefficient, times pi^kpi, times
+        each generator power in key order.  The coefficients times their
+        pi powers and the unpacked exponents are computed on the first
+        call (``_float_terms``)."""
+        try:
+            terms = self._float
+        except AttributeError:
+            terms = _float_terms(self._num, self._den)
+            object.__setattr__(self, "_float", terms)
         total = 0.0
-        for (kpi, ex, ey, s1, c1, s2, c2), coeff in self._num.items():
-            v = coeff / den
-            if kpi:
-                v *= math.pi**kpi
+        for v, ex, ey, s1, c1, s2, c2 in terms:
             if ex:
                 v *= x**ex
             if ey:
@@ -445,13 +522,27 @@ class Expr:
 _set_domain, _set_num, _set_den = Expr.domain.__set__, Expr._num.__set__, Expr._den.__set__
 
 
-def _make(domain: str, num: dict[Key, int], den: int) -> Expr:
+def _make(domain: str, num: dict[int, int], den: int) -> Expr:
     """An Expr of canonical numerators over ``den``, built without checks."""
     e = object.__new__(Expr)
     _set_domain(e, domain)
     _set_num(e, num)
     _set_den(e, den)
     return e
+
+
+def _float_terms(num: dict[int, int], den: int) -> tuple:
+    """The terms of ``eval_float``: (coefficient * pi^kpi as a float, ex,
+    ey, s1, c1, s2, c2) in stored order."""
+    out = []
+    for key, n in num.items():
+        v = n / den  # the correctly rounded float(Fraction(n, den))
+        kpi = key >> 192
+        if kpi:
+            v *= math.pi**kpi
+        out.append((v, key >> 160 & _FIELD, key >> 128 & _FIELD, key >> 96 & _FIELD,
+                    key >> 64 & _FIELD, key >> 32 & _FIELD, key & _FIELD))
+    return tuple(out)
 
 
 def _gens_string(key: Key) -> str:
@@ -511,31 +602,33 @@ class _DyadicKernel:
     __slots__ = ("den", "terms", "degrees", "top_degree", "constants", "odd", "even", "trig",
                  "trig_x", "trig_y")
 
-    def __init__(self, num: dict[Key, int], den: int):
+    def __init__(self, num: dict[int, int], den: int):
         self.den = den
         trig: list[int] = []  # trig generators in the order first met
         raw = []
-        for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
-            factors = [(gen, e) for gen, e in enumerate((ex, ey, s1, c1, s2, c2)) if e]
+        for key, n in num.items():
+            ex, ey = key >> 160 & _FIELD, key >> 128 & _FIELD
+            factors = [(gen, e) for gen, e in enumerate((
+                ex, ey, key >> 96 & _FIELD, key >> 64 & _FIELD, key >> 32 & _FIELD, key & _FIELD)) if e]
             trig += [gen for gen, _ in factors if gen >= _SX and gen not in trig]
-            raw.append((n, kpi, factors))
+            raw.append((n, key >> 192, factors, ex + ey))
         # the per-call power table: the heads (the unit and pi powers),
         # the bases x, y and the trig ranges in lookup order, then the odd
         # and the even powers; a factor of exponent 1 is its base's slot
-        heads = sorted({kpi for _, kpi, factors in raw if kpi or not factors})
+        heads = sorted({kpi for _, kpi, factors, _ in raw if kpi or not factors})
         base = {gen: len(heads) + k for k, gen in enumerate([0, 1, *trig])}
-        pairs = {(base[gen], e) for _, _, factors in raw for gen, e in factors if e > 1}
+        pairs = {(base[gen], e) for _, _, factors, _ in raw for gen, e in factors if e > 1}
         odd = sorted(p for p in pairs if p[1] % 2)
         even = sorted(p for p in pairs if p[1] % 2 == 0)
         power = {p: len(heads) + len(base) + k for k, p in enumerate(odd + even)}
         terms = []
         degrees = []
-        for (n, kpi, factors), (_, ex, ey, *_) in zip(raw, num):
+        for n, kpi, factors, degree in raw:
             slots = [base[gen] if e == 1 else power[base[gen], e] for gen, e in factors]
             if kpi or not slots:
                 slots.insert(0, heads.index(kpi))
             terms.append((n, slots[0], tuple(slots[1:])))
-            degrees.append(ex + ey)
+            degrees.append(degree)
         self.terms = tuple(terms)
         self.degrees = tuple(degrees)
         self.top_degree = max(degrees, default=0)
@@ -734,28 +827,38 @@ def parse_expr(text: str, domain: str = PLANE) -> Expr:
 # exact polynomial division and gcd
 
 
-def _long_divide(a: dict[tuple, int], b: dict[tuple, int]) -> Optional[tuple[dict, int]]:
-    """Integer long division of polynomials held as ``{exponents: int}``.
+def _long_divide(a: dict[int, int], b: dict[int, int]) -> Optional[tuple[dict, int]]:
+    """Integer long division of polynomials held as ``{packed key: int}``.
 
-    Divides ``a`` by the nonzero ``b`` term by term from the
-    lexicographically largest exponent tuple down, and returns
+    Divides ``a`` by the nonzero ``b`` term by term from the largest key
+    (the lexicographically largest exponent tuple) down, and returns
     ``(q, m)`` with ``m * a == q * b``, or None when ``b`` does not divide
     ``a`` over the rationals.  ``m > 0`` collects the factors by which the
     remainder was scaled whenever ``b``'s leading coefficient did not
     divide the remainder's (a pseudo-division); when ``b`` divides ``a``
     over the integers, ``m == 1``.  ``q`` holds its terms in decreasing
-    exponent order.
+    key order.
+
+    The remainder's leading key r is divisible by b's leading key s when
+    no field of r is below s's: with every field of r below 2^31, that
+    holds iff ``(r | _GUARD) - s`` keeps every guard bit, and the
+    quotient key is that difference without them.  A leading key with an
+    exponent past ``EXP_BOUND`` raises ``DomainError``; the keys below it
+    are sums of two keys under the bound, so no field carries.
     """
     bterms = sorted(b.items(), reverse=True)
     (blead, bc), rest = bterms[0], bterms[1:]
     rem = dict(a)
-    quo: dict[tuple, int] = {}
+    quo: dict[int, int] = {}
     m = 1
     while rem:
         rkey = max(rem)
-        diff = tuple(r - s for r, s in zip(rkey, blead))
-        if min(diff) < 0:
+        if rkey & _OVER:
+            raise DomainError(f"exponent past the bound 2^30 - 1 in term {_unpack(rkey)}")
+        diff = (rkey | _GUARD) - blead
+        if diff & _GUARD != _GUARD:
             return None
+        diff ^= _GUARD
         rc = rem.pop(rkey)
         scale = abs(bc) // math.gcd(rc, bc)
         if scale != 1:
@@ -766,7 +869,7 @@ def _long_divide(a: dict[tuple, int], b: dict[tuple, int]) -> Optional[tuple[dic
         c = rc // bc
         quo[diff] = c
         for k, v in rest:
-            key = tuple(d + e for d, e in zip(diff, k))
+            key = diff + k
             acc = rem.get(key, 0) - c * v
             if acc:
                 rem[key] = acc
@@ -806,9 +909,9 @@ def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
         raise DomainError("domain mismatch")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero expression")
-    for slot in (4, 6):  # cos2px, cos2py
-        if any(k[slot] for k in b._num):
-            conj = _make(b.domain, {k: -c if k[slot] else c for k, c in b._num.items()}, b._den)
+    for mask in (_FIELD * _C1, _FIELD * _C2):  # cos2px, cos2py
+        if any(k & mask for k in b._num):
+            conj = _make(b.domain, {k: -c if k & mask else c for k, c in b._num.items()}, b._den)
             a, b = a * conj, b * conj
     out = _long_divide(a._num, b._num)
     if out is None:
@@ -866,6 +969,21 @@ def _is_unit(c: dict) -> bool:
     return abs(v) == 1 and not any(k)
 
 
+def _pack_tuples(f: dict) -> dict[int, int]:
+    """``f`` with each exponent tuple (at most 3 long here) in the low
+    fields of a packed key, its last exponent least significant, for
+    ``_long_divide``."""
+    out = {}
+    for k, c in f.items():
+        packed = 0
+        for e in k:
+            if e >= EXP_BOUND:
+                raise DomainError(f"exponent past the bound 2^30 - 1 in the gcd term {k}")
+            packed = packed << 32 | e
+        out[packed] = c
+    return out
+
+
 def _content_pp(f: dict) -> tuple[dict, dict]:
     """Content (a gcd of the coefficients in the main variable) and
     primitive part of ``f``."""
@@ -877,7 +995,9 @@ def _content_pp(f: dict) -> tuple[dict, dict]:
         cont = _gcd(cont, c)
     if _is_unit(cont):
         return cont, f
-    return cont, _long_divide(f, _lift(cont, 0))[0]  # exact over Z
+    shifts = range(32 * len(next(iter(f))) - 32, -1, -32)
+    quo = _long_divide(_pack_tuples(f), _pack_tuples(_lift(cont, 0)))[0]  # exact over Z
+    return cont, {tuple(k >> s & _FIELD for s in shifts): c for k, c in quo.items()}
 
 
 def _gcd(f: dict, g: dict) -> dict:
@@ -920,13 +1040,13 @@ def poly_gcd(a: Expr, b: Expr) -> Expr:
     ignores), their gcd comes from ``_gcd``, and it is divided by its
     leading coefficient.
     """
-    f = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in a._num.items()}
-    g = {(ex, ey, kpi): c for (kpi, ex, ey, *_), c in b._num.items()}
+    f = {(k >> 160 & _FIELD, k >> 128 & _FIELD, k >> 192): c for k, c in a._num.items()}
+    g = {(k >> 160 & _FIELD, k >> 128 & _FIELD, k >> 192): c for k, c in b._num.items()}
     h = _gcd(f, g) if f and g else f or g
     if not h:
         return Expr.zero(a.domain)
     lead = h[max(h)]
     sign = 1 if lead > 0 else -1
     # increasing (x, y, pi) order, the order Expr() stores sympy's terms in
-    num = {(kpi, ex, ey, 0, 0, 0, 0): sign * h[ex, ey, kpi] for ex, ey, kpi in sorted(h)}
+    num = {kpi << 192 | ex << 160 | ey << 128: sign * h[ex, ey, kpi] for ex, ey, kpi in sorted(h)}
     return _make(a.domain, *_reduce(num, abs(lead)))

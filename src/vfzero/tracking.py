@@ -11,7 +11,9 @@ the counterexample witness.
 The polynomial cofactor is one exact division of a bracket component by
 the matching component of X, ``expr.divide_exact``, on the plane and on
 the torus alike; on the torus it first clears the divisor's cosines by
-multiplying with its conjugates (see its docstring).
+multiplying with its conjugates (see its docstring).  The division comes
+first, and one product checks the other component; the wedge is built
+only when that check fails, since B = f*X makes it zero.
 
 A rational cofactor num/den of plane polynomials is reduced by their
 gcd, ``expr.poly_gcd``.
@@ -53,24 +55,31 @@ class TrackReport:
 def track_check(y_field: VectorField, x_field: VectorField) -> TrackReport:
     """Classify whether Y tracks X, extracting a cofactor when possible.
 
-    Once the wedge of B = [Y, X] with X vanishes, B = f*X as soon as one
-    component divides: X is nonzero and the (trig-)polynomials are an
-    integral domain, so x_i*f = b_i gives b_j*x_i = b_i*x_j = f*x_i*x_j and
-    b_j = f*x_j.  The first nonzero component x_i of X decides, and b_i is
-    nonzero when the division fails; the rational cofactor is b_i / x_i,
-    reduced by their gcd on plane polynomials."""
+    With B = [Y, X] and x_i the first nonzero component of X, the
+    division f = b_i / x_i comes first.  When it is exact and
+    f*x_j == b_j for the other component, B = f*X: the pair is
+    POLY_TRACKING and the wedge residual is exactly zero, so it is not
+    built.  Otherwise the wedge B wedge X decides.  It is nonzero when
+    f exists but f*x_j != b_j, since it equals +-x_i*(f*x_j - b_j) and
+    the (trig-)polynomials are an integral domain; a nonzero wedge is
+    NOT_TRACKING.  A zero wedge with no exact quotient is
+    RATIONAL_TRACKING: b_i is then nonzero, and the cofactor is
+    b_i / x_i, reduced by their gcd on plane polynomials."""
     if x_field.is_zero:
         raise ValueError("tracking against the zero field is undefined")
     if y_field.domain != x_field.domain:
         raise ValueError("domain mismatch")
     bracket = lie_bracket(y_field, x_field)
+    if x_field.cx.is_zero:
+        b_i, x_i, b_j, x_j = bracket.cy, x_field.cy, bracket.cx, x_field.cx
+    else:
+        b_i, x_i, b_j, x_j = bracket.cx, x_field.cx, bracket.cy, x_field.cy
+    f = divide_exact(b_i, x_i)
+    if f is not None and f * x_j == b_j:
+        return TrackReport(POLY_TRACKING, bracket, Expr.zero(x_field.domain), cofactor=f)
     residual = wedge(bracket, x_field)
     if not residual.is_zero:
         return TrackReport(NOT_TRACKING, bracket, residual)
-    b_i, x_i = (bracket.cx, x_field.cx) if not x_field.cx.is_zero else (bracket.cy, x_field.cy)
-    f = divide_exact(b_i, x_i)
-    if f is not None:
-        return TrackReport(POLY_TRACKING, bracket, residual, cofactor=f)
     if b_i.has_trig() or x_i.has_trig():
         num, den = b_i, x_i
     else:

@@ -66,7 +66,7 @@ from vfzero import (
 from vfzero.blocks import MAX_SEG_REFINE, Segment, piece_segment, witness
 from vfzero.harness import MainTheoremReport, Witness
 from vfzero.tracking import _RATIONAL_CAVEAT
-from vfzero.expr import DomainError, Key, _gens_string, poly_gcd
+from vfzero.expr import DomainError, Key, _gens_string, _unpack, poly_gcd
 from vfzero.intervals import (
     PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
 )
@@ -178,12 +178,19 @@ def fraction_trig_key(iv: Interval) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+def stored_terms(e: Expr) -> list[tuple[Key, int]]:
+    """The terms of ``e`` as (exponent tuple, numerator over ``e._den``)
+    in the order the Expr stores them, which is the order ``eval_float``
+    sums in."""
+    return [(_unpack(k), c) for k, c in e._num.items()]
+
+
 def range_on_fractions(e: Expr, box: Box) -> Interval:
     """Reference enclosure in Fraction interval arithmetic."""
     sx = cx = sy = cy = None
     den = e._den
     total = Interval.point(0)
-    for (kpi, ex, ey, s1, c1, s2, c2), coeff in e._num.items():
+    for (kpi, ex, ey, s1, c1, s2, c2), coeff in stored_terms(e):
         v = Interval.point(Fraction(coeff, den))
         if kpi:
             v = v * pi_power(kpi)
@@ -928,7 +935,7 @@ def ref_divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
         raise ValueError("divide_exact requires trig-free expressions")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero expression")
-    rem = {k: Fraction(c, a._den) for k, c in a._num.items()}
+    rem = {k: Fraction(c, a._den) for k, c in stored_terms(a)}
     bterms = list(b.terms())
     blead_key, blead_coeff = bterms[0]
     quo: dict[Key, Fraction] = {}
@@ -1041,7 +1048,7 @@ def same_expr(got: Optional[Expr], ref: Optional[Expr]) -> bool:
     the same terms in the same order."""
     if ref is None:
         return got is None
-    return got == ref and list(got._num.items()) == list(ref._num.items())
+    return got == ref and stored_terms(got) == stored_terms(ref)
 
 
 # ---------------------------------------------------------------------------

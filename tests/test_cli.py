@@ -237,6 +237,11 @@ class TestExitCodes:
         assert run_command(["index", "--field", "(x, ++)"]) == 3
         assert "usage error" in capsys.readouterr().err
 
+    def test_usage_error_exponent_past_the_key_bound(self, capsys):
+        argv = ["track", "--y", "(x^1073741824, y)", "--x", "(x, y)"]
+        assert run_command(argv) == 3
+        assert "past the bound" in capsys.readouterr().err
+
     # a zero denominator used to escape as a ZeroDivisionError, exit 1
     @pytest.mark.parametrize("region", ["1,2,3", "1,1,0,0", "0,0,1/0,1"])
     def test_usage_error_bad_region(self, region, capsys):

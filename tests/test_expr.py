@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,11 @@ from vfzero import (
     Expr,
     Interval,
     ParseError,
+    builtin_catalog,
     divide_exact,
+    lie_bracket,
     parse_expr,
+    parse_field,
 )
 
 from vfzero.intervals import cos_2pi_range, lattice_form, odd_denominator, sin_2pi_range
@@ -36,6 +40,7 @@ from oracles import (
     ref_sub,
     ref_trig_quotient,
     same_expr,
+    stored_terms,
 )
 
 
@@ -162,7 +167,8 @@ def _kernel_triples(e: Expr, box: Box):
     x, y = box.x, box.y
     q = odd_denominator(x.lo, x.hi, y.lo, y.hi)
     axes = (lattice_form(x.lo, x.hi, q), lattice_form(y.lo, y.hi, q), q)
-    return e.dyadic_kernel().range_dyadic(*axes), RefDyadicKernel(e._num, e._den).range_dyadic(*axes)
+    return (e.dyadic_kernel().range_dyadic(*axes),
+            RefDyadicKernel(dict(stored_terms(e)), e._den).range_dyadic(*axes))
 
 
 class TestParse:
@@ -367,7 +373,7 @@ class TestIntegerRing:
 
     @staticmethod
     def _check(e, ref, domain):
-        assert [(k, Fraction(c, e._den)) for k, c in e._num.items()] == list(ref.items())
+        assert [(k, Fraction(c, e._den)) for k, c in stored_terms(e)] == list(ref.items())
         assert e._den > 0 and math.gcd(e._den, *e._num.values()) == 1
         assert str(e) == ref_str(ref)
         twin = Expr(domain, ref)
@@ -417,12 +423,12 @@ class TestIntegerRing:
     def test_half_times_two_is_integral(self):
         x = parse_expr("x")
         e = (x * Fraction(1, 2)) * 2
-        assert e == x and e._den == 1 and e._num == {(0, 1, 0, 0, 0, 0, 0): 1}
+        assert e == x and e._den == 1 and stored_terms(e) == [((0, 1, 0, 0, 0, 0, 0), 1)]
 
     def test_int_coefficient(self):
         k = (0, 1, 0, 0, 0, 0, 0)
         e = Expr("plane", {k: 3})
-        assert e == Expr("plane", {k: Fraction(3)}) and e._num == {k: 3} and e._den == 1
+        assert e == Expr("plane", {k: Fraction(3)}) and stored_terms(e) == [(k, 3)] and e._den == 1
         assert str(e) == "3*x" and e.coefficient(k) == 3
 
     def test_common_denominator(self):
@@ -450,6 +456,96 @@ class TestIntegerRing:
         # a float would otherwise enter as the binary fraction it rounds to
         with pytest.raises(TypeError, match="not an int or Fraction"):
             make(parse_expr("x"))
+
+
+class TestTermKeys:
+    """A term key is 7 exponents in [0, 2^30), with no trig exponent on
+    the plane; the constructor refuses any other key, and a ring
+    operation whose result would pass the bound raises."""
+
+    @pytest.mark.parametrize("key", [
+        (0, -1, 0, 0, 0, 0, 0),  # printed as 1, yet != 1
+        (0, 0, 0, 1, 0, 0, 0),  # sin2px on the plane
+        (0, 0, 0),
+        (0, 1 << 30, 0, 0, 0, 0, 0),
+        (0, 0.5, 0, 0, 0, 0, 0),
+    ])
+    def test_plane_key_refused(self, key):
+        with pytest.raises(DomainError, match="term key"):
+            Expr("plane", {key: 1})
+        assert Expr.const(1, "plane").coefficient(key) == 0
+
+    def test_torus_key_refused(self):
+        with pytest.raises(DomainError, match="term key"):
+            Expr("torus", {(0, 0, 0, 0, 0, 0, -1): 1})
+        assert Expr("torus", {(0, 0, 0, 1, 0, 0, 0): 1}) == parse_expr("sin2px", "torus")
+
+    def test_largest_exponent_parses(self):
+        e = parse_expr("x^1073741823")
+        assert e.coefficient((0, (1 << 30) - 1, 0, 0, 0, 0, 0)) == 1 and len(list(e.terms())) == 1
+
+    def test_exponent_past_the_bound_refused(self):
+        with pytest.raises(DomainError, match="past the bound"):
+            parse_expr("x^1073741824")
+        half = parse_expr("x^536870912")
+        with pytest.raises(DomainError, match="past the bound"):
+            half * half
+        with pytest.raises(DomainError, match="past the bound"):
+            parse_expr("pi^1073741823*sin2px", "torus").derive("x")  # pi^(2^30)
+
+
+# The stored term order of ring results, as [(exponent tuple, numerator)]
+# from oracles.stored_terms: for every tracker Y of a catalog entry X, the
+# bracket [Y, X], three products, two sums, the four first derivatives of
+# X and the two divisions of [Y, X] by X's components.  eval_float sums
+# in this order, so the plot and flow pins depend on it.
+STORED_ORDER = [
+    ("linear-node", "5b5d746d45c9a516e57b98ec2eb6340174598cdcb58ed1e8cdb3f4b1a0a9ff16"),
+    ("linear-saddle", "d09837fabcaccb8c9cc1101eb6f5e33511dd2dcc3c47e7e9d00c94ff8e14307b"),
+    ("rotation-node", "dadae53508c360188aa611b4eace604005fef738b5263ae8dfc422e2f28e504b"),
+    ("complex-squaring", "4c0e8be999b091869520130b079fb0534ab28a554d562ffb4a7c33243d52608b"),
+    ("complex-cubing", "c616a97ffb6e86d4ba5c8f93f360ae189475f7dfe0dcd39b36f4ac743fb9458e"),
+    ("conjugate-squaring", "9e16fc52420517e372b8107167d8f75743fa8b2af3282cdc2b781ae4482f2acb"),
+    ("odd-cube", "bb41fd630f15859d7fb09375655c3f05cf6e56a3e09117a25de7b8e8bb751ced"),
+    ("two-simple-zeros", "1aa9dc903dba6170ec34e5c5d3ed5c4c3836e871212767b6f2e5dc6d4f1df248"),
+    ("plus-minus-one", "0433c946e5d434c2434dc428557270d63a814e4e6dbc97c486ad48c7d410d4cb"),
+    ("cubic-three-zeros", "a48840d6837be03e3178460c6f1829fbda92a81fe07d4bc15fd29cc80b0f62f7"),
+    ("annulus-node", "df697d3dcc55d9f254bd160ec85c621b509852b65b2c3ab30c4a1a9a65ca3e77"),
+    ("negative-control-shift", "49f6fa5c2c31f714b888daad7993ed7c36ec0881dac1aa82ffebd8ede2bab4f7"),
+    ("torus-grid-node", "3b3c2c56660d776be2d5293cfc8296e14b4db3e594c45241b6e6005d7199c856"),
+    ("torus-grid-saddle", "bbf61cedf52ccaceaa880b48d9f65fbc2a6354cd555851c7e347146d423dc318"),
+    ("torus-shear", "bf54238f1d8fd8e66afa80935765830bb2e64bd5aa2b998645e0eab731995c89"),
+    ("torus-rotation", "6c42f42b0af738c7bd041b10e89da547a075fba78703a4352614e443493afd41"),
+    ("torus-scaled-node", "f427a2d675d98b01bb210477f224587784a5a14dd86a7572568a072125ce28e5"),
+    ("torus-cos-mask", "971d16d353e51588c179664b024dfb1b7338d1b73f262783d00913557fb1ef9b"),
+    ("torus-circles", "e9120a923fb6acb49d8f8b7a5018164bd487c3cad1f16d159a86b5ae236d9cf9"),
+]
+
+
+def _stored_order(y, x) -> list:
+    b = lie_bracket(y, x)
+    out = [stored_terms(e) for e in (
+        b.cx, b.cy, y.cx * x.cx, y.cy * x.cy, y.cx * x.cy, y.cx + x.cx, y.cy + x.cy,
+        x.cx.derive("x"), x.cx.derive("y"), x.cy.derive("x"), x.cy.derive("y"))]
+    for bi, xi in ((b.cx, x.cx), (b.cy, x.cy)):
+        q = None if xi.is_zero else divide_exact(bi, xi)
+        out.append(None if q is None else stored_terms(q))
+    return out
+
+
+class TestStoredOrder:
+    @pytest.mark.parametrize("name, sha256", STORED_ORDER, ids=[s[0] for s in STORED_ORDER])
+    def test_catalog_pairs(self, name, sha256):
+        (entry,) = [e for e in builtin_catalog() if e.name == name]
+        got = [_stored_order(t, entry.field) for t in entry.trackers]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == sha256
+
+    def test_cosine_square_rewrite(self):
+        y = parse_field("(cos2px*sin2py, cos2px*cos2py)", "torus")
+        x = parse_field("(cos2px, sin2px*cos2py)", "torus")
+        assert (y.cx * x.cx).coefficient((0, 0, 0, 2, 0, 1, 0)) == -1  # cos^2 = 1 - sin^2
+        assert hashlib.sha256(repr(_stored_order(y, x)).encode()).hexdigest() == (
+            "819f8aca65271cf4dd675563d9ebac035e1cdff2275afa9601b37848f65758d3")
 
 
 class TestDerive:
