@@ -41,9 +41,10 @@ every term with that cosine flipped), which leaves a divisor free of
 cosines, so the long division stays in normal form; the trig ring is an
 integral domain, so this changes no quotient.
 
-``poly_gcd``, next to it, is the gcd of two trig-free expressions, on
-the integer numerators too: content/primitive-part Euclid in
-Z[pi][y][x], made monic in the lexicographic order x > y > pi (sympy's
+``poly_gcd``, next to it, is the gcd of two trig-free expressions (a
+trig term raises ``DomainError``), on the packed numerators too:
+content/primitive-part Euclid in Z[pi][y][x] over the key fields x, y,
+pi, made monic in the lexicographic order x > y > pi (sympy's
 normalization, which the tests check it against; the package does not
 use sympy).  It reduces a rational tracking cofactor
 (``tracking.track_check``) and splits the scalar factor off a plane
@@ -632,7 +633,7 @@ class _DyadicKernel:
         self.terms = tuple(terms)
         self.degrees = tuple(degrees)
         self.top_degree = max(degrees, default=0)
-        self.constants = tuple(pi_power(kpi).dyadic for kpi in heads)
+        self.constants = tuple(pi_power(kpi) for kpi in heads)
         self.odd = tuple(odd)
         self.even = tuple(even)
         self.trig = tuple((sin_2pi_range if gen in (_SX, _SY) else cos_2pi_range, gen >= _SY)
@@ -657,7 +658,7 @@ class _DyadicKernel:
             for fn, on_y in self.trig:
                 # the lookups of term-by-term Fraction interval arithmetic,
                 # in its order, so the lru_cache statistics match it
-                powers.append(fn(*(ykey if on_y else xkey)).dyadic)  # trig endpoints are dyadic
+                powers.append(fn(*(ykey if on_y else xkey)))
         for k, n in self.odd:
             a, b, s = powers[k]
             powers.append((a**n, b**n, s * n))
@@ -923,130 +924,94 @@ def divide_exact(a: Expr, b: Expr) -> Optional[Expr]:
     return _make(a.domain, *_reduce({k: c * db for k, c in reversed(quo.items())}, m * a._den))
 
 
-# The gcd's polynomials are dicts {exponent tuple: int}; the first
-# exponent is the main variable, and the rest are the coefficient ring's
-# variables.
+# The gcd's polynomials are numerator dicts {packed key: int} without
+# trig exponents.  It recurses over the fields x, then y, then pi: at
+# level i the field _GCD_SHIFTS[i] is the main variable, and a
+# coefficient in it has that field (and the fields before it) cleared.
+_GCD_SHIFTS = (160, 128, 192)
 
 
-def _mul(f: dict, g: dict) -> dict:
-    out: dict[tuple, int] = {}
-    for kf, cf in f.items():
-        for kg, cg in g.items():
-            key = tuple(a + b for a, b in zip(kf, kg))
-            out[key] = out.get(key, 0) + cf * cg
-    return {k: c for k, c in out.items() if c}
-
-
-def _sub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for k, c in g.items():
-        acc = out.get(k, 0) - c
-        if acc:
-            out[k] = acc
-        else:
-            del out[k]
-    return out
-
-
-def _coeffs(f: dict) -> dict[int, dict]:
-    """``f`` as a polynomial in its main variable: {degree: coefficient}."""
-    out: dict[int, dict] = {}
-    for (e, *rest), c in f.items():
-        out.setdefault(e, {})[tuple(rest)] = c
-    return out
-
-
-def _lift(c: dict, e: int) -> dict:
-    """The coefficient ``c`` times the main variable to the power ``e``."""
-    return {(e, *k): v for k, v in c.items()}
-
-
-def _is_unit(c: dict) -> bool:
-    """Whether ``c`` is the constant 1 or -1."""
-    if len(c) != 1:
-        return False
-    (k, v), = c.items()
-    return abs(v) == 1 and not any(k)
-
-
-def _pack_tuples(f: dict) -> dict[int, int]:
-    """``f`` with each exponent tuple (at most 3 long here) in the low
-    fields of a packed key, its last exponent least significant, for
-    ``_long_divide``."""
-    out = {}
+def _coeffs(f: dict[int, int], shift: int) -> dict[int, dict[int, int]]:
+    """``f`` as a polynomial in the field at ``shift``: {degree: coefficient}."""
+    out: dict[int, dict[int, int]] = {}
     for k, c in f.items():
-        packed = 0
-        for e in k:
-            if e >= EXP_BOUND:
-                raise DomainError(f"exponent past the bound 2^30 - 1 in the gcd term {k}")
-            packed = packed << 32 | e
-        out[packed] = c
+        e = k >> shift & _FIELD
+        out.setdefault(e, {})[k - (e << shift)] = c
     return out
 
 
-def _content_pp(f: dict) -> tuple[dict, dict]:
+def _is_unit(c: dict[int, int]) -> bool:
+    """Whether ``c`` is the constant 1 or -1."""
+    return len(c) == 1 and abs(c.get(0, 0)) == 1
+
+
+def _content_pp(f: dict[int, int], level: int) -> tuple[dict[int, int], dict[int, int]]:
     """Content (a gcd of the coefficients in the main variable) and
     primitive part of ``f``."""
-    coeffs = iter(_coeffs(f).values())
+    coeffs = iter(_coeffs(f, _GCD_SHIFTS[level]).values())
     cont = next(coeffs)
     for c in coeffs:
         if _is_unit(cont):
             break
-        cont = _gcd(cont, c)
+        cont = _gcd(cont, c, level + 1)
     if _is_unit(cont):
         return cont, f
-    shifts = range(32 * len(next(iter(f))) - 32, -1, -32)
-    quo = _long_divide(_pack_tuples(f), _pack_tuples(_lift(cont, 0)))[0]  # exact over Z
-    return cont, {tuple(k >> s & _FIELD for s in shifts): c for k, c in quo.items()}
+    return cont, _long_divide(f, cont)[0]  # exact over Z
 
 
-def _gcd(f: dict, g: dict) -> dict:
-    """A gcd of the nonzero ``f`` and ``g`` in Z[v1, ..., vn], up to sign:
+def _gcd(f: dict[int, int], g: dict[int, int], level: int = 0) -> dict[int, int]:
+    """A gcd of the nonzero ``f`` and ``g`` in Z[pi][y][x], up to sign:
     content/primitive-part Euclid in the main variable, with the contents'
-    gcd taken recursively in the remaining variables (Brown, 1971)."""
-    if not next(iter(f)):
+    gcd taken recursively in the remaining variables (Brown, 1971).  A
+    product with an exponent past ``EXP_BOUND`` raises ``DomainError``
+    (``_normalize``)."""
+    if level == len(_GCD_SHIFTS):
         # no variables left: integers
-        return {(): math.gcd(f[()], g[()])}
-    cf, f = _content_pp(f)
-    cg, g = _content_pp(g)
-    cont = _gcd(cf, cg)
-    if max(k[0] for k in f) < max(k[0] for k in g):
+        return {0: math.gcd(f[0], g[0])}
+    shift = _GCD_SHIFTS[level]
+    cf, f = _content_pp(f, level)
+    cg, g = _content_pp(g, level)
+    cont = _gcd(cf, cg, level + 1)
+    if max(_coeffs(f, shift)) < max(_coeffs(g, shift)):
         f, g = g, f
     while True:
         # pseudo-remainder of f by g: lc(g) * r - lc(r) * x^k * g cancels the
         # leading term of r; the powers of lc(g) it leaves are content and
         # drop out with the primitive part
-        dg = max(k[0] for k in g)
-        lg = _lift(_coeffs(g)[dg], 0)
+        gc = _coeffs(g, shift)
+        dg = max(gc)
         r = f
         while r:
-            dr = max(k[0] for k in r)
+            rc = _coeffs(r, shift)
+            dr = max(rc)
             if dr < dg:
                 break
-            lr = _lift(_coeffs(r)[dr], dr - dg)
-            r = _sub(_mul(lg, r), _mul(lr, g))
+            lr = {k + (dr - dg << shift): c for k, c in rc[dr].items()}
+            r = _normalize(_products(((gc[dg], r, 1), (lr, g, -1))))
         if not r:
-            return _mul(_lift(cont, 0), g)
-        f, g = g, _content_pp(r)[1]
+            return _normalize(_products(((cont, g, 1),)))
+        f, g = g, _content_pp(r, level)[1]
 
 
 def poly_gcd(a: Expr, b: Expr) -> Expr:
     """Multivariate gcd over the rationals of trig-free ``a`` and ``b``,
     as sympy's ``Poly(..., x, y, pi, domain="QQ").gcd`` gives it: monic
-    in the lexicographic order x > y > pi.
+    in the lexicographic order x > y > pi.  A trig exponent raises
+    ``DomainError``.
 
     The integer numerators are taken as polynomials in Z[pi][y][x]
     (denominators only scale them, which a gcd over the rationals
     ignores), their gcd comes from ``_gcd``, and it is divided by its
     leading coefficient.
     """
-    f = {(k >> 160 & _FIELD, k >> 128 & _FIELD, k >> 192): c for k, c in a._num.items()}
-    g = {(k >> 160 & _FIELD, k >> 128 & _FIELD, k >> 192): c for k, c in b._num.items()}
+    if a.has_trig() or b.has_trig():
+        raise DomainError("poly_gcd takes trig-free expressions")
+    f, g = a._num, b._num
     h = _gcd(f, g) if f and g else f or g
     if not h:
         return Expr.zero(a.domain)
-    lead = h[max(h)]
+    # increasing (ex, ey, kpi) order, the order Expr() stores sympy's terms in
+    order = sorted(h, key=lambda k: (k >> 160 & _FIELD, k >> 128 & _FIELD, k >> 192))
+    lead = h[order[-1]]
     sign = 1 if lead > 0 else -1
-    # increasing (x, y, pi) order, the order Expr() stores sympy's terms in
-    num = {kpi << 192 | ex << 160 | ey << 128: sign * h[ex, ey, kpi] for ex, ey, kpi in sorted(h)}
-    return _make(a.domain, *_reduce(num, abs(lead)))
+    return _make(a.domain, *_reduce({k: sign * h[k] for k in order}, abs(lead)))

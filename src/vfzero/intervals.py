@@ -15,12 +15,12 @@ a region's corners (``odd_denominator``; q = 1 for a dyadic region), and
 every corner of its quadtree cells and every vertex of its boundary
 pieces shares that q.  ``lattice_form`` gives the numerators of an
 interval.
-The pi/sin/cos endpoints and the exact values -1, 0, 1 are *dyadic*,
-q = 1: ``Interval.dyadic`` exposes that form, cached on the interval
-object, so the pi powers and the trig enclosures held by
-``sin_2pi_range`` and ``cos_2pi_range``'s ``lru_cache`` convert once per
-cache entry.  ``Expr.range_on`` evaluates every box in pure ``int``
-arithmetic on these forms.
+The pi/sin/cos enclosures are *dyadic*, q = 1, and are built in that
+form only: ``pi_power`` and the ``lru_cache`` of ``sin_2pi_range`` and
+``cos_2pi_range`` hold ``DyadicRange`` triples (a, b, e) for
+[a/2^e, b/2^e], with the powers of two that a, b and 2^e share
+cancelled, so no ``Fraction`` is built for them.  ``Expr.range_on``
+evaluates every box in pure ``int`` arithmetic on these forms.
 
 Enclosures also travel in integer form, ``IntRange`` (lo, hi, den) for
 [lo/den, hi/den]: ``Interval.from_ints`` and ``Interval.ints`` convert,
@@ -39,13 +39,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
 # An interval in integer form: (lo, hi, den) with den > 0 is [lo/den, hi/den].
 IntRange = tuple[int, int, int]
+# An interval in dyadic form: (a, b, e) with e >= 0 is [a/2^e, b/2^e].
+DyadicRange = tuple[int, int, int]
 
 
 class EnclosureError(ArithmeticError):
@@ -56,7 +58,7 @@ class EnclosureError(ArithmeticError):
     (ROADMAP item 3)."""
 
 
-def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int, int]]:
+def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[DyadicRange]:
     """(a, b, e) with lo = a / 2**e and hi = b / 2**e, or None when an
     endpoint's denominator is not a power of two."""
     d_lo, d_hi = lo.denominator, hi.denominator
@@ -65,6 +67,14 @@ def dyadic_form(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int, int]]:
     # powers of two: the larger denominator is a multiple of the other
     den = max(d_lo, d_hi)
     return lo.numerator * (den // d_lo), hi.numerator * (den // d_hi), den.bit_length() - 1
+
+
+def _reduce_dyadic(a: int, b: int, e: int) -> DyadicRange:
+    """[a/2^e, b/2^e] with the powers of two that a, b and 2^e share
+    cancelled: ``dyadic_form`` of its ``Fraction`` endpoints."""
+    bits = a | b  # its lowest set bit is the lower of a's and b's
+    k = min(e, (bits & -bits).bit_length() - 1) if bits else e
+    return a >> k, b >> k, e - k
 
 
 def odd_denominator(*values: Fraction) -> int:
@@ -188,11 +198,6 @@ class Interval:
         lo, hi = self.lo, self.hi
         return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
 
-    @cached_property
-    def dyadic(self) -> Optional[tuple[int, int, int]]:
-        """``dyadic_form(lo, hi)``, computed once per interval object."""
-        return dyadic_form(self.lo, self.hi)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -250,17 +255,17 @@ _GRID = 128
 _ROUND = _W - _GRID
 _PI_LO, _PI_HI = _machin_pi(_W)
 
-# between consecutive multiples of 2^-126, the ulp of a 128-bit mantissa
-PI: Interval = Interval(Fraction(_PI_LO >> (_W - 126), 1 << 126),
-                        Fraction(-(-_PI_HI >> (_W - 126)), 1 << 126))
-
-_PI_POWERS: dict[int, Interval] = {0: Interval.point(1), 1: PI}
+# pi between consecutive multiples of 2^-126, the ulp of a 128-bit
+# mantissa: the numerators of its two ends
+_PI_ENDS = _PI_LO >> (_W - 126), -(-_PI_HI >> (_W - 126))
 
 
-def pi_power(k: int) -> Interval:
-    if k not in _PI_POWERS:
-        _PI_POWERS[k] = pi_power(k - 1) * PI
-    return _PI_POWERS[k]
+@cache
+def pi_power(k: int) -> DyadicRange:
+    """The enclosure of pi^k in reduced dyadic form: the k-th powers of
+    pi's ends over 2^(126 k), with their common powers of two cancelled."""
+    lo, hi = _PI_ENDS
+    return _reduce_dyadic(lo**k, hi**k, 126 * k)
 
 
 def _taylor(u: int, k: int) -> tuple[int, int]:
@@ -317,46 +322,43 @@ def _sin_2pi(n: int, d: int) -> tuple[int, int]:
     return (-hi, -lo) if quarter >= 2 else (lo, hi)
 
 
-def _trig_2pi_range(a: int, b: int, den: int, quarter: int, top: Fraction, bottom: Fraction) -> Interval:
+def _trig_2pi_range(a: int, b: int, den: int, quarter: int) -> DyadicRange:
     # sin(2*pi*(t + quarter/4)) on [a/den, b/den], the hull of its values
-    # at the two ends, rounded outward, and the value 1 (-1) where the
-    # phase top (bottom) lies inside (mod 1): between those critical
-    # phases the function is monotone, so the hull holds every value
+    # at the two ends, rounded outward, and 1 (-1) where the phase
+    # (1 - quarter)/4 ((3 - quarter)/4) lies inside (mod 1): between those
+    # critical phases the function is monotone, so the hull holds every value
     if b - a >= den:
-        return Interval(Fraction(-1), Fraction(1))
+        return -1, 1, 0
     lo, hi = _sin_2pi(4 * a + quarter * den, 4 * den)
     if b != a:
         lo_b, hi_b = _sin_2pi(4 * b + quarter * den, 4 * den)
         lo, hi = min(lo, lo_b), max(hi, hi_b)
-    lo = max(Fraction(lo >> _ROUND, 1 << _GRID), Fraction(-1))
-    hi = min(Fraction(-(-hi >> _ROUND), 1 << _GRID), Fraction(1))
-    t_lo, t_hi = Fraction(a, den), Fraction(b, den)
-    if _grid_point_in(t_lo, t_hi, top):
-        hi = Fraction(1)
-    if _grid_point_in(t_lo, t_hi, bottom):
-        lo = Fraction(-1)
-    return Interval(lo, hi)
+    one = 1 << _GRID
+    lo = -one if _phase_in(a, b, den, 3 - quarter) else max(lo >> _ROUND, -one)
+    hi = one if _phase_in(a, b, den, 1 - quarter) else min(-(-hi >> _ROUND), one)
+    return _reduce_dyadic(lo, hi, _GRID)
 
 
 @lru_cache(maxsize=1 << 16)
-def sin_2pi_range(a: int, b: int, den: int) -> Interval:
-    """Enclosure of {sin(2*pi*t) : t in [a/den, b/den]}, keyed on that
-    integer form reduced by gcd(a, b, den): one key per interval, and
-    ``Fraction`` endpoints only on a miss."""
-    return _trig_2pi_range(a, b, den, 0, Fraction(1, 4), Fraction(3, 4))
+def sin_2pi_range(a: int, b: int, den: int) -> DyadicRange:
+    """Enclosure of {sin(2*pi*t) : t in [a/den, b/den]} in reduced dyadic
+    form, keyed on that integer form reduced by gcd(a, b, den): one key
+    per interval."""
+    return _trig_2pi_range(a, b, den, 0)
 
 
 @lru_cache(maxsize=1 << 16)
-def cos_2pi_range(a: int, b: int, den: int) -> Interval:
-    """Enclosure of {cos(2*pi*t) : t in [a/den, b/den]}, keyed as
-    ``sin_2pi_range``."""
-    return _trig_2pi_range(a, b, den, 1, Fraction(0), Fraction(1, 2))
+def cos_2pi_range(a: int, b: int, den: int) -> DyadicRange:
+    """Enclosure of {cos(2*pi*t) : t in [a/den, b/den]}, keyed and formed
+    as ``sin_2pi_range``."""
+    return _trig_2pi_range(a, b, den, 1)
 
 
-def _grid_point_in(lo: Fraction, hi: Fraction, phase: Fraction) -> bool:
-    # is there an integer k with lo <= phase + k <= hi?
-    k = math.ceil(lo - phase)
-    return lo <= phase + k <= hi
+def _phase_in(a: int, b: int, den: int, quarter: int) -> bool:
+    """Whether some t in [a/den, b/den], den > 0, is quarter/4 mod 1: the
+    least 4 den t >= 4a on the phase's grid quarter den + 4 den Z is at
+    most 4b."""
+    return (quarter * den - 4 * a) % (4 * den) <= 4 * (b - a)
 
 
 # atan2 from mpmath, which only the test extra installs.  Unused by the

@@ -16,7 +16,8 @@ first, and one product checks the other component; the wedge is built
 only when that check fails, since B = f*X makes it zero.
 
 A rational cofactor num/den of plane polynomials is reduced by their
-gcd, ``expr.poly_gcd``.
+gcd, ``expr.poly_gcd``; that gcd refuses trig terms, so a torus cofactor
+is reported unreduced.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ from vfzero.harness import MainTheoremReport, Witness
 from vfzero.tracking import _RATIONAL_CAVEAT
 from vfzero.expr import DomainError, Key, _gens_string, _unpack, poly_gcd
 from vfzero.intervals import (
-    PI, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
+    DyadicRange, EnclosureError, IntRange, atan2_range, cos_2pi_range, imul, pi_power, sin_2pi_range,
 )
 
 
@@ -178,6 +178,12 @@ def fraction_trig_key(iv: Interval) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+def dyadic_interval(t: DyadicRange) -> Interval:
+    """The ``Interval`` of the dyadic triple (a, b, e): [a/2^e, b/2^e]."""
+    a, b, e = t
+    return Interval.from_ints(a, b, 1 << e)
+
+
 def stored_terms(e: Expr) -> list[tuple[Key, int]]:
     """The terms of ``e`` as (exponent tuple, numerator over ``e._den``)
     in the order the Expr stores them, which is the order ``eval_float``
@@ -193,26 +199,26 @@ def range_on_fractions(e: Expr, box: Box) -> Interval:
     for (kpi, ex, ey, s1, c1, s2, c2), coeff in stored_terms(e):
         v = Interval.point(Fraction(coeff, den))
         if kpi:
-            v = v * pi_power(kpi)
+            v = v * dyadic_interval(pi_power(kpi))
         if ex:
             v = v * box.x.int_pow(ex)
         if ey:
             v = v * box.y.int_pow(ey)
         if s1:
             if sx is None:
-                sx = sin_2pi_range(*fraction_trig_key(box.x))
+                sx = dyadic_interval(sin_2pi_range(*fraction_trig_key(box.x)))
             v = v * sx.int_pow(s1)
         if c1:
             if cx is None:
-                cx = cos_2pi_range(*fraction_trig_key(box.x))
+                cx = dyadic_interval(cos_2pi_range(*fraction_trig_key(box.x)))
             v = v * cx.int_pow(c1)
         if s2:
             if sy is None:
-                sy = sin_2pi_range(*fraction_trig_key(box.y))
+                sy = dyadic_interval(sin_2pi_range(*fraction_trig_key(box.y)))
             v = v * sy.int_pow(s2)
         if c2:
             if cy is None:
-                cy = cos_2pi_range(*fraction_trig_key(box.y))
+                cy = dyadic_interval(cos_2pi_range(*fraction_trig_key(box.y)))
             v = v * cy.int_pow(c2)
         total = total + v
     return total
@@ -284,7 +290,7 @@ class RefDyadicKernel:
         trig_order: list[int] = []
         for (kpi, ex, ey, s1, c1, s2, c2), n in num.items():
             if kpi:
-                a, b, shift = pi_power(kpi).dyadic
+                a, b, shift = pi_power(kpi)
                 lo, hi = (n * a, n * b) if n >= 0 else (n * b, n * a)
             else:
                 lo = hi = n
@@ -320,14 +326,13 @@ class RefDyadicKernel:
             # the lookups of term-by-term Fraction interval arithmetic, in
             # its order, so the lru_cache statistics match that reference
             if gen == _GEN_SX:
-                iv = sin_2pi_range(*xkey)
+                bases[gen] = sin_2pi_range(*xkey)
             elif gen == _GEN_CX:
-                iv = cos_2pi_range(*xkey)
+                bases[gen] = cos_2pi_range(*xkey)
             elif gen == _GEN_SY:
-                iv = sin_2pi_range(*ykey)
+                bases[gen] = sin_2pi_range(*ykey)
             else:
-                iv = cos_2pi_range(*ykey)
-            bases[gen] = iv.dyadic  # trig endpoints are dyadic
+                bases[gen] = cos_2pi_range(*ykey)
         powers = []
         for gen, n in self.factors:
             a, b, shift = bases[gen]
@@ -624,6 +629,7 @@ def fraction_boundary_loops(grid, comp: dict) -> tuple[tuple[Segment, ...], ...]
 # land within a quarter period of 2*pi*k; otherwise every piece is refined
 # with an 8 times smaller width bound, at most _GATE_RETRIES times.
 
+PI: Interval = dyadic_interval(pi_power(1))
 TWO_PI: Interval = PI * 2
 HALF_PI: Interval = Interval(PI.lo / 2, PI.hi / 2)
 _MAX_INC_WIDTH = Fraction(4, 5)  # radians; keeps atan2 away from the branch cut

@@ -65,6 +65,17 @@ class TestBasicCommands:
         assert doc["results"]["status"] == "POLY_TRACKING"
         assert doc["results"]["cofactor"] == "1"
 
+    def test_track_torus_rational(self, tmp_path):
+        # [Y, X] = 2*pi*(1, 0) is no trig-polynomial multiple of X: the
+        # cofactor stays an unreduced quotient, with no gcd of trig terms
+        code, doc, _ = run_json(
+            ["track", "--domain", "torus", "--y", "(cos2px, 0)", "--x", "(sin2px, 0)"], tmp_path
+        )
+        assert code == 0
+        results = doc["results"]
+        assert results["status"] == "RATIONAL_TRACKING"
+        assert (results["cofactor_num"], results["cofactor_den"]) == ("2*pi", "sin2px")
+
     def test_verify_ph(self, tmp_path):
         code, doc, _ = run_json(
             ["verify", "ph", "--field", "(sin2px, sin2py)", "--depth", "5"], tmp_path

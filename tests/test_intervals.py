@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -6,18 +7,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import finf, fnan, fninf, from_rational, fzero, round_floor
 
+from conftest import NO_SHRINK
+from oracles import dyadic_interval
 from vfzero import Box, Interval, isolate_zeros, parse_field
 from vfzero.intervals import (
-    PI,
     EnclosureError,
+    _phase_in,
     _raw_to_fraction,
+    _reduce_dyadic,
     atan2_range,
     cos_2pi_range,
+    dyadic_form,
     pi_power,
     sin_2pi_range,
 )
@@ -85,20 +90,68 @@ class TestRawToFraction:
             _raw_to_fraction((sign, _Mpz(man), exp, bc))
 
 
+def _is_reduced(t: tuple[int, int, int]) -> bool:
+    """Whether the triple is the ``dyadic_form`` of its own endpoints."""
+    iv = dyadic_interval(t)
+    return dyadic_form(iv.lo, iv.hi) == t
+
+
 class TestDyadicForm:
     def test_shared_power_of_two(self):
-        assert Interval(Fraction(-3, 8), Fraction(5, 2)).dyadic == (-3, 20, 3)
-        assert Interval.point(7).dyadic == (7, 7, 0)
+        assert dyadic_form(Fraction(-3, 8), Fraction(5, 2)) == (-3, 20, 3)
+        assert dyadic_form(Fraction(7), Fraction(7)) == (7, 7, 0)
 
     def test_non_dyadic_endpoint(self):
-        assert Interval(Fraction(1, 3), Fraction(1)).dyadic is None
-        assert Interval(Fraction(0), Fraction(5, 6)).dyadic is None
+        assert dyadic_form(Fraction(1, 3), Fraction(1)) is None
+        assert dyadic_form(Fraction(0), Fraction(5, 6)) is None
 
     def test_cached_enclosures_are_dyadic(self):
-        for iv in (PI, pi_power(3), sin_2pi_range(2, 3, 6),
-                   cos_2pi_range(1, 3, 8)):
-            a, b, e = iv.dyadic
-            assert (Fraction(a, 1 << e), Fraction(b, 1 << e)) == (iv.lo, iv.hi)
+        for t in (pi_power(1), pi_power(3), sin_2pi_range(2, 3, 6), cos_2pi_range(1, 3, 8)):
+            assert _is_reduced(t), t
+
+    def test_pi_powers_are_products_of_pi(self):
+        # the Fraction interval powers that pi_power's integers replace
+        pi, power = dyadic_interval(pi_power(1)), Interval.point(1)
+        for k in range(8):
+            assert dyadic_form(power.lo, power.hi) == pi_power(k)
+            power = power * pi
+
+
+# numerators with up to 140 trailing zero bits, zero among them
+_shifted = st.builds(lambda m, s: m << s, st.integers(-2**20, 2**20), st.integers(0, 140))
+
+
+class TestReduceDyadic:
+    @settings(max_examples=500, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(_shifted, _shifted, st.integers(0, 200))
+    @example(0, 0, 7)
+    @example(0, -24, 5)
+    @example(-16, 0, 3)
+    @example(-6, 12, 0)
+    def test_equals_fraction_reduction(self, a, b, e):
+        assert _reduce_dyadic(a, b, e) == dyadic_form(Fraction(a, 1 << e), Fraction(b, 1 << e))
+
+
+def _ref_phase_in(a: int, b: int, den: int, quarter: int) -> bool:
+    # is there an integer k with a/den <= quarter/4 + k <= b/den?
+    lo, hi, phase = Fraction(a, den), Fraction(b, den), Fraction(quarter, 4)
+    k = math.ceil(lo - phase)
+    return lo <= phase + k <= hi
+
+
+class TestPhaseIn:
+    @settings(max_examples=1000, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 15, 40, 105, 3 << 20]), st.integers(0, 1 << 30),
+           st.integers(0, 1 << 30), st.integers(0, 3))
+    @example(4, 11, 0, 3)  # [-1/4, -1/4] is the phase 3/4
+    @example(6, 17, 1, 0)  # [-1/6, 0] ends on the phase 0
+    @example(12, 37, 1, 1)  # [1/12, 1/6] misses the phase 1/4
+    def test_equals_fraction_definition(self, den, a, width, quarter):
+        # [a/den, b/den] with a in [-3 den, 3 den) and a width of at most
+        # two periods
+        a = a % (6 * den) - 3 * den
+        b = a + width % (2 * den + 1)
+        assert _phase_in(a, b, den, quarter) == _ref_phase_in(a, b, den, quarter)
 
 
 class TestAtan2IntegerForm:
@@ -153,8 +206,9 @@ def _trig_keys() -> list[tuple[int, int, int]]:
 class TestTrigEnclosures:
     def test_pi_holds_mpmath_pi(self):
         lo, hi = _oracle_endpoints(+_IV256.pi)
-        assert PI.lo <= lo <= hi <= PI.hi
-        assert PI.hi - PI.lo <= Fraction(1, 2**126)
+        pi = dyadic_interval(pi_power(1))
+        assert pi.lo <= lo <= hi <= pi.hi
+        assert pi.hi - pi.lo <= Fraction(1, 2**126)
 
     @pytest.mark.parametrize("fn, ref", [(sin_2pi_range, _IV256.sin), (cos_2pi_range, _IV256.cos)],
                              ids=["sin", "cos"])
@@ -162,7 +216,9 @@ class TestTrigEnclosures:
         keys = _trig_keys()
         assert len(keys) >= 2000
         for a, b, den in keys:
-            got = fn(a, b, den)
+            t = fn(a, b, den)
+            assert _is_reduced(t), (a, b, den, t)
+            got = dyadic_interval(t)
             lo, hi = _oracle_endpoints(ref(2 * _IV256.pi * (_IV256.mpf([a, b]) / den)))
             lo, hi = max(lo, Fraction(-1)), min(hi, Fraction(1))
             # an exact value (at a multiple of 1/4, or a critical phase) is
@@ -175,8 +231,8 @@ class TestTrigEnclosures:
     def test_quarter_points_are_exact(self, q, sin, cos):
         for den in (4, 12, 20):
             a = q * den // 4
-            assert sin_2pi_range(a, a, den) == Interval.point(sin)
-            assert cos_2pi_range(a, a, den) == Interval.point(cos)
+            assert sin_2pi_range(a, a, den) == (sin, sin, 0)
+            assert cos_2pi_range(a, a, den) == (cos, cos, 0)
 
 
 def test_import_does_not_load_mpmath():

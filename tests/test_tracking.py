@@ -29,7 +29,7 @@ from vfzero import (
     track_check,
     wedge,
 )
-from vfzero.expr import poly_gcd
+from vfzero.expr import DomainError, poly_gcd
 
 from conftest import NO_SHRINK, pi_polys, plane_fields, plane_polys, rationals, torus_polys
 from oracles import ref_poly_gcd, ref_track_check, same_expr
@@ -333,6 +333,17 @@ class TestIntegerGcd:
         got = poly_gcd(a, b)
         assert same_expr(got, ref_poly_gcd(a, b))
         assert got == parse_expr(gcd)
+
+    @pytest.mark.parametrize("a, b", [
+        ("sin2px*cos2py", "sin2px*cos2py"),
+        ("2*pi", "sin2px"),
+        ("cos2py", "pi"),
+    ])
+    def test_trig_input_raises(self, a, b):
+        # the gcd runs in Z[pi][y][x]; track_check keeps trig cofactors
+        # unreduced rather than call it
+        with pytest.raises(DomainError, match="trig-free"):
+            poly_gcd(parse_expr(a, "torus"), parse_expr(b, "torus"))
 
 
 def _run_python(code, *args):
